@@ -144,163 +144,220 @@ let edge_input_bad (u_in : node_label) (w_in : node_label) (bu : half_in)
 (* The ne-LCL                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let chain_mem c chains = List.mem c chains
+(* The kernels below run on every node and edge of every Π' check, so
+   they are closure-free loops: no per-call allocation, and a [==] fast
+   path before each structural compare of a mirror (the prover shares one
+   [node_out] between a node and its halves' mirrors). They evaluate the
+   same predicates in an order that raises exactly where a plain
+   left-to-right reading would ([chain_step] rejects positions outside a
+   chain). *)
+
+(* [List.mem { c with cpos = pos } chains], without building the record *)
+let rec chain_mem_at c pos = function
+  | [] -> false
+  | x :: r ->
+    (x.ccolor = c.ccolor && x.cpos = pos && x.ckind = c.ckind)
+    || chain_mem_at c pos r
+
+let chain_mem c chains = chain_mem_at c c.cpos chains
+
+let is_nok = function NOk -> true | NPtr _ | NWit -> false
+let is_nwit = function NWit -> true | NOk | NPtr _ -> false
+
+let mirror_ok (h : half_out) out = h.mirror == out || h.mirror = out
+
+let is_clean h =
+  (not h.bad_edge)
+  && (match h.color_claim with None -> true | Some _ -> false)
+  && (match h.to_next with [] -> true | _ :: _ -> false)
+  && match h.from_prev with [] -> true | _ :: _ -> false
+
+(* the halves whose [tags] (e.g. [to_next_of]) carry [c]; [tags] is a
+   top-level function, so passing it allocates nothing *)
+let count_tags tags c (halves : half_out array) =
+  let k = ref 0 in
+  for i = 0 to Array.length halves - 1 do
+    if chain_mem c (tags halves.(i)) then incr k
+  done;
+  !k
+
+let to_next_of h = h.to_next
+let from_prev_of h = h.from_prev
+
+let rec chains_ok halves = function
+  | [] -> true
+  | c :: r ->
+    (c.cpos >= chain_last c.ckind || count_tags to_next_of c halves = 1)
+    && (c.cpos = 0 || count_tags from_prev_of c halves = 1)
+    && chains_ok halves r
+
+(* [tags_ok] for one half. Every tag of every half is checked, with no
+   early exit: [chain_step] may raise on a later tag even after an
+   earlier one failed. *)
+let rec next_tags_ok out (inputs : half_in array) idx ok = function
+  | [] -> ok
+  | c :: r ->
+    let bad =
+      (not (chain_mem c out.chains))
+      || c.cpos >= chain_last c.ckind
+      || inputs.(idx).bl <> chain_step c.ckind c.cpos
+    in
+    next_tags_ok out inputs idx (ok && not bad) r
+
+let rec prev_tags_ok out ok = function
+  | [] -> ok
+  | c :: r ->
+    let bad = (not (chain_mem c out.chains)) || c.cpos = 0 in
+    prev_tags_ok out (ok && not bad) r
+
+let tags_ok out (halves : half_out array) (inputs : half_in array) =
+  let ok = ref true in
+  for idx = 0 to Array.length halves - 1 do
+    let h = halves.(idx) in
+    ok := next_tags_ok out inputs idx !ok h.to_next;
+    ok := prev_tags_ok out !ok h.from_prev
+  done;
+  !ok
+
+(* scans from index [i]; top-level so that they allocate nothing *)
+let rec has_label l (inputs : half_in array) i =
+  i < Array.length inputs && (inputs.(i).bl = l || has_label l inputs (i + 1))
+
+let rec mirrors_ok out (halves : half_out array) i =
+  i >= Array.length halves
+  || (mirror_ok halves.(i) out && mirrors_ok out halves (i + 1))
+
+let rec all_clean (halves : half_out array) i =
+  i >= Array.length halves || (is_clean halves.(i) && all_clean halves (i + 1))
+
+let rec any_bad_edge (halves : half_out array) i =
+  i < Array.length halves
+  && (halves.(i).bad_edge || any_bad_edge halves (i + 1))
+
+(* two halves claim the same color *)
+let dup_claims (halves : half_out array) =
+  let d = Array.length halves in
+  let found = ref false in
+  for i = 0 to d - 1 do
+    match halves.(i).color_claim with
+    | None -> ()
+    | Some a ->
+      for j = i + 1 to d - 1 do
+        match halves.(j).color_claim with
+        | Some b when a = b -> found := true
+        | Some _ | None -> ()
+      done
+  done;
+  !found
+
+let rec open_end chains = function
+  | [] -> false
+  | c :: r ->
+    (c.cpos = chain_last c.ckind && not (chain_mem_at c 0 chains))
+    || open_end chains r
+
+let rec open_start chains = function
+  | [] -> false
+  | c :: r ->
+    (c.cpos = 0 && not (chain_mem_at c (chain_last c.ckind) chains))
+    || open_start chains r
 
 let check_node ~delta (nv : (node_label, unit, half_in, node_out, unit, half_out) Ne_lcl.node_view) =
   let out = nv.v_out in
   let halves = nv.b_out in
   let inputs = nv.b_in in
-  let mirrors_ok = Array.for_all (fun h -> h.mirror = out) halves in
-  let ok_clean =
-    out.status <> NOk
-    || (out.chains = []
-       && Array.for_all
-            (fun h ->
-              (not h.bad_edge) && h.color_claim = None && h.to_next = []
-              && h.from_prev = [])
-            halves)
-  in
-  (* chain well-formedness *)
-  let count f = Array.fold_left (fun acc h -> if f h then acc + 1 else acc) 0 halves in
-  let chains_ok =
-    List.for_all
-      (fun c ->
-        let cont =
-          c.cpos >= chain_last c.ckind
-          || count (fun i -> List.mem c i.to_next) = 1
-        in
-        let prev =
-          c.cpos = 0 || count (fun i -> List.mem c i.from_prev) = 1
-        in
-        cont && prev)
-      out.chains
-  in
-  let tags_ok =
-    let ok = ref true in
-    Array.iteri
-      (fun idx h ->
-        List.iter
-          (fun c ->
-            if
-              (not (chain_mem c out.chains))
-              || c.cpos >= chain_last c.ckind
-              || inputs.(idx).bl <> chain_step c.ckind c.cpos
-            then ok := false)
-          h.to_next;
-        List.iter
-          (fun c ->
-            if (not (chain_mem c out.chains)) || c.cpos = 0 then ok := false)
-          h.from_prev)
-      halves;
-    !ok
-  in
-  (* pointer well-formedness *)
-  let has_label l = Array.exists (fun i -> i.bl = l) inputs in
-  let ptr_ok =
-    match out.status with
-    | NPtr Psi.PRight -> has_label Right
-    | NPtr Psi.PLeft -> has_label Left
-    | NPtr Psi.PParent -> has_label Parent
-    | NPtr Psi.PRChild -> has_label RChild
-    | NPtr Psi.PUp -> nv.v_in.kind <> Center && has_label Up
-    | NPtr (Psi.PDown i) -> nv.v_in.kind = Center && has_label (Down i)
-    | NOk | NWit -> true
-  in
+  (* the only predicate that can raise goes first, in full *)
+  tags_ok out halves inputs
+  && mirrors_ok out halves 0
+  && ((not (is_nok out.status))
+     || (match out.chains with [] -> true | _ :: _ -> false)
+        && all_clean halves 0)
+  && chains_ok halves out.chains
+  && (* pointer well-formedness *)
+  (match out.status with
+  | NPtr Psi.PRight -> has_label Right inputs 0
+  | NPtr Psi.PLeft -> has_label Left inputs 0
+  | NPtr Psi.PParent -> has_label Parent inputs 0
+  | NPtr Psi.PRChild -> has_label RChild inputs 0
+  | NPtr Psi.PUp -> nv.v_in.kind <> Center && has_label Up inputs 0
+  | NPtr (Psi.PDown i) -> nv.v_in.kind = Center && has_label (Down i) inputs 0
+  | NOk | NWit -> true)
+  &&
   (* witness justification *)
-  let justified =
-    match out.status with
-    | NWit ->
-      node_input_bad ~delta nv.v_in inputs
-      || Array.exists (fun h -> h.bad_edge) halves
-      || (let claims =
-            Array.to_list halves |> List.filter_map (fun h -> h.color_claim)
-          in
-          let sorted = List.sort compare claims in
-          let rec dup = function
-            | a :: (b :: _ as r) -> a = b || dup r
-            | _ -> false
-          in
-          dup sorted)
-      || List.exists
-           (fun c ->
-             c.cpos = chain_last c.ckind
-             && not
-                  (chain_mem
-                     { c with cpos = 0 }
-                     out.chains))
-           out.chains
-      || List.exists
-           (fun c ->
-             c.cpos = 0
-             && not
-                  (chain_mem
-                     { c with cpos = chain_last c.ckind }
-                     out.chains))
-           out.chains
-    | NOk | NPtr _ -> true
-  in
-  mirrors_ok && ok_clean && chains_ok && tags_ok && ptr_ok && justified
+  match out.status with
+  | NWit ->
+    node_input_bad ~delta nv.v_in inputs
+    || any_bad_edge halves 0
+    || dup_claims halves
+    || open_end out.chains out.chains
+    || open_start out.chains out.chains
+  | NOk | NPtr _ -> true
+
+let ptr_rule (src : node_out) (src_in : node_label) (lsrc : half_label)
+    (dst : node_out) =
+  match src.status with
+  | NOk | NWit -> true
+  | NPtr p -> (
+    let applies =
+      match (p, lsrc) with
+      | Psi.PRight, Right
+      | Psi.PLeft, Left
+      | Psi.PParent, Parent
+      | Psi.PRChild, RChild
+      | Psi.PUp, Up -> true
+      | Psi.PDown i, Down j -> i = j
+      | ( ( Psi.PRight | Psi.PLeft | Psi.PParent | Psi.PRChild | Psi.PUp
+          | Psi.PDown _ ),
+          _ ) -> false
+    in
+    if not applies then true
+    else
+      match (p, dst.status) with
+      | _, NWit -> true
+      | Psi.PRight, NPtr Psi.PRight -> true
+      | Psi.PLeft, NPtr Psi.PLeft -> true
+      | ( Psi.PParent,
+          NPtr (Psi.PParent | Psi.PLeft | Psi.PRight | Psi.PUp) ) -> true
+      | Psi.PRChild, NPtr (Psi.PRChild | Psi.PRight | Psi.PLeft) -> true
+      | Psi.PUp, NPtr (Psi.PDown j) -> (
+        match src_in.kind with Index i -> j <> i | Center -> false)
+      | Psi.PDown _, NPtr Psi.PRChild -> true
+      | ( ( Psi.PRight | Psi.PLeft | Psi.PParent | Psi.PRChild | Psi.PUp
+          | Psi.PDown _ ),
+          (NOk | NPtr _) ) -> false)
+
+let claim_ok (h : half_out) (far : node_label) =
+  match h.color_claim with None -> true | Some c -> far.color2 = c
+
+(* every [to_next] tag steps along [lsrc] to its successor at the far
+   node, every [from_prev] tag arrives along [lfar] from its
+   predecessor *)
+let rec next_edge_ok (lsrc : half_in) (far : node_out) = function
+  | [] -> true
+  | c :: r ->
+    lsrc.bl = chain_step c.ckind c.cpos
+    && chain_mem_at c (c.cpos + 1) far.chains
+    && next_edge_ok lsrc far r
+
+let rec prev_edge_ok (lfar : half_in) (far : node_out) = function
+  | [] -> true
+  | c :: r ->
+    lfar.bl = chain_step c.ckind (c.cpos - 1)
+    && chain_mem_at c (c.cpos - 1) far.chains
+    && prev_edge_ok lfar far r
+
+let chain_edge (h : half_out) (lsrc : half_in) (lfar : half_in)
+    (far : node_out) =
+  next_edge_ok lsrc far h.to_next && prev_edge_ok lfar far h.from_prev
 
 let check_edge (ev : (node_label, unit, half_in, node_out, unit, half_out) Ne_lcl.edge_view) =
-  let mirrors = ev.bu_out.mirror = ev.u_out && ev.bw_out.mirror = ev.w_out in
-  let mix = (ev.u_out.status = NOk) = (ev.w_out.status = NOk) in
-  let ptr_rule (src : node_out) (src_in : node_label) (lsrc : half_label)
-      (dst : node_out) =
-    match src.status with
-    | NOk | NWit -> true
-    | NPtr p -> (
-      let applies =
-        match (p, lsrc) with
-        | Psi.PRight, Right
-        | Psi.PLeft, Left
-        | Psi.PParent, Parent
-        | Psi.PRChild, RChild
-        | Psi.PUp, Up -> true
-        | Psi.PDown i, Down j -> i = j
-        | ( ( Psi.PRight | Psi.PLeft | Psi.PParent | Psi.PRChild | Psi.PUp
-            | Psi.PDown _ ),
-            _ ) -> false
-      in
-      if not applies then true
-      else
-        match (p, dst.status) with
-        | _, NWit -> true
-        | Psi.PRight, NPtr Psi.PRight -> true
-        | Psi.PLeft, NPtr Psi.PLeft -> true
-        | ( Psi.PParent,
-            NPtr (Psi.PParent | Psi.PLeft | Psi.PRight | Psi.PUp) ) -> true
-        | Psi.PRChild, NPtr (Psi.PRChild | Psi.PRight | Psi.PLeft) -> true
-        | Psi.PUp, NPtr (Psi.PDown j) -> (
-          match src_in.kind with Index i -> j <> i | Center -> false)
-        | Psi.PDown _, NPtr Psi.PRChild -> true
-        | ( ( Psi.PRight | Psi.PLeft | Psi.PParent | Psi.PRChild | Psi.PUp
-            | Psi.PDown _ ),
-            (NOk | NPtr _) ) -> false)
-  in
-  let bad_edge_ok =
-    ((not ev.bu_out.bad_edge) && not ev.bw_out.bad_edge)
-    || edge_input_bad ev.u_in ev.w_in ev.bu_in ev.bw_in
-  in
-  let claim_ok (h : half_out) (far : node_label) =
-    match h.color_claim with None -> true | Some c -> far.color2 = c
-  in
-  let chain_edge (h : half_out) (lsrc : half_in) (lfar : half_in)
-      (far : node_out) =
-    List.for_all
-      (fun c ->
-        lsrc.bl = chain_step c.ckind c.cpos
-        && chain_mem { c with cpos = c.cpos + 1 } far.chains)
-      h.to_next
-    && List.for_all
-         (fun c ->
-           lfar.bl = chain_step c.ckind (c.cpos - 1)
-           && chain_mem { c with cpos = c.cpos - 1 } far.chains)
-         h.from_prev
-  in
-  mirrors && mix
+  mirror_ok ev.bu_out ev.u_out
+  && mirror_ok ev.bw_out ev.w_out
+  && is_nok ev.u_out.status = is_nok ev.w_out.status
   && ptr_rule ev.u_out ev.u_in ev.bu_in.bl ev.w_out
   && ptr_rule ev.w_out ev.w_in ev.bw_in.bl ev.u_out
-  && bad_edge_ok
+  && (((not ev.bu_out.bad_edge) && not ev.bw_out.bad_edge)
+     || edge_input_bad ev.u_in ev.w_in ev.bu_in ev.bw_in)
   && claim_ok ev.bu_out ev.w_in
   && claim_ok ev.bw_out ev.u_in
   && chain_edge ev.bu_out ev.bu_in ev.bw_in ev.w_out
@@ -375,10 +432,12 @@ let prove ~delta ~n (t : Labels.t) =
       psi_out
   in
   let chains = Array.make (G.n g) [] in
-  let to_next_tag = Hashtbl.create 16 in
-  let from_prev_tag = Hashtbl.create 16 in
-  let bad_edge_mark = Hashtbl.create 16 in
-  let color_claim_mark = Hashtbl.create 16 in
+  (* per-half witness data, flat: the solution is assembled from these *)
+  let nh = 2 * G.m g in
+  let to_next_tag = Array.make nh [] in
+  let from_prev_tag = Array.make nh [] in
+  let bad_edge_mark = Array.make nh false in
+  let color_claim_mark = Array.make nh None in
   (* chain initiators *)
   let wants_chain u =
     let rules = Check.node_violations ~delta t u in
@@ -398,7 +457,8 @@ let prove ~delta ~n (t : Labels.t) =
   in
   let initiators = ref [] in
   for u = 0 to G.n g - 1 do
-    if status.(u) = NWit && wants_chain u <> [] then initiators := u :: !initiators
+    if is_nwit status.(u) && wants_chain u <> [] then
+      initiators := u :: !initiators
   done;
   let icolors = initiator_colors g (List.rev !initiators) in
   (* lay chains *)
@@ -415,14 +475,13 @@ let prove ~delta ~n (t : Labels.t) =
               match half_with t v (chain_step kind pos) with
               | None -> () (* cannot happen: wants_chain checked the path *)
               | Some h ->
-                let prev = try Hashtbl.find to_next_tag h with Not_found -> [] in
-                if not (List.mem cid prev) then
-                  Hashtbl.replace to_next_tag h (cid :: prev);
+                let prev = to_next_tag.(h) in
+                if not (List.mem cid prev) then to_next_tag.(h) <- cid :: prev;
                 let w = G.half_node g (G.mate h) in
                 let cid' = { ccolor = col; cpos = pos + 1; ckind = kind } in
-                let prev' = try Hashtbl.find from_prev_tag (G.mate h) with Not_found -> [] in
+                let prev' = from_prev_tag.(G.mate h) in
                 if not (List.mem cid' prev') then
-                  Hashtbl.replace from_prev_tag (G.mate h) (cid' :: prev');
+                  from_prev_tag.(G.mate h) <- cid' :: prev';
                 walk w (pos + 1)
             end
           in
@@ -432,7 +491,7 @@ let prove ~delta ~n (t : Labels.t) =
     (List.rev !initiators);
   (* witnesses for edge-visible and color-visible violations *)
   for u = 0 to G.n g - 1 do
-    if status.(u) = NWit then begin
+    if is_nwit status.(u) then begin
       let hs = G.halves g u in
       (* bad-edge marks *)
       Array.iter
@@ -442,7 +501,7 @@ let prove ~delta ~n (t : Labels.t) =
           let bu = { bl = t.halves.(h); bcolor = t.half_color2.(h); bflags = t.half_flags.(h) } in
           let bw = { bl = t.halves.(m); bcolor = t.half_color2.(m); bflags = t.half_flags.(m) } in
           if edge_input_bad t.nodes.(u) t.nodes.(w) bu bw then
-            Hashtbl.replace bad_edge_mark h ())
+            bad_edge_mark.(h) <- true)
         hs;
       (* color claims: two halves with equal far colors *)
       let far_color h = t.nodes.(G.half_node g (G.mate h)).color2 in
@@ -451,8 +510,8 @@ let prove ~delta ~n (t : Labels.t) =
       for i = 1 to Array.length arr - 1 do
         let c0, h0 = arr.(i - 1) and c1, h1 = arr.(i) in
         if c0 = c1 then begin
-          Hashtbl.replace color_claim_mark h0 c0;
-          Hashtbl.replace color_claim_mark h1 c1
+          color_claim_mark.(h0) <- Some c0;
+          color_claim_mark.(h1) <- Some c1
         end
       done
     end
@@ -461,27 +520,35 @@ let prove ~delta ~n (t : Labels.t) =
      only if their status is NWit; others keep pointer/Ok status — but a
      node made to hold chain tags cannot be NOk, so promote those *)
   for u = 0 to G.n g - 1 do
-    if chains.(u) <> [] && status.(u) = NOk then status.(u) <- NWit
+    match chains.(u) with
+    | _ :: _ when is_nok status.(u) -> status.(u) <- NWit
+    | _ -> ()
   done;
   (* one node_out per node, shared between the node slot and every
-     incident half's mirror — the mirrors are structurally equal either
-     way, and sharing keeps the per-half cost at the one half_out record
-     the solution type requires *)
+     incident half's mirror, and one clean half_out per node, shared by
+     all of its halves that carry no witness data (every half of a valid
+     gadget) — values are structurally what a record per half would be *)
   let outs =
     Array.init (G.n g) (fun u ->
-        { status = status.(u); chains = List.sort compare chains.(u) })
+        let chains =
+          (* List.sort allocates its merge closures even on [] *)
+          match chains.(u) with
+          | ([] | [ _ ]) as l -> l
+          | l -> List.sort compare l
+        in
+        { status = status.(u); chains })
   in
+  let clean = Array.map clean_half outs in
   let sol : solution =
     Labeling.init g
       ~v:(fun u -> outs.(u))
       ~e:(fun _ -> ())
       ~b:(fun h ->
-        {
-          mirror = outs.(G.half_node g h);
-          bad_edge = Hashtbl.mem bad_edge_mark h;
-          color_claim = Hashtbl.find_opt color_claim_mark h;
-          to_next = (try Hashtbl.find to_next_tag h with Not_found -> []);
-          from_prev = (try Hashtbl.find from_prev_tag h with Not_found -> []);
-        })
+        let u = G.half_node g h in
+        match (bad_edge_mark.(h), color_claim_mark.(h), to_next_tag.(h),
+               from_prev_tag.(h)) with
+        | false, None, [], [] -> clean.(u)
+        | bad_edge, color_claim, to_next, from_prev ->
+          { mirror = outs.(u); bad_edge; color_claim; to_next; from_prev })
   in
   (sol, meter)

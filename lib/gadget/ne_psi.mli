@@ -61,6 +61,15 @@ type problem_t =
 
 val problem : delta:int -> problem_t
 
+val node_input_bad : delta:int -> Labels.node_label -> half_in array -> bool
+(** A violation visible from one node's own input labels: what justifies
+    a witness at that node by itself. *)
+
+val edge_input_bad :
+  Labels.node_label -> Labels.node_label -> half_in -> half_in -> bool
+(** A violation visible from one edge's input labels (both endpoints and
+    both halves): what a [bad_edge] mark claims. *)
+
 val input_of : Labels.t -> (Labels.node_label, unit, half_in) Repro_lcl.Labeling.t
 
 type solution = (node_out, unit, half_out) Repro_lcl.Labeling.t

@@ -110,6 +110,7 @@ type job = {
      registry-liveness load and a Span.armed load per chunk *)
   mutable j_timed : bool;
   mutable j_span : bool;
+  mutable j_parent : int; (* the dispatcher's open span, see run_job *)
   armed : int Atomic.t; (* (epoch << chunk_bits) | chunks *)
   next : int Atomic.t; (* (epoch << chunk_bits) | next chunk to claim *)
   completed : int Atomic.t; (* chunks fully executed this epoch *)
@@ -250,7 +251,10 @@ let run_job pool job =
          let timed = job.j_timed in
          let t0 = if timed then Obs.Clock.now_ns () else 0 in
          let sp =
-           if job.j_span then Obs.Span.enter "pool.chunk" else Obs.Span.null
+           (* parented to the span latched at dispatch: the live cross
+              parent may already be slot 0's own chunk span *)
+           if job.j_span then Obs.Span.enter ~parent:job.j_parent "pool.chunk"
+           else Obs.Span.null
          in
          let lo = c * job.chunk_size in
          let hi = min job.total (lo + job.chunk_size) in
@@ -413,6 +417,7 @@ let calibrate pool =
       total = sz;
       j_timed = false;
       j_span = false;
+      j_parent = -1;
       armed = Atomic.make 0;
       next = Atomic.make 0;
       completed = Atomic.make 0;
@@ -513,6 +518,7 @@ let run_parallel ?chunk ?grain ~n ~make_body ~seq () =
           total = n;
           j_timed = Obs.Registry.live m.preg;
           j_span = Obs.Span.armed ();
+          j_parent = Obs.Span.dispatch_parent ();
           armed = Atomic.make 0;
           next = Atomic.make 0;
           completed = Atomic.make 0;
@@ -604,6 +610,7 @@ let fused ?chunk ?grain body =
           total = 0;
           j_timed = false;
           j_span = false;
+          j_parent = -1;
           armed = Atomic.make 0;
           next = Atomic.make 0;
           completed = Atomic.make 0;
@@ -669,6 +676,7 @@ let run_fused t ~n =
       job.jm <- m;
       job.j_timed <- Obs.Registry.live m.preg;
       job.j_span <- Obs.Span.armed ();
+      job.j_parent <- Obs.Span.dispatch_parent ();
       Obs.Counter.incr m.m_jobs;
       let t0 = Obs.Clock.now_ns () in
       busy := true;

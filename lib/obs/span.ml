@@ -15,10 +15,11 @@
 
    Nesting is tracked with a per-slot stack of open spans. Worker slots
    have an empty stack between chunks, so a chunk span's parent is the
-   [cross_parent]: the dispatching slot's innermost open span, published
-   before the pool dispatch (the pool's job hand-off provides the
-   happens-before edge, the same reasoning as the ambient registry
-   slot). Span ids are allocated per slot as [slot + k * nslots], which
+   [cross_parent]: the dispatching slot's innermost open span. The pool
+   reads it at dispatch ({!dispatch_parent}) and hands it to every chunk
+   of the job (the job hand-off provides the happens-before edge, the
+   same reasoning as the ambient registry slot); read live, it could
+   already be slot 0's own chunk span. Span ids are allocated per slot as [slot + k * nslots], which
    makes them unique without an atomic — and makes the raw values
    depend on the pool size, which is why Trace.deterministic_projection
    renumbers them canonically.
@@ -121,7 +122,9 @@ let alloc_id r slot =
   r.next_k <- r.next_k + 1;
   id
 
-let enter ?start_ns label =
+let dispatch_parent () = !cross_parent
+
+let enter ?start_ns ?parent label =
   if not !armed_flag then null
   else begin
     let slot = !source_index () in
@@ -129,7 +132,10 @@ let enter ?start_ns label =
     else begin
       let r = (!rings).(slot) in
       let parent =
-        match r.stack with h :: _ -> h.os_id | [] -> !cross_parent
+        match parent with
+        | Some p -> p
+        | None -> (
+          match r.stack with h :: _ -> h.os_id | [] -> !cross_parent)
       in
       let start =
         match start_ns with Some t -> t | None -> Clock.now_ns ()

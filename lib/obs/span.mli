@@ -40,12 +40,18 @@ val fresh_trace_id : unit -> int
     request — also to requests that never arm, so log lines can always
     join against span dumps. *)
 
-val enter : ?start_ns:int -> string -> handle
-(** Open a span on the calling slot's stack; its parent is the slot's
-    innermost open span, or — for a worker slot between chunks — the
-    dispatching slot's innermost open span. [start_ns] (default: now)
-    lets a caller backdate the root to a timestamp taken on another
-    thread, e.g. request arrival. *)
+val enter : ?start_ns:int -> ?parent:int -> string -> handle
+(** Open a span on the calling slot's stack; its parent is [parent] if
+    given, else the slot's innermost open span, or — for a worker slot
+    between chunks — the dispatching slot's innermost open span.
+    [start_ns] (default: now) lets a caller backdate the root to a
+    timestamp taken on another thread, e.g. request arrival. *)
+
+val dispatch_parent : unit -> int
+(** The dispatching slot's innermost open span id, or [-1]. The pool
+    latches it into a job at dispatch and parents every chunk span to
+    it: read live from a worker, it could already be slot 0's own chunk
+    span. *)
 
 val exit : ?kvs:(string * int) list -> handle -> unit
 (** Close the span and write it to the slot's ring. Keys ending in

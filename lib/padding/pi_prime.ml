@@ -5,6 +5,7 @@ module Ne_lcl = Repro_lcl.Ne_lcl
 module Instance = Repro_local.Instance
 module Meter = Repro_local.Meter
 module Ids = Repro_local.Ids
+module Pool = Repro_local.Pool
 module GL = Repro_gadget.Labels
 module NP = Repro_gadget.Ne_psi
 module GB = Repro_gadget.Build
@@ -17,88 +18,253 @@ let delta_of (spec : _ Spec.t) = spec.Spec.hard_max_degree
 (* Constraints of Π' (§3.3)                                            *)
 (* ------------------------------------------------------------------ *)
 
-let is_port_half (e_in : _ pe_in) = e_in.etype = PortEdge
+(* Scratch views. Constraint 2 hands Ψ_G a sub-view of a node (its
+   gadget halves only) or an edge; constraint 5 hands Π a view of the
+   hypothetical node encoded in Σ_list, and constraint 6 one of the
+   virtual edge. Rather than build these per call, each padded problem
+   keeps one set per pool slot and refills it in place (DESIGN.md §18).
+   Node views are kept per degree, since a view's arrays must have
+   exactly [degree] entries. A check that nests — Π''s constraint 5 runs
+   Π's own node check, which for Π = Π^i is again a padded check —
+   reaches a different problem's scratch, so no two live checks on one
+   domain share a view. Views are never retained past the sub-check that
+   reads them. *)
+
+type psi_node_view =
+  (GL.node_label, unit, NP.half_in, NP.node_out, unit, NP.half_out)
+  Ne_lcl.node_view
+
+type psi_edge_view =
+  (GL.node_label, unit, NP.half_in, NP.node_out, unit, NP.half_out)
+  Ne_lcl.edge_view
+
+type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) scratch = {
+  mutable psi_nv : psi_node_view array; (* by sub-degree *)
+  psi_ev : psi_edge_view;
+  mutable hyp_nv : ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) Ne_lcl.node_view array;
+  pi_ev : ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) Ne_lcl.edge_view;
+}
+
+(* Ψ_G's default labels: the scratch views' seeds, and the padded
+   spec's defaults *)
+let default_gad_v = { GL.kind = GL.Index 1; port = None; color2 = 0 }
+let default_flags = { GL.f_right = false; f_left = false; f_child = false }
+let default_gad_b = { NP.bl = GL.Up; bcolor = 0; bflags = default_flags }
+let default_psi_v = { NP.status = NP.NOk; chains = [] }
+
+let default_psi_b =
+  {
+    NP.mirror = default_psi_v;
+    bad_edge = false;
+    color_claim = None;
+    to_next = [];
+    from_prev = [];
+  }
+
+let psi_node_view d : psi_node_view =
+  {
+    Ne_lcl.degree = d;
+    v_in = default_gad_v;
+    v_out = default_psi_v;
+    e_in = Array.make d ();
+    e_out = Array.make d ();
+    b_in = Array.make d default_gad_b;
+    b_out = Array.make d default_psi_b;
+  }
+
+(* the Π views are seeded with the spec's default labels, which gives
+   their arrays the label types' representation *)
+let hyp_node_view (spec : _ Spec.t) d : _ Ne_lcl.node_view =
+  {
+    Ne_lcl.degree = d;
+    v_in = spec.Spec.dvi;
+    v_out = spec.Spec.dvo;
+    e_in = Array.make d spec.Spec.dei;
+    e_out = Array.make d spec.Spec.deo;
+    b_in = Array.make d spec.Spec.dbi;
+    b_out = Array.make d spec.Spec.dbo;
+  }
+
+let fresh_scratch (spec : _ Spec.t) =
+  {
+    psi_nv = [||];
+    psi_ev =
+      {
+        Ne_lcl.self_loop = false;
+        u_in = default_gad_v;
+        u_out = default_psi_v;
+        w_in = default_gad_v;
+        w_out = default_psi_v;
+        ee_in = ();
+        ee_out = ();
+        bu_in = default_gad_b;
+        bu_out = default_psi_b;
+        bw_in = default_gad_b;
+        bw_out = default_psi_b;
+      };
+    hyp_nv = [||];
+    pi_ev =
+      {
+        Ne_lcl.self_loop = false;
+        u_in = spec.Spec.dvi;
+        u_out = spec.Spec.dvo;
+        w_in = spec.Spec.dvi;
+        w_out = spec.Spec.dvo;
+        ee_in = spec.Spec.dei;
+        ee_out = spec.Spec.deo;
+        bu_in = spec.Spec.dbi;
+        bu_out = spec.Spec.dbo;
+        bw_in = spec.Spec.dbi;
+        bw_out = spec.Spec.dbo;
+      };
+  }
+
+(* The calling pool slot's scratch ({!Pool.worker_index}), made on the
+   slot's first check. The slot array grows on demand, since a padded
+   problem is usually built before [Pool.set_size] fixes the slot count.
+   Only slot [i]'s own domain reads or writes entry [i]; a grower copies
+   the entries it sees, so an entry written meanwhile into the replaced
+   array is lost and simply made again on that slot's next check. *)
+let slot_scratch slots spec =
+  let i = Pool.worker_index () in
+  let a = Atomic.get slots in
+  if i < Array.length a then
+    match a.(i) with
+    | Some sc -> sc
+    | None ->
+      let sc = fresh_scratch spec in
+      a.(i) <- Some sc;
+      sc
+  else begin
+    let sc = fresh_scratch spec in
+    let rec grow () =
+      let a = Atomic.get slots in
+      let len = max (Array.length a) (max (i + 1) (Pool.worker_slots ())) in
+      let b = Array.make len None in
+      Array.blit a 0 b 0 (Array.length a);
+      b.(i) <- Some sc;
+      if not (Atomic.compare_and_set slots a b) then grow ()
+    in
+    grow ();
+    sc
+  end
+
+(* the view of degree [d] in a per-degree cache, growing it on first use *)
+let view_of_degree views make d =
+  let have = Array.length views in
+  if d < have then views
+  else Array.init (max (d + 1) (2 * have)) (fun k ->
+      if k < have then views.(k) else make k)
+
+let psi_sub_view sc d =
+  if d >= Array.length sc.psi_nv then
+    sc.psi_nv <- view_of_degree sc.psi_nv psi_node_view d;
+  sc.psi_nv.(d)
+
+let hyp_view spec sc d =
+  if d >= Array.length sc.hyp_nv then
+    sc.hyp_nv <- view_of_degree sc.hyp_nv (hyp_node_view spec) d;
+  sc.hyp_nv.(d)
+
+let is_nok (o : NP.node_out) =
+  match o.NP.status with NP.NOk -> true | NP.NPtr _ | NP.NWit -> false
 
 (* Constraint 2 at a node: Ψ_G's node constraint over gadget edges only. *)
-let psi_node_ok ~(family : Family.t) (nv : _ Ne_lcl.node_view) =
-  let idxs = ref [] in
-  Array.iteri
-    (fun k (e : _ pe_in) -> if e.etype = GadEdge then idxs := k :: !idxs)
-    nv.Ne_lcl.e_in;
-  let idxs = Array.of_list (List.rev !idxs) in
-  let some_ok =
-    Array.for_all
-      (fun k ->
-        match nv.Ne_lcl.b_out.(k) with Some _ -> true | None -> false)
-      idxs
-  in
-  some_ok
+let psi_node_ok ~(family : Family.t) sc (nv : _ Ne_lcl.node_view) =
+  let e_in = nv.Ne_lcl.e_in and b_in = nv.Ne_lcl.b_in in
+  let b_out = nv.Ne_lcl.b_out in
+  let k = ref 0 and some_ok = ref true in
+  for i = 0 to Array.length e_in - 1 do
+    if (e_in.(i) : _ pe_in).etype = GadEdge then begin
+      incr k;
+      match b_out.(i) with Some _ -> () | None -> some_ok := false
+    end
+  done;
+  !some_ok
   &&
-  let unwrap k =
-    match nv.Ne_lcl.b_out.(k) with Some h -> h | None -> assert false
-  in
-  let psi_view : _ Ne_lcl.node_view =
-    {
-      Ne_lcl.degree = Array.length idxs;
-      v_in = (nv.Ne_lcl.v_in : _ pv_in).gad_v;
-      v_out = (nv.Ne_lcl.v_out : _ pv_out).psi_v;
-      e_in = Array.map (fun _ -> ()) idxs;
-      e_out = Array.map (fun _ -> ()) idxs;
-      b_in = Array.map (fun k -> (nv.Ne_lcl.b_in.(k) : _ pb_in).gad_b) idxs;
-      b_out = Array.map unwrap idxs;
-    }
-  in
+  let psi_view = psi_sub_view sc !k in
+  psi_view.Ne_lcl.v_in <- (nv.Ne_lcl.v_in : _ pv_in).gad_v;
+  psi_view.Ne_lcl.v_out <- (nv.Ne_lcl.v_out : _ pv_out).psi_v;
+  let j = ref 0 in
+  for i = 0 to Array.length e_in - 1 do
+    if (e_in.(i) : _ pe_in).etype = GadEdge then begin
+      psi_view.Ne_lcl.b_in.(!j) <- (b_in.(i) : _ pb_in).gad_b;
+      (match b_out.(i) with
+      | Some h -> psi_view.Ne_lcl.b_out.(!j) <- h
+      | None -> assert false);
+      incr j
+    end
+  done;
   family.Family.ne_problem.Ne_lcl.check_node psi_view
 
 (* Constraint 5's hypothetical node: Π's node constraint on the virtual
    node encoded in Σ_list. *)
-let hypothetical_node_ok (p : _ Ne_lcl.t) (l : _ sigma_list) =
-  let members = ref [] in
-  Array.iteri (fun k m -> if m then members := k :: !members) l.s;
-  let ms = Array.of_list (List.rev !members) in
-  let view : _ Ne_lcl.node_view =
-    {
-      Ne_lcl.degree = Array.length ms;
-      v_in = l.iv;
-      v_out = l.ov;
-      e_in = Array.map (fun k -> l.ie.(k)) ms;
-      e_out = Array.map (fun k -> l.oe.(k)) ms;
-      b_in = Array.map (fun k -> l.ib.(k)) ms;
-      b_out = Array.map (fun k -> l.ob.(k)) ms;
-    }
-  in
-  p.Ne_lcl.check_node view
+let hypothetical_node_ok spec sc (l : _ sigma_list) =
+  let k = ref 0 in
+  for i = 0 to Array.length l.s - 1 do
+    if l.s.(i) then incr k
+  done;
+  let view = hyp_view spec sc !k in
+  view.Ne_lcl.v_in <- l.iv;
+  view.Ne_lcl.v_out <- l.ov;
+  let j = ref 0 in
+  for i = 0 to Array.length l.s - 1 do
+    if l.s.(i) then begin
+      view.Ne_lcl.e_in.(!j) <- l.ie.(i);
+      view.Ne_lcl.e_out.(!j) <- l.oe.(i);
+      view.Ne_lcl.b_in.(!j) <- l.ib.(i);
+      view.Ne_lcl.b_out.(!j) <- l.ob.(i);
+      incr j
+    end
+  done;
+  spec.Spec.problem.Ne_lcl.check_node view
 
-let check_node ~(family : Family.t) (p : _ Ne_lcl.t) (nv : _ Ne_lcl.node_view) =
+(* constraint 5's copy rule: the unique incident port edge's Π-inputs
+   are the Σ_list entries of port [i] *)
+let port_inputs_copied (l : _ sigma_list) i (nv : _ Ne_lcl.node_view) =
+  let ok = ref true in
+  let e_in = nv.Ne_lcl.e_in in
+  for k = 0 to Array.length e_in - 1 do
+    let e : _ pe_in = e_in.(k) in
+    if e.etype = PortEdge then begin
+      if l.ie.(i - 1) <> e.pi_e then ok := false;
+      if l.ib.(i - 1) <> (nv.Ne_lcl.b_in.(k) : _ pb_in).pi_b then ok := false
+    end
+  done;
+  !ok
+
+(* Every constraint is evaluated, in this order, before the verdict is
+   combined: a sub-check that raises on malformed labels raises no matter
+   how the others come out. *)
+let check_node ~(family : Family.t) ~slots spec (nv : _ Ne_lcl.node_view) =
+  let sc = slot_scratch slots spec in
   let delta = family.Family.delta in
   let vin : _ pv_in = nv.Ne_lcl.v_in in
   let vout : _ pv_out = nv.Ne_lcl.v_out in
+  let e_in = nv.Ne_lcl.e_in and b_out = nv.Ne_lcl.b_out in
   (* constraint 1: ε exactly on port-edge halves *)
-  let eps_ok =
-    Array.for_all
-      (fun k ->
-        let is_port = is_port_half nv.Ne_lcl.e_in.(k) in
-        match nv.Ne_lcl.b_out.(k) with
-        | None -> is_port
-        | Some _ -> not is_port)
-      (Array.init nv.Ne_lcl.degree (fun k -> k))
-  in
+  let eps_ok = ref true in
+  for k = 0 to nv.Ne_lcl.degree - 1 do
+    let is_port = (e_in.(k) : _ pe_in).etype = PortEdge in
+    match b_out.(k) with
+    | None -> if not is_port then eps_ok := false
+    | Some _ -> if is_port then eps_ok := false
+  done;
   (* constraint 3: PortErr2 placement *)
-  let port_edge_count =
-    Array.fold_left
-      (fun acc (e : _ pe_in) -> if e.etype = PortEdge then acc + 1 else acc)
-      0 nv.Ne_lcl.e_in
-  in
+  let port_edge_count = ref 0 in
+  for k = 0 to Array.length e_in - 1 do
+    if (e_in.(k) : _ pe_in).etype = PortEdge then incr port_edge_count
+  done;
   let perr2_ok =
     match vin.gad_v.GL.port with
-    | Some _ -> (vout.perr = PortErr2) = (port_edge_count <> 1)
+    | Some _ -> (vout.perr = PortErr2) = (!port_edge_count <> 1)
     | None -> vout.perr <> PortErr2
   in
   (* constraint 2 *)
-  let psi_ok = psi_node_ok ~family nv in
+  let psi_ok = psi_node_ok ~family sc nv in
   (* constraint 5, gated on the gadget claiming GadOk *)
   let list_ok =
-    vout.psi_v.NP.status <> NP.NOk
+    (not (is_nok vout.psi_v))
     ||
     let l = vout.list_part in
     Array.length l.s = delta
@@ -113,78 +279,66 @@ let check_node ~(family : Family.t) (p : _ Ne_lcl.t) (nv : _ Ne_lcl.node_view) =
        | Some 1 -> l.iv = vin.pi_v
        | Some _ | None -> true)
     && (match vin.gad_v.GL.port with
-       | Some i when l.s.(i - 1) ->
-         (* the unique incident port edge's Π-inputs are copied *)
-         let ok = ref true in
-         Array.iteri
-           (fun k (e : _ pe_in) ->
-             if e.etype = PortEdge then begin
-               if l.ie.(i - 1) <> e.pi_e then ok := false;
-               if l.ib.(i - 1) <> (nv.Ne_lcl.b_in.(k) : _ pb_in).pi_b then
-                 ok := false
-             end)
-           nv.Ne_lcl.e_in;
-         !ok
+       | Some i when l.s.(i - 1) -> port_inputs_copied l i nv
        | Some _ | None -> true)
-    && hypothetical_node_ok p l
+    && hypothetical_node_ok spec sc l
   in
-  eps_ok && perr2_ok && psi_ok && list_ok
+  !eps_ok && perr2_ok && psi_ok && list_ok
 
-let check_edge ~(family : Family.t) (p : _ Ne_lcl.t) (ev : _ Ne_lcl.edge_view) =
+(* constraint 4 at one side [x] of a port edge facing [y] *)
+let c4_side (xin : _ pv_in) (xout : _ pv_out) (yin : _ pv_in)
+    (yout : _ pv_out) =
+  match xin.gad_v.GL.port with
+  | None -> true
+  | Some _ ->
+    let both_ports_ok =
+      yin.gad_v.GL.port <> None && is_nok xout.psi_v && is_nok yout.psi_v
+    in
+    let facing_bad =
+      yin.gad_v.GL.port = None
+      || (not (is_nok xout.psi_v))
+      || not (is_nok yout.psi_v)
+    in
+    ((not both_ports_ok) || xout.perr <> PortErr1)
+    && ((not facing_bad) || xout.perr <> NoPortErr)
+
+let check_edge ~(family : Family.t) ~slots spec (ev : _ Ne_lcl.edge_view) =
   let ein : _ pe_in = ev.Ne_lcl.ee_in in
   let uin : _ pv_in = ev.Ne_lcl.u_in in
   let win : _ pv_in = ev.Ne_lcl.w_in in
   let uout : _ pv_out = ev.Ne_lcl.u_out in
   let wout : _ pv_out = ev.Ne_lcl.w_out in
-  let u_ok = uout.psi_v.NP.status = NP.NOk in
-  let w_ok = wout.psi_v.NP.status = NP.NOk in
+  let u_ok = is_nok uout.psi_v in
+  let w_ok = is_nok wout.psi_v in
   match ein.etype with
   | GadEdge -> (
     (* constraint 2: Ψ_G's edge constraint *)
     match (ev.Ne_lcl.bu_out, ev.Ne_lcl.bw_out) with
     | Some bu, Some bw ->
-      let psi_view : _ Ne_lcl.edge_view =
-        {
-          Ne_lcl.self_loop = ev.Ne_lcl.self_loop;
-          u_in = uin.gad_v;
-          u_out = uout.psi_v;
-          w_in = win.gad_v;
-          w_out = wout.psi_v;
-          ee_in = ();
-          ee_out = ();
-          bu_in = (ev.Ne_lcl.bu_in : _ pb_in).gad_b;
-          bu_out = bu;
-          bw_in = (ev.Ne_lcl.bw_in : _ pb_in).gad_b;
-          bw_out = bw;
-        }
-      in
+      let sc = slot_scratch slots spec in
+      let psi_view = sc.psi_ev in
+      psi_view.Ne_lcl.self_loop <- ev.Ne_lcl.self_loop;
+      psi_view.Ne_lcl.u_in <- uin.gad_v;
+      psi_view.Ne_lcl.u_out <- uout.psi_v;
+      psi_view.Ne_lcl.w_in <- win.gad_v;
+      psi_view.Ne_lcl.w_out <- wout.psi_v;
+      psi_view.Ne_lcl.bu_in <- (ev.Ne_lcl.bu_in : _ pb_in).gad_b;
+      psi_view.Ne_lcl.bu_out <- bu;
+      psi_view.Ne_lcl.bw_in <- (ev.Ne_lcl.bw_in : _ pb_in).gad_b;
+      psi_view.Ne_lcl.bw_out <- bw;
       family.Family.ne_problem.Ne_lcl.check_edge psi_view
-      (* constraint 6, gadget edges: the Σ_list agrees across the gadget *)
-      && ((not (u_ok && w_ok)) || uout.list_part = wout.list_part)
+      (* constraint 6, gadget edges: the Σ_list agrees across the gadget
+         (the solver gives a whole component one shared Σ_list) *)
+      && ((not (u_ok && w_ok))
+         || uout.list_part == wout.list_part
+         || uout.list_part = wout.list_part)
     | None, _ | _, None -> false (* constraint 1, edge side *))
   | PortEdge -> (
-    (ev.Ne_lcl.bu_out = None && ev.Ne_lcl.bw_out = None)
-    &&
+    (match (ev.Ne_lcl.bu_out, ev.Ne_lcl.bw_out) with
+    | None, None -> true
+    | Some _, _ | _, Some _ -> false)
     (* constraint 4 *)
-    let c4_side (xin : _ pv_in) (xout : _ pv_out) (yin : _ pv_in)
-        (yout : _ pv_out) =
-      match xin.gad_v.GL.port with
-      | None -> true
-      | Some _ ->
-        let both_ports_ok =
-          yin.gad_v.GL.port <> None
-          && xout.psi_v.NP.status = NP.NOk
-          && yout.psi_v.NP.status = NP.NOk
-        in
-        let facing_bad =
-          yin.gad_v.GL.port = None
-          || xout.psi_v.NP.status <> NP.NOk
-          || yout.psi_v.NP.status <> NP.NOk
-        in
-        ((not both_ports_ok) || xout.perr <> PortErr1)
-        && ((not facing_bad) || xout.perr <> NoPortErr)
-    in
-    c4_side uin uout win wout
+    && c4_side uin uout win wout
     && c4_side win wout uin uout
     &&
     (* constraint 6, port edges: the virtual edge satisfies Π's edge
@@ -205,30 +359,28 @@ let check_edge ~(family : Family.t) (p : _ Ne_lcl.t) (ev : _ Ne_lcl.edge_view) =
         lu.ie.(i - 1) = lw.ie.(j - 1)
         && lu.oe.(i - 1) = lw.oe.(j - 1)
         &&
-        let view : _ Ne_lcl.edge_view =
-          {
-            Ne_lcl.self_loop = false;
-            u_in = lu.iv;
-            u_out = lu.ov;
-            w_in = lw.iv;
-            w_out = lw.ov;
-            ee_in = lu.ie.(i - 1);
-            ee_out = lu.oe.(i - 1);
-            bu_in = lu.ib.(i - 1);
-            bu_out = lu.ob.(i - 1);
-            bw_in = lw.ib.(j - 1);
-            bw_out = lw.ob.(j - 1);
-          }
-        in
-        p.Ne_lcl.check_edge view
+        let view = (slot_scratch slots spec).pi_ev in
+        view.Ne_lcl.self_loop <- false;
+        view.Ne_lcl.u_in <- lu.iv;
+        view.Ne_lcl.u_out <- lu.ov;
+        view.Ne_lcl.w_in <- lw.iv;
+        view.Ne_lcl.w_out <- lw.ov;
+        view.Ne_lcl.ee_in <- lu.ie.(i - 1);
+        view.Ne_lcl.ee_out <- lu.oe.(i - 1);
+        view.Ne_lcl.bu_in <- lu.ib.(i - 1);
+        view.Ne_lcl.bu_out <- lu.ob.(i - 1);
+        view.Ne_lcl.bw_in <- lw.ib.(j - 1);
+        view.Ne_lcl.bw_out <- lw.ob.(j - 1);
+        spec.Spec.problem.Ne_lcl.check_edge view
       else true
     | (Some _ | None), _ -> true)
 
 let problem ~family (spec : _ Spec.t) : _ Ne_lcl.t =
+  let slots = Atomic.make [||] in
   {
     Ne_lcl.name = spec.Spec.name ^ "-padded";
-    check_node = check_node ~family spec.Spec.problem;
-    check_edge = check_edge ~family spec.Spec.problem;
+    check_node = check_node ~family ~slots spec;
+    check_edge = check_edge ~family ~slots spec;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -326,8 +478,7 @@ let gadget_components g (input : _ Labeling.t) =
         in
         let halves = Array.make (2 * gm) GL.Up in
         let half_color2 = Array.make (2 * gm) 0 in
-        let dummy_flags = { GL.f_right = false; f_left = false; f_child = false } in
-        let half_flags = Array.make (2 * gm) dummy_flags in
+        let half_flags = Array.make (2 * gm) default_flags in
         for le = 0 to gm - 1 do
           let e = ebuf.(eoff.(c) + le) in
           let fill h =
@@ -644,7 +795,6 @@ let pad_with (family : Family.t) (spec : _ Spec.t) : _ Spec.t =
   if family.Family.delta < spec.Spec.hard_max_degree then
     invalid_arg "Pi_prime.pad_with: family delta below hard-instance degree";
   let delta = family.Family.delta in
-  let default_flags = { GL.f_right = false; f_left = false; f_child = false } in
   let fresh_sigma () =
     {
       s = Array.make delta false;
@@ -662,19 +812,19 @@ let pad_with (family : Family.t) (spec : _ Spec.t) : _ Spec.t =
     dvi =
       {
         pi_v = spec.Spec.dvi;
-        gad_v = { GL.kind = GL.Index 1; port = None; color2 = 0 };
+        gad_v = default_gad_v;
       };
     dei = { pi_e = spec.Spec.dei; etype = GadEdge };
     dbi =
       {
         pi_b = spec.Spec.dbi;
-        gad_b = { NP.bl = GL.Up; bcolor = 0; bflags = default_flags };
+        gad_b = default_gad_b;
       };
     dvo =
       {
         list_part = fresh_sigma ();
         perr = NoPortErr;
-        psi_v = { NP.status = NP.NOk; chains = [] };
+        psi_v = default_psi_v;
       };
     deo = ();
     dbo = None;

@@ -1,0 +1,364 @@
+(* Differential and allocation tests for the Ψ_G / Π' constraint
+   kernels. The library's kernels are closure-free loops on per-slot
+   scratch views; Kernel_ref keeps the closure-based checks they
+   replaced. Both must produce the same violation lists and the same
+   distributed-checker verdicts on valid and corrupted outputs — Π²
+   exercises the Ψ_G sub-views, Π³ the nested case (its hypothetical
+   node is checked by Π²'s kernel). *)
+
+module G = Repro_graph.Multigraph
+module Labeling = Repro_lcl.Labeling
+module Ne_lcl = Repro_lcl.Ne_lcl
+module DC = Repro_lcl.Distributed_check
+module Instance = Repro_local.Instance
+module Pool = Repro_local.Pool
+module GL = Repro_gadget.Labels
+module GB = Repro_gadget.Build
+module NP = Repro_gadget.Ne_psi
+module Family = Repro_gadget.Family
+module Corrupt = Repro_gadget.Corrupt
+module Psi = Repro_gadget.Psi
+module Spec = Repro_padding.Spec
+module PG = Repro_padding.Padded_graph
+module PT = Repro_padding.Padded_types
+module Pi = Repro_padding.Pi_prime
+module H = Repro_padding.Hierarchy
+module Adv = Repro_padding.Adversary
+module Ref = Kernel_ref
+
+let check = Alcotest.(check bool)
+
+let so = H.sinkless_orientation
+let pi2 = Pi.pad so
+let pi3 = Pi.pad pi2
+
+let ref_family delta =
+  {
+    (Family.log_family ~delta) with
+    Family.ne_problem = Ref.Ne_psi_ref.problem ~delta;
+  }
+
+let ref2 = Ref.Pi_prime_ref.problem ~family:(ref_family (Pi.delta_of so)) so
+
+(* the reference Π³ nests the reference Π² *)
+let ref3 =
+  Ref.Pi_prime_ref.problem
+    ~family:(ref_family (Pi.delta_of pi2))
+    { pi2 with Spec.problem = ref2 }
+
+let show vs =
+  String.concat "," (List.map (Format.asprintf "%a" Ne_lcl.pp_violation) vs)
+
+(* true iff the output was rejected *)
+let same_violations name p p_ref g ~input ~output =
+  let got = Ne_lcl.violations p g ~input ~output in
+  let want = Ne_lcl.violations p_ref g ~input ~output in
+  Alcotest.(check string) name (show want) (show got);
+  got <> []
+
+(* ------------------------------------------------------------------ *)
+(* output corruptions (each returns a modified copy)                   *)
+(* ------------------------------------------------------------------ *)
+
+let pick rng a = Random.State.int rng (Array.length a)
+
+(* node [v] gets Ψ_G output [psi_v], and with [mirrors] so do the
+   mirrors of its gadget halves *)
+let set_psi out g v psi_v ~mirrors =
+  let out = Labeling.copy out in
+  out.Labeling.v.(v) <- { (out.Labeling.v.(v)) with PT.psi_v };
+  if mirrors then
+    G.iter_halves g v ~f:(fun h ->
+        match out.Labeling.b.(h) with
+        | Some ho -> out.Labeling.b.(h) <- Some { ho with NP.mirror = psi_v }
+        | None -> ());
+  out
+
+let set_status out g v status ~mirrors =
+  set_psi out g v { (out.Labeling.v.(v)).PT.psi_v with NP.status } ~mirrors
+
+(* [v] (with [shared], every node sharing its Σ_list) gets [f] of its
+   Σ_list *)
+let replace_list out v ~shared f =
+  let l = out.Labeling.v.(v).PT.list_part in
+  Option.map
+    (fun l' ->
+      let out = Labeling.copy out in
+      Array.iteri
+        (fun u (o : _ PT.pv_out) ->
+          if u = v || (shared && o.PT.list_part == l) then
+            out.Labeling.v.(u) <- { o with PT.list_part = l' })
+        out.Labeling.v;
+      out)
+    (f l)
+
+let clear_s (l : _ PT.sigma_list) =
+  let members = List.init (Array.length l.PT.s) Fun.id in
+  Option.map
+    (fun i ->
+      let s = Array.copy l.PT.s in
+      s.(i) <- false;
+      { l with PT.s })
+    (List.find_opt (fun i -> l.PT.s.(i)) members)
+
+(* an in-range chain id, so both kernels evaluate it without raising *)
+let tag = { NP.ccolor = 0; cpos = 0; ckind = NP.K2c }
+
+let corruptions rng g out =
+  let v = pick rng out.Labeling.v in
+  (* a random half gets [f h] of its output *)
+  let with_half f =
+    let h = pick rng out.Labeling.b in
+    let out = Labeling.copy out in
+    out.Labeling.b.(h) <- f h out.Labeling.b.(h);
+    Some out
+  in
+  (* [f] applied to a random gadget half's Ψ_G output *)
+  let on_gadget_half f = with_half (fun _ -> Option.map f) in
+  let flip_perr =
+    let o = out.Labeling.v.(v) in
+    let perr =
+      match o.PT.perr with
+      | PT.NoPortErr -> PT.PortErr1
+      | PT.PortErr1 -> PT.PortErr2
+      | PT.PortErr2 -> PT.NoPortErr
+    in
+    let out = Labeling.copy out in
+    out.Labeling.v.(v) <- { o with PT.perr };
+    out
+  in
+  let swap_eps =
+    with_half (fun h -> function
+      | Some _ -> None
+      | None ->
+        let mirror = out.Labeling.v.(G.half_node g h).PT.psi_v in
+        Some
+          {
+            NP.mirror;
+            bad_edge = false;
+            color_claim = None;
+            to_next = [];
+            from_prev = [];
+          })
+  in
+  (* a chain position on a witness node (and its mirrors) with no tags
+     carrying it, preferably at a node that already justifies NWit *)
+  let add_chain cpos =
+    let nodes = List.init (Array.length out.Labeling.v) Fun.id in
+    let w =
+      Option.value ~default:v
+        (List.find_opt
+           (fun u -> out.Labeling.v.(u).PT.psi_v.NP.status = NP.NWit)
+           nodes)
+    in
+    set_psi out g w
+      { NP.status = NP.NWit; chains = [ { tag with NP.cpos } ] }
+      ~mirrors:true
+  in
+  let ptr = NP.NPtr Psi.PParent in
+  let status st ~mirrors = Some (set_status out g v st ~mirrors) in
+  let unshared l = Some { l with PT.s = Array.copy l.PT.s } in
+  let next_tag ho = { ho with NP.to_next = tag :: ho.NP.to_next } in
+  let prev_tag ho =
+    { ho with NP.from_prev = { tag with NP.cpos = 1 } :: ho.NP.from_prev }
+  in
+  let bad_mirror ho =
+    { ho with NP.mirror = { NP.status = ptr; chains = [] } }
+  in
+  [
+    ("flip perr", Some flip_perr);
+    ("status NWit", status NP.NWit ~mirrors:false);
+    ("status NWit + mirrors", status NP.NWit ~mirrors:true);
+    ("status NPtr", status ptr ~mirrors:false);
+    ("status NPtr + mirrors", status ptr ~mirrors:true);
+    ("clear s bit", replace_list out v ~shared:true clear_s);
+    ("clear s bit at one node", replace_list out v ~shared:false clear_s);
+    (* structurally equal but unshared: still valid *)
+    ("copy Σ_list", replace_list out v ~shared:false unshared);
+    ("swap Some/None", swap_eps);
+    ("replace mirror", on_gadget_half bad_mirror);
+    ("add to_next tag", on_gadget_half next_tag);
+    ("add from_prev tag", on_gadget_half prev_tag);
+    ( "mark bad_edge",
+      on_gadget_half (fun ho -> { ho with NP.bad_edge = true }) );
+    ( "claim a color",
+      on_gadget_half (fun ho -> { ho with NP.color_claim = Some 0 }) );
+    ("add chain start at a witness", Some (add_chain 0));
+    ("add chain middle at a witness", Some (add_chain 1));
+  ]
+
+(* Π³ only: corrupt the virtual Π² output inside a Σ_list, so the nested
+   Π² kernel sees a bad hypothetical node *)
+let corrupt_inner rng out =
+  let flip (l : _ PT.sigma_list) =
+    let ov : _ PT.pv_out = l.PT.ov in
+    let perr =
+      if ov.PT.perr = PT.PortErr2 then PT.NoPortErr else PT.PortErr2
+    in
+    Some { l with PT.ov = { ov with PT.perr } }
+  in
+  let v = pick rng out.Labeling.v in
+  [ ("inner perr", replace_list out v ~shared:true flip) ]
+
+(* ------------------------------------------------------------------ *)
+(* the sweeps                                                          *)
+(* ------------------------------------------------------------------ *)
+
+let dcheck_agrees name p p_ref inst ~input ~output =
+  List.iter
+    (fun k ->
+      Pool.set_size k;
+      let got = DC.run p inst ~input ~output in
+      let want = DC.run p_ref inst ~input ~output in
+      check (Printf.sprintf "%s: dcheck accepts at pool %d" name k) true
+        (got.DC.accepts = want.DC.accepts))
+    [ 1; 2; 4 ]
+
+(* every solver output of every instance, and three rounds of every
+   corruption of it; returns how many corrupted outputs were rejected *)
+let sweep ~label spec p p_ref ~extra rng instances =
+  let rejected = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Pool.set_size 1)
+    (fun () ->
+      List.iteri
+        (fun k (g, input) ->
+          let inst = Instance.create ~seed:k g in
+          List.iter
+            (fun (which, out) ->
+              let name = Printf.sprintf "%s instance %d %s" label k which in
+              check (name ^ " valid") false
+                (same_violations name p p_ref g ~input ~output:out);
+              dcheck_agrees name p p_ref inst ~input ~output:out;
+              for r = 1 to 3 do
+                List.iter
+                  (fun (cname, bad) ->
+                    let name = Printf.sprintf "%s / %s #%d" name cname r in
+                    if same_violations name p p_ref g ~input ~output:bad then
+                      incr rejected;
+                    if r = 1 then
+                      dcheck_agrees name p p_ref inst ~input ~output:bad)
+                  (List.filter_map
+                     (fun (cname, o) -> Option.map (fun o -> (cname, o)) o)
+                     (corruptions rng g out @ extra rng out))
+              done)
+            [
+              ("det", fst (spec.Spec.solve_det inst input));
+              ("rand", fst (spec.Spec.solve_rand inst input));
+            ])
+        instances);
+  !rejected
+
+(* a padded instance of [base] with [corrupt] invalid gadgets *)
+let adversarial base rng ~base_target ~gadget_target corrupt =
+  let pg, inp, _ =
+    Adv.padded_with_corruption base rng ~base_target ~gadget_target ~corrupt
+  in
+  (pg.PG.padded, inp)
+
+let test_pi2_matches_reference () =
+  let rng = Random.State.make [| 12 |] in
+  let hard = pi2.Spec.hard_instance rng ~target:150 in
+  let adv =
+    List.map (adversarial so rng ~base_target:8 ~gadget_target:30) [ 2; 5 ]
+  in
+  let rejected =
+    sweep ~label:"pi2" pi2 pi2.Spec.problem ref2
+      ~extra:(fun _ _ -> [])
+      rng (hard :: adv)
+  in
+  check "corruptions were caught" true (rejected > 0)
+
+let test_pi3_matches_reference () =
+  let rng = Random.State.make [| 13 |] in
+  let hard = pi3.Spec.hard_instance rng ~target:60 in
+  let adv = adversarial pi2 rng ~base_target:30 ~gadget_target:12 2 in
+  let rejected =
+    sweep ~label:"pi3" pi3 pi3.Spec.problem ref3
+      ~extra:corrupt_inner
+      rng [ hard; adv ]
+  in
+  check "corruptions were caught" true (rejected > 0)
+
+(* Ψ_G alone, on proofs of corrupted gadgets: the prover's witnesses
+   (pointers, bad-edge marks, color claims, chains) drive the kernels'
+   witness paths *)
+let test_psi_matches_reference () =
+  let delta = 3 in
+  let p = NP.problem ~delta and p_ref = Ref.Ne_psi_ref.problem ~delta in
+  let rng = Random.State.make [| 14 |] in
+  let base = GB.gadget ~delta ~height:4 in
+  let saw_chain = ref false and saw_ptr = ref false and saw_wit = ref false in
+  List.iter
+    (fun kind ->
+      for r = 1 to 4 do
+        let t = Corrupt.apply rng kind base in
+        let g = t.GL.graph in
+        let sol, _ = NP.prove ~delta ~n:(G.n g) t in
+        Array.iter
+          (fun (o : NP.node_out) ->
+            if o.NP.chains <> [] then saw_chain := true;
+            match o.NP.status with
+            | NP.NPtr _ -> saw_ptr := true
+            | NP.NWit -> saw_wit := true
+            | NP.NOk -> ())
+          sol.Labeling.v;
+        let name = Format.asprintf "psi %a #%d" Corrupt.pp_kind kind r in
+        let input = NP.input_of t in
+        ignore (same_violations name p p_ref g ~input ~output:sol);
+        (* and with one node's witness status dropped *)
+        let bad = Labeling.copy sol in
+        let v = pick rng bad.Labeling.v in
+        bad.Labeling.v.(v) <- { (bad.Labeling.v.(v)) with NP.status = NP.NOk };
+        ignore (same_violations (name ^ " / NOk") p p_ref g ~input ~output:bad)
+      done)
+    Corrupt.all_kinds;
+  check "proofs carried pointers" true !saw_ptr;
+  check "proofs carried witnesses" true !saw_wit;
+  check "proofs carried chains" true !saw_chain
+
+(* ------------------------------------------------------------------ *)
+(* allocation guard                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A full check of a Π² output allocates O(slots · max_degree) words,
+   not O(n + m): the centralized check and the one-round distributed
+   check each stay under 32 minor words per node (the closure-based
+   kernels took about 320 and 190). *)
+let test_check_allocation () =
+  let rng = Random.State.make [| 15 |] in
+  let g, input = pi2.Spec.hard_instance rng ~target:3_000 in
+  let inst = Instance.create ~seed:1 g in
+  let out, _ = pi2.Spec.solve_det inst input in
+  let n = float_of_int (G.n g) in
+  (* the second of two runs: the first makes the scratch views *)
+  let words f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    ((Gc.minor_words () -. w0) /. n, r)
+  in
+  let bounded what w =
+    check (Printf.sprintf "%s allocates %.1f words/node (<= 32)" what w) true
+      (w <= 32.)
+  in
+  Fun.protect
+    ~finally:(fun () -> Pool.set_size 1)
+    (fun () ->
+      Pool.set_size 1;
+      let w, ok = words (fun () -> Spec.is_valid pi2 g ~input ~output:out) in
+      check "valid" true ok;
+      bounded "is_valid" w;
+      let w, v =
+        words (fun () -> DC.run pi2.Spec.problem inst ~input ~output:out)
+      in
+      check "dcheck accepts" true v.DC.all_accept;
+      bounded "dcheck" w)
+
+let suite =
+  [
+    ("psi kernels match reference", `Quick, test_psi_matches_reference);
+    ("pi2 kernels match reference", `Quick, test_pi2_matches_reference);
+    ("pi3 kernels match reference", `Quick, test_pi3_matches_reference);
+    ("check allocation per node", `Quick, test_check_allocation);
+  ]

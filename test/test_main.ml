@@ -17,6 +17,7 @@ let () =
       ("problems", Test_problems.suite);
       ("gadget", Test_gadget.suite);
       ("padding", Test_padding.suite);
+      ("kernels", Test_kernels.suite);
       ("message-passing", Test_message_passing.suite);
       ("extra-problems", Test_extra_problems.suite);
       ("stats", Test_stats.suite);
