@@ -106,53 +106,6 @@ let check_frontier ~ctx ~name fr =
            (i + 1, v))
          (0, max_int) active)
 
-(* the backend pair (schema /6): engine_ns repeats the case's seq
-   estimate, linalg_ns is the vectorized twin, and the ratio must agree
-   with the division; closed like every other object *)
-let check_linalg_pair ~ctx ~name p =
-  (match p with
-  | J.Obj fields ->
-    let allowed = [ "engine_ns"; "linalg_ns"; "linalg_engine_ratio" ] in
-    List.iter
-      (fun (k, _) ->
-        if not (List.mem k allowed) then
-          fail "%s (%s): unknown linalg_vs_engine_ns key %S (allowed: %s)" ctx
-            name k
-            (String.concat ", " allowed))
-      fields
-  | _ -> fail "%s (%s): linalg_vs_engine_ns is not a JSON object" ctx name);
-  let num fname =
-    match get fname p with
-    | J.Null -> None
-    | v -> (
-      match J.to_float v with
-      | Some x ->
-        if x <= 0.0 then
-          fail "%s (%s): linalg_vs_engine_ns.%s = %g, want > 0" ctx name fname x;
-        Some x
-      | None ->
-        fail "%s (%s): linalg_vs_engine_ns.%s is neither a number nor null" ctx
-          name fname)
-  in
-  let engine = num "engine_ns" in
-  let linalg = num "linalg_ns" in
-  let ratio = num "linalg_engine_ratio" in
-  match (engine, linalg, ratio) with
-  | Some e, Some l, Some r ->
-    if abs_float (r -. (l /. e)) > 0.01 *. r then
-      fail "%s (%s): linalg_engine_ratio %g inconsistent with linalg/engine %g"
-        ctx name r (l /. e)
-  | _, _, Some r ->
-    fail "%s (%s): linalg_engine_ratio %g present but an estimate is null" ctx
-      name r
-  | _ -> ()
-
-(* the cases that must carry the backend pair: the linalg-expressible
-   rounds — dropping one would silently lose the engine-vs-linalg
-   trajectory *)
-let linalg_pair_cases =
-  [ "mis-sweep-2k"; "luby-mis-2k"; "coloring-2k"; "flood-r3-2k"; "dcheck-so-3k" ]
-
 let () =
   let file = ref "BENCH_parallel.json" in
   let max_ratio = ref None in
@@ -310,28 +263,12 @@ let () =
                 bound"
             ctx name ratio x
         | Some _ | None -> ()));
-      (match J.member "linalg_vs_engine_ns" r with
-      | None -> ()
-      | Some p -> check_linalg_pair ~ctx ~name p);
       match J.member "frontier" r with
       | None -> ()
       | Some fr -> check_frontier ~ctx ~name fr)
     results;
-  (* the backend-pair legs must all be present and carry their pair *)
-  List.iter
-    (fun leg ->
-      if not (Hashtbl.mem seen leg) then fail "missing required case %S" leg)
-    linalg_pair_cases;
-  List.iter
-    (fun r ->
-      let name = as_str "name" r in
-      if
-        List.mem name linalg_pair_cases
-        && J.member "linalg_vs_engine_ns" r = None
-      then fail "case %S has no \"linalg_vs_engine_ns\" pair" name)
-    results;
   (* the telemetry overhead story needs all three dcheck legs: gated-off
-     baseline, live trace, and provenance audit *)
+     baseline, live trace, and locality certificate *)
   if Hashtbl.mem seen "dcheck-so-3k" then begin
     if not (Hashtbl.mem seen "dcheck-so-3k-traced") then
       fail "dcheck-so-3k present without its dcheck-so-3k-traced leg";

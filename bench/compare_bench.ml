@@ -55,10 +55,6 @@ let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("FAIL: " ^ s); exit 1) f
 let alloc_ratio_limit = 2.0
 let alloc_floor = 0.05
 let par_seq_ratio_limit = 1.15
-(* the linalg/engine pair divides out machine speed like par/seq, but
-   its two numerators run different code paths, so it gets a looser
-   bound than the 1.15x dispatch gate *)
-let linalg_ratio_regression_limit = 1.5
 let wallclock_advisory_ratio = 1.5
 let serve_warm_ratio_floor = 5.0
 let span_disarmed_limit = 1.03
@@ -68,7 +64,6 @@ type row = {
   seq_ns : float option;
   par_seq_ratio : float option;
   minor_per_round : float;
-  linalg_ratio : float option;  (** linalg_vs_engine_ns.linalg_engine_ratio *)
 }
 
 type serve = {
@@ -140,21 +135,12 @@ let load file =
         match get fname r with J.Null -> None | v -> J.to_float v
       in
       let n = int_of_float (num "n") in
-      let linalg_ratio =
-        match J.member "linalg_vs_engine_ns" r with
-        | Some p -> (
-          match J.member "linalg_engine_ratio" p with
-          | Some J.Null | None -> None
-          | Some v -> J.to_float v)
-        | None -> None
-      in
       Hashtbl.replace tbl name
         {
           n;
           seq_ns = opt "seq_ns_per_run";
           par_seq_ratio = opt "par_seq_ratio";
           minor_per_round = num "minor_words_per_round";
-          linalg_ratio;
         })
     results;
   (tbl, serve, quick)
@@ -242,22 +228,6 @@ let () =
           Printf.printf
             "skip  %-24s par/seq ratio %.3f — quick quota, noise-dominated\n"
             name cr
-        | _ -> ());
-        (* backend gate: the linalg/engine wall-clock ratio, comparable
-           only at equal n — the vectorized passes may not silently decay
-           relative to their message-passing twins *)
-        (match (b.linalg_ratio, c.linalg_ratio) with
-        | Some br, Some cr when b.n = c.n && br > 0.0 ->
-          if cr > linalg_ratio_regression_limit *. br then begin
-            incr failures;
-            Printf.eprintf
-              "FAIL: %s: linalg/engine ratio %.3f vs baseline %.3f (> %.2fx)\n"
-              name cr br linalg_ratio_regression_limit
-          end
-          else
-            Printf.printf
-              "ok    %-24s linalg/engine ratio %.3f (baseline %.3f)\n" name cr
-              br
         | _ -> ());
         (* wall-clock: advisory only, and only comparable at equal n *)
         (match (b.seq_ns, c.seq_ns) with

@@ -38,7 +38,6 @@ module Gen = Core.Graph.Generators
 module Mis = Core.Problems.Mis
 module Coloring = Core.Problems.Coloring
 module Luby = Core.Problems.Luby
-module LFlood = Core.Linalg.Flood
 module Obs = Core.Obs
 module FS = Core.Local.Frontier_set
 module Frontier = Core.Local.Frontier
@@ -64,9 +63,6 @@ type case = {
   rounds : int;
   run : unit -> unit;
   frontier : (unit -> FS.Stats.t) option;
-  linalg : (unit -> unit) option;
-      (** the vectorized-backend twin of [run], when the round is
-          linalg-expressible; measured as the [linalg_vs_engine_ns] pair *)
 }
 
 let cases ~quick () =
@@ -83,7 +79,7 @@ let cases ~quick () =
   let pg, pinp = Pi.hard_instance_parts so rng ~base_target ~gadget_target in
   let pinst = Instance.create pg.PG.padded in
   (* a fixed valid output for the distributed-checker cases, computed once
-     so the benchmark measures only the one-round engine run *)
+     so the benchmark measures only the one-round check *)
   let so_out, _ = SO.solve_deterministic inst3k in
   let so_inp = SO.trivial_input g3k in
   (* the frontier legs: a streamed 3-regular hard instance at 10^6 nodes
@@ -101,14 +97,14 @@ let cases ~quick () =
   let replay_alg =
     Audit.flood_algorithm ~actual:(fun v -> 1 + (v * 7919 mod replay_rounds))
   in
-  (* the linalg-pair legs: the vectorizable rounds on a simple 3-regular
-     instance, engine vs semiring backend measured as a per-case pair
-     (names stay "-2k" under --quick; [n] records the actual size) *)
-  let n_lin = if quick then 400 else 2000 in
-  let glin =
-    Gen.random_simple_regular (Random.State.make [| 23 |]) ~n:n_lin ~d:3
+  (* the sweep legs: MIS, Luby, coloring and flooding on a simple
+     3-regular instance (names stay "-2k" under --quick; [n] records the
+     actual size) *)
+  let n_sweep = if quick then 400 else 2000 in
+  let gsweep =
+    Gen.random_simple_regular (Random.State.make [| 23 |]) ~n:n_sweep ~d:3
   in
-  let lininst = Instance.create ~seed:23 glin in
+  let sweepinst = Instance.create ~seed:23 gsweep in
   [
     {
       name = "ball-gather-r10-3k";
@@ -116,7 +112,6 @@ let cases ~quick () =
       rounds = 10;
       run = (fun () -> ignore (Core.Local.Ball.gather g3k ~center:0 ~radius:10));
       frontier = None;
-      linalg = None;
     };
     {
       name = "so-det-3k";
@@ -124,7 +119,6 @@ let cases ~quick () =
       rounds = 1;
       run = (fun () -> ignore (SO.solve_deterministic inst3k));
       frontier = None;
-      linalg = None;
     };
     {
       name = "so-rand-3k";
@@ -132,7 +126,6 @@ let cases ~quick () =
       rounds = 1;
       run = (fun () -> ignore (SO.solve_randomized inst3k));
       frontier = None;
-      linalg = None;
     };
     {
       name = "gadget-build-h8";
@@ -140,7 +133,6 @@ let cases ~quick () =
       rounds = 1;
       run = (fun () -> ignore (GB.gadget ~delta:3 ~height));
       frontier = None;
-      linalg = None;
     };
     {
       name = "gadget-check-h8";
@@ -148,7 +140,6 @@ let cases ~quick () =
       rounds = 1;
       run = (fun () -> ignore (GC.is_valid ~delta:3 gadget8));
       frontier = None;
-      linalg = None;
     };
     {
       name = "verifier-h8";
@@ -156,7 +147,6 @@ let cases ~quick () =
       rounds = 1;
       run = (fun () -> ignore (V.run ~delta:3 ~n:gadget_n gadget8));
       frontier = None;
-      linalg = None;
     };
     {
       name = "pi2-solve-det";
@@ -164,9 +154,8 @@ let cases ~quick () =
       rounds = 1;
       run = (fun () -> ignore (so'.Spec.solve_det pinst pinp));
       frontier = None;
-      linalg = None;
     };
-    (* the telemetry overhead pair: the same one-round engine workload
+    (* the telemetry overhead pair: the same one-round check workload
        with the registry disabled (the gated fast path — this is the
        overhead-when-disabled measurement) and with a live trace *)
     {
@@ -177,10 +166,6 @@ let cases ~quick () =
         (fun () ->
           ignore (DC.run SO.problem inst3k ~input:so_inp ~output:so_out));
       frontier = None;
-      linalg =
-        Some
-          (fun () ->
-            ignore (DC.run_linalg SO.problem inst3k ~input:so_inp ~output:so_out));
     };
     {
       name = "dcheck-so-3k-traced";
@@ -193,24 +178,19 @@ let cases ~quick () =
           ignore (Obs.Trace.finish ());
           Obs.Registry.disable ());
       frontier = None;
-      linalg = None;
     };
-    (* same workload with provenance audit mode armed: the third leg of
-       the overhead story — per-message influence tracking vs the gated
-       fast path (dcheck-so-3k) and vs a live trace *)
+    (* the same check with its locality certificate: the third leg of
+       the overhead story — the audited one-round flood and its radius
+       certification vs the gated fast path (dcheck-so-3k) and vs a live
+       trace *)
     {
       name = "dcheck-so-3k-audited";
       n = n_so;
       rounds = 1;
       run =
         (fun () ->
-          Obs.Provenance.start ();
-          ignore (DC.run SO.problem inst3k ~input:so_inp ~output:so_out);
-          match Obs.Provenance.take () with
-          | Some _ -> ()
-          | None -> failwith "dcheck-so-3k-audited: engine submitted no audit");
+          ignore (DC.audited_run SO.problem inst3k ~input:so_inp ~output:so_out));
       frontier = None;
-      linalg = None;
     };
     (* the 1M legs: wall-clock via bechamel like every other case, plus
        the per-round frontier columns (deterministic, so measured once) *)
@@ -225,7 +205,6 @@ let cases ~quick () =
             let stats = FS.Stats.recorder () in
             ignore (SO.solve_randomized_frontier ~stats finst);
             FS.Stats.snapshot stats);
-      linalg = None;
     };
     {
       name = "frontier-replay-1m";
@@ -234,40 +213,34 @@ let cases ~quick () =
       run = (fun () -> ignore (Frontier.run finst replay_alg));
       frontier =
         Some (fun () -> (Frontier.run finst replay_alg).Frontier.stats);
-      linalg = None;
     };
     {
       name = "mis-sweep-2k";
-      n = n_lin;
+      n = n_sweep;
       rounds = 1;
-      run = (fun () -> ignore (Mis.solve lininst));
+      run = (fun () -> ignore (Mis.solve sweepinst));
       frontier = None;
-      linalg = Some (fun () -> ignore (Mis.solve_linalg lininst));
     };
     {
       name = "luby-mis-2k";
-      n = n_lin;
+      n = n_sweep;
       rounds = 1;
-      run = (fun () -> ignore (Luby.solve lininst));
+      run = (fun () -> ignore (Luby.solve sweepinst));
       frontier = None;
-      linalg = Some (fun () -> ignore (Luby.solve_linalg lininst));
     };
     {
       name = "coloring-2k";
-      n = n_lin;
+      n = n_sweep;
       rounds = 1;
-      run = (fun () -> ignore (Coloring.solve lininst));
+      run = (fun () -> ignore (Coloring.solve sweepinst));
       frontier = None;
-      linalg = Some (fun () -> ignore (Coloring.solve_linalg lininst));
     };
     {
       name = "flood-r3-2k";
-      n = n_lin;
+      n = n_sweep;
       rounds = 3;
-      run = (fun () -> ignore (MP.flood_gather lininst ~radius:3 (fun v -> v)));
+      run = (fun () -> ignore (MP.flood_gather sweepinst ~radius:3 (fun v -> v)));
       frontier = None;
-      linalg =
-        Some (fun () -> ignore (LFlood.gather lininst ~radius:3 (fun v -> v)));
     };
   ]
 
@@ -523,17 +496,6 @@ let run_json ~quick ~filter () =
             Pool.set_size 1;
             Some (f ())
         in
-        (* the linalg twin, measured like the engine's seq leg (pool size
-           1, same quota) so the pair divides out machine speed *)
-        let lin =
-          match case.linalg with
-          | None -> None
-          | Some run ->
-            Pool.set_size 1;
-            Some
-              (estimate ~quota ~limit
-                 { case with name = case.name ^ "-linalg"; run })
-        in
         Printf.printf
           "%-24s n=%-7d seq %12s ns/run   par(%d) %12s ns/run   minor %12.1f \
            w/round   dispatch %9d ns   grain %s\n"
@@ -545,7 +507,7 @@ let run_json ~quick ~filter () =
           (match grain_obs with
           | Some g -> Printf.sprintf "%.1f ns/idx" g
           | None -> "-");
-        (case, seq, par, disp_ns, grain_obs, minor_w, promoted_w, fstats, lin))
+        (case, seq, par, disp_ns, grain_obs, minor_w, promoted_w, fstats))
       cases
   in
   if filter <> None then begin
@@ -601,7 +563,7 @@ let run_json ~quick ~filter () =
     (serve.sv_traced_ns /. serve.sv_disarmed_ns);
   Printf.fprintf oc "  \"results\": [\n";
   List.iteri
-    (fun i (case, seq, par, disp_ns, grain_obs, minor_w, promoted_w, fstats, lin) ->
+    (fun i (case, seq, par, disp_ns, grain_obs, minor_w, promoted_w, fstats) ->
       let speedup =
         match (seq, par) with
         | Some s, Some p when p > 0.0 -> Printf.sprintf "%.3f" (s /. p)
@@ -633,19 +595,6 @@ let run_json ~quick ~filter () =
           (int_array st.FS.Stats.frontier_edges)
           (bool_array st.FS.Stats.dense_rounds)
           (int_array st.FS.Stats.round_ns));
-      (match lin with
-      | None -> ()
-      | Some lt ->
-        (* engine_ns repeats the seq estimate so the pair reads standalone *)
-        let ratio =
-          match (seq, lt) with
-          | Some e, Some l when e > 0.0 -> Printf.sprintf "%.3f" (l /. e)
-          | _ -> "null"
-        in
-        Printf.fprintf oc
-          ",\n     \"linalg_vs_engine_ns\": {\"engine_ns\": %s, \"linalg_ns\": \
-           %s, \"linalg_engine_ratio\": %s}"
-          (field seq) (field lt) ratio);
       Printf.fprintf oc "}%s\n"
         (if i = List.length measured - 1 then "" else ","))
     measured;

@@ -241,8 +241,7 @@ let solve_so_cmd =
     let out_d, m_d = SO.solve_deterministic inst in
     let out_r, m_r = SO.solve_randomized inst in
     (* validity via the distributed one-round checker — the LOCAL-model
-       reading of "the output is locally checkable", and the reason a
-       --trace of this command contains message_passing round events *)
+       reading of "the output is locally checkable" *)
     let dc out =
       (DC.run SO.problem inst ~input:(SO.trivial_input g) ~output:out)
         .DC.all_accept
@@ -260,20 +259,13 @@ let solve_so_cmd =
 
 let solve_cmd =
   let module Catalog = Core.Problems.Solver_catalog in
-  let run problem backend n seed out_file obs =
+  let run problem n seed out_file obs =
     with_obs ~label:"solve" obs @@ fun () ->
-    let backend =
-      match Core.Local.Backend.of_string backend with
-      | Ok b -> b
-      | Error msg -> failwith msg
-    in
-    match Catalog.solve ~problem ~backend ~seed ~n with
+    match Catalog.solve ~problem ~seed ~n with
     | Error msg -> failwith msg
     | Ok solved ->
-      Printf.printf "problem=%s backend=%s n=%d seed=%d rounds=%d valid=%b\n"
-        problem
-        (Core.Local.Backend.to_string backend)
-        n seed solved.Catalog.s_rounds solved.Catalog.s_valid;
+      Printf.printf "problem=%s n=%d seed=%d rounds=%d valid=%b\n" problem n
+        seed solved.Catalog.s_rounds solved.Catalog.s_valid;
       (match out_file with
       | None -> ()
       | Some file ->
@@ -292,13 +284,6 @@ let solve_cmd =
             (Printf.sprintf "Catalog problem: %s."
                (String.concat ", " Catalog.names)))
   in
-  let backend =
-    Arg.(
-      value & opt string "engine"
-      & info [ "b"; "backend" ] ~docv:"BACKEND"
-          ~doc:"Execution backend: engine or linalg. The canonical output \
-                bytes are backend-blind (CI diffs them with cmp).")
-  in
   let n = Arg.(value & opt int 1000 & info [ "n" ] ~docv:"N" ~doc:"Nodes.") in
   let out_file =
     Arg.(
@@ -309,9 +294,9 @@ let solve_cmd =
   Cmd.v
     (Cmd.info "solve"
        ~doc:
-         "Solve a catalog problem under a chosen execution backend and dump \
-          the canonical (backend-blind) output bytes.")
-    Term.(const run $ problem $ backend $ n $ seed_arg $ out_file $ obs_args)
+         "Solve a catalog problem and dump the canonical output bytes \
+          (identical at every pool size; CI diffs them with cmp).")
+    Term.(const run $ problem $ n $ seed_arg $ out_file $ obs_args)
 
 let decompose_cmd =
   let run n p seed obs =
@@ -393,28 +378,7 @@ let experiment_cmd =
 module AC = Core.Problems.Audit_catalog
 module Prov = Core.Obs.Provenance
 
-(* the gadget verifier needs the gadget layer, so its audit entry lives
-   here rather than in the catalog (repro_problems does not depend on
-   repro_gadget) *)
-let verifier_entry : AC.entry =
-  {
-    AC.a_name = "verifier";
-    a_doc = "gadget prover V, O(log n) on a (log,Δ)-gadget (§4.5)";
-    a_run =
-      (fun ~seed:_ ~n ->
-        (* smallest gadget with at least n nodes — size is exponential in
-           the height, so a linear scan is cheap *)
-        let rec pick h =
-          let t = GB.gadget ~delta:3 ~height:h in
-          if G.n t.GL.graph >= n || h >= 14 then t else pick (h + 1)
-        in
-        let t = pick 2 in
-        let _, _, cert = V.audited_run ~delta:3 ~n:(G.n t.GL.graph) t in
-        cert);
-    a_replay = None;
-  }
-
-let audit_entries = AC.all @ [ verifier_entry ]
+let audit_entries = Repro_serve.Server.audit_entries
 
 let audit_cmd =
   let run problem n seed cert_file obs =

@@ -18,6 +18,7 @@ module Gen = Core.Graph.Generators
 module Covers = Core.Graph.Covers
 module Instance = Core.Local.Instance
 module MP = Core.Local.Message_passing
+module Frontier = Core.Local.Frontier
 module VT = Core.Local.View_tree
 module DC = Core.Lcl.Distributed_check
 module SO = Core.Problems.Sinkless_orientation
@@ -44,10 +45,11 @@ let () =
   let rng = Random.State.make [| 1 |] in
   let g = Gen.random_simple_regular rng ~n:12 ~d:3 in
   let inst = Instance.create g in
-  let result = MP.run inst toy_orientation in
-  Printf.printf "toy orientation finished in %d round(s)\n" result.MP.max_rounds;
+  let result = Frontier.run inst toy_orientation in
+  Printf.printf "toy orientation finished in %d round(s)\n"
+    result.Frontier.max_rounds;
   let sinks =
-    Array.to_list result.MP.outputs
+    Array.to_list result.Frontier.outputs
     |> List.filter (fun out -> not (Array.exists (fun b -> b) out))
     |> List.length
   in

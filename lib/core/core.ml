@@ -1,10 +1,10 @@
 (** Umbrella module: the public API of the reproduction.
 
     - {!Graph}: port-numbered multigraphs, generators, traversals.
-    - {!Local}: the LOCAL-model simulator (ids, randomness, balls, meters).
+    - {!Local}: the LOCAL-model simulator (ids, randomness, balls, meters,
+      the frontier round engine).
     - {!Lcl}: the node-edge-checkable LCL formalism.
     - {!Problems}: sinkless orientation, coloring, MIS — the landscape.
-    - {!Linalg}: the semiring/SpMV execution backend, engine-equal.
     - {!Gadget}: the (log, Δ)-gadget family of Section 4.
     - {!Padding}: padded LCLs (Section 3) and the Π^i hierarchy (Section 5).
     - {!Obs}: round-level telemetry — counters, histograms, JSONL traces.
@@ -14,7 +14,6 @@ module Graph = Repro_graph
 module Local = Repro_local
 module Lcl = Repro_lcl
 module Problems = Repro_problems
-module Linalg = Repro_linalg
 module Gadget = Repro_gadget
 module Padding = Repro_padding
 module Obs = Repro_obs

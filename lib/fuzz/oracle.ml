@@ -12,7 +12,6 @@ module SO = Repro_problems.Sinkless_orientation
 module Coloring = Repro_problems.Coloring
 module Mis = Repro_problems.Mis
 module Luby = Repro_problems.Luby
-module LFlood = Repro_linalg.Flood
 module Matching = Repro_problems.Matching
 module Two = Repro_problems.Two_coloring
 module ND = Repro_problems.Network_decomposition
@@ -79,6 +78,11 @@ let colorful (recipe, seed) =
   let mis, _ = Mis.solve inst in
   let& () = require (Mis.is_valid g mis) "mis: sequential checker rejects" in
   let& () = require (dc_accepts Mis.problem inst mis) "mis: distributed checker rejects" in
+  let luby, _ = Luby.solve inst in
+  let& () = require (Luby.is_valid g luby) "luby-mis: sequential checker rejects" in
+  let& () =
+    require (dc_accepts Mis.problem inst luby) "luby-mis: distributed checker rejects"
+  in
   let mat, _ = Matching.solve inst in
   let& () = require (Matching.is_valid g mat) "matching: sequential checker rejects" in
   require (dc_accepts Matching.problem inst mat) "matching: distributed checker rejects"
@@ -163,11 +167,11 @@ let engines (recipe, seed) =
       in
       go [ 2; 4 ])
 
-(* differential for the arena-mailbox engine: MP.run (flat epoch-tagged
-   mailboxes, scratch receive buffers) vs MP.run_boxed (the pre-arena
-   option-mailbox engine, kept exactly for this oracle). Two algorithms
-   so both message representations are exercised: heap payloads (int
-   lists) and unboxed-capable ones (floats). *)
+(* engine differential: Frontier.run vs the boxed reference engine.
+   Three algorithms so both message representations are exercised —
+   heap payloads (int lists) and unboxed-capable ones (floats) — and so
+   the engine is also tied to flood_gather: the radius-3 ball ids an
+   engine run gathers must equal the flood's knowledge. *)
 let flood_ids_alg : (int list * int, int list, int) MP.algorithm =
   {
     MP.init = (fun inst v -> ([ Instance.id inst v ], 0));
@@ -194,89 +198,9 @@ let float_sum_alg : (float, float, float) MP.algorithm =
         if round >= 2 then Either.Right s else Either.Left s);
   }
 
-let flat_vs_boxed (recipe, seed) =
-  let g = Gen_graph.to_graph recipe in
-  let inst = Instance.create ~seed g in
-  let a = MP.run inst flood_ids_alg in
-  let b = MP.run_boxed inst flood_ids_alg in
-  let& () = require (a.MP.outputs = b.MP.outputs) "flood outputs differ" in
-  let& () = require (a.MP.rounds = b.MP.rounds) "flood per-node rounds differ" in
-  let& () =
-    requiref
-      (a.MP.max_rounds = b.MP.max_rounds)
-      "flood max_rounds: flat %d, boxed %d" a.MP.max_rounds b.MP.max_rounds
-  in
-  let fa = MP.run inst float_sum_alg in
-  let fb = MP.run_boxed inst float_sum_alg in
-  let& () = require (fa.MP.outputs = fb.MP.outputs) "float outputs differ" in
-  require (fa.MP.rounds = fb.MP.rounds) "float per-node rounds differ"
-
-(* differential for the frontier engine: Frontier.run must be
-   byte-identical to both flat engines — outputs, per-node round counts
-   and max_rounds — at every density threshold (default switch, forced
-   always-dense, forced always-sparse) and every pool size. *)
-let frontier_vs_flat (recipe, seed) =
-  let g = Gen_graph.to_graph recipe in
-  let inst = Instance.create ~seed g in
-  let n = G.n g in
-  let check_alg : type st msg out.
-      string -> (st, msg, out) MP.algorithm -> verdict =
-   fun label alg ->
-    let flat = MP.run inst alg in
-    let boxed = MP.run_boxed inst alg in
-    let& () =
-      requiref
-        (flat.MP.outputs = boxed.MP.outputs)
-        "%s: flat vs boxed outputs differ" label
-    in
-    let rec go = function
-      | [] -> Ok ()
-      | (tname, thr) :: rest ->
-        let fr =
-          match thr with
-          | None -> Frontier.run inst alg
-          | Some t -> Frontier.run ~dense_threshold:t inst alg
-        in
-        let& () =
-          requiref
-            (fr.Frontier.outputs = flat.MP.outputs)
-            "%s/%s: frontier outputs differ" label tname
-        in
-        let& () =
-          requiref
-            (fr.Frontier.rounds = flat.MP.rounds)
-            "%s/%s: frontier per-node rounds differ" label tname
-        in
-        let& () =
-          requiref
-            (fr.Frontier.max_rounds = flat.MP.max_rounds)
-            "%s/%s: frontier max_rounds %d, flat %d" label tname
-            fr.Frontier.max_rounds flat.MP.max_rounds
-        in
-        go rest
-    in
-    go [ ("switch", None); ("dense", Some 0); ("sparse", Some (n + 1)) ]
-  in
-  let saved = Pool.size () in
-  Fun.protect
-    ~finally:(fun () -> Pool.set_size saved)
-    (fun () ->
-      let rec go = function
-        | [] -> Ok ()
-        | s :: rest ->
-          Pool.set_size s;
-          let& () = check_alg (Printf.sprintf "ids@%dd" s) flood_ids_alg in
-          let& () = check_alg (Printf.sprintf "float@%dd" s) float_sum_alg in
-          go rest
-      in
-      go [ 1; 2; 4 ])
-
-(* ------------------------------------------------------------------ *)
-(* linalg backend differential *)
-
-(* gather the radius-[radius] ball's ids through the engine proper,
-   halting on an explicit hop counter carried in the state (so the
-   round-numbering convention cannot skew the comparison) *)
+(* gather the radius-[radius] ball's ids, halting on an explicit hop
+   counter carried in the state (so the round-numbering convention
+   cannot skew the comparison with flood_gather) *)
 let ball_ids_alg radius : (int list * int, int list, int list) MP.algorithm =
   {
     MP.init = (fun inst v -> ([ Instance.id inst v ], 0));
@@ -291,71 +215,71 @@ let ball_ids_alg radius : (int list * int, int list, int list) MP.algorithm =
         else Either.Left (known, hops + 1));
   }
 
-(* The backend matrix: for every vectorized solver, the linalg run must
-   be byte-identical to its engine twin — labelings, meters, verdicts
-   and per-round flood output — and the flood knowledge must also agree
-   with the same gather executed through MP.run and MP.run_boxed. Swept
-   at 1, 2 and 4 domains. *)
-let linalg_vs_engine (recipe, seed) =
+(* Frontier.run at every density threshold (default switch, forced
+   always-dense [0], forced always-sparse [n + 1]) must reproduce the
+   boxed reference's outputs, per-node round counts and max_rounds, and
+   under audit its locality certificate modulo the engine tag. Swept at
+   1, 2 and 4 domains. *)
+let engine_vs_boxed (recipe, seed) =
   let g = Gen_graph.to_graph recipe in
   let inst = Instance.create ~seed g in
+  let n = G.n g in
   let radius = 3 in
-  let once label =
-    let ce, me = Coloring.solve inst in
-    let cl, ml = Coloring.solve_linalg inst in
-    let& () =
-      requiref (ce = cl) "%s: coloring backends produce different labels" label
+  let thresholds = [ ("switch", None); ("dense", Some 0); ("sparse", Some (n + 1)) ] in
+  let frontier thr alg =
+    match thr with
+    | None -> Frontier.run inst alg
+    | Some t -> Frontier.run ~dense_threshold:t inst alg
+  in
+  let check_alg : type st msg out. string -> (st, msg, out) MP.algorithm -> verdict =
+   fun label alg ->
+    let boxed = Reference.run_boxed inst alg in
+    let rec go = function
+      | [] -> Ok ()
+      | (tname, thr) :: rest ->
+        let fr = frontier thr alg in
+        let& () =
+          requiref
+            (fr.Frontier.outputs = boxed.Reference.outputs)
+            "%s/%s: outputs differ from the boxed engine" label tname
+        in
+        let& () =
+          requiref
+            (fr.Frontier.rounds = boxed.Reference.rounds)
+            "%s/%s: per-node rounds differ from the boxed engine" label tname
+        in
+        let& () =
+          requiref
+            (fr.Frontier.max_rounds = boxed.Reference.max_rounds)
+            "%s/%s: max_rounds %d, boxed %d" label tname
+            fr.Frontier.max_rounds boxed.Reference.max_rounds
+        in
+        go rest
     in
-    let& () =
-      requiref
-        (Meter.max_radius me = Meter.max_radius ml)
-        "%s: coloring backends charge different rounds" label
-    in
-    let ma, mma = Mis.solve inst in
-    let mb, mmb = Mis.solve_linalg inst in
-    let& () = requiref (ma = mb) "%s: mis backends differ" label in
-    let& () =
-      requiref
-        (Meter.max_radius mma = Meter.max_radius mmb)
-        "%s: mis backends charge different rounds" label
-    in
-    let& () = requiref (Mis.is_valid g mb) "%s: linalg mis invalid" label in
-    let la, lma = Luby.solve inst in
-    let lb, lmb = Luby.solve_linalg inst in
-    let& () = requiref (la = lb) "%s: luby backends differ" label in
-    let& () =
-      requiref
-        (Meter.max_radius lma = Meter.max_radius lmb)
-        "%s: luby backends charge different rounds" label
-    in
-    let& () = requiref (Luby.is_valid g lb) "%s: linalg luby-mis invalid" label in
-    let payload v = Instance.id inst v in
-    let fe = MP.flood_gather inst ~radius payload in
-    let fl = LFlood.gather inst ~radius payload in
-    let& () =
-      requiref (fe = fl) "%s: flood by_round differs between backends" label
-    in
+    go thresholds
+  in
+  let ball_matches_flood label =
+    let outputs = (Frontier.run inst (ball_ids_alg radius)).Frontier.outputs in
+    let fl = MP.flood_gather inst ~radius (fun v -> Instance.id inst v) in
     let derived =
-      Array.init (G.n g) (fun v ->
+      Array.init n (fun v ->
           List.sort_uniq compare
-            (payload v :: List.concat (Array.to_list fe.(v))))
+            (Instance.id inst v :: List.concat (Array.to_list fl.(v))))
     in
-    let eng = MP.run inst (ball_ids_alg radius) in
-    let boxed = MP.run_boxed inst (ball_ids_alg radius) in
-    let& () =
-      requiref
-        (eng.MP.outputs = boxed.MP.outputs)
-        "%s: MP.run vs run_boxed ball ids differ" label
+    requiref (outputs = derived)
+      "%s: engine-run ball ids differ from flood_gather knowledge" label
+  in
+  let certs label =
+    let declared =
+      let r = (Reference.run_boxed inst flood_ids_alg).Reference.rounds in
+      fun v -> max 1 r.(v)
     in
-    let& () =
-      requiref (eng.MP.outputs = derived)
-        "%s: engine-run ball ids differ from flood knowledge" label
-    in
-    let so_out, _ = SO.solve_deterministic inst in
-    let input = unit_input g in
-    let va = DC.run SO.problem inst ~input ~output:so_out in
-    let vb = DC.run_linalg SO.problem inst ~input ~output:so_out in
-    requiref (va = vb) "%s: dcheck verdicts differ between backends" label
+    let strip c = { c with Prov.c_engine = "" } in
+    let cert run = snd (Audit.certify_run inst ~declared run) in
+    let cb = cert (fun () -> ignore (Reference.run_boxed inst flood_ids_alg)) in
+    let cf = cert (fun () -> ignore (Frontier.run inst flood_ids_alg)) in
+    requiref (strip cb = strip cf) "%s: certificates differ from the boxed engine"
+      label
   in
   let saved = Pool.size () in
   Fun.protect
@@ -365,7 +289,12 @@ let linalg_vs_engine (recipe, seed) =
         | [] -> Ok ()
         | s :: rest ->
           Pool.set_size s;
-          let& () = once (Printf.sprintf "%dd" s) in
+          let label = Printf.sprintf "%dd" s in
+          let& () = check_alg ("ids@" ^ label) flood_ids_alg in
+          let& () = check_alg ("float@" ^ label) float_sum_alg in
+          let& () = check_alg ("ball@" ^ label) (ball_ids_alg radius) in
+          let& () = ball_matches_flood ("ball@" ^ label) in
+          let& () = certs ("cert@" ^ label) in
           go rest
       in
       go [ 1; 2; 4 ])

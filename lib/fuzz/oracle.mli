@@ -3,8 +3,11 @@
     disagreement. The oracle matrix (DESIGN.md §11):
 
     - solver output × {!Repro_lcl.Ne_lcl} sequential check ×
-      {!Repro_lcl.Distributed_check} engine run, per landscape problem;
+      {!Repro_lcl.Distributed_check} one-round check, per landscape
+      problem;
     - sequential (pool size 1) × parallel (2, 4 domains) engine runs;
+    - the frontier engine × the boxed reference engine
+      ({!Reference.run_boxed});
     - gadget {!Repro_gadget.Check} × {!Repro_gadget.Verifier} +
       {!Repro_gadget.Psi} (a corrupted gadget must be rejected by both,
       with the error proof localizing the planted fault) ×
@@ -38,8 +41,9 @@ val so_solvers : Gen_graph.recipe * int -> verdict
     sequential checker, zero sinks, and the distributed checker accepts. *)
 
 val colorful : Gen_graph.recipe * int -> verdict
-(** Coloring, MIS and matching on a simple graph: each output valid by
-    its sequential checker and accepted by the distributed checker. *)
+(** Coloring, MIS (coloring sweep and Luby) and matching on a simple
+    graph: each output valid by its sequential checker and accepted by
+    the distributed checker. *)
 
 val two_coloring : Gen_graph.recipe * int -> verdict
 (** 2-coloring on a bipartite recipe: valid + distributed agreement. *)
@@ -50,7 +54,7 @@ val decompose : Gen_graph.recipe * int -> verdict
 val dcheck : Gen_graph.recipe * int * int option -> verdict
 (** The checker-vs-checker differential: solve SO, optionally corrupt
     one half-edge output (the [int option] picks the half), then demand
-    the sequential {!Repro_lcl.Ne_lcl} verdict and the engine-run
+    the sequential {!Repro_lcl.Ne_lcl} verdict and the
     {!Repro_lcl.Distributed_check} verdict agree — and that the verdict
     is "reject" exactly when a corruption was actually applied. This is
     the oracle that catches the [so-edge-clause] planted bug. *)
@@ -59,30 +63,16 @@ val engines : Gen_graph.recipe * int -> verdict
 (** Pool-size differential: SO (det) outputs, meters and a flood-gather
     must be identical at 1, 2 and 4 domains. *)
 
-val linalg_vs_engine : Gen_graph.recipe * int -> verdict
-(** Backend differential on a simple graph: every vectorized solver in
-    {!Repro_linalg} against its message-passing twin — coloring, MIS
-    (coloring-sweep and Luby), flood-gather and the one-round
-    distributed check. Labelings, meters, by-round flood output and
-    checker verdicts must be byte-identical; the flood knowledge must
-    also match the same radius-3 ball gather executed through
-    {!Repro_local.Message_passing.run} and [run_boxed]. Swept at 1, 2
-    and 4 domains. *)
-
-val frontier_vs_flat : Gen_graph.recipe * int -> verdict
-(** Engine differential for the frontier engine:
-    {!Repro_local.Frontier.run} vs {!Repro_local.Message_passing.run}
-    vs [run_boxed] on two algorithms (boxed int-list flood and float
-    sum) — outputs, per-node round counts and [max_rounds] must be
-    byte-identical at every density threshold (the default switch,
-    forced always-dense [0], forced always-sparse [n + 1]) and at
-    1, 2 and 4 domains. *)
-
-val flat_vs_boxed : Gen_graph.recipe * int -> verdict
-(** Engine differential: {!Repro_local.Message_passing.run} (flat
-    epoch-tagged arena mailboxes) vs [run_boxed] (the pre-arena engine
-    kept as an oracle) — identical outputs, per-node round counts and
-    [max_rounds], on both heap (int list) and float messages. *)
+val engine_vs_boxed : Gen_graph.recipe * int -> verdict
+(** Engine differential: {!Repro_local.Frontier.run} vs
+    {!Reference.run_boxed} on three algorithms (boxed int-list flood,
+    float sum, radius-3 ball gather) — outputs, per-node round counts
+    and [max_rounds] must be byte-identical at every density threshold
+    (the default switch, forced always-dense [0], forced always-sparse
+    [n + 1]) and at 1, 2 and 4 domains. The gathered balls must equal
+    {!Repro_local.Message_passing.flood_gather}'s knowledge, and an
+    audited flood must certify identically on both engines modulo the
+    engine tag. *)
 
 val gadget : Gen_gadget.case -> verdict
 (** Check × Verifier × Psi × Ne_psi as described above. *)
@@ -92,5 +82,5 @@ val padding : int * int * int -> verdict
     solvers' outputs must validate. *)
 
 val provenance : Gen_graph.regular * int -> verdict
-(** Certificates: replay the SO-det meter as an audited flood, and run
-    the distributed checker natively under audit; both must certify. *)
+(** Certificates: replay the SO-det meter as an audited flood, and
+    audit the distributed checker's one round; both must certify. *)

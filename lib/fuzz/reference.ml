@@ -1,0 +1,86 @@
+module G = Repro_graph.Multigraph
+module Instance = Repro_local.Instance
+module MP = Repro_local.Message_passing
+module Pool = Repro_local.Pool
+module B = Repro_obs.Provenance.Bitset
+
+type 'out result = {
+  outputs : 'out array;
+  rounds : int array;
+  max_rounds : int;
+}
+
+(* Both phases write only index-owned slots (send: the mates of the
+   sender's own halves; receive: the node's own state), so running them
+   as pool loops keeps the oracle deterministic at every pool size. *)
+let run_boxed ?limit inst (alg : _ MP.algorithm) =
+  let g = inst.Instance.graph in
+  let n = G.n g in
+  let limit = match limit with Some l -> l | None -> (4 * n) + 16 in
+  let states = Array.init n (fun v -> alg.MP.init inst v) in
+  let outputs = Array.make n None in
+  let rounds = Array.make n 0 in
+  let halted = Array.make n false in
+  let remaining = ref n in
+  let mail = Array.make (2 * G.m g) None in
+  let audit = Repro_obs.Provenance.active () in
+  let inf_state =
+    if audit then
+      Array.init n (fun v ->
+          let b = B.create n in
+          B.add b v;
+          b)
+    else [||]
+  in
+  let inf_mail =
+    if audit then Array.init (2 * G.m g) (fun _ -> B.create n) else [||]
+  in
+  let round = ref 0 in
+  while !remaining > 0 && !round < limit do
+    let r = !round in
+    Pool.parallel_for ~n (fun v ->
+        if not halted.(v) then
+          Array.iteri
+            (fun p h ->
+              mail.(G.mate h) <- Some (alg.MP.send states.(v) ~round:r ~port:p);
+              if audit then B.blit ~src:inf_state.(v) ~dst:inf_mail.(G.mate h))
+            (G.halves g v));
+    let newly_halted =
+      Pool.parallel_for_reduce ~n ~neutral:0 ~combine:( + ) (fun v ->
+          if halted.(v) then 0
+          else begin
+            let halves = G.halves g v in
+            if audit then
+              Array.iter (fun h -> B.union_into ~into:inf_state.(v) inf_mail.(h)) halves;
+            let msgs = Array.map (fun h -> Option.get mail.(h)) halves in
+            match alg.MP.receive states.(v) ~round:r msgs with
+            | Either.Left st ->
+              states.(v) <- st;
+              0
+            | Either.Right out ->
+              outputs.(v) <- Some out;
+              halted.(v) <- true;
+              rounds.(v) <- r + 1;
+              1
+          end)
+    in
+    remaining := !remaining - newly_halted;
+    incr round
+  done;
+  if !remaining > 0 then
+    failwith
+      (Printf.sprintf "Reference.run_boxed: %d nodes still running after %d rounds"
+         !remaining limit);
+  if audit then
+    Repro_obs.Provenance.submit
+      {
+        Repro_obs.Provenance.engine = "boxed";
+        n;
+        influence = inf_state;
+        rounds_active = Array.copy rounds;
+      };
+  {
+    outputs = Array.map Option.get outputs;
+    rounds;
+    max_rounds = Array.fold_left max 0 rounds;
+  }

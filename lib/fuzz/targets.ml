@@ -45,17 +45,9 @@ let dcheck_prop =
 let engines_prop =
   graph_prop ~name:"engines" ~shape:Gen_graph.Any ~max_n:30 Oracle.engines
 
-let linalg_vs_engine_prop =
-  graph_prop ~name:"linalg-vs-engine" ~shape:Gen_graph.Simple ~max_n:30
-    Oracle.linalg_vs_engine
-
-let flat_vs_boxed_prop =
-  graph_prop ~name:"engine-flat-vs-boxed" ~shape:Gen_graph.Any ~max_n:30
-    Oracle.flat_vs_boxed
-
-let frontier_vs_flat_prop =
-  graph_prop ~name:"engine-frontier-vs-flat" ~shape:Gen_graph.Any ~max_n:30
-    Oracle.frontier_vs_flat
+let engine_vs_boxed_prop =
+  graph_prop ~name:"engine-vs-boxed" ~shape:Gen_graph.Any ~max_n:30
+    Oracle.engine_vs_boxed
 
 let gadget_prop =
   Prop.make ~name:"gadget" ~size_of:Gen_gadget.nodes_of
@@ -90,7 +82,7 @@ let all =
     };
     {
       t_name = "colorful";
-      t_doc = "coloring/MIS/matching on simple graphs: solver vs seq vs distributed checker";
+      t_doc = "coloring/MIS/Luby-MIS/matching on simple graphs: solver vs seq vs distributed checker";
       t_prop = P colorful_prop;
     };
     {
@@ -105,7 +97,7 @@ let all =
     };
     {
       t_name = "dcheck";
-      t_doc = "sequential Ne_lcl verdict = engine Distributed_check verdict on (optionally corrupted) SO outputs";
+      t_doc = "sequential Ne_lcl verdict = one-round Distributed_check verdict on (optionally corrupted) SO outputs";
       t_prop = P dcheck_prop;
     };
     {
@@ -114,19 +106,9 @@ let all =
       t_prop = P engines_prop;
     };
     {
-      t_name = "linalg-vs-engine";
-      t_doc = "semiring/bitset backend vs the message-passing engine (and run_boxed): byte-identical labelings, meters and flood knowledge at 1/2/4 domains";
-      t_prop = P linalg_vs_engine_prop;
-    };
-    {
-      t_name = "engine-flat-vs-boxed";
-      t_doc = "arena-mailbox engine vs the boxed oracle engine: identical outputs and round counts";
-      t_prop = P flat_vs_boxed_prop;
-    };
-    {
-      t_name = "engine-frontier-vs-flat";
-      t_doc = "frontier engine vs both flat engines: byte-identical at every density threshold and 1/2/4 domains";
-      t_prop = P frontier_vs_flat_prop;
+      t_name = "engine-vs-boxed";
+      t_doc = "frontier engine vs the boxed reference engine: byte-identical outputs, rounds and certificates at every density threshold and 1/2/4 domains";
+      t_prop = P engine_vs_boxed_prop;
     };
     {
       t_name = "gadget";

@@ -1,23 +1,21 @@
-(* The checker is a one-round algorithm on the message-passing engine, so
-   the per-node constraint evaluations run on the engine's domain pool
-   (Message_passing.run parallelizes both phases of the round); the
-   verdicts are deterministic for every pool size because each node's
-   check reads only its own labels and the messages delivered to it.
+(* The checker is the one-round LOCAL algorithm of §2 evaluated as a
+   single pass over the nodes: node [v]'s verdict reads only labels
+   inside its radius-1 ball, and the message a port would deliver in
+   that round is just the far side's half-edge — [G.mate] of the port's
+   half, addressable straight from the CSR arrays. In the
+   unbounded-bandwidth LOCAL model the far side's labels travel for
+   free, and both endpoints share the [input]/[output] labelings, so the
+   mate half id is enough to rebuild the edge view the far side would
+   have shipped. So instead of running a round on the engine (mailbox
+   arena, send phase, receive phase), every node view is evaluated in
+   one [Pool] pass; the verdicts are deterministic for every pool size
+   because each index writes only its own [accepts] slot.
 
-   Messages are plain ints: a node sends, on each port, the id of its own
-   half-edge on that port. In the unbounded-bandwidth LOCAL model the
-   far side's labels travel for free, and since both endpoints of the
-   simulation share the [input]/[output] labelings, the received half id
-   is enough to reconstruct exactly the record the old engine shipped
-   ([v]/[b] labels of the far side) by indexing the shared labelings —
-   the verdicts are bit-identical, only the allocation (and the traced
-   payload bytes: an immediate has no reachable heap words) changes.
    Constraint views are per-domain scratch records refilled in place
-   (Ne_lcl.fill_node_view / fill_edge_view), so a full check allocates
-   O(domains . max_degree), not O(n + m). *)
+   (Ne_lcl.fill_node_view, and the edge-view fields set below), so a
+   full check allocates O(domains . max_degree), not O(n + m). *)
 
 module G = Repro_graph.Multigraph
-module MP = Repro_local.Message_passing
 module Pool = Repro_local.Pool
 module Obs = Repro_obs
 
@@ -28,92 +26,6 @@ type verdict = {
 }
 
 let run p inst ~input ~output =
-  let g = inst.Repro_local.Instance.graph in
-  let off = G.ports_off g and prt = G.ports_flat g in
-  let slots = Pool.worker_slots () in
-  (* per-domain scratch views, created lazily from real label values
-     (node views additionally per degree: their arrays are
-     degree-sized) *)
-  let nv_scratch = Array.init slots (fun _ -> Array.make (G.max_degree g + 1) None) in
-  let ev_scratch = Array.make slots None in
-  let alg : (int, int, bool) MP.algorithm =
-    {
-      MP.init = (fun _ v -> v);
-      send = (fun v ~round:_ ~port -> G.half_at g v port);
-      receive =
-        (fun v ~round:_ msgs ->
-          let wi = Pool.worker_index () in
-          let lo = off.(v) in
-          let d = off.(v + 1) - lo in
-          (* the node constraint needs only local labels *)
-          let nv =
-            match nv_scratch.(wi).(d) with
-            | Some nv ->
-              Ne_lcl.fill_node_view g ~input ~output nv v;
-              nv
-            | None ->
-              let nv = Ne_lcl.node_view g ~input ~output v in
-              nv_scratch.(wi).(d) <- Some nv;
-              nv
-          in
-          let node_ok = p.Ne_lcl.check_node nv in
-          (* each incident edge's constraint, using the received far
-             side: msgs.(port) is the sender's half, i.e. the mate of
-             our half on that port *)
-          let edges_ok = ref true in
-          for i = 0 to d - 1 do
-            let h = prt.(lo + i) in
-            let hw = msgs.(i) in
-            let e = G.edge_of_half h in
-            let w = G.half_node g hw in
-            let ev =
-              match ev_scratch.(wi) with
-              | Some ev -> ev
-              | None ->
-                let ev = Ne_lcl.edge_view g ~input ~output e in
-                ev_scratch.(wi) <- Some ev;
-                ev
-            in
-            (* reconstruct the edge view with this node as side u *)
-            ev.Ne_lcl.self_loop <- w = v;
-            ev.Ne_lcl.u_in <- input.Labeling.v.(v);
-            ev.Ne_lcl.u_out <- output.Labeling.v.(v);
-            ev.Ne_lcl.w_in <- input.Labeling.v.(w);
-            ev.Ne_lcl.w_out <- output.Labeling.v.(w);
-            ev.Ne_lcl.ee_in <- input.Labeling.e.(e);
-            ev.Ne_lcl.ee_out <- output.Labeling.e.(e);
-            ev.Ne_lcl.bu_in <- input.Labeling.b.(h);
-            ev.Ne_lcl.bu_out <- output.Labeling.b.(h);
-            ev.Ne_lcl.bw_in <- input.Labeling.b.(hw);
-            ev.Ne_lcl.bw_out <- output.Labeling.b.(hw);
-            if not (p.Ne_lcl.check_edge ev) then edges_ok := false
-          done;
-          Either.Right (node_ok && !edges_ok));
-    }
-  in
-  let result = MP.run inst alg in
-  let reg = Obs.Registry.ambient () in
-  Obs.Counter.incr (Obs.Registry.counter reg "lcl.dcheck.runs");
-  if Obs.Registry.live reg then
-    Obs.Counter.add
-      (Obs.Registry.counter reg "lcl.dcheck.rejecting_nodes")
-      (Array.fold_left (fun a ok -> if ok then a else a + 1) 0 result.MP.outputs);
-  {
-    accepts = result.MP.outputs;
-    all_accept = Array.for_all (fun x -> x) result.MP.outputs;
-    rounds = result.MP.max_rounds;
-  }
-
-(* The vectorized twin: the one-round check is a single masked fused
-   pass — node [v]'s verdict reads only labels inside its radius-1
-   ball, and the message a port would have delivered is just the mate
-   of the port's half-edge, available directly from the CSR arrays
-   ([prt.(i) lxor 1]). So instead of running a round on the engine
-   (mailbox arena, send phase, receive phase), evaluate every node
-   view in one [Pool] pass and fold acceptance with the linalg fused
-   reduce. Verdicts are bit-identical to [run]: same constraint
-   evaluations on the same scratch views, same per-index ownership. *)
-let run_linalg p inst ~input ~output =
   let g = inst.Repro_local.Instance.graph in
   let n = G.n g in
   let off = G.ports_off g and prt = G.ports_flat g in
@@ -167,7 +79,11 @@ let run_linalg p inst ~input ~output =
         if not (p.Ne_lcl.check_edge ev) then edges_ok := false
       done;
       accepts.(v) <- node_ok && !edges_ok);
-  let accepted = Repro_linalg.Spmv.count accepts in
+  let accepted =
+    Pool.run_fused
+      (Pool.fused ~grain:5 (fun v -> if accepts.(v) then 1 else 0))
+      ~n
+  in
   let reg = Obs.Registry.ambient () in
   Obs.Counter.incr (Obs.Registry.counter reg "lcl.dcheck.runs");
   if Obs.Registry.live reg then
@@ -180,15 +96,15 @@ let run_linalg p inst ~input ~output =
     rounds = (if n = 0 then 0 else 1);
   }
 
-let run_with ~backend p inst ~input ~output =
-  match backend with
-  | `Engine -> run p inst ~input ~output
-  | `Linalg -> run_linalg p inst ~input ~output
-
 (* the checker's declared bound: one round, by the definition of an LCL *)
 let declared_rounds = 1
 
+(* audited like every other solver: the declared one-round bound is
+   replayed as an engine flood, and its certificate is exactly the one
+   the checker's own round would produce — each node's influence is its
+   radius-1 ball *)
 let audited_run ?(label = "lcl.dcheck") p inst ~input ~output =
-  Repro_local.Audit.certify_run ~label inst
-    ~declared:(fun _ -> declared_rounds)
-    (fun () -> run p inst ~input ~output)
+  let verdict = run p inst ~input ~output in
+  ( verdict,
+    Repro_local.Audit.run_flood ~label inst ~declared:(fun _ -> declared_rounds)
+  )

@@ -2,14 +2,17 @@
     "there must exist a constant-time distributed algorithm that can check
     the correctness of a solution".
 
-    This module runs that algorithm for real, on the synchronous
-    message-passing engine: in one round every node exchanges its labels
-    (and the labels of its half-edges) with its neighbors; each node then
-    evaluates its node constraint and the edge constraint of every
-    incident edge. A globally correct solution is accepted at every node;
-    an incorrect one is rejected at some node — and the rejecting nodes
-    are exactly those adjacent to a violation, which the centralized
-    checker {!Ne_lcl.violations} confirms (cross-checked in the tests). *)
+    This module runs that algorithm: in one round every node learns the
+    labels of its neighbours (and of their half-edges), then evaluates
+    its node constraint and the edge constraint of every incident edge.
+    The round is executed as one direct pass over the CSR arrays — the
+    message a port delivers is the mate half-edge, already addressable —
+    so no engine mailbox is built. A globally correct solution is
+    accepted at every node; an incorrect one is rejected at some node —
+    and the rejecting nodes are exactly those adjacent to a violation,
+    which the centralized checker {!Ne_lcl.violations} confirms
+    (cross-checked in the tests and by the [dcheck] fuzz target).
+    Verdicts are bit-identical at any [REPRO_DOMAINS]. *)
 
 type verdict = {
   accepts : bool array;  (** per-node accept *)
@@ -18,26 +21,6 @@ type verdict = {
 }
 
 val run :
-  ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) Ne_lcl.t ->
-  Repro_local.Instance.t ->
-  input:('vi, 'ei, 'bi) Labeling.t ->
-  output:('vo, 'eo, 'bo) Labeling.t ->
-  verdict
-
-val run_linalg :
-  ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) Ne_lcl.t ->
-  Repro_local.Instance.t ->
-  input:('vi, 'ei, 'bi) Labeling.t ->
-  output:('vo, 'eo, 'bo) Labeling.t ->
-  verdict
-(** The vectorized twin of {!run}: the one-round exchange collapses to
-    a direct masked pass over the CSR arrays (the message a port
-    delivers is the mate half-edge, already addressable), with
-    acceptance folded by the linalg fused reduce. Bit-identical
-    verdicts at any [REPRO_DOMAINS]. *)
-
-val run_with :
-  backend:Repro_local.Backend.t ->
   ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) Ne_lcl.t ->
   Repro_local.Instance.t ->
   input:('vi, 'ei, 'bi) Labeling.t ->
@@ -55,9 +38,8 @@ val audited_run :
   input:('vi, 'ei, 'bi) Labeling.t ->
   output:('vo, 'eo, 'bo) Labeling.t ->
   verdict * Repro_obs.Provenance.certificate
-(** [run] under the locality provenance auditor
-    ({!Repro_local.Audit.certify_run}): the engine tracks per-message
-    influence and the certificate checks every node's influence stayed
-    within its radius-{!declared_rounds} ball. Unlike the gather-based
-    solvers (audited by replaying their declared bounds as a flood),
-    this audits the actual messages of the actual checker algorithm. *)
+(** [run], then its locality certificate: the declared
+    {!declared_rounds} bound replayed as an engine flood
+    ({!Repro_local.Audit.run_flood}), the way every solver is audited.
+    The flood's influence sets are exactly the checker round's — each
+    node's radius-1 ball. *)

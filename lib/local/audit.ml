@@ -46,19 +46,15 @@ let flood_algorithm ~actual : (int, int, int) Message_passing.algorithm =
         if round + 1 >= actual v then Either.Right v else Either.Left v);
   }
 
-let run ?label ?(engine = `Flat) inst ~declared ~actual =
+let run ?label inst ~declared ~actual =
   let bound v = max 1 (declared v) in
   let actual v = max (bound v) (actual v) in
   snd
     (certify_run ?label inst ~declared:bound (fun () ->
-         let alg = flood_algorithm ~actual in
-         match engine with
-         | `Flat -> ignore (Message_passing.run inst alg)
-         | `Frontier -> ignore (Frontier.run inst alg)))
+         ignore (Frontier.run inst (flood_algorithm ~actual))))
 
-let run_flood ?label ?engine inst ~declared =
-  run ?label ?engine inst ~declared ~actual:(fun v -> max 1 (declared v))
+let run_flood ?label inst ~declared =
+  run ?label inst ~declared ~actual:(fun v -> max 1 (declared v))
 
-let non_local_flood ?label ?engine inst ~declared ~overshoot =
-  run ?label ?engine inst ~declared ~actual:(fun v ->
-      max 1 (declared v) + overshoot)
+let non_local_flood ?label inst ~declared ~overshoot =
+  run ?label inst ~declared ~actual:(fun v -> max 1 (declared v) + overshoot)

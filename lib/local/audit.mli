@@ -4,25 +4,24 @@
 
     This module is the graph-aware wiring around
     {!Repro_obs.Provenance}: it arms audit mode, runs an algorithm on
-    the {!Message_passing} engine (which tracks per-message influence
-    sets), and certifies the submitted influence against per-node
+    the {!Frontier} engine (which tracks per-message influence sets),
+    and certifies the submitted influence against per-node
     declared round bounds using BFS distances — i.e. it checks
     [influence(v) ⊆ Ball(v, T_v)] for every node, exactly the
     containment {!Ball.gather} realizes constructively.
 
     Two entry points:
 
-    - {!certify_run} audits an arbitrary engine run (e.g. the
-      distributed checker, which natively runs on the engine and
-      declares one round).
-    - {!run_flood} executes a metered solver's declared bounds as an
-      actual engine run: every node floods its identity and halts after
-      its declared number of rounds, so the engine-observed influence
-      must stay within the declared ball. This is how gather-based
-      solvers (sinkless orientation, coloring, MIS, matching, the
-      gadget verifier) are audited — a LOCAL algorithm with round bound
-      [T_v] is, by the §2 equivalence, exactly a [T_v]-round
-      full-information flood followed by a local decision.
+    - {!certify_run} audits an arbitrary engine run.
+    - {!run_flood} executes a solver's declared bounds as an actual
+      engine run: every node floods its identity and halts after its
+      declared number of rounds, so the engine-observed influence must
+      stay within the declared ball. This is how every solver
+      (sinkless orientation, coloring, MIS, matching, the gadget
+      verifier, the one-round distributed checker) is audited — a
+      LOCAL algorithm with round bound [T_v] is, by the §2
+      equivalence, exactly a [T_v]-round full-information flood
+      followed by a local decision.
 
     Certificates are deterministic for every pool size (the influence
     tracking obeys the engine's per-slot ownership discipline), which
@@ -47,13 +46,12 @@ val flood_algorithm :
     identities (the influence sets do the real information accounting
     at the engine level) and node [v] halts after [actual v] receive
     phases — with exactly its radius-[actual v] ball delivered. Exposed
-    so tests and benches can run the same flood on either engine
-    directly (e.g. to pin the frontier engine's sparse↔dense switch
-    round on a golden instance). *)
+    so tests and benches can run the same flood on the engine directly
+    (e.g. to pin the frontier engine's sparse↔dense switch round on a
+    golden instance). *)
 
 val run_flood :
   ?label:string ->
-  ?engine:[ `Flat | `Frontier ] ->
   Instance.t ->
   declared:(int -> int) ->
   Repro_obs.Provenance.certificate
@@ -61,14 +59,10 @@ val run_flood :
     algorithm under audit: node [v] sends its identity every round and
     halts after [max 1 (declared v)] rounds. The resulting certificate
     checks that the engine delivered no information from outside any
-    node's declared ball. [engine] selects the round engine (default
-    [`Flat] — {!Message_passing.run}; [`Frontier] — {!Frontier.run});
-    both produce identical certificates modulo the engine tag, which
-    the frontier test suite asserts across the audit catalog. *)
+    node's declared ball. *)
 
 val non_local_flood :
   ?label:string ->
-  ?engine:[ `Flat | `Frontier ] ->
   Instance.t ->
   declared:(int -> int) ->
   overshoot:int ->

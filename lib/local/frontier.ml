@@ -1,23 +1,36 @@
-(* The frontier-driven round engine: Message_passing.run restricted,
-   each round, to the live (un-halted) node set.
+(* The round engine, driven by the live (un-halted) node set.
 
-   The flat engine already skips halted nodes — but it pays an O(n)
-   scan per round to find out who is live. Here the live set is an
-   explicit {!Frontier_set}: round 0 starts with the full frontier
-   (covering the mailbox exactly like the flat engine), each receive
-   phase counts the newly halted, and the post-round filter drops them
-   from the set in insertion order. A round then costs O(frontier
-   nodes + frontier edges), not O(n + m) — the point of the 1M bench
-   legs.
+   The live set is an explicit {!Frontier_set}: round 0 starts with the
+   full frontier (covering every mailbox slot), each receive phase
+   counts the newly halted, and the post-round filter drops them from
+   the set in insertion order. A round then costs O(frontier nodes +
+   frontier edges), not O(n + m).
 
-   Byte-identity with Message_passing.run is by construction: the live
-   set equals the complement of [halted] at every round boundary, both
-   phases execute exactly the per-node bodies the flat engine would
-   (same states, same mailbox writes, same receive calls in the same
-   rounds), and all writes are index-owned, so the iteration order —
-   sparse member order or dense bitmap order — is unobservable. The
-   fuzz target [engine-frontier-vs-flat] and test/test_frontier.ml
-   assert equality against both flat engines at 1/2/4 domains.
+   Both phases are embarrassingly parallel over the live set, and each
+   writes only index-owned locations:
+
+   - send: node [v] writes the mailbox slots [mate h] for its own halves
+     [h]; every half belongs to exactly one node, so the written slots
+     partition the mailbox. It reads only [states.(v)], which receive
+     wrote in the *previous* phase (a pool barrier apart).
+   - receive: node [v] reads the mailbox (frozen during this phase) and
+     writes [states/outputs/halted/rounds] at its own index only.
+
+   Hence any pool size, and either iteration order (sparse member order
+   or dense bitmap order), is bit-identical to the sequential loop. The
+   fuzz target [engine-vs-boxed] and test/test_frontier.ml assert
+   equality against the boxed reference engine in lib/fuzz at 1/2/4
+   domains and in both representations.
+
+   Arena discipline: [mail.(h)] is valid iff [mail_epoch.(h) >= 0], and
+   then holds the message most recently sent into half [h]. The
+   placeholder-seeded arrays ([Obj.magic 0]) are safe only because they
+   never escape this polymorphic engine: a uniform array seeded with an
+   immediate is read and written through the generic accessors here,
+   whatever ['msg]/['out] turn out to be. Everything handed to user code
+   ([msgs] buffers) or returned ([outputs]) is (re)built from real
+   values so it gets the element type's native representation — flat
+   for floats.
 
    Representation switch (Ligra-style): while the frontier is dense
    (cardinality >= threshold) both phases iterate bitmap words and pull
@@ -38,8 +51,7 @@ module FS = Frontier_set
 
 (* resolved against the ambient registry at run entry, memoized on
    physical registry identity; the rng/pool counters are shared-by-name
-   with Randomness and Pool, exactly like the flat engine's round
-   events *)
+   with Randomness and Pool, so a round event can report their deltas *)
 type metrics = {
   reg : Obs.Registry.t;
   m_runs : Obs.Counter.t;
@@ -104,13 +116,22 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
   let remaining = ref n in
   let mail : 'msg array = Array.make m2 (Obj.magic 0 : 'msg) in
   let mail_epoch = Array.make m2 (-1) in
+  (* per-domain receive scratch: scratch.(w).(d) is domain w's reusable
+     message buffer of length d, created on first use from a real
+     message value (so the buffer gets the right representation) and
+     owned exclusively by domain w for the duration of one receive
+     call *)
   let slots = Pool.worker_slots () in
   let maxdeg = G.max_degree g in
   let scratch : 'msg array array array =
     Array.init slots (fun _ -> Array.make (maxdeg + 1) [||])
   in
-  (* provenance audit: identical per-slot ownership to the flat engine,
-     so certificates are bit-identical to it (modulo the engine tag) *)
+  (* provenance audit (disarmed: one boolean load per run, no
+     allocation). Influence sets mirror the mailbox ownership exactly:
+     the send phase copies the sender's set into its mates' slots, the
+     receive phase unions a node's slots into its own set — so each set
+     is written by one loop index per phase and the audit is
+     bit-identical for every pool size, like the messages themselves. *)
   let audit = Obs.Provenance.active () in
   let inf_state =
     if audit then
@@ -208,8 +229,10 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
       if dense then Pool.run_fused send_dense ~n:(FS.word_count live)
       else Pool.run_fused send_sparse ~n:active
     in
-    (* round accounting over the live set only — same values as the
-       flat engine's O(n) scan, since live = the halted complement *)
+    (* round accounting over the live set, taken between the two phases:
+       each live node sends one message per port and reads one message
+       per port, so the messages sent this round equal the mailbox sizes
+       summed over live receivers *)
     let msgs = ref 0 and mbox_max = ref 0 and bytes = ref 0 in
     if Obs.Registry.live mt.reg then begin
       FS.iter live (fun v ->

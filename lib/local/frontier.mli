@@ -1,15 +1,41 @@
-(** The frontier-driven round engine: {!Message_passing.run} restricted
-    each round to the live (un-halted) node set, so a round costs
-    O(frontier nodes + frontier edges) instead of O(n + m).
+(** The round engine: executes any {!Message_passing.algorithm}
+    synchronously, round by round, over the live (un-halted) node set,
+    so a round costs O(frontier nodes + frontier edges) instead of
+    O(n + m). Round 0 starts with the full node set, and the set shrinks
+    as nodes halt; the run ends when every node has halted or the round
+    limit is reached. The engine records the number of rounds each node
+    ran before halting — by the equivalence of §2 this is the same
+    complexity measure as {!Meter} tracks for gather-based solvers.
 
-    Executes any {!Message_passing.algorithm} with byte-identical
-    outputs, per-node round counts and provenance influence sets (the
-    submitted audit carries engine tag ["frontier"]; every other field
-    of a resulting certificate matches the flat engine's). Round 0
-    starts with the full frontier — covering every mailbox slot, the
-    same epoch invariant as the flat engine — and the set shrinks as
-    nodes halt; halted senders' last messages stay in place
-    (last-message-repeated, see {!Message_passing}).
+    {2 Halted-sender semantics}
+
+    A node that has halted no longer computes messages: its neighbours
+    keep receiving the {e last} message it sent on each port
+    (last-message-repeated). Operationally the engine keeps one mailbox
+    slot per half-edge for the whole run and a halted sender's final
+    messages simply stay in place. This is the natural LOCAL-model
+    reading — a halted node's state is frozen, so a state-determined
+    message would be frozen too — and it makes [send] a dead call after
+    halting. The one observable difference from recomputing [send] on a
+    frozen state: a [send] that depends on [~round] after halting is
+    never observed. Algorithms should not do that.
+
+    {2 Arena mailboxes}
+
+    The mailbox is a flat ['msg array] (one slot per half-edge, for the
+    whole run) paired with an epoch word per slot: a slot is valid once
+    its epoch is non-negative, and then holds the most recent message
+    sent into that half, tagged with the round it was sent. Round 0
+    writes every slot (the frontier is full) and halted senders'
+    messages stay in place, so validity is monotone; the invariant is
+    checked as an assert on the epoch. The [msgs] array passed to
+    [receive] is a {e per-domain scratch buffer}: it is valid only for
+    the duration of the call and is reused for other nodes afterwards.
+    [receive] must not retain it (copy it if needed); every
+    implementation in this repo consumes it immediately. DESIGN.md §12
+    documents the layout and ownership rules.
+
+    {2 Representation switch}
 
     The per-round representation switches between sparse (push:
     iterate the member array) and dense (pull: iterate bitmap words)
@@ -17,11 +43,22 @@
     use the mode chosen before the send phase. [?dense_threshold]
     forces the switch point — [0] is always-dense, [n + 1] is
     always-sparse; all choices produce identical outputs, which the
-    switch tests assert.
+    switch tests and the [engine-vs-boxed] fuzz target assert.
 
-    Telemetry mirrors the flat engine under the [local.frontier.*]
-    counters, with [Round] trace events tagged [engine = "frontier"].
-    DESIGN.md §13 documents the frontier contract. *)
+    {2 Parallel execution, telemetry, provenance}
+
+    Both phases of a round run as {!Pool} loops over the live set, and
+    every write is index-owned, so results are bit-identical for every
+    pool size. When the {!Repro_obs.Registry} is enabled the engine
+    maintains the [local.frontier.*] counters, and when a
+    {!Repro_obs.Trace} is recording it emits one [Round] event per round
+    tagged [engine = "frontier"] (DESIGN.md §9). When
+    {!Repro_obs.Provenance} is armed it tracks, per node and per
+    in-flight message, the set of origin nodes whose initial state has
+    reached it, and at halt submits the per-node sets and active-round
+    counts for radius certification (DESIGN.md §10); disarmed, the cost
+    is one boolean load per run. DESIGN.md §13 documents the frontier
+    contract. *)
 
 type 'out result = {
   outputs : 'out array;

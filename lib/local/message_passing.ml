@@ -1,18 +1,14 @@
 module G = Repro_graph.Multigraph
 module Obs = Repro_obs
 
-(* engine telemetry; every update below is a no-op while the owning
+(* flood telemetry; every update below is a no-op while the owning
    registry is disabled. Round events additionally need the trace
    recorder active. Metrics are resolved against the ambient registry
    once per run entry (memoized on physical registry identity); the
    rng/pool metrics are shared-by-name with Randomness and Pool, so the
-   engine can report per-round deltas of counters it does not own. *)
+   flood can report per-round deltas of counters it does not own. *)
 type metrics = {
   reg : Obs.Registry.t;
-  m_runs : Obs.Counter.t;
-  m_rounds : Obs.Counter.t;
-  m_messages : Obs.Counter.t;
-  m_bytes : Obs.Counter.t;
   m_flood_runs : Obs.Counter.t;
   m_flood_rounds : Obs.Counter.t;
   m_flood_messages : Obs.Counter.t;
@@ -26,10 +22,6 @@ let make_metrics reg =
   let c = Obs.Registry.counter reg in
   {
     reg;
-    m_runs = c "local.mp.runs";
-    m_rounds = c "local.mp.rounds";
-    m_messages = c "local.mp.messages";
-    m_bytes = c "local.mp.payload_bytes";
     m_flood_runs = c "local.flood.runs";
     m_flood_rounds = c "local.flood.rounds";
     m_flood_messages = c "local.flood.messages";
@@ -67,389 +59,6 @@ type ('state, 'msg, 'out) algorithm = {
   send : 'state -> round:int -> port:int -> 'msg;
   receive : 'state -> round:int -> 'msg array -> ('state, 'out) Either.t;
 }
-
-type 'out result = {
-  outputs : 'out array;
-  rounds : int array;
-  max_rounds : int;
-}
-
-(* Both phases of a round are embarrassingly parallel over nodes, and each
-   phase writes only index-owned locations:
-
-   - send: node [v] writes the mailbox slots [mate h] for its own halves
-     [h]; every half belongs to exactly one node, so the written slots
-     partition the mailbox. It reads only [states.(v)] and [halted.(v)],
-     which receive wrote in the *previous* phase (a pool barrier apart).
-   - receive: node [v] reads the mailbox (frozen during this phase) and
-     writes [states/outputs/halted/rounds] at its own index only.
-
-   Hence any Pool size is bit-identical to the sequential loop.
-
-   Arena discipline (flat engine): the mailbox is one ['msg array] slot
-   per half-edge for the whole run plus an epoch word per slot —
-   [mail.(h)] is valid iff [mail_epoch.(h) >= 0], and then holds the
-   message most recently sent into half [h] (in round [mail_epoch.(h)]).
-   Round 0 writes every slot (every half's mate belongs to a
-   not-yet-halted node) and a halted sender's final messages stay in
-   place (last-message-repeated, see the .mli), so from the first
-   receive phase on every slot is valid; the epoch word is the checked
-   invariant that replaces the old per-message option boxing.
-
-   The placeholder-seeded arrays ([Obj.magic 0]) are safe only because
-   they never escape this polymorphic engine: a uniform array seeded
-   with an immediate is read and written through the generic accessors
-   here, whatever ['msg]/['out] turn out to be. Everything handed to
-   user code ([msgs] buffers) or returned ([outputs]) is (re)built from
-   real values so it gets the element type's native representation —
-   flat for floats. *)
-let run ?limit inst alg =
-  let mt = metrics () in
-  let g = inst.Instance.graph in
-  let n = G.n g in
-  let m2 = 2 * G.m g in
-  let off = G.ports_off g and prt = G.ports_flat g in
-  let limit = match limit with Some l -> l | None -> (4 * n) + 16 in
-  let states = Array.init n (fun v -> alg.init inst v) in
-  let out_buf : 'out array = Array.make n (Obj.magic 0 : 'out) in
-  let rounds = Array.make n 0 in
-  let halted = Array.make n false in
-  let remaining = ref n in
-  let mail : 'msg array = Array.make m2 (Obj.magic 0 : 'msg) in
-  let mail_epoch = Array.make m2 (-1) in
-  (* per-domain receive scratch: scratch.(w).(d) is domain w's reusable
-     message buffer of length d, created on first use from a real
-     message value (so the buffer gets the right representation) and
-     owned exclusively by domain w for the duration of one receive
-     call — see the .mli contract on [receive]. *)
-  let slots = Pool.worker_slots () in
-  let maxdeg = G.max_degree g in
-  let scratch : 'msg array array array =
-    Array.init slots (fun _ -> Array.make (maxdeg + 1) [||])
-  in
-  (* provenance audit (disarmed: one boolean load per run, no
-     allocation). Influence sets mirror the mailbox ownership exactly:
-     the send phase copies the sender's set into its mates' slots, the
-     receive phase unions a node's slots into its own set — so each set
-     is written by one loop index per phase and the audit is
-     bit-identical for every pool size, like the messages themselves. *)
-  let audit = Obs.Provenance.active () in
-  let inf_state =
-    if audit then
-      Array.init n (fun v ->
-          let b = Obs.Provenance.Bitset.create n in
-          Obs.Provenance.Bitset.add b v;
-          b)
-    else [||]
-  in
-  let inf_mail =
-    if audit then Array.init m2 (fun _ -> Obs.Provenance.Bitset.create n)
-    else [||]
-  in
-  Obs.Counter.incr mt.m_runs;
-  (* round 0 gives nodes a chance to halt without communicating *)
-  let round = ref 0 in
-  (* both phase loops are prebuilt fused tasks (one pool dispatch each,
-     per-worker int accumulators, zero per-round allocation): the round
-     hot path allocates nothing beyond what the algorithm itself does.
-     The bodies read the current round through [round]. *)
-  let send_task =
-    (* per active node: one send closure per port at degree ≤ Δ (small);
-       the grain hints seed the autotuner's EMA, which refines them from
-       observed cost after the first sampled rounds *)
-    Pool.fused ~grain:150 (fun v ->
-        if not halted.(v) then begin
-          let st = states.(v) in
-          let r = !round in
-          let lo = off.(v) in
-          for i = lo to off.(v + 1) - 1 do
-            let dst = G.mate prt.(i) in
-            mail.(dst) <- alg.send st ~round:r ~port:(i - lo);
-            mail_epoch.(dst) <- r
-          done;
-          if audit then
-            G.iter_halves g v ~f:(fun h ->
-                Obs.Provenance.Bitset.blit ~src:inf_state.(v)
-                  ~dst:inf_mail.(G.mate h))
-        end;
-        0)
-  in
-  let recv_task =
-    Pool.fused ~grain:250 (fun v ->
-        if halted.(v) then 0
-        else begin
-          if audit then
-            G.iter_halves g v ~f:(fun h ->
-                Obs.Provenance.Bitset.union_into ~into:inf_state.(v)
-                  inf_mail.(h));
-          let r = !round in
-          let lo = off.(v) in
-          let d = off.(v + 1) - lo in
-          let msgs =
-            if d = 0 then [||]
-            else begin
-              let per_deg = scratch.(Pool.worker_index ()) in
-              let buf = per_deg.(d) in
-              let buf =
-                if Array.length buf = d then buf
-                else begin
-                  let b = Array.make d mail.(prt.(lo)) in
-                  per_deg.(d) <- b;
-                  b
-                end
-              in
-              for i = 0 to d - 1 do
-                let h = prt.(lo + i) in
-                (* the epoch invariant: every slot a live node reads
-                   has been written (round 0 covered the mailbox) *)
-                assert (mail_epoch.(h) >= 0);
-                buf.(i) <- mail.(h)
-              done;
-              buf
-            end
-          in
-          match alg.receive states.(v) ~round:r msgs with
-          | Either.Left st ->
-            states.(v) <- st;
-            0
-          | Either.Right out ->
-            out_buf.(v) <- out;
-            halted.(v) <- true;
-            rounds.(v) <- r + 1;
-            1
-        end)
-  in
-  let deliver () =
-    let r = !round in
-    let traced = Obs.Trace.active () in
-    let rng0, chunks0, chunk_ns0 =
-      if traced then obs_marks mt else (0, 0, 0)
-    in
-    ignore (Pool.run_fused send_task ~n);
-    (* round accounting, taken between the two phases: the active set is
-       exactly the pre-receive [halted] complement, and each active node
-       sends one message per port and reads one message per port, so the
-       messages sent this round equal the mailbox sizes summed over
-       active receivers. Runs on the main domain while the workers are
-       parked; skipped entirely (down to one branch) when disabled. *)
-    let msgs = ref 0 and receivers = ref 0 in
-    let mbox_max = ref 0 and bytes = ref 0 in
-    if Obs.Registry.live mt.reg then begin
-      for v = 0 to n - 1 do
-        if not halted.(v) then begin
-          let d = off.(v + 1) - off.(v) in
-          msgs := !msgs + d;
-          incr receivers;
-          if d > !mbox_max then mbox_max := d;
-          for i = off.(v) to off.(v + 1) - 1 do
-            let h = G.mate prt.(i) in
-            if mail_epoch.(h) >= 0 then
-              bytes := !bytes + payload_bytes mail.(h)
-          done
-        end
-      done;
-      Obs.Counter.incr mt.m_rounds;
-      Obs.Counter.add mt.m_messages !msgs;
-      Obs.Counter.add mt.m_bytes !bytes
-    end;
-    let newly_halted = Pool.run_fused recv_task ~n in
-    remaining := !remaining - newly_halted;
-    (* the trace event closes after the receive phase so its rng/chunk
-       deltas cover the whole round, both phases included *)
-    if traced then begin
-      let rng1, chunks1, chunk_ns1 = obs_marks mt in
-      Obs.Trace.emit
-        (Obs.Trace.Round
-           {
-             engine = "message_passing";
-             round = r;
-             messages = !msgs;
-             payload_bytes = !bytes;
-             mailbox_max = !mbox_max;
-             mailbox_mean = float_of_int !msgs /. float_of_int (max 1 !receivers);
-             rng_draws = rng1 - rng0;
-             chunks = chunks1 - chunks0;
-             chunk_ns = chunk_ns1 - chunk_ns0;
-           })
-    end
-  in
-  let run_sp = Obs.Span.enter "mp.run" in
-  (* the whole round loop is one resident-worker session: consecutive
-     send/recv dispatches reuse spinning workers instead of paying a
-     park/wake cycle per phase (Pool.run_rounds; a no-op bracket when
-     spinning cannot help) *)
-  Pool.run_rounds (fun () ->
-      while !remaining > 0 && !round < limit do
-        (* round spans nest under mp.run; worker chunk spans recorded
-           during the two pool phases parent under the round via the
-           cross-slot parent (see Obs.Span). Disarmed cost: one boolean
-           load per call, and the kv list is only built when the handle
-           is live. *)
-        let rsp = Obs.Span.enter "mp.round" in
-        deliver ();
-        if Obs.Span.live rsp then
-          Obs.Span.exit ~kvs:[ ("round", !round) ] rsp;
-        incr round
-      done);
-  if !remaining > 0 then
-    failwith
-      (Printf.sprintf "Message_passing.run: %d nodes still running after %d rounds"
-         !remaining limit);
-  if Obs.Span.live run_sp then
-    Obs.Span.exit ~kvs:[ ("rounds", !round); ("n", n) ] run_sp;
-  (* rebuild with the element type's own representation before the array
-     escapes to (possibly monomorphic) user code *)
-  let outputs = Array.map Fun.id out_buf in
-  if audit then
-    Obs.Provenance.submit
-      {
-        Obs.Provenance.engine = "message_passing";
-        n;
-        influence = inf_state;
-        rounds_active = Array.copy rounds;
-      };
-  { outputs; rounds; max_rounds = Array.fold_left max 0 rounds }
-
-(* The pre-arena engine, kept verbatim as a differential reference for
-   the [engine-flat-vs-boxed] fuzz target: option-boxed mailbox, fresh
-   msgs array per node per round. Identical observable semantics to
-   {!run} (outputs, rounds, telemetry counters, provenance audits);
-   only the allocation profile differs. Delete once the fuzz target has
-   earned its keep. *)
-let run_boxed ?limit inst alg =
-  let mt = metrics () in
-  let g = inst.Instance.graph in
-  let n = G.n g in
-  let limit = match limit with Some l -> l | None -> (4 * n) + 16 in
-  let states = Array.init n (fun v -> alg.init inst v) in
-  let outputs = Array.make n None in
-  let rounds = Array.make n 0 in
-  let halted = Array.make n false in
-  let remaining = ref n in
-  let mail = Array.make (2 * G.m g) None in
-  let audit = Obs.Provenance.active () in
-  let inf_state =
-    if audit then
-      Array.init n (fun v ->
-          let b = Obs.Provenance.Bitset.create n in
-          Obs.Provenance.Bitset.add b v;
-          b)
-    else [||]
-  in
-  let inf_mail =
-    if audit then Array.init (2 * G.m g) (fun _ -> Obs.Provenance.Bitset.create n)
-    else [||]
-  in
-  Obs.Counter.incr mt.m_runs;
-  let round = ref 0 in
-  let deliver () =
-    let r = !round in
-    let traced = Obs.Trace.active () in
-    let rng0, chunks0, chunk_ns0 =
-      if traced then obs_marks mt else (0, 0, 0)
-    in
-    Pool.parallel_for ~grain:800 ~n (fun v ->
-        if not halted.(v) then begin
-          Array.iteri
-            (fun p h ->
-              mail.(G.mate h) <- Some (alg.send states.(v) ~round:r ~port:p))
-            (G.halves g v);
-          if audit then
-            Array.iter
-              (fun h ->
-                Obs.Provenance.Bitset.blit ~src:inf_state.(v)
-                  ~dst:inf_mail.(G.mate h))
-              (G.halves g v)
-        end);
-    let msgs = ref 0 and receivers = ref 0 in
-    let mbox_max = ref 0 and bytes = ref 0 in
-    if Obs.Registry.live mt.reg then begin
-      for v = 0 to n - 1 do
-        if not halted.(v) then begin
-          let halves = G.halves g v in
-          let d = Array.length halves in
-          msgs := !msgs + d;
-          incr receivers;
-          if d > !mbox_max then mbox_max := d;
-          Array.iter
-            (fun h ->
-              match mail.(G.mate h) with
-              | Some msg -> bytes := !bytes + payload_bytes msg
-              | None -> ())
-            halves
-        end
-      done;
-      Obs.Counter.incr mt.m_rounds;
-      Obs.Counter.add mt.m_messages !msgs;
-      Obs.Counter.add mt.m_bytes !bytes
-    end;
-    let newly_halted =
-      Pool.parallel_for_reduce ~grain:800 ~n ~neutral:0 ~combine:( + ) (fun v ->
-          if halted.(v) then 0
-          else begin
-            if audit then
-              Array.iter
-                (fun h ->
-                  Obs.Provenance.Bitset.union_into ~into:inf_state.(v)
-                    inf_mail.(h))
-                (G.halves g v);
-            let msgs =
-              Array.map
-                (fun h ->
-                  match mail.(h) with
-                  | Some m -> m
-                  | None -> assert false)
-                (G.halves g v)
-            in
-            match alg.receive states.(v) ~round:r msgs with
-            | Either.Left st ->
-              states.(v) <- st;
-              0
-            | Either.Right out ->
-              outputs.(v) <- Some out;
-              halted.(v) <- true;
-              rounds.(v) <- r + 1;
-              1
-          end)
-    in
-    remaining := !remaining - newly_halted;
-    if traced then begin
-      let rng1, chunks1, chunk_ns1 = obs_marks mt in
-      Obs.Trace.emit
-        (Obs.Trace.Round
-           {
-             engine = "message_passing";
-             round = r;
-             messages = !msgs;
-             payload_bytes = !bytes;
-             mailbox_max = !mbox_max;
-             mailbox_mean = float_of_int !msgs /. float_of_int (max 1 !receivers);
-             rng_draws = rng1 - rng0;
-             chunks = chunks1 - chunks0;
-             chunk_ns = chunk_ns1 - chunk_ns0;
-           })
-    end
-  in
-  while !remaining > 0 && !round < limit do
-    deliver ();
-    incr round
-  done;
-  if !remaining > 0 then
-    failwith
-      (Printf.sprintf "Message_passing.run: %d nodes still running after %d rounds"
-         !remaining limit);
-  let outputs =
-    Array.map (function Some o -> o | None -> assert false) outputs
-  in
-  if audit then
-    Obs.Provenance.submit
-      {
-        Obs.Provenance.engine = "message_passing";
-        n;
-        influence = inf_state;
-        rounds_active = Array.copy rounds;
-      };
-  { outputs; rounds; max_rounds = Array.fold_left max 0 rounds }
 
 (* ------------------------------------------------------------------ *)
 (* flooding                                                           *)

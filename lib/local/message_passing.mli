@@ -1,79 +1,26 @@
-(** A synchronous message-passing engine: the LOCAL model executed
-    round-by-round (paper §2, first paragraph), complementing the
-    gather-based view of {!Ball}.
+(** The LOCAL model's round-by-round algorithm description (paper §2,
+    first paragraph), complementing the gather-based view of {!Ball},
+    plus the canonical flooding building block.
 
     An algorithm is given by a per-node state machine. In every round each
-    node emits one message per port, the engine delivers them (the message
-    sent into port [p] of [v] arrives at the far end of that edge, tagged
-    with the receiving port), and each node updates its state. A node may
-    halt with an output; the run ends when every node has halted or the
-    round limit is reached.
+    node emits one message per port, the message sent into port [p] of
+    [v] arrives at the far end of that edge, tagged with the receiving
+    port, and each node updates its state. A node may halt with an
+    output. Messages can be arbitrarily large (they carry a user type),
+    matching the unbounded-bandwidth LOCAL model. {!Frontier.run}
+    executes these algorithms; its header documents the mailbox and
+    halted-sender contracts.
 
-    Messages can be arbitrarily large (they carry a user type), matching
-    the unbounded-bandwidth LOCAL model. The engine records the number of
-    rounds each node ran before halting — by the equivalence of §2 this is
-    the same complexity measure as {!Meter} tracks for gather-based
-    solvers, and the two backends are cross-checked in the test suite.
+    {2 Telemetry and provenance}
 
-    {2 Halted-sender semantics}
-
-    A node that has halted no longer computes messages: its neighbours
-    keep receiving the {e last} message it sent on each port
-    (last-message-repeated). Operationally the engine keeps one mailbox
-    slot per half-edge for the whole run and a halted sender's final
-    messages simply stay in place. This is the natural LOCAL-model
-    reading — a halted node's state is frozen, so a state-determined
-    message would be frozen too — and it makes [send] a dead call after
-    halting, which both the sequential and the parallel engine exploit.
-    The one observable difference from recomputing [send] on a frozen
-    state: a [send] that depends on [~round] after halting is never
-    observed. Algorithms should not do that.
-
-    {2 Arena mailboxes}
-
-    The mailbox is a flat ['msg array] (one slot per half-edge, for the
-    whole run) paired with an epoch word per slot: a slot is valid once
-    its epoch is non-negative, and then holds the most recent message
-    sent into that half, tagged with the round it was sent. Round 0
-    writes every slot and halted senders' messages stay in place, so
-    validity is monotone — the epoch word replaces the old per-message
-    option boxing and its [None -> assert false] receive branch (the
-    invariant is still checked, as an assert on the epoch). The [msgs]
-    array passed to [receive] is a {e per-domain scratch buffer}: it is
-    valid only for the duration of the call and is reused for other
-    nodes afterwards. [receive] must not retain it (copy it if needed);
-    every implementation in this repo consumes it immediately.
-    DESIGN.md §12 documents the layout and ownership rules.
-
-    {2 Parallel execution}
-
-    Both phases of a round run as {!Pool.parallel_for} loops over nodes
-    (the LOCAL model is embarrassingly parallel by definition); results
-    are bit-identical for every pool size, see the determinism contract
-    in {!Pool} and the equality suite in [test/test_parallel.ml].
-
-    {2 Telemetry}
-
-    When the {!Repro_obs.Registry} is enabled, both [run] and
-    [flood_gather] maintain the [local.mp.*] / [local.flood.*] counters
-    (rounds, messages, payload bytes), and when a {!Repro_obs.Trace} is
-    recording they emit one [Round] event per round with per-round
-    message counts, mailbox statistics, RNG-draw and pool-chunk deltas
-    — the schema is documented in DESIGN.md §9. Disabled, the
-    instrumentation is a single branch per round.
-
-    {2 Provenance audit}
-
-    When {!Repro_obs.Provenance} is armed, both engines additionally
-    track, per node and per in-flight message, the set of origin nodes
-    whose initial state has reached it: the send phase copies the
-    sender's influence set into the delivered slots, the receive phase
-    unions a node's slots into its own set, and at halt the engine
-    submits the per-node sets and active-round counts for radius
-    certification (DESIGN.md §10). The tracking obeys the same per-slot
-    ownership discipline as the mailboxes, so audits are bit-identical
-    for every pool size; disarmed (the default) the cost is one boolean
-    load per run. *)
+    When the {!Repro_obs.Registry} is enabled, [flood_gather] maintains
+    the [local.flood.*] counters (rounds, messages, payload bytes), and
+    when a {!Repro_obs.Trace} is recording it emits one [Round] event per
+    round tagged [engine = "flood_gather"] — the schema is documented in
+    DESIGN.md §9. When {!Repro_obs.Provenance} is armed it tracks and
+    submits per-node influence sets exactly like {!Frontier.run}
+    (DESIGN.md §10). Disabled, the instrumentation is a single branch per
+    round. *)
 
 type ('state, 'msg, 'out) algorithm = {
   init : Instance.t -> int -> 'state;
@@ -85,35 +32,8 @@ type ('state, 'msg, 'out) algorithm = {
       (** [receive st ~round msgs]: [msgs.(p)] arrived on port [p].
           Return [Left st'] to continue, [Right out] to halt.
           [msgs] is a reused scratch buffer — do not retain it past the
-          call (see "Arena mailboxes" above). *)
+          call (see {!Frontier}). *)
 }
-
-type 'out result = {
-  outputs : 'out array;
-  rounds : int array;   (** rounds each node ran before halting *)
-  max_rounds : int;
-}
-
-val run :
-  ?limit:int ->
-  Instance.t ->
-  ('state, 'msg, 'out) algorithm ->
-  'out result
-(** Execute until all nodes halt. @raise Failure if the [limit] (default
-    [4·n + 16] rounds) is exceeded — a diverging algorithm. *)
-
-val run_boxed :
-  ?limit:int ->
-  Instance.t ->
-  ('state, 'msg, 'out) algorithm ->
-  'out result
-(** The pre-arena reference engine: option-boxed mailbox slots and a
-    fresh [msgs] array per node per round (so [receive] may retain its
-    argument). Observably identical to {!run} — same outputs, rounds,
-    telemetry counters and provenance audits — and differenced against
-    it by the [engine-flat-vs-boxed] fuzz target. Slower and
-    allocation-heavy; scheduled for deletion once the flat engine has
-    soaked. *)
 
 val flood_gather :
   Instance.t ->

@@ -14,7 +14,7 @@ let radius m v = m.(v)
 (* the bound a solver's run declares for node [v] when executed on the
    engine: its charged radius, floored at one because the engine's round
    structure delivers the radius-1 neighborhood before the first chance
-   to halt (see Message_passing round 0) *)
+   to halt (see Frontier round 0) *)
 let declared m v = max 1 m.(v)
 
 let max_radius m = Array.fold_left max 0 m

@@ -3,8 +3,8 @@
     is a function of its radius-T ball" (paper §2) that every complexity
     claim in the reproduction rests on.
 
-    When audit mode is armed, the engines in
-    {!Repro_local.Message_passing} attach to every node (and to every
+    When audit mode is armed, the engines ({!Repro_local.Frontier} and
+    {!Repro_local.Message_passing.flood_gather}) attach to every node (and to every
     in-flight message) a compact {!Bitset} of {e origin} nodes whose
     initial state has reached it; mailbox delivery unions the sender's
     set into the receiver's. At halt the engine {!submit}s the per-node
@@ -64,7 +64,7 @@ module Bitset : sig
 end
 
 type audit = {
-  engine : string;  (** ["message_passing"] or ["flood_gather"] *)
+  engine : string;  (** ["frontier"] or ["flood_gather"] *)
   n : int;
   influence : Bitset.t array;  (** per node: origins that reached it *)
   rounds_active : int array;  (** per node: rounds before halting *)

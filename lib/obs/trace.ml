@@ -434,7 +434,7 @@ let check_invariants evs =
         fail "%s: rounds recorded but counter %s is missing" engine counter
       | _ -> ())
     [
-      ("message_passing", "local.mp.messages");
+      ("frontier", "local.frontier.messages");
       ("flood_gather", "local.flood.messages");
     ];
   (* 2. round numbering starts at 0 and increases within an engine run *)

@@ -2,8 +2,9 @@
     lines.
 
     A trace is a sequence of events: an optional [Meta] header, one
-    [Round] event per engine round (emitted by {!Repro_local.Message_passing}
-    for both the state-machine engine and [flood_gather]), and a closing
+    [Round] event per engine round (emitted by {!Repro_local.Frontier}
+    for the state-machine engine and by
+    {!Repro_local.Message_passing.flood_gather}), and a closing
     block of [Counter] events holding the per-trace deltas of every
     registry counter — so the file is self-contained and the invariant
     "the round messages sum to the engine's message total" can be checked
@@ -24,7 +25,7 @@
     from per-slot counters, so they depend on the pool size). *)
 
 type round = {
-  engine : string;  (** ["message_passing"] or ["flood_gather"] *)
+  engine : string;  (** ["frontier"] or ["flood_gather"] *)
   round : int;
   messages : int;  (** messages sent this round (active senders only) *)
   payload_bytes : int;  (** heap words of all payloads sent, in bytes *)

@@ -9,19 +9,13 @@ type entry = {
   a_name : string;
   a_doc : string;
   a_run : seed:int -> n:int -> Repro_obs.Provenance.certificate;
-  a_replay :
-    (engine:[ `Flat | `Frontier ] ->
-    seed:int ->
-    n:int ->
-    Repro_obs.Provenance.certificate)
-    option;
 }
 
 (* run a metered solver, then replay its measured per-node radii as an
    engine flood under the provenance auditor *)
-let metered ?engine name solve inst =
+let metered name solve inst =
   let _, m = solve inst in
-  Audit.run_flood ~label:name ?engine inst ~declared:(Meter.declared m)
+  Audit.run_flood ~label:name inst ~declared:(Meter.declared m)
 
 let hard_so seed n =
   let rng = Random.State.make [| seed |] in
@@ -33,16 +27,11 @@ let simple_regular seed n =
   let g = Gen.random_simple_regular rng ~n ~d:3 in
   Instance.create ~seed g
 
-(* a metered entry's replay is the same solve-then-flood on the chosen
-   engine; the flat replay is byte-identical to [a_run] *)
 let metered_entry name doc solve inst_of =
   {
     a_name = name;
     a_doc = doc;
     a_run = (fun ~seed ~n -> metered name solve (inst_of seed n));
-    a_replay =
-      Some
-        (fun ~engine ~seed ~n -> metered ~engine name solve (inst_of seed n));
   }
 
 let all =
@@ -66,7 +55,7 @@ let all =
       Matching.solve simple_regular;
     {
       a_name = "dcheck";
-      a_doc = "distributed one-round checker on an SO solution (native audit)";
+      a_doc = "distributed one-round checker on an SO solution";
       a_run =
         (fun ~seed ~n ->
           let inst = hard_so seed n in
@@ -79,7 +68,6 @@ let all =
           if not verdict.DC.all_accept then
             failwith "audit_catalog: dcheck rejected a valid SO solution";
           cert);
-      a_replay = None;
     };
   ]
 

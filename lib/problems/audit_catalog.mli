@@ -6,28 +6,16 @@
     This is the registry behind [repro audit]: the metered solvers
     (sinkless orientation, coloring, MIS, matching) are audited by
     replaying their measured per-node radii as an engine flood
-    ({!Repro_local.Audit.run_flood}); the distributed checker is audited
-    natively — its actual one-round message exchange runs under the
-    provenance tracker. The gadget verifier needs the gadget layer and
-    is registered by the CLI, not here ([repro_problems] does not depend
-    on [repro_gadget]). *)
+    ({!Repro_local.Audit.run_flood}); the distributed checker replays
+    its declared one round the same way. The gadget verifier needs the
+    gadget layer and is registered by the serve layer, not here
+    ([repro_problems] does not depend on [repro_gadget]). *)
 
 type entry = {
   a_name : string;  (** stable CLI name, e.g. ["so-det"] *)
   a_doc : string;   (** instance family + declared bound, one line *)
   a_run : seed:int -> n:int -> Repro_obs.Provenance.certificate;
       (** Build an instance of ~[n] nodes, run the solver, certify. *)
-  a_replay :
-    (engine:[ `Flat | `Frontier ] ->
-    seed:int ->
-    n:int ->
-    Repro_obs.Provenance.certificate)
-    option;
-      (** Same audit on an explicit round engine. [`Flat] is
-          byte-identical to [a_run]; [`Frontier] must match it modulo
-          the certificate's engine tag — the frontier equivalence tests
-          sweep this over the whole catalog. [None] for entries whose
-          audit is native to one engine (the distributed checker). *)
 }
 
 val all : entry list

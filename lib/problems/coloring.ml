@@ -4,8 +4,6 @@ module Ne_lcl = Repro_lcl.Ne_lcl
 module Instance = Repro_local.Instance
 module Meter = Repro_local.Meter
 module Pool = Repro_local.Pool
-module Semiring = Repro_linalg.Semiring
-module Spmv = Repro_linalg.Spmv
 module Obs = Repro_obs
 
 type output = (int, unit, unit) Labeling.t
@@ -44,47 +42,7 @@ let iter_segments color big nbig f =
     i := !j
   done
 
-(* engine reduction: per segment node, a scalar used-color array filled
-   from the neighbours *)
-let reduce_engine g delta color big nbig =
-  iter_segments color big nbig (fun base len ->
-      Pool.parallel_for ~grain:200 ~n:len (fun k ->
-          let v = big.(base + k) in
-          let used = Array.make (delta + 1) false in
-          List.iter
-            (fun w -> if color.(w) <= delta then used.(color.(w)) <- true)
-            (G.neighbors g v);
-          let rec pick c = if used.(c) then pick (c + 1) else c in
-          color.(v) <- pick 0))
-
-(* Vectorized reduction: the used-color set of a node is an int bitmask
-   ([x.(w)] = bit [color.(w)] while small, else no bits), so one class
-   step is a row-masked SpMV over the [bits] semiring (⊕ = lor) on the
-   segment, then pick-lowest-clear-bit and refresh the recolored rows'
-   masks. Identical picks to [reduce_engine] — same segments, same
-   neighbour color sets, same lowest-free rule. Masks need bit [delta],
-   so beyond 61 (machine-int lanes run out) it falls back to the scalar
-   reduction, which produces the same colors anyway. *)
-let reduce_linalg g delta color big nbig =
-  if delta > 61 then reduce_engine g delta color big nbig
-  else begin
-    let n = G.n g in
-    let x =
-      Pool.tabulate ~grain:15 n (fun v ->
-          if color.(v) <= delta then 1 lsl color.(v) else 0)
-    in
-    let used = Array.make n 0 in
-    iter_segments color big nbig (fun base len ->
-        Spmv.run_rows Semiring.bits g ~rows:big ~pos:base ~len ~x ~y:used;
-        Pool.parallel_for ~grain:40 ~n:len (fun k ->
-            let v = big.(base + k) in
-            let m = used.(v) in
-            let rec pick c = if m land (1 lsl c) <> 0 then pick (c + 1) else c in
-            color.(v) <- pick 0;
-            x.(v) <- 1 lsl color.(v)))
-  end
-
-let solve_gen ~reduce inst =
+let solve inst =
   let reg = Obs.Registry.ambient () in
   Obs.Counter.incr (Obs.Registry.counter reg "problems.coloring.runs");
   let g = inst.Instance.graph in
@@ -236,7 +194,15 @@ let solve_gen ~reduce inst =
       if color.(a) <> color.(b) then compare color.(b) color.(a)
       else compare a b)
     big;
-  reduce g delta color big nbig;
+  iter_segments color big nbig (fun base len ->
+      Pool.parallel_for ~grain:200 ~n:len (fun k ->
+          let v = big.(base + k) in
+          let used = Array.make (delta + 1) false in
+          List.iter
+            (fun w -> if color.(w) <= delta then used.(color.(w)) <- true)
+            (G.neighbors g v);
+          let rec pick c = if used.(c) then pick (c + 1) else c in
+          color.(v) <- pick 0));
   rounds := !rounds + (pow3.(delta) - delta - 1);
   Obs.Counter.add
     (Obs.Registry.counter reg "problems.coloring.cv_rounds")
@@ -245,9 +211,3 @@ let solve_gen ~reduce inst =
   Meter.charge_all meter !rounds;
   let out = Labeling.init g ~v:(fun v -> color.(v)) ~e:(fun _ -> ()) ~b:(fun _ -> ()) in
   (out, meter)
-
-let solve inst = solve_gen ~reduce:reduce_engine inst
-let solve_linalg inst = solve_gen ~reduce:reduce_linalg inst
-
-let solve_with ~backend inst =
-  match backend with `Engine -> solve inst | `Linalg -> solve_linalg inst

@@ -25,17 +25,5 @@ val is_valid : Repro_graph.Multigraph.t -> output -> bool
 val solve : Repro_local.Instance.t -> output * Repro_local.Meter.t
 (** @raise Invalid_argument on graphs with self-loops. *)
 
-val solve_linalg : Repro_local.Instance.t -> output * Repro_local.Meter.t
-(** The vectorized twin: the same forests, Cole–Vishkin and combine
-    phases, with the greedy reduction run as one row-masked SpMV over
-    the [bits] semiring per color class (neighbour color masks, pick
-    the lowest clear bit). Byte-identical to {!solve} at any
-    [REPRO_DOMAINS]. *)
-
-val solve_with :
-  backend:Repro_local.Backend.t ->
-  Repro_local.Instance.t ->
-  output * Repro_local.Meter.t
-
 val rounds_lower_estimate : int -> int
 (** [log* n] — the reference curve printed by the benchmarks. *)

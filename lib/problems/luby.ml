@@ -3,8 +3,6 @@ module Instance = Repro_local.Instance
 module Meter = Repro_local.Meter
 module Pool = Repro_local.Pool
 module Randomness = Repro_local.Randomness
-module Semiring = Repro_linalg.Semiring
-module Spmv = Repro_linalg.Spmv
 module Obs = Repro_obs
 
 type output = Mis.output
@@ -14,8 +12,8 @@ let is_valid = Mis.is_valid
 (* Priorities must be pairwise distinct or adjacent ties could recur
    forever; 40 fresh random bits per node per iteration, with the node
    index in the low 22 bits as an injective tie-break (enough for every
-   instance we build, and checked). Inactive nodes carry the max/select
-   zero so they lose every contest. *)
+   instance we build, and checked). Inactive nodes carry [min_int] so
+   they lose every contest. *)
 let max_nodes = 1 lsl 22
 
 let draw rand ~iter ~n active p =
@@ -28,7 +26,7 @@ let draw rand ~iter ~n active p =
            lor v
          else min_int))
 
-let solve_impl ~use_linalg inst =
+let solve inst =
   let reg = Obs.Registry.ambient () in
   Obs.Counter.incr (Obs.Registry.counter reg "problems.luby.runs");
   let g = inst.Instance.graph in
@@ -53,35 +51,27 @@ let solve_impl ~use_linalg inst =
   Pool.run_rounds (fun () ->
   while !remaining > 0 do
     draw rand ~iter:!iter ~n active p;
-    (* priority contest: nmax.(v) = max neighbour priority. The two
-       backends compute the same product — one as a max/select SpMV,
-       one as the unrolled scalar loop *)
-    if use_linalg then
-      Spmv.run_masked Semiring.max_select g ~mask:active ~x:p ~y:nmax
-    else
-      Pool.parallel_for ~grain:100 ~n (fun v ->
-          if active.(v) then begin
-            let best = ref min_int in
-            for i = off.(v) to off.(v + 1) - 1 do
-              let q = p.(hn.(prt.(i) lxor 1)) in
-              if q > !best then best := q
-            done;
-            nmax.(v) <- !best
-          end);
+    (* priority contest: nmax.(v) = max neighbour priority *)
+    Pool.parallel_for ~grain:100 ~n (fun v ->
+        if active.(v) then begin
+          let best = ref min_int in
+          for i = off.(v) to off.(v + 1) - 1 do
+            let q = p.(hn.(prt.(i) lxor 1)) in
+            if q > !best then best := q
+          done;
+          nmax.(v) <- !best
+        end);
     Pool.parallel_for ~grain:10 ~n (fun v ->
         if active.(v) && p.(v) > nmax.(v) then members.(v) <- true);
-    (* blocking: nmem.(v) = some neighbour is a member (boolean SpMV) *)
-    if use_linalg then
-      Spmv.run_masked Semiring.boolean g ~mask:active ~x:members ~y:nmem
-    else
-      Pool.parallel_for ~grain:100 ~n (fun v ->
-          if active.(v) then begin
-            let any = ref false in
-            for i = off.(v) to off.(v + 1) - 1 do
-              if members.(hn.(prt.(i) lxor 1)) then any := true
-            done;
-            nmem.(v) <- !any
-          end);
+    (* blocking: nmem.(v) = some neighbour is a member *)
+    Pool.parallel_for ~grain:100 ~n (fun v ->
+        if active.(v) then begin
+          let any = ref false in
+          for i = off.(v) to off.(v + 1) - 1 do
+            if members.(hn.(prt.(i) lxor 1)) then any := true
+          done;
+          nmem.(v) <- !any
+        end);
     Pool.parallel_for ~grain:10 ~n (fun v ->
         if active.(v) && (members.(v) || nmem.(v)) then active.(v) <- false);
     remaining := Pool.run_fused count_active ~n;
@@ -93,16 +83,8 @@ let solve_impl ~use_linalg inst =
   if Obs.Registry.live reg then
     Obs.Counter.add
       (Obs.Registry.counter reg "problems.luby.members")
-      (Spmv.count members);
+      (Array.fold_left (fun a b -> if b then a + 1 else a) 0 members);
   (* two LOCAL rounds per iteration: the priority exchange and the
      membership exchange *)
   Meter.charge_all meter (2 * !iter);
   (Mis.of_members g members, meter)
-
-let solve inst = solve_impl ~use_linalg:false inst
-let solve_linalg inst = solve_impl ~use_linalg:true inst
-
-let solve_with ~backend inst =
-  match backend with
-  | `Engine -> solve inst
-  | `Linalg -> solve_linalg inst

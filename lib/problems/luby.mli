@@ -1,5 +1,5 @@
 (** Luby's randomized maximal independent set — the catalog's
-    randomized MIS, and the round the max/select semiring exists for.
+    randomized MIS.
 
     Each iteration every still-active node draws a fresh priority from
     its private random string ({!Repro_local.Randomness}, word [t] of
@@ -10,30 +10,19 @@
     (Luby 1985; the Ligra and GraphBLAS exemplars in SNIPPETS.md are
     this loop).
 
-    Both backends share the priority-drawing code and the iteration
-    structure, so {!solve} and {!solve_linalg} are byte-identical by
-    construction at any [REPRO_DOMAINS] — the engine backend walks
-    neighbours scalar-style, the linalg backend runs one max/select
-    SpMV (neighbour-priority maximum) and one boolean SpMV
-    (member-neighbour blocking) per iteration. Two LOCAL rounds are
-    charged per iteration: the priority exchange and the membership
-    exchange. *)
+    Each iteration is two neighbour sweeps over the CSR arrays (the
+    neighbour-priority maximum, then member-neighbour blocking), and
+    the output is byte-identical at any [REPRO_DOMAINS]. Two LOCAL
+    rounds are charged per iteration: the priority exchange and the
+    membership exchange. *)
 
 type output = Mis.output
 (** Same labeling shape as the deterministic MIS — {!Mis.half_out}
     claims on half-edges, membership on nodes. *)
 
 val solve : Repro_local.Instance.t -> output * Repro_local.Meter.t
-(** Engine backend. @raise Invalid_argument on self-loops (a looped
-    node can never join, so the loop would never terminate). *)
-
-val solve_linalg : Repro_local.Instance.t -> output * Repro_local.Meter.t
-(** Vectorized backend; byte-identical to {!solve}. *)
-
-val solve_with :
-  backend:Repro_local.Backend.t ->
-  Repro_local.Instance.t ->
-  output * Repro_local.Meter.t
+(** @raise Invalid_argument on self-loops (a looped node can never
+    join, so the loop would never terminate). *)
 
 val is_valid : Repro_graph.Multigraph.t -> output -> bool
 (** Maximality + independence, via {!Mis.is_valid}. *)

@@ -4,8 +4,6 @@ module Ne_lcl = Repro_lcl.Ne_lcl
 module Instance = Repro_local.Instance
 module Meter = Repro_local.Meter
 module Pool = Repro_local.Pool
-module Semiring = Repro_linalg.Semiring
-module Spmv = Repro_linalg.Spmv
 module Obs = Repro_obs
 
 type half_out = { mine : bool; claim : bool }
@@ -94,54 +92,3 @@ let solve inst =
       (Array.fold_left (fun a b -> if b then a + 1 else a) 0 members);
   Meter.charge_all meter (Meter.max_radius meter + delta + 1);
   (of_members g members, meter)
-
-(* The vectorized twin of [solve]: one class per step, as three
-   whole-vector operations. With [cand] = class ∧ ¬blocked read from the
-   round-start [blocked] (sound for the same reason as the engine's
-   in-place check: a class is an independent set, so no class member
-   blocks another within the step),
-
-     members |= cand
-     blocked |= A · cand        (boolean SpMV, accumulate)
-
-   is exactly the engine's scatter — a neighbour of a candidate ends
-   blocked, everyone else keeps their flag — so the two backends are
-   byte-identical by construction. The SpMV masks out already-blocked
-   rows ([~complement] on [blocked]): ∨ is idempotent, so skipping them
-   changes nothing, and it is the masking shape GraphBLAS MIS uses. *)
-let solve_linalg inst =
-  let reg = Obs.Registry.ambient () in
-  Obs.Counter.incr (Obs.Registry.counter reg "problems.mis.runs");
-  let g = inst.Instance.graph in
-  let n = G.n g in
-  let coloring, meter = Coloring.solve inst in
-  let delta = max 1 (G.max_degree g) in
-  let members = Array.make n false in
-  let blocked = Array.make n false in
-  let cand = Array.make n false in
-  let off, bucket = class_buckets coloring ~n ~delta in
-  for cls = 0 to delta do
-    let base = off.(cls) in
-    let len = off.(cls + 1) - base in
-    (* cand := class ∧ ¬blocked; members |= cand (scatter over the
-       class segment — a sparse masked assign) *)
-    Pool.parallel_for ~grain:30 ~n:len (fun k ->
-        let v = bucket.(base + k) in
-        if not blocked.(v) then begin
-          cand.(v) <- true;
-          members.(v) <- true
-        end);
-    Spmv.run_masked Semiring.boolean ~complement:true ~accum:true g
-      ~mask:blocked ~x:cand ~y:blocked;
-    (* clear the candidate vector for the next class *)
-    Pool.parallel_for ~grain:10 ~n:len (fun k -> cand.(bucket.(base + k)) <- false)
-  done;
-  if Obs.Registry.live reg then
-    Obs.Counter.add
-      (Obs.Registry.counter reg "problems.mis.members")
-      (Spmv.count members);
-  Meter.charge_all meter (Meter.max_radius meter + delta + 1);
-  (of_members g members, meter)
-
-let solve_with ~backend inst =
-  match backend with `Engine -> solve inst | `Linalg -> solve_linalg inst

@@ -23,16 +23,6 @@ val is_valid : Repro_graph.Multigraph.t -> output -> bool
 val solve : Repro_local.Instance.t -> output * Repro_local.Meter.t
 (** @raise Invalid_argument on graphs with self-loops. *)
 
-val solve_linalg : Repro_local.Instance.t -> output * Repro_local.Meter.t
-(** The vectorized twin: the same coloring, then one boolean
-    masked-SpMV blocking step per color class. Byte-identical to
-    {!solve} (same labeling, same meter) at any [REPRO_DOMAINS]. *)
-
-val solve_with :
-  backend:Repro_local.Backend.t ->
-  Repro_local.Instance.t ->
-  output * Repro_local.Meter.t
-
 val of_members : Repro_graph.Multigraph.t -> bool array -> output
 (** Wrap a membership vector into the ne-LCL output encoding (used by
     tests to feed hand-built sets to the checker). *)

@@ -5,7 +5,6 @@ module Meter = Repro_local.Meter
 module MP = Repro_local.Message_passing
 module DC = Repro_lcl.Distributed_check
 module Labeling = Repro_lcl.Labeling
-module Flood = Repro_linalg.Flood
 module SO = Sinkless_orientation
 
 type solved = { s_rounds : int; s_valid : bool; s_output : string }
@@ -13,7 +12,7 @@ type solved = { s_rounds : int; s_valid : bool; s_output : string }
 type entry = {
   c_name : string;
   c_doc : string;
-  c_solve : backend:Repro_local.Backend.t -> seed:int -> n:int -> solved;
+  c_solve : seed:int -> n:int -> solved;
 }
 
 let simple_regular seed n =
@@ -26,8 +25,7 @@ let hard_so seed n =
   let g = SO.hard_instance rng ~n in
   Instance.create ~seed g
 
-(* canonical dump: a header naming the family (never the backend — the
-   bytes must be backend-blind) and one line per node *)
+(* canonical dump: a header naming the family and one line per node *)
 let render ~name ~n ~seed ~rounds ~valid body =
   let buf = Buffer.create (64 + (8 * n)) in
   Buffer.add_string buf
@@ -36,11 +34,11 @@ let render ~name ~n ~seed ~rounds ~valid body =
   body buf;
   Buffer.contents buf
 
-let membership_entry name doc solve_with is_valid =
-  let c_solve ~backend ~seed ~n =
+let membership_entry name doc solve is_valid =
+  let c_solve ~seed ~n =
     let inst = simple_regular seed n in
     let g = inst.Instance.graph in
-    let out, meter = solve_with ~backend inst in
+    let out, meter = solve inst in
     let rounds = Meter.max_radius meter in
     let valid = is_valid g out in
     let s_output =
@@ -56,10 +54,10 @@ let membership_entry name doc solve_with is_valid =
   { c_name = name; c_doc = doc; c_solve }
 
 let coloring_entry =
-  let c_solve ~backend ~seed ~n =
+  let c_solve ~seed ~n =
     let inst = simple_regular seed n in
     let g = inst.Instance.graph in
-    let out, meter = Coloring.solve_with ~backend inst in
+    let out, meter = Coloring.solve inst in
     let rounds = Meter.max_radius meter in
     let valid = Coloring.is_valid g out in
     let s_output =
@@ -73,22 +71,19 @@ let coloring_entry =
   in
   {
     c_name = "coloring";
-    c_doc = "(Δ+1)-coloring on simple 3-regular; linalg = bits-SpMV reduction";
+    c_doc = "(Δ+1)-coloring on simple 3-regular";
     c_solve;
   }
 
 let flood_radius = 3
 
 let flood_entry =
-  let c_solve ~backend ~seed ~n =
+  let c_solve ~seed ~n =
     let inst = simple_regular seed n in
     let g = inst.Instance.graph in
-    let gather =
-      match backend with
-      | `Engine -> MP.flood_gather
-      | `Linalg -> Flood.gather
+    let by_round =
+      MP.flood_gather inst ~radius:flood_radius (fun v -> Instance.id inst v)
     in
-    let by_round = gather inst ~radius:flood_radius (fun v -> Instance.id inst v) in
     let s_output =
       render ~name:"flood" ~n:(G.n g) ~seed ~rounds:flood_radius ~valid:true
         (fun buf ->
@@ -108,19 +103,17 @@ let flood_entry =
   in
   {
     c_name = "flood";
-    c_doc =
-      "radius-3 id flooding on simple 3-regular; linalg = boolean Bitset-row \
-       SpMV in the dense regime";
+    c_doc = "radius-3 id flooding on simple 3-regular";
     c_solve;
   }
 
 let dcheck_entry =
-  let c_solve ~backend ~seed ~n =
+  let c_solve ~seed ~n =
     let inst = hard_so seed n in
     let g = inst.Instance.graph in
     let output, _ = SO.solve_deterministic inst in
     let verdict =
-      DC.run_with ~backend SO.problem inst ~input:(SO.trivial_input g) ~output
+      DC.run SO.problem inst ~input:(SO.trivial_input g) ~output
     in
     let s_output =
       render ~name:"dcheck" ~n:(G.n g) ~seed ~rounds:verdict.DC.rounds
@@ -141,19 +134,16 @@ let dcheck_entry =
     c_name = "dcheck";
     c_doc =
       "one-round distributed check of a deterministic SO solution on hard \
-       instances; linalg = direct CSR pass + fused reduce";
+       instances";
     c_solve;
   }
 
 let all =
   [
-    membership_entry "mis"
-      "maximal independent set via coloring sweep; linalg = boolean \
-       masked-SpMV blocking"
-      Mis.solve_with Mis.is_valid;
-    membership_entry "luby-mis"
-      "Luby's randomized MIS; linalg = max/select priority contest"
-      Luby.solve_with Luby.is_valid;
+    membership_entry "mis" "maximal independent set via coloring sweep"
+      Mis.solve Mis.is_valid;
+    membership_entry "luby-mis" "Luby's randomized MIS" Luby.solve
+      Luby.is_valid;
     coloring_entry;
     flood_entry;
     dcheck_entry;
@@ -162,9 +152,9 @@ let all =
 let names = List.map (fun e -> e.c_name) all
 let find name = List.find_opt (fun e -> e.c_name = name) all
 
-let solve ~problem ~backend ~seed ~n =
+let solve ~problem ~seed ~n =
   match find problem with
-  | Some e -> Ok (e.c_solve ~backend ~seed ~n)
+  | Some e -> Ok (e.c_solve ~seed ~n)
   | None ->
     Error
       (Printf.sprintf "unknown problem %S (known: %s)" problem

@@ -1,26 +1,24 @@
-(** The backend catalog: every vectorized solver registered next to its
-    message-passing twin, under the engine tags of
-    {!Repro_local.Backend}.
+(** The solve catalog behind [repro solve] and the serve [solve] op.
 
     Each entry solves one fixed instance family (the same families the
     audit catalog benchmarks) and renders the result as {e canonical
-    bytes} — a backend-independent text dump of the labeling, the round
-    count and the checker verdict. Byte-equality of those dumps across
-    backends is the catalog's contract: the fuzz oracle, the golden
-    tests and the CI [cmp] gate all compare exactly these bytes, at
-    whatever [REPRO_DOMAINS] is in force. *)
+    bytes} — a text dump of the labeling, the round count and the
+    checker verdict. Byte-equality of those dumps across pool sizes and
+    dispatch policies is the catalog's contract: the golden tests and
+    the CI [cmp] gate compare exactly these bytes, at whatever
+    [REPRO_DOMAINS] is in force. *)
 
 type solved = {
   s_rounds : int;  (** engine rounds charged (meter / verdict) *)
   s_valid : bool;  (** centralized checker's verdict on the output *)
   s_output : string;
-      (** canonical labeling bytes; identical across backends *)
+      (** canonical labeling bytes; identical at every pool size *)
 }
 
 type entry = {
   c_name : string;  (** stable name: mis, luby-mis, coloring, flood, dcheck *)
   c_doc : string;
-  c_solve : backend:Repro_local.Backend.t -> seed:int -> n:int -> solved;
+  c_solve : seed:int -> n:int -> solved;
 }
 
 val all : entry list
@@ -33,7 +31,6 @@ val find : string -> entry option
 
 val solve :
   problem:string ->
-  backend:Repro_local.Backend.t ->
   seed:int ->
   n:int ->
   (solved, string) result

@@ -142,26 +142,16 @@ let solve_instance srv req =
   let out, meter = solver inst in
   (problem, g, inst, out, meter)
 
-(* catalog problems take a [backend] field ("engine" / "linalg"); the
-   canonical solve bytes are backend-blind, so the digest in the reply
-   must be identical under both tags — the CI gate asserts exactly that *)
 let handle_catalog_solve (entry : Catalog.entry) req =
   let n = field_int req "n" ~default:1000 in
   let seed = field_int req "seed" ~default:1 in
   if n < 2 || n > 2_000_000 then raise (Bad_request "n out of range [2, 2e6]");
-  let backend =
-    let s = field_str req "backend" ~default:"engine" in
-    match Core.Local.Backend.of_string s with
-    | Ok b -> b
-    | Error msg -> raise (Bad_request msg)
-  in
-  let solved = entry.Catalog.c_solve ~backend ~seed ~n in
+  let solved = entry.Catalog.c_solve ~seed ~n in
   Json.Obj
     [
       ("ok", Json.Bool true);
       ("op", Json.String "solve");
       ("problem", Json.String entry.Catalog.c_name);
-      ("backend", Json.String (Core.Local.Backend.to_string backend));
       ("n", Json.Int n);
       ("seed", Json.Int seed);
       ("rounds", Json.Int solved.Catalog.s_rounds);
@@ -204,15 +194,17 @@ let handle_check srv req =
       ("checker_rounds", Json.Int verdict.DC.rounds);
     ]
 
-(* the gadget verifier's audit entry lives here for the same reason it
-   lives in bin/repro.ml rather than the catalog: repro_problems does not
-   depend on repro_gadget, but the server layer sees both *)
+(* the gadget verifier's audit entry lives here rather than in the
+   catalog: repro_problems does not depend on repro_gadget, but the
+   server layer sees both *)
 let verifier_entry : AC.entry =
   {
     AC.a_name = "verifier";
     a_doc = "gadget prover V, O(log n) on a (log,\xce\x94)-gadget (\xc2\xa74.5)";
     a_run =
       (fun ~seed:_ ~n ->
+        (* smallest gadget with at least n nodes — size is exponential in
+           the height, so a linear scan is cheap *)
         let rec pick h =
           let t = GB.gadget ~delta:3 ~height:h in
           if G.n t.GL.graph >= n || h >= 14 then t else pick (h + 1)
@@ -220,15 +212,23 @@ let verifier_entry : AC.entry =
         let t = pick 2 in
         let _, _, cert = V.audited_run ~delta:3 ~n:(G.n t.GL.graph) t in
         cert);
-    a_replay = None;
   }
 
 let audit_entries = AC.all @ [ verifier_entry ]
+
+(* An audit keeps n + 2m influence bitsets of n bits each and runs a
+   BFS from every node, so its cost is quadratic in n; a fuzz run costs
+   [count] generated cases. Both are bounded so one request cannot take
+   the daemon down. *)
+let max_audit_n = 10_000
+let max_fuzz_count = 1_000
 
 let handle_audit req =
   let name = req_str req "problem" in
   let n = field_int req "n" ~default:300 in
   let seed = field_int req "seed" ~default:1 in
+  if n < 2 || n > max_audit_n then
+    raise (Bad_request (Printf.sprintf "n out of range [2, %d]" max_audit_n));
   match List.find_opt (fun e -> e.AC.a_name = name) audit_entries with
   | None ->
     raise
@@ -254,6 +254,9 @@ let handle_fuzz req =
   let name = req_str req "target" in
   let count = field_int req "count" ~default:50 in
   let seed = field_int req "seed" ~default:1 in
+  if count < 1 || count > max_fuzz_count then
+    raise
+      (Bad_request (Printf.sprintf "count out of range [1, %d]" max_fuzz_count));
   match Targets.find name with
   | None ->
     raise

@@ -12,9 +12,13 @@
     hierarchy levels, and hard instances.
 
     Request vocabulary ([op] field): [solve], [check], [audit], [fuzz],
-    [bench], [stats], [metrics]. [stats] and [metrics] are answered
-    inline by the connection thread — they only read counters — and are
-    never cached; every other reply gains a
+    [bench], [stats], [metrics]. Every op bounds its work: [solve] and
+    [check] take [n] in [[2, 2·10^6]], [audit] takes [n] in
+    [[2, 10_000]] (an audit holds n + 2m influence bitsets of n bits
+    and runs a BFS from every node), [fuzz] takes [count] in
+    [[1, 1_000]]; anything else is a [bad-request] error. [stats] and
+    [metrics] are answered inline by the connection thread — they only
+    read counters — and are never cached; every other reply gains a
     ["cache": "hit" | "miss"] field. [metrics] renders the server's
     lifetime registry (per-op request counts, per-op latency histograms,
     queue-wait histogram) as Prometheus text exposition
@@ -29,6 +33,11 @@
     traced or not, is assigned a trace id, which the JSONL request log
     records together with its measured queue wait — see README §Serving
     for the full log schema. *)
+
+val audit_entries : Core.Problems.Audit_catalog.entry list
+(** The audit registry behind the [audit] op and [repro audit]: the
+    catalog's entries plus the gadget verifier, which needs the gadget
+    layer the catalog cannot depend on. *)
 
 type addr = Unix_path of string | Tcp of string * int
 

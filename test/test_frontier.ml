@@ -1,9 +1,9 @@
 (* Tests for the frontier layer: Frontier_set representation and
    expansion, the fused pool primitive, the frontier engine's
-   byte-identity with the flat engine (including the sparse↔dense
-   switch, pinned on a golden instance), the audit-catalog certificate
-   equivalence between engines, the flood_gather changed-set path, and
-   the wave SO solver. *)
+   byte-identity with the boxed reference engine (including the
+   sparse↔dense switch, pinned on a golden instance), the audit-catalog
+   certificate equivalence between the two engines, the flood_gather
+   changed-set path, and the wave SO solver. *)
 
 module Obs = Repro_obs
 module Prov = Repro_obs.Provenance
@@ -15,8 +15,10 @@ module FS = Repro_local.Frontier_set
 module Frontier = Repro_local.Frontier
 module MP = Repro_local.Message_passing
 module Audit = Repro_local.Audit
+module Meter = Repro_local.Meter
 module SO = Repro_problems.Sinkless_orientation
 module AC = Repro_problems.Audit_catalog
+module Reference = Repro_fuzz.Reference
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -127,7 +129,7 @@ let test_fused () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* the frontier engine vs the flat engine *)
+(* the frontier engine vs the boxed reference engine *)
 
 (* the golden switch instance: a 160-node path flooded with
    actual v = v + 1, so node v halts after round v and the live count
@@ -174,43 +176,67 @@ let test_switch_round_pinned () =
     (Array.for_all Fun.id dense.Frontier.stats.FS.Stats.dense_rounds);
   check "always-sparse ran sparse" true
     (Array.for_all not sparse.Frontier.stats.FS.Stats.dense_rounds);
-  (* and the flat engine agrees with all of them *)
-  let flat = MP.run inst alg in
-  check "flat outputs" true (flat.MP.outputs = res.Frontier.outputs);
-  check "flat rounds" true (flat.MP.rounds = res.Frontier.rounds)
+  (* and the boxed reference engine agrees with all of them *)
+  let boxed = Reference.run_boxed inst alg in
+  check "boxed outputs" true (boxed.Reference.outputs = res.Frontier.outputs);
+  check "boxed rounds" true (boxed.Reference.rounds = res.Frontier.rounds)
 
-(* certificate equivalence across the audit catalog: replaying an
-   entry's declared radii on the frontier engine must produce the same
-   certificate as the flat engine, modulo the engine tag — at 1, 2 and
-   4 domains *)
+(* certificate equivalence across the audit catalog: every entry's
+   certificate (the frontier engine's flood) must equal the same solve's
+   declared radii replayed on the boxed reference engine, modulo the
+   engine tag — at 1, 2 and 4 domains. The instance families and solvers
+   mirror the catalog's; a drift between the two fails loudly. *)
+let catalog_replays =
+  let hard_so seed n =
+    Instance.create ~seed (SO.hard_instance (Random.State.make [| seed |]) ~n)
+  in
+  let simple seed n =
+    Instance.create ~seed
+      (Gen.random_simple_regular (Random.State.make [| seed |]) ~n ~d:3)
+  in
+  (* Meter.declared is already floored at 1, like run_flood's bound *)
+  let metered solve inst = Meter.declared (snd (solve inst)) in
+  [
+    ("so-det", hard_so, metered SO.solve_deterministic);
+    ("so-rand", hard_so, metered SO.solve_randomized);
+    ("so-wave", hard_so, metered (fun inst -> SO.solve_randomized_frontier inst));
+    ("coloring", simple, metered Repro_problems.Coloring.solve);
+    ("mis", simple, metered Repro_problems.Mis.solve);
+    ("matching", simple, metered Repro_problems.Matching.solve);
+    ("dcheck", hard_so, fun _ _ -> 1);
+  ]
+
 let test_catalog_engine_equivalence () =
-  let strip c = { c with Prov.c_engine = "" } in
+  let strip c = { c with Prov.c_engine = ""; c_label = "" } in
+  check "every catalog entry has a replay" true
+    (List.map (fun (name, _, _) -> name) catalog_replays = AC.names);
   List.iter
-    (fun e ->
-      match e.AC.a_replay with
-      | None -> ()
-      | Some replay ->
-        List.iter
-          (fun size ->
-            with_pool_size size (fun () ->
-                let flat = replay ~engine:`Flat ~seed:3 ~n:100 in
-                let frontier = replay ~engine:`Frontier ~seed:3 ~n:100 in
-                check
-                  (Printf.sprintf "%s tags at %d domains" e.AC.a_name size)
-                  true
-                  (flat.Prov.c_engine = "message_passing"
-                  && frontier.Prov.c_engine = "frontier");
-                check
-                  (Printf.sprintf "%s certs equal at %d domains" e.AC.a_name
-                     size)
-                  true
-                  (strip flat = strip frontier);
-                check
-                  (Printf.sprintf "%s frontier cert ok at %d domains"
-                     e.AC.a_name size)
-                  true frontier.Prov.c_ok))
-          [ 1; 2; 4 ])
-    AC.all
+    (fun (name, inst_of, declared_of) ->
+      let e = Option.get (AC.find name) in
+      List.iter
+        (fun size ->
+          with_pool_size size (fun () ->
+              let cert = e.AC.a_run ~seed:3 ~n:100 in
+              let inst = inst_of 3 100 in
+              let declared = declared_of inst in
+              let _, boxed =
+                Audit.certify_run inst ~declared (fun () ->
+                    Reference.run_boxed inst (Audit.flood_algorithm ~actual:declared))
+              in
+              check
+                (Printf.sprintf "%s tags at %d domains" name size)
+                true
+                (cert.Prov.c_engine = "frontier"
+                && boxed.Prov.c_engine = "boxed");
+              check
+                (Printf.sprintf "%s certs equal at %d domains" name size)
+                true
+                (strip cert = strip boxed);
+              check
+                (Printf.sprintf "%s cert ok at %d domains" name size)
+                true cert.Prov.c_ok))
+        [ 1; 2; 4 ])
+    catalog_replays
 
 (* ------------------------------------------------------------------ *)
 (* flood_gather: the changed-set frontier path (audit off) must equal

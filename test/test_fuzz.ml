@@ -126,7 +126,7 @@ let test_targets_registered () =
     (fun name ->
       check ("target " ^ name) true (Targets.find name <> None))
     [ "so"; "colorful"; "two-coloring"; "decompose"; "dcheck"; "engines";
-      "engine-frontier-vs-flat"; "gadget"; "padding"; "provenance" ];
+      "engine-vs-boxed"; "gadget"; "padding"; "provenance" ];
   check "unknown name rejected" true (Targets.find "nonesuch" = None)
 
 let test_targets_pass_and_deterministic () =

@@ -1,6 +1,6 @@
 (* Cross-stack invariants: properties that tie several subsystems
    together (provenance round-trips, meter laws, solver/checker and
-   backend agreement, padding composability across families).
+   ball/flood agreement, padding composability across families).
 
    The properties run on the in-tree Fuzz combinators (lib/fuzz), so a
    failure here shrinks to a minimal counterexample and prints a replay

@@ -26,7 +26,6 @@ let () =
       ("experiments", Test_experiments.suite);
       ("invariants", Test_invariants.suite);
       ("parallel", Test_parallel.suite);
-      ("linalg", Test_linalg.suite);
       ("frontier", Test_frontier.suite);
       ("obs", Test_obs.suite);
       ("provenance", Test_provenance.suite);

@@ -1,10 +1,13 @@
-(* Tests for the synchronous message-passing engine and the distributed
-   LCL checker built on it. *)
+(* Tests for the synchronous round engine (Frontier.run executing
+   Message_passing algorithms), flood_gather, and the one-round
+   distributed LCL checker. *)
 
 module G = Repro_graph.Multigraph
 module Gen = Repro_graph.Generators
 module Instance = Repro_local.Instance
 module MP = Repro_local.Message_passing
+module Frontier = Repro_local.Frontier
+module Reference = Repro_fuzz.Reference
 module DC = Repro_lcl.Distributed_check
 module Labeling = Repro_lcl.Labeling
 module SO = Repro_problems.Sinkless_orientation
@@ -33,23 +36,23 @@ let ecc_algorithm : (int list * int, int list, int) MP.algorithm =
 let test_ecc_path () =
   let g = Gen.path 7 in
   let inst = Instance.create g in
-  let r = MP.run inst ecc_algorithm in
+  let r = Frontier.run inst ecc_algorithm in
   (* the middle node hears everything after 3 rounds; endpoints need 6 *)
-  check_int "middle" 3 r.MP.outputs.(3);
-  check_int "endpoint" 6 r.MP.outputs.(0);
-  check "max >= per-node" true (r.MP.max_rounds >= r.MP.rounds.(0) - 1)
+  check_int "middle" 3 r.Frontier.outputs.(3);
+  check_int "endpoint" 6 r.Frontier.outputs.(0);
+  check "max >= per-node" true (r.Frontier.max_rounds >= r.Frontier.rounds.(0) - 1)
 
 let test_ecc_cycle () =
   let g = Gen.cycle 8 in
   let inst = Instance.create g in
-  let r = MP.run inst ecc_algorithm in
-  Array.iter (fun o -> check_int "all nodes ecc 4" 4 o) r.MP.outputs
+  let r = Frontier.run inst ecc_algorithm in
+  Array.iter (fun o -> check_int "all nodes ecc 4" 4 o) r.Frontier.outputs
 
 let test_ecc_disconnected () =
   let g = Gen.disjoint_union [ Gen.path 3; Gen.empty 1 ] in
   let inst = Instance.create g in
-  let r = MP.run inst ecc_algorithm in
-  check_int "isolated halts immediately" 0 r.MP.outputs.(3)
+  let r = Frontier.run inst ecc_algorithm in
+  check_int "isolated halts immediately" 0 r.Frontier.outputs.(3)
 
 let test_self_loop_delivery () =
   (* a node with a self-loop receives its own message *)
@@ -65,8 +68,8 @@ let test_self_loop_delivery () =
           Either.Right (msgs.(0) = "port1" && msgs.(1) = "port0"));
     }
   in
-  let r = MP.run inst alg in
-  check "loop delivery crossed" true r.MP.outputs.(0)
+  let r = Frontier.run inst alg in
+  check "loop delivery crossed" true r.Frontier.outputs.(0)
 
 let test_divergence_detected () =
   let g = Gen.cycle 3 in
@@ -80,7 +83,7 @@ let test_divergence_detected () =
   in
   check "diverging algorithm detected" true
     (try
-       ignore (MP.run ~limit:10 inst never);
+       ignore (Frontier.run ~limit:10 inst never);
        false
      with Failure _ -> true)
 
@@ -184,7 +187,7 @@ let prop_dc_equals_central =
       = Repro_lcl.Ne_lcl.is_valid SO.problem g ~input ~output:out)
 
 (* ------------------------------------------------------------------ *)
-(* flat-engine goldens and arena-mailbox semantics                     *)
+(* engine goldens and arena-mailbox semantics                          *)
 (* ------------------------------------------------------------------ *)
 
 module Pool = Repro_local.Pool
@@ -201,7 +204,7 @@ let with_sizes f =
         [ 1; 2; 4 ])
 
 (* a fixed 24-node 3-regular fixture; the goldens below were pinned from
-   the boxed (pre-arena) engine, so the flat engine must reproduce them
+   the boxed reference engine, so the engine must reproduce them
    bit-for-bit at every pool size *)
 let ecc24_graph () = Gen.random_regular (Random.State.make [| 9 |]) ~n:24 ~d:3
 
@@ -214,12 +217,12 @@ let ecc24_rounds =
 let test_golden_ecc24 () =
   let inst = Instance.create (ecc24_graph ()) in
   with_sizes (fun s ->
-      let r = MP.run inst ecc_algorithm in
+      let r = Frontier.run inst ecc_algorithm in
       check (Printf.sprintf "outputs, %d domains" s) true
-        (r.MP.outputs = ecc24_outputs);
+        (r.Frontier.outputs = ecc24_outputs);
       check (Printf.sprintf "rounds, %d domains" s) true
-        (r.MP.rounds = ecc24_rounds);
-      check_int (Printf.sprintf "max_rounds, %d domains" s) 7 r.MP.max_rounds)
+        (r.Frontier.rounds = ecc24_rounds);
+      check_int (Printf.sprintf "max_rounds, %d domains" s) 7 r.Frontier.max_rounds)
 
 let test_golden_flood24 () =
   let inst = Instance.create (ecc24_graph ()) in
@@ -254,24 +257,31 @@ let test_halted_message_repeats () =
             else Either.Left (v, acc));
     }
   in
-  let r = MP.run inst alg in
+  let r = Frontier.run inst alg in
   check "halted neighbor's last message repeats" true
-    (r.MP.outputs.(1) = [ 0; 0; 0 ])
+    (r.Frontier.outputs.(1) = [ 0; 0; 0 ])
 
-(* the boxed engine is kept as a differential oracle; the two engines
-   must agree exactly on a nontrivial run *)
-let test_flat_matches_boxed () =
+(* the boxed reference engine is the differential oracle: the engine
+   must agree with it exactly on a nontrivial run, at every pool size
+   and in both frontier representations *)
+let test_engine_matches_boxed () =
   let inst = Instance.create (ecc24_graph ()) in
-  let a = MP.run inst ecc_algorithm in
-  let b = MP.run_boxed inst ecc_algorithm in
-  check "outputs" true (a.MP.outputs = b.MP.outputs);
-  check "rounds" true (a.MP.rounds = b.MP.rounds);
-  check_int "max_rounds" b.MP.max_rounds a.MP.max_rounds
+  let b = Reference.run_boxed inst ecc_algorithm in
+  with_sizes (fun s ->
+      List.iter
+        (fun (mode, dense_threshold) ->
+          let a = Frontier.run ?dense_threshold inst ecc_algorithm in
+          let tag = Printf.sprintf "%s, %d domains" mode s in
+          check ("outputs " ^ tag) true (a.Frontier.outputs = b.Reference.outputs);
+          check ("rounds " ^ tag) true (a.Frontier.rounds = b.Reference.rounds);
+          check_int ("max_rounds " ^ tag) b.Reference.max_rounds
+            a.Frontier.max_rounds)
+        [ ("dense", Some 0); ("sparse", Some 25) ])
 
-(* traced flood telemetry: the flat flood rebuilds the per-node
-   knowledge lists only when the registry is live, and the resulting
-   byte counts must equal the boxed engine's (goldens pinned before the
-   rewrite). Telemetry rounds are deterministic for every pool size. *)
+(* traced flood telemetry: the flood rebuilds the per-node knowledge
+   lists only when the registry is live, and the resulting byte counts
+   must equal the pinned goldens. Telemetry rounds are deterministic for
+   every pool size. *)
 let flood_trace_rounds inst ~radius =
   let _, events =
     Obs.Trace.record (fun () -> MP.flood_gather inst ~radius (fun v -> v))
@@ -321,7 +331,7 @@ let suite =
     ("golden ecc24 across pool sizes", `Quick, test_golden_ecc24);
     ("golden flood24 across pool sizes", `Quick, test_golden_flood24);
     ("halted node's message repeats", `Quick, test_halted_message_repeats);
-    ("flat engine matches boxed oracle", `Quick, test_flat_matches_boxed);
+    ("engine matches boxed oracle", `Quick, test_engine_matches_boxed);
     ("traced flood bytes (3-regular)", `Quick, test_traced_flood_bytes_regular);
     ("traced flood bytes (path)", `Quick, test_traced_flood_bytes_path);
   ]

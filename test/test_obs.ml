@@ -7,6 +7,8 @@ module Obs = Repro_obs
 module G = Repro_graph.Multigraph
 module Instance = Repro_local.Instance
 module Pool = Repro_local.Pool
+module Frontier = Repro_local.Frontier
+module Audit = Repro_local.Audit
 module SO = Repro_problems.Sinkless_orientation
 module DC = Repro_lcl.Distributed_check
 
@@ -122,7 +124,7 @@ let test_jsonl_round_trip () =
       Obs.Trace.Meta { label = "unit"; n = 42 };
       Obs.Trace.Round
         {
-          engine = "message_passing";
+          engine = "frontier";
           round = 0;
           messages = 17;
           payload_bytes = 680;
@@ -132,7 +134,7 @@ let test_jsonl_round_trip () =
           chunks = 2;
           chunk_ns = 12345;
         };
-      Obs.Trace.Counter { name = "local.mp.messages"; value = 17 };
+      Obs.Trace.Counter { name = "local.frontier.messages"; value = 17 };
     ]
   in
   let file = Filename.temp_file "repro_trace" ".jsonl" in
@@ -146,7 +148,7 @@ let test_jsonl_round_trip () =
         check "round-trips exactly" true (back = events);
         check_int "total messages" 17 (Obs.Trace.total_messages back);
         check_int "counter lookup" 17
-          (match Obs.Trace.counter_value "local.mp.messages" back with
+          (match Obs.Trace.counter_value "local.frontier.messages" back with
           | Some v -> v
           | None -> -1))
 
@@ -191,7 +193,17 @@ let test_json_value_round_trips () =
 (* the tentpole invariant: a traced run's per-round message counts sum to
    the engine's own message counter delta *)
 
-let traced_dcheck ~n ~seed () =
+(* the one-round checker on a solver output, then a frontier-engine
+   flood on the same instance: node v halts after 1 + (v mod 3) rounds,
+   so the trace carries several engine rounds with a shrinking live set *)
+let flood = Audit.flood_algorithm ~actual:(fun v -> 1 + (v mod 3))
+
+let check_and_flood inst g out =
+  let v = DC.run SO.problem inst ~input:(SO.trivial_input g) ~output:out in
+  check "output accepted" true v.DC.all_accept;
+  ignore (Frontier.run inst flood)
+
+let traced_run ~n ~seed () =
   let rng = Random.State.make [| seed |] in
   let g = SO.hard_instance rng ~n in
   let inst = Instance.create ~seed g in
@@ -200,8 +212,7 @@ let traced_dcheck ~n ~seed () =
   Fun.protect
     ~finally:(fun () -> Obs.Registry.disable ())
     (fun () ->
-      let v = DC.run SO.problem inst ~input:(SO.trivial_input g) ~output:out in
-      check "output accepted" true v.DC.all_accept;
+      check_and_flood inst g out;
       Obs.Trace.finish ())
 
 (* regression: an engine raising mid-run under --trace must not leave the
@@ -217,7 +228,7 @@ let test_trace_record_disarms_on_raise () =
     (fun () ->
       check "recorder disarmed after raise" false (Obs.Trace.active ());
       (* the next trace starts from a clean buffer and clean baselines *)
-      let events = traced_dcheck ~n:120 ~seed:21 () in
+      let events = traced_run ~n:120 ~seed:21 () in
       let stale =
         List.exists
           (function Obs.Trace.Meta { label; _ } -> label = "leak" | _ -> false)
@@ -254,13 +265,33 @@ let test_trace_abort_scoped_to_registry () =
            events))
 
 let test_trace_messages_match_counter () =
-  let events = traced_dcheck ~n:300 ~seed:7 () in
-  let per_round = Obs.Trace.total_messages ~engine:"message_passing" events in
+  let events = traced_run ~n:300 ~seed:7 () in
+  let per_round = Obs.Trace.total_messages ~engine:"frontier" events in
   check "trace has rounds" true (per_round > 0);
   check_int "round sums equal the engine counter delta" per_round
-    (match Obs.Trace.counter_value "local.mp.messages" events with
+    (match Obs.Trace.counter_value "local.frontier.messages" events with
     | Some v -> v
-    | None -> -1)
+    | None -> -1);
+  check "offline recheck passes" true (Obs.Trace.check_invariants events = [])
+
+(* the offline recheck must notice a frontier round whose message count
+   no longer sums to the engine's counter *)
+let test_trace_tampered_round_caught () =
+  let events = traced_run ~n:120 ~seed:9 () in
+  let tampered = ref false in
+  let events =
+    List.map
+      (function
+        | Obs.Trace.Round r when r.Obs.Trace.engine = "frontier" && not !tampered
+          ->
+          tampered := true;
+          Obs.Trace.Round { r with Obs.Trace.messages = r.Obs.Trace.messages + 1 }
+        | e -> e)
+      events
+  in
+  check "a frontier round was tampered with" true !tampered;
+  check "tampered message sum caught" true
+    (Obs.Trace.check_invariants events <> [])
 
 (* seq-vs-par: the deterministic projection of a traced run must not
    depend on the pool size (pool/chunk data is excluded by design) *)
@@ -270,12 +301,12 @@ let test_trace_seq_par_identical () =
     ~finally:(fun () -> Pool.set_size 1)
     (fun () ->
       Pool.set_size 1;
-      let seq = traced_dcheck ~n:300 ~seed:11 () in
+      let seq = traced_run ~n:300 ~seed:11 () in
       check "sequential trace nonempty" true (seq <> []);
       List.iter
         (fun s ->
           Pool.set_size s;
-          let par = traced_dcheck ~n:300 ~seed:11 () in
+          let par = traced_run ~n:300 ~seed:11 () in
           check
             (Printf.sprintf "projection identical at pool size %d" s)
             true
@@ -398,9 +429,9 @@ let test_span_projection_canonicalizes () =
      raw ids, different timestamps, different chunk spans *)
   let run1 =
     [
-      sp ~tid:7 ~id:3 ~parent:(-1) ~label:"mp.run" ~a:100 ~b:900
+      sp ~tid:7 ~id:3 ~parent:(-1) ~label:"frontier.run" ~a:100 ~b:900
         [ ("rounds", 2); ("wall_ns", 800) ];
-      sp ~tid:7 ~id:6 ~parent:3 ~label:"mp.round" ~a:110 ~b:400
+      sp ~tid:7 ~id:6 ~parent:3 ~label:"frontier.round" ~a:110 ~b:400
         [ ("round", 0) ];
       sp ~tid:7 ~id:9 ~parent:6 ~label:"pool.chunk" ~a:120 ~b:200
         [ ("chunk", 0) ];
@@ -408,9 +439,9 @@ let test_span_projection_canonicalizes () =
   in
   let run2 =
     [
-      sp ~tid:41 ~id:8 ~parent:(-1) ~label:"mp.run" ~a:5000 ~b:6000
+      sp ~tid:41 ~id:8 ~parent:(-1) ~label:"frontier.run" ~a:5000 ~b:6000
         [ ("rounds", 2); ("wall_ns", 950) ];
-      sp ~tid:41 ~id:13 ~parent:8 ~label:"mp.round" ~a:5100 ~b:5400
+      sp ~tid:41 ~id:13 ~parent:8 ~label:"frontier.round" ~a:5100 ~b:5400
         [ ("round", 0) ];
       sp ~tid:41 ~id:21 ~parent:13 ~label:"pool.chunk" ~a:5150 ~b:5160
         [ ("chunk", 4) ];
@@ -422,9 +453,9 @@ let test_span_projection_canonicalizes () =
     (Obs.Trace.deterministic_equal run1 run2);
   let run3 =
     [
-      sp ~tid:41 ~id:8 ~parent:(-1) ~label:"mp.run" ~a:5000 ~b:6000
+      sp ~tid:41 ~id:8 ~parent:(-1) ~label:"frontier.run" ~a:5000 ~b:6000
         [ ("rounds", 3); ("wall_ns", 950) ];
-      sp ~tid:41 ~id:13 ~parent:8 ~label:"mp.round" ~a:5100 ~b:5400
+      sp ~tid:41 ~id:13 ~parent:8 ~label:"frontier.round" ~a:5100 ~b:5400
         [ ("round", 0) ];
     ]
   in
@@ -471,9 +502,9 @@ let test_span_forest_rebuild () =
       (Obs.Summary.self_time root = 950 - 100 - (200 - 110) - (900 - 210))
   | _ -> check "forest grouped as one trace under id 7" true false
 
-(* a traced + span-armed distributed check: the span stream drains into
+(* a traced + span-armed check-and-flood: the span stream drains into
    the same trace the round events use *)
-let span_traced_dcheck ~n ~seed () =
+let span_traced_run ~n ~seed () =
   let rng = Random.State.make [| seed |] in
   let g = SO.hard_instance rng ~n in
   let inst = Instance.create ~seed g in
@@ -483,11 +514,7 @@ let span_traced_dcheck ~n ~seed () =
   Fun.protect
     ~finally:(fun () -> Obs.Registry.disable ())
     (fun () ->
-      let v =
-        Obs.Span.with_span "cli.test" (fun () ->
-            DC.run SO.problem inst ~input:(SO.trivial_input g) ~output:out)
-      in
-      check "output accepted" true v.DC.all_accept;
+      Obs.Span.with_span "cli.test" (fun () -> check_and_flood inst g out);
       Obs.Span.flush_to_trace ();
       Obs.Trace.finish ())
 
@@ -496,18 +523,18 @@ let test_span_seq_par_identical () =
     ~finally:(fun () -> Pool.set_size 1)
     (fun () ->
       Pool.set_size 1;
-      let seq = span_traced_dcheck ~n:300 ~seed:13 () in
+      let seq = span_traced_run ~n:300 ~seed:13 () in
       check "trace carries span events" true (Obs.Trace.spans seq <> []);
       check "span nesting invariants hold" true
         (Obs.Trace.check_invariants seq = []);
       check "engine round spans present" true
         (List.exists
-           (fun s -> s.Obs.Trace.label = "mp.round")
+           (fun s -> s.Obs.Trace.label = "frontier.round")
            (Obs.Trace.spans seq));
       List.iter
         (fun s ->
           Pool.set_size s;
-          let par = span_traced_dcheck ~n:300 ~seed:13 () in
+          let par = span_traced_run ~n:300 ~seed:13 () in
           check
             (Printf.sprintf "span invariants hold at pool size %d" s)
             true
@@ -537,5 +564,6 @@ let suite =
     ("json value round-trips", `Quick, test_json_value_round_trips);
     ("trace record disarms on raise", `Quick, test_trace_record_disarms_on_raise);
     ("trace messages match counter", `Quick, test_trace_messages_match_counter);
+    ("trace tampered round caught", `Quick, test_trace_tampered_round_caught);
     ("seq-vs-par telemetry", `Quick, test_trace_seq_par_identical);
   ]

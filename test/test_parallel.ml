@@ -8,6 +8,8 @@ module Gen = Repro_graph.Generators
 module Pool = Repro_local.Pool
 module Instance = Repro_local.Instance
 module MP = Repro_local.Message_passing
+module Frontier = Repro_local.Frontier
+module Audit = Repro_local.Audit
 module DC = Repro_lcl.Distributed_check
 module SO = Repro_problems.Sinkless_orientation
 module Coloring = Repro_problems.Coloring
@@ -149,7 +151,7 @@ let so_instance ?(n = 120) ?(seed = 3) () =
   let rng = Random.State.make [| 41 + n + seed |] in
   Instance.create ~seed (SO.hard_instance rng ~n)
 
-let test_message_passing_equal () =
+let test_engine_equal () =
   (* id-flooding eccentricity: states are lists, exercises send/receive *)
   let ecc : (int list * int, int list, int) MP.algorithm =
     {
@@ -168,9 +170,9 @@ let test_message_passing_equal () =
           else Either.Left (fresh @ known, stable + 1));
     }
   in
-  across_sizes "mp ecc" (fun () ->
-      let r = MP.run (so_instance ~n:60 ()) ecc in
-      (r.MP.outputs, r.MP.rounds, r.MP.max_rounds))
+  across_sizes "engine ecc" (fun () ->
+      let r = Frontier.run (so_instance ~n:60 ()) ecc in
+      (r.Frontier.outputs, r.Frontier.rounds, r.Frontier.max_rounds))
 
 let test_flood_gather_equal () =
   across_sizes "flood_gather" (fun () ->
@@ -303,12 +305,16 @@ let test_autotuner_obs_invariance () =
   let inst = so_instance ~n:100 () in
   let g = inst.Instance.graph in
   let out, _ = SO.solve_deterministic inst in
+  (* the checker plus an engine run, so the trace carries frontier
+     round events *)
+  let flood = Audit.flood_algorithm ~actual:(fun v -> 1 + (v mod 3)) in
   let traced () =
     Obs.Trace.start ~label:"autotune" ~n:(G.n g) ();
     Fun.protect
       ~finally:(fun () -> Obs.Registry.disable ())
       (fun () ->
         ignore (DC.run SO.problem inst ~input:(SO.trivial_input g) ~output:out);
+        ignore (Frontier.run inst flood);
         Obs.Trace.finish ())
   in
   let audited () =
@@ -443,7 +449,7 @@ let suite =
     ("tabulate = Array.init", `Quick, test_tabulate);
     ("exceptions propagate, pool survives", `Quick, test_exception_propagates);
     ("nested loops fall back", `Quick, test_nested_falls_back);
-    ("engine: outputs/rounds equal", `Quick, test_message_passing_equal);
+    ("engine: outputs/rounds equal", `Quick, test_engine_equal);
     ("engine: flood_gather equal", `Quick, test_flood_gather_equal);
     ("SO deterministic equal", `Quick, test_so_deterministic_equal);
     ("SO randomized equal", `Quick, test_so_randomized_equal);

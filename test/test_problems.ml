@@ -9,7 +9,10 @@ module Meter = Repro_local.Meter
 module SO = Repro_problems.Sinkless_orientation
 module Coloring = Repro_problems.Coloring
 module Mis = Repro_problems.Mis
+module Luby = Repro_problems.Luby
 module Trivial = Repro_problems.Trivial
+module Catalog = Repro_problems.Solver_catalog
+module Pool = Repro_local.Pool
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -317,6 +320,91 @@ let test_trivial () =
     (Repro_lcl.Ne_lcl.is_valid Trivial.problem g ~input ~output:out);
   check_int "zero rounds" 0 (Meter.max_radius m)
 
+(* ------------------------------------------------------------------ *)
+(* goldens: solver outputs on a fixed 24-node instance, and catalog
+   dumps, at 1/2/4 domains *)
+
+let with_sizes f =
+  Fun.protect
+    ~finally:(fun () -> Pool.set_size 1)
+    (fun () ->
+      List.iter
+        (fun s ->
+          Pool.set_size s;
+          f s)
+        [ 1; 2; 4 ])
+
+(* a simple 24-node 3-regular fixture for the loop-free solvers: the
+   message-passing ecc24 fixture's seed recipe, rejection-sampled to
+   simplicity *)
+let simple24_graph () =
+  Gen.random_simple_regular (Random.State.make [| 9 |]) ~n:24 ~d:3
+
+(* solver goldens on simple24, committed; the solvers must reproduce
+   them bit-for-bit at every pool size *)
+let coloring24 =
+  [| 0; 2; 2; 2; 1; 1; 3; 3; 1; 1; 3; 0; 0; 1; 1; 1; 1; 0; 1; 2; 0; 0; 0; 0 |]
+
+let coloring24_rounds = 32
+
+let mis24 =
+  [|
+    true; false; false; false; false; false; false; true; false; false; false;
+    true; true; false; false; false; false; true; false; false; true; true;
+    true; true;
+  |]
+
+let mis24_rounds = 36
+
+let luby24 =
+  [|
+    false; false; false; false; true; true; true; false; true; true; false;
+    false; false; true; false; false; true; true; true; true; false; false;
+    false; false;
+  |]
+
+let luby24_rounds = 4
+
+let test_golden_solvers () =
+  let inst = Instance.create (simple24_graph ()) in
+  with_sizes (fun s ->
+      let col, cm = Coloring.solve inst in
+      check (Printf.sprintf "coloring24, %d domains" s) true
+        (col.Labeling.v = coloring24);
+      check_int
+        (Printf.sprintf "coloring24 rounds, %d domains" s)
+        coloring24_rounds (Meter.max_radius cm);
+      let mis, mm = Mis.solve inst in
+      check (Printf.sprintf "mis24, %d domains" s) true (mis.Labeling.v = mis24);
+      check_int
+        (Printf.sprintf "mis24 rounds, %d domains" s)
+        mis24_rounds (Meter.max_radius mm);
+      let lub, lm = Luby.solve inst in
+      check (Printf.sprintf "luby24, %d domains" s) true
+        (lub.Labeling.v = luby24);
+      check_int
+        (Printf.sprintf "luby24 rounds, %d domains" s)
+        luby24_rounds (Meter.max_radius lm))
+
+(* the catalog contract: canonical solve bytes are pool-size blind *)
+let test_catalog_bytes_pool_blind () =
+  let run name =
+    match Catalog.solve ~problem:name ~seed:7 ~n:48 with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  Pool.set_size 1;
+  let base = List.map run Catalog.names in
+  with_sizes (fun s ->
+      List.iter2
+        (fun name (b : Catalog.solved) ->
+          let r = run name in
+          check (Printf.sprintf "%s bytes, %d domains" name s) true
+            (String.equal r.Catalog.s_output b.Catalog.s_output);
+          check (Printf.sprintf "%s valid, %d domains" name s) true
+            r.Catalog.s_valid)
+        Catalog.names base)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -351,5 +439,7 @@ let suite =
     ("MIS isolated must join", `Quick, test_mis_isolated_must_join);
     ("MIS middle of path", `Quick, test_mis_middle_of_path);
     ("trivial", `Quick, test_trivial);
+    ("golden mis/coloring/luby24", `Quick, test_golden_solvers);
+    ("catalog solve bytes pool-blind", `Quick, test_catalog_bytes_pool_blind);
   ]
   @ qcheck_tests

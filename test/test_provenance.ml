@@ -1,5 +1,5 @@
-(* Tests for the locality provenance auditor: bitset arithmetic, native
-   engine audits (the distributed checker), declared-bound floods and
+(* Tests for the locality provenance auditor: bitset arithmetic and
+   edge cases, the distributed checker's audit, declared-bound floods and
    their ball containment, detection of a deliberately non-local run,
    pool-size independence of certificates, the solver audit catalog, and
    the audit/cert JSONL round-trip. *)
@@ -249,6 +249,77 @@ let test_audit_abort_on_raise () =
   let cert = Audit.run_flood inst ~declared:(fun _ -> 1) in
   check "next audit clean" true cert.Prov.c_ok
 
+(* ------------------------------------------------------------------ *)
+(* Bitset edge cases: word boundaries, empty/full sets, aliasing (the
+   flood_gather double-buffer substrate) *)
+
+let bitset_of len members =
+  let s = Bitset.create len in
+  List.iter (Bitset.add s) members;
+  s
+
+let elements s =
+  let acc = ref [] in
+  Bitset.iter (fun i -> acc := i :: !acc) s;
+  List.rev !acc
+
+let diff_elements a b =
+  let acc = ref [] in
+  Bitset.iter_diff (fun i -> acc := i :: !acc) a b;
+  List.rev !acc
+
+(* iter_diff straddling the 63/64/65-bit word boundaries: membership
+   patterns chosen so the boundary bit itself flips in and out *)
+let test_iter_diff_word_boundaries () =
+  List.iter
+    (fun len ->
+      let evens = List.filter (fun i -> i mod 2 = 0) (List.init len Fun.id) in
+      let threes = List.filter (fun i -> i mod 3 = 0) (List.init len Fun.id) in
+      let a = bitset_of len evens and b = bitset_of len threes in
+      let expect = List.filter (fun i -> i mod 3 <> 0) evens in
+      check (Printf.sprintf "len %d evens\\threes" len) true
+        (diff_elements a b = expect);
+      let expect' = List.filter (fun i -> i mod 2 <> 0) threes in
+      check (Printf.sprintf "len %d threes\\evens" len) true
+        (diff_elements b a = expect');
+      (* the last valid index sits right at the boundary *)
+      let top = bitset_of len [ len - 1 ] in
+      let empty = Bitset.create len in
+      check (Printf.sprintf "len %d top bit survives" len) true
+        (diff_elements top empty = [ len - 1 ]);
+      check (Printf.sprintf "len %d top bit cancels" len) true
+        (diff_elements top top = []))
+    [ 1; 62; 63; 64; 65; 127; 128; 129 ]
+
+let test_empty_full_masks () =
+  List.iter
+    (fun len ->
+      let all = List.init len Fun.id in
+      let full = bitset_of len all and empty = Bitset.create len in
+      check_int (Printf.sprintf "len %d full cardinal" len) len
+        (Bitset.cardinal full);
+      check_int (Printf.sprintf "len %d empty cardinal" len) 0
+        (Bitset.cardinal empty);
+      check (Printf.sprintf "len %d full\\empty" len) true
+        (diff_elements full empty = all);
+      check (Printf.sprintf "len %d empty\\full" len) true
+        (diff_elements empty full = []);
+      check (Printf.sprintf "len %d full\\full" len) true
+        (diff_elements full full = []);
+      check (Printf.sprintf "len %d iter full" len) true
+        (elements full = all))
+    [ 1; 63; 64; 65; 128 ]
+
+(* self-aliasing of the mutators: flood_gather's double-buffer swap
+   makes [union_into] and [blit] hit a buffer that was just the source *)
+let test_aliasing () =
+  let s = bitset_of 70 [ 0; 13; 63; 64; 69 ] in
+  let before = elements s in
+  Bitset.union_into ~into:s s;
+  check "self union is identity" true (elements s = before);
+  Bitset.blit ~src:s ~dst:s;
+  check "self blit is identity" true (elements s = before)
+
 let suite =
   [
     ("bitset across word boundaries", `Quick, test_bitset);
@@ -260,4 +331,7 @@ let suite =
     ("audit events jsonl round-trip", `Quick, test_audit_events_jsonl_round_trip);
     ("invariant checker catches tampering", `Quick, test_invariant_checker_catches_tampering);
     ("audit aborted on raise", `Quick, test_audit_abort_on_raise);
+    ("iter_diff at word boundaries", `Quick, test_iter_diff_word_boundaries);
+    ("empty and full masks", `Quick, test_empty_full_masks);
+    ("aliased union/blit", `Quick, test_aliasing);
   ]

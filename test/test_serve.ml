@@ -350,6 +350,45 @@ let test_server_stats_and_audit () =
         (Option.map Json.to_string wire_ops <> None
         && Option.map Json.to_string wire_ops = Option.map Json.to_string local_ops))
 
+(* the per-op size caps: an out-of-range audit [n] or fuzz [count] is
+   rejected as a bad request before any work starts, and the daemon
+   keeps answering a cheap request normally afterwards *)
+let rejected label r =
+  check_str label "bad-request" (Option.get (member_str "error" r))
+
+let test_server_audit_size_bound () =
+  with_server (fun _srv addr ->
+      let audit n =
+        Json.Obj
+          [
+            ("op", Json.String "audit");
+            ("problem", Json.String "so-det");
+            ("n", Json.Int n);
+          ]
+      in
+      rejected "audit n below 2" (call addr (audit 1));
+      rejected "audit n above the cap"
+        (call addr (audit 10_001));
+      let r = call addr (audit 60) in
+      check "cheap audit still answered" true (is_ok r);
+      check "its certificate holds" true
+        (match Json.member "cert_ok" r with Some (Json.Bool b) -> b | _ -> false))
+
+let test_server_fuzz_count_bound () =
+  with_server (fun _srv addr ->
+      let fuzz count =
+        Json.Obj
+          [
+            ("op", Json.String "fuzz");
+            ("target", Json.String "so");
+            ("count", Json.Int count);
+          ]
+      in
+      rejected "fuzz count below 1" (call addr (fuzz 0));
+      rejected "fuzz count above the cap"
+        (call addr (fuzz 1_001));
+      check "cheap fuzz still answered" true (is_ok (call addr (fuzz 3))))
+
 (* two clients interleaving distinct request streams: each reply's
    telemetry must describe only its own request — the deterministic
    solver's counters never leak into the randomized solver's reply and
@@ -515,7 +554,7 @@ let test_server_span_tree () =
         (List.exists
            (fun l ->
              List.mem l
-               [ "mp.round"; "flood.round"; "frontier.round"; "wave.round" ])
+               [ "flood.round"; "frontier.round"; "wave.round" ])
            labels);
       (* the tree nests: root is serve.solve, execute under root, engine
          rounds under execute's subtree *)
@@ -624,6 +663,10 @@ let suite =
     Alcotest.test_case "server bad requests" `Quick test_server_bad_requests;
     Alcotest.test_case "server malformed frame" `Quick test_server_malformed_frame;
     Alcotest.test_case "server stats + audit" `Quick test_server_stats_and_audit;
+    Alcotest.test_case "server audit size bound" `Quick
+      test_server_audit_size_bound;
+    Alcotest.test_case "server fuzz count bound" `Quick
+      test_server_fuzz_count_bound;
     Alcotest.test_case "server two-client isolation" `Quick
       test_server_two_client_isolation;
     Alcotest.test_case "server metrics exposition" `Quick test_server_metrics_op;
