@@ -186,50 +186,77 @@ let is_valid ~delta t = violations ~delta t = []
    a top-level function taking its state as explicit arguments: local
    closures and the [Some h] results of [Labels.half_with]/[follow]
    would otherwise dominate the prover's allocation (they did — see
-   EXPERIMENTS.md's W-dispatch allocation table). Kept in lockstep with
-   [node_violations] by the equivalence sweep in test/test_gadget.ml. *)
+   EXPERIMENTS.md's W-dispatch allocation table).
+
+   The graph is walked through its raw CSR arrays, hoisted once per
+   [erring_nodes] call: [off] ([G.ports_off]), [prt] ([G.ports_flat]) and
+   [hn] ([G.half_node_flat]), with [h lxor 1] for the mate. Libraries
+   are compiled [-opaque] in the dev profile, so every [G.half_at] or
+   [G.half_node] would be an out-of-line call; and labels, kinds and
+   ports are compared by pattern match, because polymorphic [=] on
+   [half_label], [node_kind] or [int option] is a [caml_equal] call
+   (DESIGN.md §18). Kept in lockstep with [node_violations] by the
+   equivalence sweep in test/test_gadget.ml, and with the parent
+   kernels by test/kernel_ref.ml. *)
 
 exception Bad_node
 
-(* the half at [v] labeled [l] (a constant constructor), or -1 *)
-let rec half_find (t : Labels.t) v l k d =
-  if k >= d then -1
-  else
-    let h = G.half_at t.graph v k in
-    if t.halves.(h) = l then h else half_find t v l (k + 1) d
+let is_center = function Center -> true | Index _ -> false
 
-let half_with_i (t : Labels.t) v l = half_find t v l 0 (G.degree t.graph v)
-let has_half_i t v l = half_with_i t v l >= 0
+(* [Labels.equal_half_label], repeated here so that the hot loops call
+   it directly rather than across an [-opaque] module boundary *)
+let same_label (a : half_label) (b : half_label) =
+  match (a, b) with
+  | Parent, Parent | LChild, LChild | RChild, RChild -> true
+  | Left, Left | Right, Right | Up, Up -> true
+  | Down i, Down j -> i = j
+  | (Parent | LChild | RChild | Left | Right | Up | Down _), _ -> false
+
+(* the half at [v] labeled [l], or -1 *)
+let rec half_find halves prt l i e =
+  if i >= e then -1
+  else
+    let h = prt.(i) in
+    if same_label halves.(h) l then h else half_find halves prt l (i + 1) e
+
+let half_with_i halves off prt v l = half_find halves prt l off.(v) off.(v + 1)
+let has_half_i halves off prt v l = half_with_i halves off prt v l >= 0
 
 (* the neighbor across the [l]-labeled half of [v], or -1 *)
-let follow_i (t : Labels.t) v l =
-  let h = half_with_i t v l in
-  if h < 0 then -1 else G.half_node t.graph (G.mate h)
+let follow_i halves off prt hn v l =
+  let h = half_with_i halves off prt v l in
+  if h < 0 then -1 else hn.(h lxor 1)
+
+(* [w] is absent (-1) or has neither an LChild nor an RChild half (3g) *)
+let childless halves off prt w =
+  w < 0
+  || (not (has_half_i halves off prt w LChild))
+     && not (has_half_i halves off prt w RChild)
 
 (* all of [u]'s labels are LChild/RChild/Up (3e's root shape) *)
-let rec root_labels (t : Labels.t) u k d =
-  k >= d
+let rec root_labels halves prt i e =
+  i >= e
   ||
-  match t.halves.(G.half_at t.graph u k) with
-  | LChild | RChild | Up -> root_labels t u (k + 1) d
+  match halves.(prt.(i)) with
+  | LChild | RChild | Up -> root_labels halves prt (i + 1) e
   | Parent | Left | Right | Down _ -> false
 
-let rec center_count (t : Labels.t) g u k d acc =
-  if k >= d then acc
+let rec center_count (nodes : node_label array) prt hn i e acc =
+  if i >= e then acc
   else
-    let w = G.half_node g (G.mate (G.half_at g u k)) in
-    center_count t g u (k + 1) d
-      (if t.nodes.(w).kind = Center then acc + 1 else acc)
+    center_count nodes prt hn (i + 1) e
+      (if is_center nodes.(hn.(prt.(i) lxor 1)).kind then acc + 1 else acc)
 
-let node_bad ~delta (t : Labels.t) u =
-  let g = t.graph in
-  let d = G.degree g u in
-  let nl = t.nodes.(u) in
+let bad_at ~delta (t : Labels.t) off prt hn u =
+  let halves = t.halves and nodes = t.nodes in
+  let b = off.(u) and e = off.(u + 1) in
+  let d = e - b in
+  let nl = nodes.(u) in
   try
     (* presence bitmask over the constant structural labels *)
     let mask = ref 0 in
-    for k = 0 to d - 1 do
-      (match t.halves.(G.half_at g u k) with
+    for i = b to e - 1 do
+      (match halves.(prt.(i)) with
       | Parent -> mask := !mask lor 1
       | LChild -> mask := !mask lor 2
       | RChild -> mask := !mask lor 4
@@ -248,44 +275,47 @@ let node_bad ~delta (t : Labels.t) u =
        replicated flags), d2 (replicated color, far color <> ours) *)
     let fr = has_right and fle = has_left in
     let fc = has_lchild || has_rchild in
-    for i = 0 to d - 1 do
-      let hi = G.half_at g u i in
-      let fari = G.half_node g (G.mate hi) in
+    for i = b to e - 1 do
+      let hi = prt.(i) in
+      let fari = hn.(hi lxor 1) in
       if fari = u then raise Bad_node;
       let f = t.half_flags.(hi) in
       if f.f_right <> fr || f.f_left <> fle || f.f_child <> fc then
         raise Bad_node;
       if t.half_color2.(hi) <> c then raise Bad_node;
-      if t.nodes.(fari).color2 = c then raise Bad_node;
-      for j = i + 1 to d - 1 do
-        let hj = G.half_at g u j in
-        let farj = G.half_node g (G.mate hj) in
+      let ci = nodes.(fari).color2 in
+      if ci = c then raise Bad_node;
+      let li = halves.(hi) in
+      for j = i + 1 to e - 1 do
+        let hj = prt.(j) in
+        let farj = hn.(hj lxor 1) in
         if fari = farj then raise Bad_node;
-        if t.halves.(hi) = t.halves.(hj) then raise Bad_node;
-        if t.nodes.(fari).color2 = t.nodes.(farj).color2 then raise Bad_node
+        if same_label li halves.(hj) then raise Bad_node;
+        if ci = nodes.(farj).color2 then raise Bad_node
       done
     done;
     (match nl.kind with
     | Center ->
       (* c2a-c2d, 1d *)
       if d <> delta then raise Bad_node;
-      if nl.port <> None then raise Bad_node;
-      for k = 0 to d - 1 do
-        let h = G.half_at g u k in
-        let w = G.half_node g (G.mate h) in
-        (match t.nodes.(w).kind with
-        | Index i -> (
-          match t.halves.(h) with
-          | Down j -> if j <> i then raise Bad_node
-          | _ -> raise Bad_node)
+      (match nl.port with Some _ -> raise Bad_node | None -> ());
+      for i = b to e - 1 do
+        let h = prt.(i) in
+        (match nodes.(hn.(h lxor 1)).kind with
+        | Index k -> (
+          match halves.(h) with
+          | Down j -> if j <> k then raise Bad_node
+          | Parent | LChild | RChild | Left | Right | Up -> raise Bad_node)
         | Center -> raise Bad_node);
-        if t.halves.(G.mate h) <> Up then raise Bad_node
+        match halves.(h lxor 1) with
+        | Up -> ()
+        | Parent | LChild | RChild | Left | Right | Down _ -> raise Bad_node
       done;
-      for i = 0 to d - 1 do
-        for j = i + 1 to d - 1 do
+      for i = b to e - 1 do
+        for j = i + 1 to e - 1 do
           match
-            ( t.nodes.(G.half_node g (G.mate (G.half_at g u i))).kind,
-              t.nodes.(G.half_node g (G.mate (G.half_at g u j))).kind )
+            ( nodes.(hn.(prt.(i) lxor 1)).kind,
+              nodes.(hn.(prt.(j) lxor 1)).kind )
           with
           | Index a, Index b -> if a = b then raise Bad_node
           | (Center | Index _), _ -> ()
@@ -296,81 +326,94 @@ let node_bad ~delta (t : Labels.t) u =
       (match nl.port with
       | Some j -> if j <> i then raise Bad_node
       | None -> ());
-      for k = 0 to d - 1 do
-        let h = G.half_at g u k in
-        let w = G.half_node g (G.mate h) in
-        let ml = t.halves.(G.mate h) in
-        match t.halves.(h) with
-        | Parent | LChild | RChild | Left | Right ->
-          (match t.nodes.(w).kind with
+      for k = b to e - 1 do
+        let h = prt.(k) in
+        let wk = nodes.(hn.(h lxor 1)).kind in
+        let ml = halves.(h lxor 1) in
+        match halves.(h) with
+        | (Parent | LChild | RChild | Left | Right) as l -> (
+          (match wk with
           | Index j -> if j <> i then raise Bad_node
           | Center -> raise Bad_node);
-          (match t.halves.(h) with
-          | Left -> if ml <> Right then raise Bad_node
-          | Right -> if ml <> Left then raise Bad_node
-          | Parent -> if ml <> RChild && ml <> LChild then raise Bad_node
-          | LChild | RChild -> if ml <> Parent then raise Bad_node
-          | Up | Down _ -> ())
-        | Up -> if t.nodes.(w).kind <> Center then raise Bad_node
+          match (l, ml) with
+          | Left, Right
+          | Right, Left
+          | Parent, (RChild | LChild)
+          | (LChild | RChild), Parent -> ()
+          | (Left | Right | Parent | LChild | RChild | Up | Down _), _ ->
+            raise Bad_node)
+        | Up -> if not (is_center wk) then raise Bad_node
         | Down _ -> raise Bad_node
       done;
       (* 2c: u(LChild, Right, Parent) = u *)
-      let w1 = follow_i t u LChild in
+      let w1 = follow_i halves off prt hn u LChild in
       if w1 >= 0 then begin
-        let w2 = follow_i t w1 Right in
+        let w2 = follow_i halves off prt hn w1 Right in
         if w2 >= 0 then begin
-          let w3 = follow_i t w2 Parent in
+          let w3 = follow_i halves off prt hn w2 Parent in
           if w3 >= 0 && w3 <> u then raise Bad_node
         end
       end;
       (* 2d: u(Right, LChild, Left, Parent) = u *)
-      let w1 = follow_i t u Right in
+      let w1 = follow_i halves off prt hn u Right in
       if w1 >= 0 then begin
-        let w2 = follow_i t w1 LChild in
+        let w2 = follow_i halves off prt hn w1 LChild in
         if w2 >= 0 then begin
-          let w3 = follow_i t w2 Left in
+          let w3 = follow_i halves off prt hn w2 Left in
           if w3 >= 0 then begin
-            let w4 = follow_i t w3 Parent in
+            let w4 = follow_i halves off prt hn w3 Parent in
             if w4 >= 0 && w4 <> u then raise Bad_node
           end
         end
       end;
       (* 3a-3d *)
-      let ph = half_with_i t u Parent in
+      let ph = half_find halves prt Parent b e in
       if ph >= 0 then begin
-        let p = G.half_node g (G.mate ph) in
-        let mlab = t.halves.(G.mate ph) in
-        if (not has_right) <> ((not (has_half_i t p Right)) && mlab = RChild)
-        then raise Bad_node;
-        if (not has_left) <> ((not (has_half_i t p Left)) && mlab = LChild)
-        then raise Bad_node;
-        if (not has_right) && mlab <> RChild then raise Bad_node;
-        if (not has_left) && mlab <> LChild then raise Bad_node
+        let p = hn.(ph lxor 1) in
+        let is_r, is_l =
+          match halves.(ph lxor 1) with
+          | RChild -> (true, false)
+          | LChild -> (false, true)
+          | Parent | Left | Right | Up | Down _ -> (false, false)
+        in
+        let p_right = has_half_i halves off prt p Right in
+        let p_left = has_half_i halves off prt p Left in
+        if (not has_right) <> ((not p_right) && is_r) then raise Bad_node;
+        if (not has_left) <> ((not p_left) && is_l) then raise Bad_node;
+        if (not has_right) && not is_r then raise Bad_node;
+        if (not has_left) && not is_l then raise Bad_node
       end;
       (* 3e *)
       if
         (not has_right) && (not has_left)
-        && not (has_lchild && has_rchild && root_labels t u 0 d)
+        && not (has_lchild && has_rchild && root_labels halves prt b e)
       then raise Bad_node;
       (* 3f *)
       if has_rchild <> has_lchild then raise Bad_node;
       (* 3g *)
       if (not has_lchild) && not has_rchild then begin
-        let ok_dir w =
-          w < 0 || ((not (has_half_i t w LChild)) && not (has_half_i t w RChild))
-        in
-        if not (ok_dir (follow_i t u Left) && ok_dir (follow_i t u Right))
+        if
+          not
+            (childless halves off prt (follow_i halves off prt hn u Left)
+            && childless halves off prt (follow_i halves off prt hn u Right))
         then raise Bad_node
       end;
       (* 3h *)
-      if
-        (nl.port <> None)
-        <> ((not has_right) && (not has_lchild) && not has_rchild)
+      let is_port = match nl.port with Some _ -> true | None -> false in
+      if is_port <> ((not has_right) && (not has_lchild) && not has_rchild)
       then raise Bad_node;
       (* c1 *)
-      if (not has_parent) && center_count t g u 0 d 0 <> 1 then raise Bad_node);
+      if (not has_parent) && center_count nodes prt hn b e 0 <> 1 then
+        raise Bad_node);
     false
   with Bad_node -> true
 
-let erring_nodes ~delta t =
-  Array.init (G.n t.graph) (fun u -> node_bad ~delta t u)
+let node_bad ~delta (t : Labels.t) u =
+  let g = t.graph in
+  bad_at ~delta t (G.ports_off g) (G.ports_flat g) (G.half_node_flat g) u
+
+let erring_nodes ~delta (t : Labels.t) =
+  let g = t.graph in
+  let off = G.ports_off g and prt = G.ports_flat g in
+  let hn = G.half_node_flat g in
+  Array.init (G.n g) (fun u -> bad_at ~delta t off prt hn u)

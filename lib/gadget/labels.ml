@@ -24,7 +24,14 @@ type t = {
   half_flags : half_flags array;
 }
 
-let equal_half_label (a : half_label) (b : half_label) = a = b
+(* by pattern match: polymorphic [=] on [half_label] (it has a
+   non-constant constructor) is a [caml_equal] call *)
+let equal_half_label (a : half_label) (b : half_label) =
+  match (a, b) with
+  | Parent, Parent | LChild, LChild | RChild, RChild -> true
+  | Left, Left | Right, Right | Up, Up -> true
+  | Down i, Down j -> i = j
+  | (Parent | LChild | RChild | Left | Right | Up | Down _), _ -> false
 
 let pp_half_label fmt = function
   | Parent -> Format.pp_print_string fmt "Parent"
@@ -45,7 +52,7 @@ let half_with t v l =
     if i >= d then None
     else
       let h = G.half_at t.graph v i in
-      if t.halves.(h) = l then Some h else find (i + 1)
+      if equal_half_label t.halves.(h) l then Some h else find (i + 1)
   in
   find 0
 

@@ -384,12 +384,13 @@ let input_of (t : Labels.t) =
 let clean_half mirror =
   { mirror; bad_edge = false; color_claim = None; to_next = []; from_prev = [] }
 
+(* the output of a node with nothing to prove, and of each of its
+   halves: shared by every such node and half, in every solution *)
+let nok = { status = NOk; chains = [] }
+let clean_nok = clean_half nok
+
 let all_ok_solution (t : Labels.t) : solution =
-  let ok = { status = NOk; chains = [] } in
-  Labeling.init t.graph
-    ~v:(fun _ -> ok)
-    ~e:(fun _ -> ())
-    ~b:(fun _ -> clean_half ok)
+  Labeling.const t.graph ~v:nok ~e:() ~b:clean_nok
 
 let is_valid ~delta t (sol : solution) =
   Ne_lcl.is_valid (problem ~delta) t.graph ~input:(input_of t) ~output:sol
@@ -420,9 +421,10 @@ let initiator_colors g initiators =
     initiators;
   colors
 
-let prove ~delta ~n (t : Labels.t) =
+(* the witness encoding of a verifier output with at least one
+   [Error] *)
+let prove_invalid ~delta (t : Labels.t) psi_out meter =
   let g = t.graph in
-  let psi_out, meter = Verifier.run ~delta ~n t in
   let status =
     Array.map
       (function
@@ -438,7 +440,7 @@ let prove ~delta ~n (t : Labels.t) =
   let from_prev_tag = Array.make nh [] in
   let bad_edge_mark = Array.make nh false in
   let color_claim_mark = Array.make nh None in
-  (* chain initiators *)
+  (* chain initiators, with the chain kinds each one starts *)
   let wants_chain u =
     let rules = Check.node_violations ~delta t u in
     let has r = List.exists (fun v -> v.Check.rule = r) rules in
@@ -457,13 +459,16 @@ let prove ~delta ~n (t : Labels.t) =
   in
   let initiators = ref [] in
   for u = 0 to G.n g - 1 do
-    if is_nwit status.(u) && wants_chain u <> [] then
-      initiators := u :: !initiators
+    if is_nwit status.(u) then
+      match wants_chain u with
+      | [] -> ()
+      | kinds -> initiators := (u, kinds) :: !initiators
   done;
-  let icolors = initiator_colors g (List.rev !initiators) in
+  let initiators = List.rev !initiators in
+  let icolors = initiator_colors g (List.map fst initiators) in
   (* lay chains *)
   List.iter
-    (fun u ->
+    (fun (u, kinds) ->
       let col = Hashtbl.find icolors u in
       List.iter
         (fun kind ->
@@ -487,8 +492,8 @@ let prove ~delta ~n (t : Labels.t) =
           in
           walk u 0;
           Meter.charge meter u 12)
-        (wants_chain u))
-    (List.rev !initiators);
+        kinds)
+    initiators;
   (* witnesses for edge-visible and color-visible violations *)
   for u = 0 to G.n g - 1 do
     if is_nwit status.(u) then begin
@@ -525,20 +530,21 @@ let prove ~delta ~n (t : Labels.t) =
     | _ -> ()
   done;
   (* one node_out per node, shared between the node slot and every
-     incident half's mirror, and one clean half_out per node, shared by
-     all of its halves that carry no witness data (every half of a valid
-     gadget) — values are structurally what a record per half would be *)
+     incident half's mirror ([nok] for a node with nothing to prove), and
+     one clean half_out per node, shared by all of its halves that carry
+     no witness data — values are structurally what a record per half
+     would be *)
   let outs =
     Array.init (G.n g) (fun u ->
-        let chains =
-          (* List.sort allocates its merge closures even on [] *)
-          match chains.(u) with
-          | ([] | [ _ ]) as l -> l
-          | l -> List.sort compare l
-        in
-        { status = status.(u); chains })
+        match (status.(u), chains.(u)) with
+        | NOk, [] -> nok
+        (* List.sort allocates its merge closures even on [] *)
+        | st, (([] | [ _ ]) as l) -> { status = st; chains = l }
+        | st, l -> { status = st; chains = List.sort compare l })
   in
-  let clean = Array.map clean_half outs in
+  let clean =
+    Array.map (fun o -> if o == nok then clean_nok else clean_half o) outs
+  in
   let sol : solution =
     Labeling.init g
       ~v:(fun u -> outs.(u))
@@ -552,3 +558,8 @@ let prove ~delta ~n (t : Labels.t) =
           { mirror = outs.(u); bad_edge; color_claim; to_next; from_prev })
   in
   (sol, meter)
+
+let prove ~delta ~n (t : Labels.t) =
+  let psi_out, meter = Verifier.run ~delta ~n t in
+  if Verifier.is_all_ok psi_out then (all_ok_solution t, meter)
+  else prove_invalid ~delta t psi_out meter

@@ -1,15 +1,13 @@
 module G = Repro_graph.Multigraph
-module T = Repro_graph.Traversal
 module Meter = Repro_local.Meter
 module Pool = Repro_local.Pool
 module Obs = Repro_obs
 open Labels
 
-(* per-node verdict tallies bumped from the hot parallel loop: atomic
-   adds, and the verdict multiset is pool-size-independent, so the
-   totals are too. Resolved against the ambient registry at run entry
-   (on the dispatching domain); the loop bodies close over the resolved
-   counters, so workers never read the ambient slot. *)
+(* per-run verdict tallies, added once after the verdict loop (the
+   verdict multiset is pool-size-independent, so the totals are too).
+   Resolved against the ambient registry at run entry, on the
+   dispatching domain. *)
 type metrics = {
   reg : Obs.Registry.t;
   m_runs : Obs.Counter.t;
@@ -42,7 +40,8 @@ let proof_radius ~n =
   let rec log2_ceil x acc = if x <= 1 then acc else log2_ceil ((x + 1) / 2) (acc + 1) in
   (4 * log2_ceil (max n 2) 0) + 8
 
-let is_all_ok out = Array.for_all (fun o -> o = Psi.Ok) out
+let is_all_ok out =
+  Array.for_all (function Psi.Ok -> true | Psi.Error | Psi.Ptr _ -> false) out
 
 (* Follow [dir] from [v] up to [cap] steps; true iff an err node is hit
    after at least [min_steps] steps. A revisited node means the walk
@@ -120,54 +119,99 @@ let pointer_for t err u ~cap : Psi.pointer =
     else if has_half t u Parent then Psi.PParent
     else Psi.PUp
 
+(* BFS over the CSR arrays from the [k] sources already in [q.(0..k-1)]
+   (their [dist] set); [dist] is [-1] on unvisited nodes. Returns the
+   tail: [q.(0..tail-1)] lists every node reached, in BFS order. *)
+let bfs_fill off prt hn dist q k =
+  let head = ref 0 and tail = ref k in
+  while !head < !tail do
+    let v = q.(!head) in
+    incr head;
+    let dv = dist.(v) + 1 in
+    for i = off.(v) to off.(v + 1) - 1 do
+      let w = hn.(prt.(i) lxor 1) in
+      if dist.(w) < 0 then begin
+        dist.(w) <- dv;
+        q.(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
+  !tail
+
+(* the farthest of the [len] nodes in [q] from the sweep's source [s],
+   ties to the smallest id *)
+let farthest dist q len s =
+  let best = ref s in
+  for k = 0 to len - 1 do
+    let v = q.(k) in
+    if dist.(v) > dist.(!best) || (dist.(v) = dist.(!best) && v < !best) then
+      best := v
+  done;
+  !best
+
+(* a single-source BFS from [s] on the scratch; the scratch's [dist] is
+   [-1] on entry and left holding the distances of the [len] nodes of
+   [s]'s component, which [q.(0..len-1)] lists *)
+let sweep off prt hn dist q s =
+  dist.(s) <- 0;
+  q.(0) <- s;
+  bfs_fill off prt hn dist q 1
+
+let clear dist q len =
+  for k = 0 to len - 1 do
+    dist.(q.(k)) <- -1
+  done
+
 let run ~delta ~n (t : Labels.t) =
   let mt = metrics () in
   Obs.Counter.incr mt.m_runs;
   let g = t.graph in
   let size = G.n g in
+  let off = G.ports_off g and prt = G.ports_flat g in
+  let hn = G.half_node_flat g in
   let radius = proof_radius ~n in
   let err = Check.erring_nodes ~delta t in
   let out = Array.make size Psi.Ok in
   let meter = Meter.create size in
-  (* distance to the nearest erring node *)
-  let dist_err = Array.make size max_int in
-  let q = Queue.create () in
+  (* one BFS queue for every traversal below, and one distance array
+     that each sweep leaves at -1 again *)
+  let q = Array.make size 0 in
+  let dist = Array.make size (-1) in
+  (* distance to the nearest erring node (-1: none) *)
+  let dist_err = Array.make size (-1) in
+  let k = ref 0 in
   for v = 0 to size - 1 do
     if err.(v) then begin
       dist_err.(v) <- 0;
-      Queue.add v q
+      q.(!k) <- v;
+      incr k
     end
   done;
-  while not (Queue.is_empty q) do
-    let v = Queue.take q in
-    G.iter_halves g v ~f:(fun h ->
-        let w = G.half_node g (G.mate h) in
-        if dist_err.(w) = max_int then begin
-          dist_err.(w) <- dist_err.(v) + 1;
-          Queue.add w q
-        end)
-  done;
-  (* eccentricity estimate per component by double sweep *)
-  let ecc_est = Array.make size 0 in
-  let comp, ncomp = T.components g in
-  let comp_first = Array.make ncomp (-1) in
-  for v = size - 1 downto 0 do
-    comp_first.(comp.(v)) <- v
-  done;
-  for c = 0 to ncomp - 1 do
-    let d0 = T.bfs g comp_first.(c) in
-    let a = ref comp_first.(c) in
-    for v = 0 to size - 1 do
-      if comp.(v) = c && d0.(v) > d0.(!a) then a := v
-    done;
-    let da = T.bfs g !a in
-    let b = ref !a in
-    for v = 0 to size - 1 do
-      if comp.(v) = c && da.(v) > da.(!b) then b := v
-    done;
-    let db = T.bfs g !b in
-    Pool.parallel_for ~grain:20 ~n:size (fun v ->
-        if comp.(v) = c then ecc_est.(v) <- max da.(v) db.(v))
+  ignore (bfs_fill off prt hn dist_err q !k);
+  (* eccentricity estimate per component by double sweep, restricted to
+     the component's members: a node is the first of its component iff
+     no earlier sweep reached it *)
+  let ecc_est = Array.make size (-1) in
+  for s = 0 to size - 1 do
+    if ecc_est.(s) < 0 then begin
+      let len = sweep off prt hn dist q s in
+      let a = farthest dist q len s in
+      clear dist q len;
+      ignore (sweep off prt hn dist q a);
+      let b = farthest dist q len a in
+      for k = 0 to len - 1 do
+        let v = q.(k) in
+        ecc_est.(v) <- dist.(v)
+      done;
+      clear dist q len;
+      ignore (sweep off prt hn dist q b);
+      for k = 0 to len - 1 do
+        let v = q.(k) in
+        if dist.(v) > ecc_est.(v) then ecc_est.(v) <- dist.(v)
+      done;
+      clear dist q len
+    end
   done;
   let cap = size in
   (* the per-node verdicts are independent: pointer_for only reads the
@@ -178,19 +222,22 @@ let run ~delta ~n (t : Labels.t) =
   Pool.parallel_for ~grain:2_500 ~n:size (fun u ->
       if err.(u) then begin
         out.(u) <- Psi.Error;
-        Obs.Counter.incr mt.m_err;
         Meter.charge meter u 2
       end
-      else if dist_err.(u) > radius then begin
-        out.(u) <- Psi.Ok;
-        Obs.Counter.incr mt.m_ok;
-        Meter.charge meter u (min radius ecc_est.(u))
-      end
       else begin
-        out.(u) <- Psi.Ptr (pointer_for t err u ~cap);
-        Obs.Counter.incr mt.m_ptr;
+        if dist_err.(u) >= 0 && dist_err.(u) <= radius then
+          out.(u) <- Psi.Ptr (pointer_for t err u ~cap);
         Meter.charge meter u (min radius ecc_est.(u))
       end);
+  (* the verdict tallies, added to the counters once *)
+  let n_err = ref 0 and n_ptr = ref 0 in
+  Array.iter
+    (function
+      | Psi.Error -> incr n_err | Psi.Ptr _ -> incr n_ptr | Psi.Ok -> ())
+    out;
+  Obs.Counter.add mt.m_err !n_err;
+  Obs.Counter.add mt.m_ptr !n_ptr;
+  Obs.Counter.add mt.m_ok (size - !n_err - !n_ptr);
   (out, meter)
 
 (* run the prover, then certify its declared per-node radii as an actual

@@ -403,10 +403,12 @@ let gadget_components g (input : _ Labeling.t) =
   let comp = Array.make n (-1) in
   let ncomp = ref 0 in
   let is_gad e = (input.Labeling.e.(e) : _ pe_in).etype = GadEdge in
-  (* flat-array FIFO: same traversal (and so the same component and local
-     numbering) as the Queue-based BFS it replaces, without the per-node
-     queue cells *)
+  (* flat-array FIFO over the raw CSR arrays: same traversal (and so the
+     same component and local numbering) as a Queue-based BFS, without
+     per-node queue cells or closures *)
   let q = Array.make n 0 in
+  let off = G.ports_off g and prt = G.ports_flat g in
+  let hn = G.half_node_flat g in
   for s = 0 to n - 1 do
     if comp.(s) < 0 then begin
       let head = ref 0 and tail = ref 0 in
@@ -416,13 +418,15 @@ let gadget_components g (input : _ Labeling.t) =
       while !head < !tail do
         let v = q.(!head) in
         incr head;
-        G.iter_halves g v ~f:(fun h ->
-            let w = G.half_node g (G.mate h) in
-            if is_gad (G.edge_of_half h) && comp.(w) < 0 then begin
-              comp.(w) <- !ncomp;
-              q.(!tail) <- w;
-              incr tail
-            end)
+        for i = off.(v) to off.(v + 1) - 1 do
+          let h = prt.(i) in
+          let w = hn.(h lxor 1) in
+          if comp.(w) < 0 && is_gad (G.edge_of_half h) then begin
+            comp.(w) <- !ncomp;
+            q.(!tail) <- w;
+            incr tail
+          end
+        done
       done;
       incr ncomp
     end
@@ -481,14 +485,12 @@ let gadget_components g (input : _ Labeling.t) =
         let half_flags = Array.make (2 * gm) default_flags in
         for le = 0 to gm - 1 do
           let e = ebuf.(eoff.(c) + le) in
-          let fill h =
+          for h = 2 * e to (2 * e) + 1 do
             let b_in : _ pb_in = input.Labeling.b.(h) in
             halves.(lhalf.(h)) <- b_in.gad_b.NP.bl;
             half_color2.(lhalf.(h)) <- b_in.gad_b.NP.bcolor;
             half_flags.(lhalf.(h)) <- b_in.gad_b.NP.bflags
-          in
-          fill (2 * e);
-          fill ((2 * e) + 1)
+          done
         done;
         {
           members = members.(c);
@@ -534,11 +536,20 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
   (* 1. prove Ψ_G on every gadget component *)
   let psi_v = Array.make n { NP.status = NP.NOk; chains = [] } in
   let psi_half = Array.make (2 * G.m g) None in
+  (* the last [Some] written: consecutive halves whose Ψ_G outputs are
+     physically equal (the prover shares one clean half per node, and one
+     across all nodes with nothing to prove) share it too *)
+  let last = ref None in
+  let off = G.ports_off g and prt = G.ports_flat g in
   Array.iter
     (fun cd ->
       let sol, m = family.Family.prove ~n:inst.Instance.n_promise cd.labels in
       cd.valid <-
-        Array.for_all (fun (o : NP.node_out) -> o.NP.status = NP.NOk)
+        Array.for_all
+          (fun (o : NP.node_out) ->
+            match o.NP.status with
+            | NP.NOk -> true
+            | NP.NPtr _ | NP.NWit -> false)
           sol.Labeling.v;
       Array.iteri
         (fun l v ->
@@ -549,9 +560,19 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
          gadget half of this component has a local half in cd.lhalf *)
       Array.iter
         (fun v ->
-          G.iter_halves g v ~f:(fun ph ->
-              if cd.lhalf.(ph) >= 0 then
-                psi_half.(ph) <- Some sol.Labeling.b.(cd.lhalf.(ph))))
+          for i = off.(v) to off.(v + 1) - 1 do
+            let ph = prt.(i) in
+            let lh = cd.lhalf.(ph) in
+            if lh >= 0 then begin
+              let ho = sol.Labeling.b.(lh) in
+              match !last with
+              | Some prev as s when prev == ho -> psi_half.(ph) <- s
+              | Some _ | None ->
+                let s = Some ho in
+                last := s;
+                psi_half.(ph) <- s
+            end
+          done)
         cd.members)
     comps;
   (* 2. port classification *)
@@ -736,11 +757,17 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
     vedges;
   (* 7. assemble the output labeling *)
   let out =
-    Labeling.init g
-      ~v:(fun v ->
-        { list_part = sigma.(comp.(v)); perr = perr.(v); psi_v = psi_v.(v) })
-      ~e:(fun _ -> ())
-      ~b:(fun h -> psi_half.(h))
+    {
+      Labeling.v =
+        Array.init n (fun v ->
+            {
+              list_part = sigma.(comp.(v));
+              perr = perr.(v);
+              psi_v = psi_v.(v);
+            });
+      e = Array.make (G.m g) ();
+      b = psi_half;
+    }
   in
   (* 9. meter: the Lemma-4 communication overhead *)
   let dmax =

@@ -1,0 +1,145 @@
+(* Π² output golden: the Lemma-4 solver's outputs and meter radii on
+   hard instances, pinned as digests of a canonical text rendering.
+   Marshal would not do: it records physical sharing, and the prover is
+   free to share equal records (one clean half per gadget, one NOk node
+   output) or not. The rendering below only sees structure. *)
+
+module G = Repro_graph.Multigraph
+module Labeling = Repro_lcl.Labeling
+module Instance = Repro_local.Instance
+module Meter = Repro_local.Meter
+module SO = Repro_problems.Sinkless_orientation
+module NP = Repro_gadget.Ne_psi
+module Psi = Repro_gadget.Psi
+module Spec = Repro_padding.Spec
+module PT = Repro_padding.Padded_types
+module Pi = Repro_padding.Pi_prime
+module H = Repro_padding.Hierarchy
+module PG = Repro_padding.Padded_graph
+module Adv = Repro_padding.Adversary
+
+let pi2 = Pi.pad H.sinkless_orientation
+
+let add = Buffer.add_string
+
+let pointer = function
+  | Psi.PRight -> "R"
+  | Psi.PLeft -> "L"
+  | Psi.PParent -> "P"
+  | Psi.PRChild -> "C"
+  | Psi.PUp -> "U"
+  | Psi.PDown i -> Printf.sprintf "D%d" i
+
+let chains buf l =
+  List.iter
+    (fun (c : NP.chain_id) ->
+      add buf
+        (Printf.sprintf "(%d,%d,%s)" c.NP.ccolor c.NP.cpos
+           (match c.NP.ckind with NP.K2c -> "2c" | NP.K2d -> "2d")))
+    l;
+  add buf ";"
+
+let node_out buf (o : NP.node_out) =
+  add buf
+    (match o.NP.status with
+    | NP.NOk -> "ok"
+    | NP.NWit -> "wit"
+    | NP.NPtr p -> "ptr" ^ pointer p);
+  chains buf o.NP.chains
+
+let orientation = function SO.In -> "i" | SO.Out -> "o"
+
+let bools a =
+  String.concat ""
+    (Array.to_list (Array.map (fun b -> if b then "1" else "0") a))
+
+let render (out : (_, unit, PT.pb_out) Labeling.t) meter =
+  let buf = Buffer.create 65536 in
+  Array.iteri
+    (fun v (o : (unit, unit, unit, unit, unit, SO.orientation) PT.pv_out) ->
+      let l = o.PT.list_part in
+      add buf
+        (Printf.sprintf "v%d r%d %s s%s ob%s " v (Meter.radius meter v)
+           (Format.asprintf "%a" PT.pp_port_err o.PT.perr)
+           (bools l.PT.s)
+           (String.concat "" (Array.to_list (Array.map orientation l.PT.ob))));
+      node_out buf o.PT.psi_v;
+      add buf "\n")
+    out.Labeling.v;
+  Array.iteri
+    (fun h (b : PT.pb_out) ->
+      add buf (Printf.sprintf "h%d " h);
+      (match b with
+      | None -> add buf "eps"
+      | Some ho ->
+        node_out buf ho.NP.mirror;
+        add buf (if ho.NP.bad_edge then "bad " else "- ");
+        (match ho.NP.color_claim with
+        | None -> add buf "- "
+        | Some c -> add buf (Printf.sprintf "c%d " c));
+        chains buf ho.NP.to_next;
+        chains buf ho.NP.from_prev);
+      add buf "\n")
+    out.Labeling.b;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* digests of the parent solver's outputs, before its prover shared
+   clean outputs: hard instances at target 3000, seeds 1-3, and one
+   padded instance with five corrupted gadgets, so that pointers,
+   witnesses and chains are pinned too *)
+let golden =
+  [
+    ("seed 1 det", "bea980c82bf36b5d012f3dd49fe81229");
+    ("seed 1 rand", "643fb19b9b1064c349c286f4ff18122f");
+    ("seed 2 det", "e0e67ffa7f747bd0508e8cbc259aba62");
+    ("seed 2 rand", "df756796601d6948d3084b9ff00310d3");
+    ("seed 3 det", "9816e3ad02fd83f1b7cc33787f706b2e");
+    ("seed 3 rand", "a1f14b4a0491f5de60cb6c8adc05fdae");
+    ("adversarial det", "bf0a53e66719f1661269eb834bf07842");
+    ("adversarial rand", "c3b0fbc23245c4ea5e8bdd331c41f3f9");
+  ]
+
+let instances () =
+  let hard seed =
+    let g, input =
+      pi2.Spec.hard_instance (Random.State.make [| seed |]) ~target:3000
+    in
+    (Printf.sprintf "seed %d" seed, Instance.create ~seed g, input)
+  in
+  let adversarial =
+    let pg, input, _ =
+      Adv.padded_with_corruption H.sinkless_orientation
+        (Random.State.make [| 4 |])
+        ~base_target:30 ~gadget_target:60 ~corrupt:5
+    in
+    ("adversarial", Instance.create ~seed:4 pg.PG.padded, input)
+  in
+  [ hard 1; hard 2; hard 3; adversarial ]
+
+let test_pi2_golden () =
+  Alcotest.(check string)
+    "the golden is Hierarchy.level 2" pi2.Spec.name
+    (Spec.packed_name (H.level 2));
+  List.iter
+    (fun (name, inst, input) ->
+      List.iter
+        (fun (which, solve) ->
+          let out, meter = solve inst input in
+          if name = "adversarial" then begin
+            let has st =
+              Array.exists
+                (fun (o : _ PT.pv_out) -> st o.PT.psi_v.NP.status)
+                out.Labeling.v
+            in
+            Alcotest.(check bool)
+              "adversarial proof has witnesses and pointers" true
+              (has (function NP.NWit -> true | _ -> false)
+              && has (function NP.NPtr _ -> true | _ -> false))
+          end;
+          let name = name ^ " " ^ which in
+          Alcotest.(check string)
+            name (List.assoc name golden) (render out meter))
+        [ ("det", pi2.Spec.solve_det); ("rand", pi2.Spec.solve_rand) ])
+    (instances ())
+
+let suite = [ ("pi2 output golden", `Quick, test_pi2_golden) ]

@@ -1,10 +1,13 @@
 (* Differential and allocation tests for the Ψ_G / Π' constraint
-   kernels. The library's kernels are closure-free loops on per-slot
-   scratch views; Kernel_ref keeps the closure-based checks they
-   replaced. Both must produce the same violation lists and the same
-   distributed-checker verdicts on valid and corrupted outputs — Π²
-   exercises the Ψ_G sub-views, Π³ the nested case (its hypothetical
-   node is checked by Π²'s kernel). *)
+   kernels and the Ψ_G prover. The library's kernels are closure-free
+   loops on per-slot scratch views; Kernel_ref keeps the closure-based
+   checks they replaced. Both must produce the same violation lists and
+   the same distributed-checker verdicts on valid and corrupted outputs
+   — Π² exercises the Ψ_G sub-views, Π³ the nested case (its
+   hypothetical node is checked by Π²'s kernel). The prover (node_bad,
+   the verifier, the witness encoding) walks hoisted CSR arrays; its
+   reference is the parent kernel kept in Kernel_ref, and the two must
+   agree on solutions, meter radii and verifier counters. *)
 
 module G = Repro_graph.Multigraph
 module Labeling = Repro_lcl.Labeling
@@ -25,6 +28,10 @@ module Pi = Repro_padding.Pi_prime
 module H = Repro_padding.Hierarchy
 module Adv = Repro_padding.Adversary
 module Ref = Kernel_ref
+module Check = Repro_gadget.Check
+module V = Repro_gadget.Verifier
+module Meter = Repro_local.Meter
+module Obs = Repro_obs
 
 let check = Alcotest.(check bool)
 
@@ -355,10 +362,190 @@ let test_check_allocation () =
       check "dcheck accepts" true v.DC.all_accept;
       bounded "dcheck" w)
 
+(* ------------------------------------------------------------------ *)
+(* the prover against its reference                                   *)
+(* ------------------------------------------------------------------ *)
+
+let radii m n = Array.init n (Meter.radius m)
+
+(* [f ()] in a fresh enabled registry, with the gadget.verifier.*
+   counter totals it left behind *)
+let counted f =
+  let reg = Obs.Registry.create () in
+  Obs.Registry.enable ~reg ();
+  let r = Obs.Registry.scoped reg f in
+  let prefix = "gadget.verifier." in
+  let np = String.length prefix in
+  ( r,
+    List.filter
+      (fun (name, _) ->
+        String.length name > np && String.sub name 0 np = prefix)
+      (Obs.Registry.counters ~reg ()) )
+
+let show_counters cs =
+  String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) cs)
+
+(* the prover and its reference agree on [t] at pool sizes 1, 2 and 4 *)
+let prover_agrees name ~delta (t : GL.t) =
+  let n = G.n t.GL.graph in
+  let n_promise = max n 2000 in
+  Fun.protect
+    ~finally:(fun () -> Pool.set_size 1)
+    (fun () ->
+      List.iter
+        (fun k ->
+          Pool.set_size k;
+          let name = Printf.sprintf "%s at pool %d" name k in
+          check (name ^ ": erring nodes") true
+            (Check.erring_nodes ~delta t = Ref.Check_ref.erring_nodes ~delta t);
+          let (out, m), c = counted (fun () -> V.run ~delta ~n:n_promise t) in
+          let (out', m'), c' =
+            counted (fun () -> Ref.Verifier_ref.run ~delta ~n:n_promise t)
+          in
+          check (name ^ ": verifier outputs") true (out = out');
+          check (name ^ ": verifier radii") true (radii m n = radii m' n);
+          Alcotest.(check string)
+            (name ^ ": verifier counters") (show_counters c') (show_counters c);
+          let (sol, m), c =
+            counted (fun () -> NP.prove ~delta ~n:n_promise t)
+          in
+          let (sol', m'), c' =
+            counted (fun () -> Ref.Prove_ref.prove ~delta ~n:n_promise t)
+          in
+          check (name ^ ": solutions") true (sol = sol');
+          check (name ^ ": prove radii") true (radii m n = radii m' n);
+          Alcotest.(check string)
+            (name ^ ": prove counters") (show_counters c') (show_counters c))
+        [ 1; 2; 4 ])
+
+let test_prover_matches_reference () =
+  let delta = 3 in
+  for height = 2 to 8 do
+    prover_agrees
+      (Printf.sprintf "valid h=%d" height)
+      ~delta (GB.gadget ~delta ~height)
+  done;
+  let rng = Random.State.make [| 16 |] in
+  let saw_error = ref false in
+  List.iter
+    (fun height ->
+      let base = GB.gadget ~delta ~height in
+      List.iter
+        (fun kind ->
+          for r = 1 to 3 do
+            let t = Corrupt.apply rng kind base in
+            if not (V.is_all_ok (fst (V.run ~delta ~n:(G.n t.GL.graph) t)))
+            then saw_error := true;
+            prover_agrees
+              (Format.asprintf "%a h=%d #%d" Corrupt.pp_kind kind height r)
+              ~delta t
+          done)
+        Corrupt.all_kinds)
+    [ 3; 5 ];
+  check "corruptions produced error proofs" true !saw_error
+
+(* the disjoint union of labeled gadgets: node and half ids shift by the
+   sizes of the gadgets before, so ports keep their order *)
+let disjoint_union (ts : GL.t list) =
+  let n = List.fold_left (fun acc (t : GL.t) -> acc + G.n t.GL.graph) 0 ts in
+  let m = List.fold_left (fun acc (t : GL.t) -> acc + G.m t.GL.graph) 0 ts in
+  let half_node = Array.make (2 * m) 0 in
+  let node_off = ref 0 and half_off = ref 0 in
+  List.iter
+    (fun (t : GL.t) ->
+      let g = t.GL.graph in
+      for h = 0 to (2 * G.m g) - 1 do
+        half_node.(!half_off + h) <- !node_off + G.half_node g h
+      done;
+      node_off := !node_off + G.n g;
+      half_off := !half_off + (2 * G.m g))
+    ts;
+  let cat f = Array.concat (List.map f ts) in
+  {
+    GL.graph = G.of_half_node ~n ~m half_node;
+    nodes = cat (fun t -> t.GL.nodes);
+    halves = cat (fun t -> t.GL.halves);
+    half_color2 = cat (fun t -> t.GL.half_color2);
+    half_flags = cat (fun t -> t.GL.half_flags);
+  }
+
+(* words allocated by [f ()], minor and direct-major: [Gc.minor_words]
+   is exact, and major words that were not promoted went straight to the
+   major heap (arrays over the minor-heap size limit) *)
+let allocated_words f =
+  let w0 = Gc.minor_words () and _, p0, m0 = Gc.counters () in
+  ignore (Sys.opaque_identity (f ()));
+  let w1 = Gc.minor_words () and _, p1, m1 = Gc.counters () in
+  w1 -. w0 +. (m1 -. m0) -. (p1 -. p0)
+
+(* the verifier handles k components in time and space linear in the
+   union: each component's double sweep stays inside the component *)
+let test_verifier_linear_in_components () =
+  let delta = 3 in
+  let rng = Random.State.make [| 17 |] in
+  let valid = GB.gadget ~delta ~height:3 in
+  let parts =
+    List.init 6 (fun i ->
+        if i mod 2 = 0 then valid
+        else Corrupt.apply rng (List.nth Corrupt.all_kinds i) valid)
+  in
+  let u = disjoint_union parts in
+  let n_promise = 5000 in
+  let out, m = V.run ~delta ~n:n_promise u in
+  let want_out, want_radii =
+    List.split
+      (List.map
+         (fun (t : GL.t) ->
+           let o, m = V.run ~delta ~n:n_promise t in
+           (o, radii m (G.n t.GL.graph)))
+         parts)
+  in
+  check "union outputs are the parts' outputs" true
+    (out = Array.concat want_out);
+  check "union radii are the parts' radii" true
+    (radii m (G.n u.GL.graph) = Array.concat want_radii);
+  (* allocation: k copies cost at most 1.5x k times one copy *)
+  let k = 32 in
+  let many = disjoint_union (List.init k (fun _ -> valid)) in
+  Fun.protect
+    ~finally:(fun () -> Pool.set_size 1)
+    (fun () ->
+      Pool.set_size 1;
+      let one = allocated_words (fun () -> V.run ~delta ~n:n_promise valid) in
+      let all = allocated_words (fun () -> V.run ~delta ~n:n_promise many) in
+      check
+        (Printf.sprintf "%d components: %.0f words <= 1.5 x %d x %.0f" k all k
+           one)
+        true
+        (all <= 1.5 *. float_of_int k *. one))
+
+(* proving a valid gadget allocates a few words per node: the verifier's
+   node-sized arrays and the solution's, with one shared node and half
+   output (the parent prover took about 30) *)
+let test_prove_allocation () =
+  let delta = 3 in
+  let t = GB.gadget ~delta ~height:6 in
+  let n = G.n t.GL.graph in
+  Fun.protect
+    ~finally:(fun () -> Pool.set_size 1)
+    (fun () ->
+      Pool.set_size 1;
+      ignore (NP.prove ~delta ~n t);
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (NP.prove ~delta ~n t));
+      let w = (Gc.minor_words () -. w0) /. float_of_int n in
+      check (Printf.sprintf "prove allocates %.1f minor words/node (<= 12)" w)
+        true (w <= 12.))
+
 let suite =
   [
     ("psi kernels match reference", `Quick, test_psi_matches_reference);
     ("pi2 kernels match reference", `Quick, test_pi2_matches_reference);
     ("pi3 kernels match reference", `Quick, test_pi3_matches_reference);
     ("check allocation per node", `Quick, test_check_allocation);
+    ("prover matches reference", `Quick, test_prover_matches_reference);
+    ( "verifier linear in components",
+      `Quick,
+      test_verifier_linear_in_components );
+    ("prove allocation per node", `Quick, test_prove_allocation);
   ]

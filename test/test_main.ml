@@ -32,4 +32,5 @@ let () =
       ("fuzz", Test_fuzz.suite);
       ("mutation", Test_mutation.suite);
       ("serve", Test_serve.suite);
+      ("golden", Test_golden.suite);
     ]
