@@ -34,7 +34,7 @@
        slower disarmed denominator would shrink it, moving it the
        wrong way exactly when the regression happens.
      - a case's par/seq overhead ratio exceeds 1.15 — an absolute
-       bound, not baseline-relative: the cost-aware cutoff exists to
+       bound, not baseline-relative: the dispatch rule exists to
        keep parallel execution within 15% of sequential even when it
        cannot win, so any ratio above that is a dispatch-policy bug
        regardless of what the previous PR measured. The ratio

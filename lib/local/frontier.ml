@@ -210,13 +210,12 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
   let recv_fold acc v = acc + recv_one v in
   (* grain hints: sparse indices are one node's phase work, dense
      indices are one 64-node bitset word (mostly-set in the dense
-     regime); the EMA refines both as the frontier geometry drifts *)
+     regime) *)
   let send_sparse = Pool.fused ~grain:200 (fun k -> send_one (FS.member live k)) in
   let send_dense = Pool.fused ~grain:6_000 (fun w -> FS.fold_word live w 0 send_fold) in
   let recv_sparse = Pool.fused ~grain:300 (fun k -> recv_one (FS.member live k)) in
   let recv_dense = Pool.fused ~grain:9_000 (fun w -> FS.fold_word live w 0 recv_fold) in
   let run_sp = Obs.Span.enter "frontier.run" in
-  Pool.run_rounds (fun () ->
   while !remaining > 0 && !round < limit do
     let r = !round in
     let rsp = Obs.Span.enter "frontier.round" in
@@ -278,7 +277,7 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
     if Obs.Span.live rsp then
       Obs.Span.exit ~kvs:[ ("round", r); ("active", active) ] rsp;
     incr round
-  done);
+  done;
   if !remaining > 0 then
     failwith
       (Printf.sprintf "Frontier.run: %d nodes still running after %d rounds"

@@ -184,9 +184,6 @@ let flood_gather inst ~radius payload =
             b)
       in
       let next = Array.init n (fun _ -> B.create nc) in
-      (* each double-buffer step is a pair of dispatches; keep the
-         workers resident across the whole radius *)
-      Pool.run_rounds @@ fun () ->
       for r = 0 to radius - 1 do
         let rsp = Obs.Span.enter "flood.round" in
         let traced = Obs.Trace.active () in
@@ -330,7 +327,6 @@ let flood_gather inst ~radius payload =
         (* full-scan path: the influence sets must union every
            neighbour every round, exactly as the certificate model
            expects, so audited floods keep the O(n + m) rounds *)
-        Pool.run_rounds @@ fun () ->
         for r = 0 to radius - 1 do
           let rsp = Obs.Span.enter "flood.round" in
           let traced = Obs.Trace.active () in
@@ -359,7 +355,6 @@ let flood_gather inst ~radius payload =
         let fscratch = Frontier_set.scratch () in
         Frontier_set.fill_all changed;
         let in_changed v = Frontier_set.mem changed v in
-        Pool.run_rounds @@ fun () ->
         for r = 0 to radius - 1 do
           let rsp = Obs.Span.enter "flood.round" in
           let traced = Obs.Trace.active () in

@@ -4,8 +4,8 @@
    main domain, one after another). A job is a chunked index range plus a
    body; workers and the calling domain race on an atomic chunk counter
    until the range drains. Workers park on a condition variable between
-   jobs (spinning briefly first inside a {!run_rounds} session), so an
-   idle pool costs nothing.
+   jobs (spinning briefly first when every member has a core of its own),
+   so an idle pool costs nothing.
 
    Completion is tracked per chunk, not per worker: the dispatching
    domain returns as soon as every chunk has run, even if some workers
@@ -13,16 +13,13 @@
    and go back to sleep. This keeps dispatch latency at "time to run the
    chunks", with no straggler wait.
 
-   Dispatch is cost-aware (DESIGN §17): a job is handed to the workers
-   only when its estimated work — [n] times a per-callsite grain hint,
-   refined by an EMA of observed cost for prebuilt fused jobs — clears
-   the pool's calibrated dispatch cost by the parallel gain the
-   effective core count can actually deliver. Everything else runs
-   inline on the calling domain with no atomics, no signalling and no
-   job setup at all. On a host where the pool is oversubscribed
-   (size > recommended_domain_count) the model correctly concludes that
-   no job can win and never dispatches; the [Always] and [Work_ns]
-   modes exist so tests exercise the worker machinery regardless.
+   Dispatch follows one rule (DESIGN §17): a job is handed to the
+   workers only when the pool has more than one member, no more members
+   than the host has cores, and the loop's estimated work — [n] times a
+   per-callsite grain hint — reaches a fixed cutoff. Everything else
+   runs inline on the calling domain with no atomics, no signalling and
+   no job setup at all. The test-only force switch skips the core and
+   work checks so tests exercise the worker machinery on any host.
 
    Determinism does not depend on the schedule: every chunk is executed
    exactly once, chunks run their indices in ascending order, and callers
@@ -127,13 +124,12 @@ type pool = {
   epoch : int Atomic.t; (* bumped once per job, by the dispatcher only *)
   stop : bool Atomic.t;
   parked : int Atomic.t; (* workers inside Condition.wait *)
-  spin : int; (* resident-session spin budget; 0 when it cannot help *)
-  mutable cost_ns : int; (* calibrated dispatch cost; 0 = not yet *)
+  spin : int; (* spin budget before parking; 0 when it cannot help *)
   mutable workers : unit Domain.t array;
 }
 
-(* hard floor below which a loop is never worth any bookkeeping, and
-   the dispatch threshold of the pre-autotuner [Always] policy *)
+(* the smallest loop the force switch dispatches: below it a loop is
+   never worth any bookkeeping *)
 let sequential_cutoff = 16
 
 (* estimated ns per index when a call site gives no [?grain] hint: the
@@ -142,58 +138,31 @@ let sequential_cutoff = 16
    sit far from it pass explicit hints *)
 let default_grain = 100
 
-(* autotuned layouts aim chunks at this much work: large enough to
+(* chunk layouts aim each chunk at this much work: large enough to
    amortize a claim (one fetch_and_add) to noise, small enough to keep
    16×size chunks of load balance when the job has the work to spare *)
 let target_chunk_ns = 20_000
 
-(* a dispatched job must be predicted to win at least this many times
-   the calibrated dispatch cost; the margin absorbs grain-hint error so
-   borderline jobs stay inline *)
-let dispatch_margin = 2
-
-(* inline fused runs cheaper than this estimate skip the two clock
-   reads that feed the EMA; jobs this small never dispatch anyway, so
-   their grain estimate only has to be right to within the cutoff *)
-let ema_sample_min_ns = 65_536
+(* a loop dispatches only when its estimated work [n × grain] reaches
+   this many ns; below it the other domains' share is too small to pay
+   for the claim and wake-up traffic of a dispatch. 4 µs is the cutoff
+   the pool's earlier calibrated cost model always arrived at on 2
+   cores (DESIGN §17) *)
+let dispatch_min_work_ns = 4_000
 
 let cores = Domain.recommended_domain_count ()
 
-type dispatch_mode = Auto | Always | Work_ns of int
-
-let parse_mode s =
-  match String.lowercase_ascii (String.trim s) with
-  | "" | "auto" -> Auto
-  | "always" -> Always
-  | s -> (
-    match int_of_string_opt s with Some t when t >= 0 -> Work_ns t | _ -> Auto)
-
-let mode =
+let force =
   ref
     (match Sys.getenv_opt "REPRO_POOL_CUTOFF" with
-    | Some s -> parse_mode s
-    | None -> Auto)
+    | Some s -> String.lowercase_ascii (String.trim s) = "always"
+    | None -> false)
 
-let set_dispatch_mode m = mode := m
-let dispatch_mode () = !mode
+let set_force_dispatch b = force := b
 
-let grain_override =
-  ref
-    (match Sys.getenv_opt "REPRO_GRAIN" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some g when g >= 1 -> Some g
-      | _ -> None)
-    | None -> None)
-
-let set_grain_override g =
-  grain_override := (match g with Some g when g >= 1 -> Some g | _ -> None)
-
-let effective_grain hint =
-  match !grain_override with
-  | Some g -> g
-  | None -> (
-    match hint with Some g when g >= 1 -> g | Some _ | None -> default_grain)
+let grain_of = function
+  | Some g when g >= 1 -> g
+  | Some _ | None -> default_grain
 
 let env_size =
   lazy
@@ -211,11 +180,6 @@ let state : pool option ref = ref None
    body (any domain) falls back to a sequential loop instead of
    deadlocking on the single-job pool *)
 let busy = ref false
-
-(* true inside a {!run_rounds} session: workers spend their spin budget
-   before parking, so consecutive engine rounds skip the park/wake
-   cycle entirely on hosts with real cores to spin on *)
-let resident = Atomic.make false
 
 let size () =
   match !requested with Some k -> k | None -> Lazy.force env_size
@@ -299,10 +263,10 @@ let worker pool =
       | None -> ()
     end
     else begin
-      (* resident sessions: burn the spin budget watching the epoch
-         before touching the mutex — a round dispatched meanwhile is
-         picked up without a park/wake cycle *)
-      let k = ref (if Atomic.get resident then pool.spin else 0) in
+      (* burn the spin budget watching the epoch before touching the
+         mutex — an engine's next round, dispatched meanwhile, is picked
+         up without a park/wake cycle *)
+      let k = ref pool.spin in
       while !k > 0 && Atomic.get pool.epoch = !last && not (stopped ()) do
         Domain.cpu_relax ();
         decr k
@@ -357,7 +321,6 @@ let ensure_pool () =
           (* spinning only helps when every pool member has a real core
              to spin on; oversubscribed pools park immediately *)
           spin = (if cores > 1 && sz <= cores then 2048 else 0);
-          cost_ns = 0;
           workers = [||];
         }
       in
@@ -404,99 +367,33 @@ let dispatch pool job =
     end
   end
 
-(* measured dispatch cost: the round-trip wall time of an empty job
-   through the live pool, calibrated once per pool spawn on first use
-   by the Auto policy. Clamped — a descheduled worker can make one
-   probe absurd, and a zero would make every loop look dispatchable. *)
-let calibrate pool =
-  let sz = Array.length pool.workers + 1 in
-  let probe =
-    {
-      chunks = sz;
-      chunk_size = 1;
-      total = sz;
-      j_timed = false;
-      j_span = false;
-      j_parent = -1;
-      armed = Atomic.make 0;
-      next = Atomic.make 0;
-      completed = Atomic.make 0;
-      body = (fun _ _ -> ());
-      failed = Atomic.make None;
-      jm = metrics ();
-    }
-  in
-  let warm = 2 and reps = 8 in
-  let acc = ref 0 in
-  busy := true;
-  Fun.protect
-    ~finally:(fun () -> busy := false)
-    (fun () ->
-      for k = 1 to warm + reps do
-        let t0 = Obs.Clock.now_ns () in
-        dispatch pool probe;
-        let dt = max 0 (Obs.Clock.now_ns () - t0) in
-        if k > warm then acc := !acc + dt
-      done);
-  pool.cost_ns <- max 1_000 (min 5_000_000 (!acc / reps))
-
-let dispatch_cost pool =
-  if pool.cost_ns = 0 then calibrate pool;
-  pool.cost_ns
-
-let dispatch_cost_ns () =
-  match !state with
-  | Some pool when pool.cost_ns > 0 -> Some pool.cost_ns
-  | _ -> None
-
-(* the cutoff: [Some pool] when the job should be dispatched. Auto is
-   the cost model; Always is the pre-autotuner policy (any loop of at
-   least [sequential_cutoff] indices dispatches), kept so determinism
-   suites exercise the worker machinery even on a one-core host;
-   Work_ns is a fixed work threshold for experiments. *)
+(* the dispatch rule: [Some pool] when the job should be handed to the
+   workers. A pool with more members than cores only adds context
+   switches to every loop, so it never dispatches; the force switch
+   overrides the core and work checks so tests exercise the worker
+   machinery on any host. *)
 let plan ~n ~grain =
-  if n < 2 || !busy then None
-  else
-    let sz = size () in
-    if sz <= 1 then None
-    else
-      match !mode with
-      | Always -> if n < sequential_cutoff then None else ensure_pool ()
-      | Work_ns t -> if n * grain < t then None else ensure_pool ()
-      | Auto ->
-        let eff = min sz cores in
-        if eff <= 1 then None
-        else (
-          match ensure_pool () with
-          | None -> None
-          | Some pool ->
-            (* dispatch only when the predicted parallel gain — the
-               work the other cores would take off this domain — clears
-               the measured dispatch cost with margin *)
-            let work = n * grain in
-            let gain = work * (eff - 1) / eff in
-            if gain >= dispatch_margin * dispatch_cost pool then Some pool
-            else None)
+  let sz = size () in
+  if n < 2 || !busy || sz <= 1 then None
+  else if !force then (
+    if n < sequential_cutoff then None else ensure_pool ())
+  else if sz <= cores && n * grain >= dispatch_min_work_ns then ensure_pool ()
+  else None
 
-let chunk_layout ?chunk ~grain ~n sz =
-  let chunk_size =
-    match chunk with
-    | Some c when c >= 1 -> c
-    | Some _ | None ->
-      (* aim each chunk at [target_chunk_ns] of estimated work, kept
-         between one chunk per domain (no idle member) and 16 per
-         domain (claim traffic stays noise) *)
-      let upper = max 1 (1 + ((n - 1) / sz)) in
-      let lower = max 1 (1 + ((n - 1) / (16 * sz))) in
-      min upper (max lower (target_chunk_ns / max 1 grain))
-  in
+let chunk_layout ~grain ~n sz =
+  (* aim each chunk at [target_chunk_ns] of estimated work, kept between
+     one chunk per domain (no idle member) and 16 per domain (claim
+     traffic stays noise) *)
+  let upper = max 1 (1 + ((n - 1) / sz)) in
+  let lower = max 1 (1 + ((n - 1) / (16 * sz))) in
+  let chunk_size = min upper (max lower (target_chunk_ns / max 1 grain)) in
   let chunk_size =
     if 1 + ((n - 1) / chunk_size) > max_chunks then 1 + ((n - 1) / max_chunks)
     else chunk_size
   in
   (chunk_size, 1 + ((n - 1) / chunk_size))
 
-let run_parallel ?chunk ?grain ~n ~make_body ~seq () =
+let run_parallel ?grain ~n ~make_body ~seq () =
   let m = metrics () in
   let inline () =
     Obs.Counter.incr m.m_seq_loops;
@@ -506,11 +403,11 @@ let run_parallel ?chunk ?grain ~n ~make_body ~seq () =
   in
   if n <= 0 then inline ()
   else
-    let g = effective_grain grain in
+    let g = grain_of grain in
     match plan ~n ~grain:g with
     | None -> inline ()
     | Some pool ->
-      let chunk_size, chunks = chunk_layout ?chunk ~grain:g ~n (size ()) in
+      let chunk_size, chunks = chunk_layout ~grain:g ~n (size ()) in
       let job =
         {
           chunks;
@@ -537,8 +434,8 @@ let run_parallel ?chunk ?grain ~n ~make_body ~seq () =
         Obs.Counter.add m.m_dispatch_ns (max 0 (Obs.Clock.now_ns () - t0));
       (match Atomic.get job.failed with Some e -> raise e | None -> ())
 
-let parallel_for ?chunk ?grain ~n f =
-  run_parallel ?chunk ?grain ~n
+let parallel_for ?grain ~n f =
+  run_parallel ?grain ~n
     ~make_body:(fun ~chunk_size:_ lo hi ->
       for i = lo to hi - 1 do
         f i
@@ -549,7 +446,7 @@ let parallel_for ?chunk ?grain ~n f =
       done)
     ()
 
-let parallel_for_reduce ?chunk ?grain ~n ~neutral ~combine f =
+let parallel_for_reduce ?grain ~n ~neutral ~combine f =
   if n <= 0 then neutral
   else begin
     let fold lo hi =
@@ -561,7 +458,7 @@ let parallel_for_reduce ?chunk ?grain ~n ~neutral ~combine f =
     in
     (* sized at dispatch time inside make_body; one slot per chunk *)
     let partial = ref [||] in
-    run_parallel ?chunk ?grain ~n
+    run_parallel ?grain ~n
       ~make_body:(fun ~chunk_size ->
         let chunks = 1 + ((n - 1) / chunk_size) in
         partial := Array.make chunks neutral;
@@ -584,24 +481,17 @@ let parallel_for_reduce ?chunk ?grain ~n ~neutral ~combine f =
    and associative, so the total is independent of which worker ran
    which chunk — the determinism contract is untouched. Re-dispatching
    reuses the job record and the slots, so a round costs zero
-   allocation beyond what the body itself allocates.
-
-   Being the repeated-same-shape case, fused tasks also carry the grain
-   EMA: each sampled run folds observed ns/index into [fu_grain], which
-   feeds the next run's cutoff decision and chunk layout. The EMA moves
-   schedules only, never results. *)
+   allocation beyond what the body itself allocates. *)
 type fused = {
-  fu_chunk : int option;
   fu_body : int -> int;
   fu_job : job;
-  mutable fu_grain : int;
+  fu_grain : int;
   mutable fu_slots : int array;
 }
 
-let fused ?chunk ?grain body =
+let fused ?grain body =
   let t =
     {
-      fu_chunk = chunk;
       fu_body = body;
       fu_job =
         {
@@ -618,8 +508,7 @@ let fused ?chunk ?grain body =
           failed = Atomic.make None;
           jm = metrics ();
         };
-      fu_grain =
-        (match grain with Some g when g >= 1 -> g | _ -> default_grain);
+      fu_grain = grain_of grain;
       fu_slots = Array.make (max 1 (size ())) 0;
     }
   in
@@ -634,41 +523,27 @@ let fused ?chunk ?grain body =
       t.fu_slots.(w) <- t.fu_slots.(w) + !s);
   t
 
-(* fold an observed per-index cost into the task's grain estimate;
-   [scale] undoes the parallel speedup of a dispatched run so the EMA
-   tracks sequential work, which is what the cost model prices *)
-let observe_grain t ~n ~scale dt =
-  let per = dt * scale / max 1 n in
-  let per = max 1 (min 1_000_000 per) in
-  t.fu_grain <- ((3 * t.fu_grain) + per) / 4
-
 let run_fused t ~n =
   if n <= 0 then 0
   else begin
     let m = metrics () in
-    let g =
-      match !grain_override with Some g -> g | None -> t.fu_grain
-    in
-    match plan ~n ~grain:g with
+    match plan ~n ~grain:t.fu_grain with
     | None ->
       Obs.Counter.incr m.m_seq_loops;
       if n >= 2 && (not !busy) && size () > 1 then
         Obs.Counter.incr m.m_cutoff_inline;
-      let sample = n * g >= ema_sample_min_ns in
-      let t0 = if sample then Obs.Clock.now_ns () else 0 in
       let b = t.fu_body in
       let s = ref 0 in
       for i = 0 to n - 1 do
         s := !s + b i
       done;
-      if sample then observe_grain t ~n ~scale:1 (max 0 (Obs.Clock.now_ns () - t0));
       !s
     | Some pool ->
       let sz = size () in
       if Array.length t.fu_slots < sz then t.fu_slots <- Array.make sz 0;
       let slots = t.fu_slots in
       Array.fill slots 0 (Array.length slots) 0;
-      let chunk_size, chunks = chunk_layout ?chunk:t.fu_chunk ~grain:g ~n sz in
+      let chunk_size, chunks = chunk_layout ~grain:t.fu_grain ~n sz in
       let job = t.fu_job in
       job.total <- n;
       job.chunk_size <- chunk_size;
@@ -678,16 +553,15 @@ let run_fused t ~n =
       job.j_span <- Obs.Span.armed ();
       job.j_parent <- Obs.Span.dispatch_parent ();
       Obs.Counter.incr m.m_jobs;
-      let t0 = Obs.Clock.now_ns () in
+      let t0 = if job.j_timed then Obs.Clock.now_ns () else 0 in
       busy := true;
       (match dispatch pool job with
       | () -> busy := false
       | exception e ->
         busy := false;
         raise e);
-      let dt = max 0 (Obs.Clock.now_ns () - t0) in
-      if job.j_timed then Obs.Counter.add m.m_dispatch_ns dt;
-      observe_grain t ~n ~scale:(min sz cores) dt;
+      if job.j_timed then
+        Obs.Counter.add m.m_dispatch_ns (max 0 (Obs.Clock.now_ns () - t0));
       (match Atomic.get job.failed with Some e -> raise e | None -> ());
       let s = ref 0 in
       for w = 0 to Array.length slots - 1 do
@@ -696,28 +570,11 @@ let run_fused t ~n =
       !s
   end
 
-let tabulate ?chunk ?grain n f =
+let tabulate ?grain n f =
   if n <= 0 then [||]
   else begin
     let first = f 0 in
     let a = Array.make n first in
-    parallel_for ?chunk ?grain ~n:(n - 1) (fun i -> a.(i + 1) <- f (i + 1));
+    parallel_for ?grain ~n:(n - 1) (fun i -> a.(i + 1) <- f (i + 1));
     a
   end
-
-(* ------------------------------------------------------------------ *)
-(* round batching                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* A session bracket, not a new execution mode: every invariant of the
-   per-dispatch protocol (epoch-tagged claims, per-slot ownership, the
-   completed-counter barrier) is untouched; the only thing a session
-   changes is that workers watch the epoch word for [spin] iterations
-   before parking, so back-to-back rounds skip the park/wake cycle.
-   Nested sessions compose (the bracket restores the outer state), and
-   on hosts where spinning cannot help (pool.spin = 0) the session is
-   free. *)
-let run_rounds f =
-  let outer = Atomic.get resident in
-  Atomic.set resident true;
-  Fun.protect ~finally:(fun () -> Atomic.set resident outer) f

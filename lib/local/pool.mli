@@ -24,24 +24,24 @@
     chunk order, so associativity makes the result independent of the
     chunk layout.
 
-    {2 Cost-aware dispatch (DESIGN §17)}
+    {2 Dispatch rule (DESIGN §17)}
 
     Handing a loop to the workers is not free: job setup, the atomic
-    claim traffic, and a park/wake cycle per dispatch. Every entry point
-    therefore runs a cutoff first: the loop's estimated sequential work
-    — [n] times a per-callsite [?grain] hint in ns/index
-    ({!default_grain} when absent; for {!fused} tasks refined by an EMA
-    of observed cost) — is priced against the pool's measured dispatch
-    cost, and the loop runs inline on the calling domain unless the
-    work the other effective cores would take over clears that cost
-    with margin. On a host whose pool is oversubscribed
-    ([size () > recommended_domain_count]), no loop can win and nothing
-    dispatches — which is the honest answer, not a benchmark special
-    case. Chunk layouts come from the same grain estimate: each chunk
-    aims at a fixed work target, clamped between 1 and 16 chunks per
-    domain. Grain hints, the EMA, and the cutoff move {e schedules}
-    only; outputs are bit-identical across all of them by the
-    determinism contract, and the autotuner property suite asserts it.
+    claim traffic, and a park/wake cycle per dispatch. A loop is
+    therefore dispatched only when all three hold:
+    - the pool has more than one member ([size () > 1]);
+    - the pool is not oversubscribed
+      ([size () <= Domain.recommended_domain_count ()]) — on a host with
+      fewer cores than members no loop can win, so nothing dispatches;
+    - its estimated sequential work, [n] times a per-callsite [?grain]
+      hint in ns/index ({!default_grain} when absent), reaches a fixed
+      cutoff of a few microseconds.
+
+    Everything else runs inline on the calling domain. Chunk layouts
+    come from the same grain hint: each chunk aims at a fixed work
+    target, clamped between 1 and 16 chunks per domain. The rule and
+    the hints move {e schedules} only; outputs are bit-identical across
+    them by the determinism contract.
 
     {2 Configuration}
 
@@ -49,13 +49,11 @@
     (default: [Domain.recommended_domain_count ()]). Size 1 runs every
     loop on the calling domain with no pool involvement at all.
 
-    The cutoff policy is read from [REPRO_POOL_CUTOFF]: [auto] (the
-    cost model, default), [always] (the pre-autotuner policy: dispatch
-    every loop of ≥ 16 indices — what the determinism suites use so the
-    worker machinery is exercised even on a one-core host), or an
-    integer [t] (dispatch when [n × grain ≥ t] ns). [REPRO_GRAIN=g]
-    overrides every grain hint with [g] (schedules only; outputs are
-    unaffected).
+    [REPRO_POOL_CUTOFF=always] turns on the test-only force switch
+    ({!set_force_dispatch}): every loop of at least 16 indices
+    dispatches whenever [size () > 1], regardless of the core count and
+    the work estimate, so the worker machinery is exercised even on a
+    one-core host. Any other value leaves the rule above in force.
 
     Loops must be issued from one domain at a time (the engine's main
     domain); a [parallel_for] issued from inside a running loop body
@@ -99,43 +97,26 @@ val set_size : int -> unit
     lazily respawns them at the new size. [set_size 1] is a full
     fallback to sequential execution. *)
 
-type dispatch_mode =
-  | Auto  (** the cost model: dispatch only when predicted to win *)
-  | Always  (** pre-autotuner policy: dispatch every loop of ≥ 16 indices *)
-  | Work_ns of int  (** dispatch when [n × grain ≥ t] ns *)
-
-val set_dispatch_mode : dispatch_mode -> unit
-(** Override the [REPRO_POOL_CUTOFF] policy at runtime. Determinism
-    suites set [Always] so worker domains are exercised regardless of
-    the host's core count; the policy moves schedules only, never
+val set_force_dispatch : bool -> unit
+(** Test-only force switch (initially on iff [REPRO_POOL_CUTOFF=always]):
+    dispatch every loop of at least 16 indices whenever [size () > 1].
+    Determinism suites turn it on so worker domains are exercised
+    regardless of the host's core count; it moves schedules only, never
     results. *)
-
-val dispatch_mode : unit -> dispatch_mode
-
-val set_grain_override : int option -> unit
-(** [set_grain_override (Some g)] makes every loop use grain [g],
-    ignoring call-site hints and the EMA (the [REPRO_GRAIN] knob, for
-    the autotuner property tests); [None] restores normal behaviour. *)
 
 val default_grain : int
 (** Estimated ns per index assumed for call sites without a [?grain]
     hint. *)
 
-val dispatch_cost_ns : unit -> int option
-(** The current pool's calibrated dispatch cost, once the Auto policy
-    has measured it; [None] before calibration or without a pool. *)
-
-val parallel_for : ?chunk:int -> ?grain:int -> n:int -> (int -> unit) -> unit
+val parallel_for : ?grain:int -> n:int -> (int -> unit) -> unit
 (** [parallel_for ~n f] runs [f i] for every [i] in [0, n), split into
     chunks shared over the worker domains via an atomic chunk counter.
-    [?grain] estimates ns per index for the cutoff and the chunk
-    layout; [?chunk] forces an explicit chunk size instead. Each chunk
-    runs its indices in ascending order. The first exception raised by
-    any body is re-raised on the calling domain after the loop
-    drains. *)
+    [?grain] estimates ns per index for the dispatch rule and the chunk
+    layout. Each chunk runs its indices in ascending order. The first
+    exception raised by any body is re-raised on the calling domain
+    after the loop drains. *)
 
 val parallel_for_reduce :
-  ?chunk:int ->
   ?grain:int ->
   n:int ->
   neutral:'a ->
@@ -152,44 +133,28 @@ type fused
     reduce fused into a single pool dispatch, with the job record,
     chunk bookkeeping and per-worker accumulator slots allocated once
     at {!fused} time. Re-running it ({!run_fused}) allocates nothing,
-    which is what makes it the engine's per-round primitive. As the
-    repeated-same-shape case, a fused task also carries the grain EMA:
-    sampled runs fold observed ns/index into its estimate, which feeds
-    the next run's cutoff and layout (schedules only, never results). *)
+    which is what makes it the engine's per-round primitive. *)
 
-val fused : ?chunk:int -> ?grain:int -> (int -> int) -> fused
+val fused : ?grain:int -> (int -> int) -> fused
 (** [fused body] prepares a reusable loop over [body]. [body i] must
     obey the determinism contract above (index-owned writes); its int
     return values are summed. The sum is accumulated per worker domain
     and combined by the dispatcher — int addition is commutative, so
-    the result is schedule-independent. [?grain] seeds the task's cost
+    the result is schedule-independent. [?grain] is the task's cost
     estimate (ns per index, {!default_grain} when absent). *)
 
 val run_fused : fused -> n:int -> int
 (** [run_fused t ~n] runs [body i] for every [i] in [0, n) and returns
     the sum of the results. [n] may vary between calls (shrinking
-    frontiers); the cutoff and chunk layout are recomputed per call
-    from [n], the grain estimate and the pool size, with no
+    frontiers); the dispatch rule and chunk layout are recomputed per
+    call from [n], the grain estimate and the pool size, with no
     allocation. Falls back to an inline sequential loop under the same
     conditions as {!parallel_for}. *)
 
-val tabulate : ?chunk:int -> ?grain:int -> int -> (int -> 'a) -> 'a array
+val tabulate : ?grain:int -> int -> (int -> 'a) -> 'a array
 (** [tabulate n f] is [Array.init n f] with the slots filled in
     parallel. [f 0] is evaluated first on the calling domain (to seed
     the array); [f] must therefore be safe to call out of order. *)
-
-val run_rounds : (unit -> 'a) -> 'a
-(** [run_rounds f] runs [f] inside a resident-worker session: loops
-    dispatched by [f] (an engine's consecutive rounds — send/recv
-    pairs, double-buffer steps) find the workers spinning on the epoch
-    word instead of parked, so back-to-back dispatches skip the
-    park/wake cycle. A session changes no invariant of the dispatch
-    protocol — epoch-tagged claims, per-slot ownership and the
-    completed-counter barrier are identical in and out of a session —
-    so it is transparent to the determinism contract. Sessions nest;
-    exceptions restore the outer state. On hosts where spinning cannot
-    help (one core, or an oversubscribed pool) the bracket is free and
-    workers park exactly as before. *)
 
 val shutdown : unit -> unit
 (** Join all worker domains. Safe to call at any quiescent point; the

@@ -47,8 +47,6 @@ let solve inst =
   let count_active = Pool.fused ~grain:5 (fun v -> if active.(v) then 1 else 0) in
   let remaining = ref (Pool.run_fused count_active ~n) in
   let iter = ref 0 in
-  (* every Luby iteration is 4–5 dispatches back to back *)
-  Pool.run_rounds (fun () ->
   while !remaining > 0 do
     draw rand ~iter:!iter ~n active p;
     (* priority contest: nmax.(v) = max neighbour priority *)
@@ -76,7 +74,7 @@ let solve inst =
         if active.(v) && (members.(v) || nmem.(v)) then active.(v) <- false);
     remaining := Pool.run_fused count_active ~n;
     incr iter
-  done);
+  done;
   Obs.Counter.add
     (Obs.Registry.counter reg "problems.luby.iterations")
     !iter;

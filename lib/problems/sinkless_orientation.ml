@@ -597,7 +597,6 @@ let solve_randomized_frontier ?stats inst =
     sinks;
   let run_sp = Obs.Span.enter "wave.run" in
   let wround = ref 0 in
-  Pool.run_rounds (fun () ->
   while FS.cardinal front > 0 do
     let rsp = Obs.Span.enter "wave.round" in
     let t0 = Obs.Clock.now_ns () in
@@ -651,7 +650,7 @@ let solve_randomized_frontier ?stats inst =
     if Obs.Span.live rsp then
       Obs.Span.exit ~kvs:[ ("round", !wround); ("active", active) ] rsp;
     incr wround
-  done);
+  done;
   if Obs.Span.live run_sp then
     Obs.Span.exit ~kvs:[ ("rounds", !wround); ("n", n) ] run_sp;
   (* deferred flips, in sink-id order (order is immaterial: the paths

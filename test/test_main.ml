@@ -1,12 +1,10 @@
 (* The determinism suites sweep pool sizes to prove bit-identity under
-   real worker execution; with the cost-aware cutoff in its default
-   Auto policy a one-core CI host would never dispatch and the sweeps
-   would pass vacuously. Force the pre-autotuner Always policy unless
-   the environment asks for a specific one (the autotuner suite
-   switches policies itself, under its own bracket). *)
-let () =
-  if Sys.getenv_opt "REPRO_POOL_CUTOFF" = None then
-    Repro_local.Pool.set_dispatch_mode Repro_local.Pool.Always
+   real worker execution; under the default dispatch rule a pool larger
+   than the host's core count never dispatches and small test loops stay
+   under the work cutoff, so the sweeps would pass vacuously. Turn on the
+   test-only force switch (the dispatch-rule tests switch it off under
+   their own bracket). *)
+let () = Repro_local.Pool.set_force_dispatch true
 
 let () =
   Alcotest.run "repro"

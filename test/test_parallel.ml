@@ -67,18 +67,23 @@ let test_chunk_edge_cases () =
     ~finally:(fun () -> Pool.set_size 1)
     (fun () ->
       Pool.set_size 4;
-      (* one chunk larger than the range: workers find nothing to steal *)
-      let hits = Array.make 20 0 in
-      Pool.parallel_for ~chunk:64 ~n:20 (fun i -> hits.(i) <- hits.(i) + 1);
-      check "chunk > n covers" true (Array.for_all (fun c -> c = 1) hits);
-      (* chunk of 1: more chunks than domains *)
-      let hits = Array.make 33 0 in
-      Pool.parallel_for ~chunk:1 ~n:33 (fun i -> hits.(i) <- hits.(i) + 1);
-      check "chunk = 1 covers" true (Array.for_all (fun c -> c = 1) hits);
-      (* n smaller than the domain count *)
-      let hits = Array.make 2 0 in
-      Pool.parallel_for ~chunk:1 ~n:2 (fun i -> hits.(i) <- hits.(i) + 1);
-      check "n < domains covers" true (Array.for_all (fun c -> c = 1) hits))
+      (* the layout is clamped between one chunk per domain and 16 per
+         domain; a tiny grain asks for the fewest chunks, a huge one for
+         the most *)
+      let covers ~grain n =
+        let hits = Array.make n 0 in
+        Pool.parallel_for ~grain ~n (fun i -> hits.(i) <- hits.(i) + 1);
+        Array.for_all (fun c -> c = 1) hits
+      in
+      (* one chunk per domain: the last one short *)
+      check "one chunk per domain covers" true (covers ~grain:1 22);
+      (* chunks of one index: more chunks than domains *)
+      check "chunk = 1 covers" true (covers ~grain:1_000_000 33);
+      (* at the 16-chunks-per-domain clamp, with a ragged tail *)
+      check "chunk clamp covers" true (covers ~grain:1_000_000 1001);
+      (* n smaller than the domain count (and under the force switch's
+         16-index floor, so it runs inline) *)
+      check "n < domains covers" true (covers ~grain:1_000_000 2))
 
 let test_reduce () =
   Fun.protect
@@ -238,34 +243,33 @@ let test_distributed_check_equal () =
       (v.DC.accepts, v.DC.all_accept, v.DC.rounds))
 
 (* ------------------------------------------------------------------ *)
-(* adaptive dispatch: autotuner invariance, round batching, arming    *)
+(* dispatch rule: invariance, oversubscription, arming                *)
 (* ------------------------------------------------------------------ *)
 
 module Obs = Repro_obs
 
 (* run [f] with free rein over the dispatch knobs, restoring the
-   suite-wide configuration (size 1, no grain override, whatever mode
-   test_main armed) however [f] exits *)
+   suite-wide configuration (size 1, force switch on as test_main armed
+   it) however [f] exits *)
 let with_dispatch_config f =
-  let mode0 = Pool.dispatch_mode () in
   Fun.protect
     ~finally:(fun () ->
       Pool.set_size 1;
-      Pool.set_grain_override None;
-      Pool.set_dispatch_mode mode0)
+      Pool.set_force_dispatch true)
     f
 
-let dispatch_modes =
-  [ ("auto", Pool.Auto); ("always", Pool.Always); ("work1k", Pool.Work_ns 1000) ]
+(* every (force, size) cell the invariance tests sweep *)
+let dispatch_cells =
+  List.concat_map
+    (fun force -> List.map (fun s -> (force, s)) [ 1; 2; 4 ])
+    [ true; false ]
 
-let grain_overrides = [ ("default", None); ("g1", Some 1); ("gN", Some 1_000_000) ]
+let cell_name (force, s) =
+  Printf.sprintf "%s/size %d" (if force then "forced" else "rule") s
 
-let test_autotuner_invariance () =
-  (* the tentpole contract: cutoff decisions, grain choices and the EMA
-     the autotuner accumulates may move work between domains, never
-     change a result. Every (mode, grain, size) cell runs twice — the
-     first run feeds the EMA, so the second run's schedule may differ,
-     and both must equal the sequential base. *)
+let test_dispatch_invariance () =
+  (* the dispatch rule and the force switch may move work between
+     domains, never change a result *)
   let inst = so_instance ~n:120 () in
   let g = inst.Instance.graph in
   let compute () =
@@ -275,33 +279,21 @@ let test_autotuner_invariance () =
   in
   with_dispatch_config (fun () ->
       Pool.set_size 1;
-      Pool.set_grain_override None;
-      Pool.set_dispatch_mode Pool.Always;
       let base = compute () in
       List.iter
-        (fun (mname, mode) ->
-          List.iter
-            (fun (gname, grain) ->
-              List.iter
-                (fun s ->
-                  Pool.set_size s;
-                  Pool.set_dispatch_mode mode;
-                  Pool.set_grain_override grain;
-                  for rep = 1 to 2 do
-                    check
-                      (Printf.sprintf "%s/%s/size %d rep %d = sequential"
-                         mname gname s rep)
-                      true
-                      (base = compute ())
-                  done)
-                [ 1; 2; 4 ])
-            grain_overrides)
-        dispatch_modes)
+        (fun ((force, s) as cell) ->
+          Pool.set_size s;
+          Pool.set_force_dispatch force;
+          check
+            (Printf.sprintf "%s = sequential" (cell_name cell))
+            true
+            (base = compute ()))
+        dispatch_cells)
 
-let test_autotuner_obs_invariance () =
+let test_dispatch_obs_invariance () =
   (* the observability byte-identity half of the contract: deterministic
      trace projections and provenance certificates may not depend on the
-     grain, the pool size, or EMA state accumulated by earlier runs *)
+     pool size or the dispatch decisions *)
   let inst = so_instance ~n:100 () in
   let g = inst.Instance.graph in
   let out, _ = SO.solve_deterministic inst in
@@ -309,7 +301,7 @@ let test_autotuner_obs_invariance () =
      round events *)
   let flood = Audit.flood_algorithm ~actual:(fun v -> 1 + (v mod 3)) in
   let traced () =
-    Obs.Trace.start ~label:"autotune" ~n:(G.n g) ();
+    Obs.Trace.start ~label:"dispatch" ~n:(G.n g) ();
     Fun.protect
       ~finally:(fun () -> Obs.Registry.disable ())
       (fun () ->
@@ -322,89 +314,45 @@ let test_autotuner_obs_invariance () =
   in
   with_dispatch_config (fun () ->
       Pool.set_size 1;
-      Pool.set_grain_override None;
-      Pool.set_dispatch_mode Pool.Always;
       let base_trace = traced () in
       let base_cert = audited () in
       check "base certificate ok" true base_cert.Obs.Provenance.c_ok;
       List.iter
-        (fun (gname, grain) ->
-          List.iter
-            (fun s ->
-              Pool.set_size s;
-              Pool.set_grain_override grain;
-              check
-                (Printf.sprintf "trace projection %s size %d" gname s)
-                true
-                (Obs.Trace.deterministic_equal base_trace (traced ()));
-              check
-                (Printf.sprintf "provenance cert %s size %d" gname s)
-                true
-                (base_cert = audited ()))
-            [ 1; 2; 4 ])
-        grain_overrides)
+        (fun ((force, s) as cell) ->
+          Pool.set_size s;
+          Pool.set_force_dispatch force;
+          check
+            (Printf.sprintf "trace projection %s" (cell_name cell))
+            true
+            (Obs.Trace.deterministic_equal base_trace (traced ()));
+          check
+            (Printf.sprintf "provenance cert %s" (cell_name cell))
+            true
+            (base_cert = audited ()))
+        dispatch_cells)
 
-let test_run_rounds_equal () =
-  (* round batching: a resident-worker session is a scheduling hint,
-     never a semantic one *)
-  let inst = so_instance ~n:100 () in
-  across_sizes "run_rounds so det" (fun () ->
-      let direct = SO.solve_deterministic inst in
-      let batched = Pool.run_rounds (fun () -> SO.solve_deterministic inst) in
-      check "in-session = out of session" true (direct = batched);
-      batched)
-
-let test_run_rounds_exception_safe () =
-  Fun.protect
-    ~finally:(fun () -> Pool.set_size 1)
-    (fun () ->
-      Pool.set_size 4;
-      (* an exception from a loop inside the session propagates *)
-      check "loop exception propagates" true
-        (try
-           Pool.run_rounds (fun () ->
-               Pool.parallel_for ~n:1000 (fun i ->
-                   if i = 77 then failwith "bang"));
-           false
-         with Failure m -> m = "bang");
-      (* ... as does one from the session body itself *)
-      check "body exception propagates" true
-        (try Pool.run_rounds (fun () -> failwith "direct")
-         with Failure m -> m = "direct");
-      (* the workers leave residency however the session ended: both a
-         fresh session and a bare loop still work and still cover *)
-      let s =
-        Pool.run_rounds (fun () ->
-            Pool.parallel_for_reduce ~n:100 ~neutral:0 ~combine:( + )
-              (fun i -> i))
-      in
-      check_int "session after failure" 4950 s;
-      let s' =
-        Pool.parallel_for_reduce ~n:100 ~neutral:0 ~combine:( + ) (fun i -> i)
-      in
-      check_int "bare loop after failure" 4950 s')
-
-let test_run_rounds_nested () =
-  Fun.protect
-    ~finally:(fun () -> Pool.set_size 1)
-    (fun () ->
-      Pool.set_size 2;
-      let r =
-        Pool.run_rounds (fun () ->
-            Pool.run_rounds (fun () ->
-                Pool.parallel_for_reduce ~n:64 ~neutral:0 ~combine:( + )
-                  (fun i -> i)))
-      in
-      check_int "nested sessions compute" 2016 r;
-      (* leaving the inner session must not evict the outer one's
-         residency: a loop after the inner exit still covers *)
-      let r' =
-        Pool.run_rounds (fun () ->
-            Pool.run_rounds (fun () -> ()) |> ignore;
-            Pool.parallel_for_reduce ~n:64 ~neutral:0 ~combine:( + )
-              (fun i -> i))
-      in
-      check_int "loop after inner session exit" 2016 r')
+let test_oversubscribed_inline () =
+  (* a pool with more members than the host has cores only adds context
+     switches, so the rule keeps even a large loop inline there *)
+  let reg = Obs.Registry.ambient () in
+  let jobs = Obs.Registry.counter reg "local.pool.jobs" in
+  let cutoff_inline = Obs.Registry.counter reg "local.pool.cutoff_inline" in
+  with_dispatch_config (fun () ->
+      Pool.set_size (Domain.recommended_domain_count () + 1);
+      Pool.set_force_dispatch false;
+      Fun.protect
+        ~finally:(fun () -> Obs.Registry.disable ())
+        (fun () ->
+          Obs.Registry.enable ();
+          let j0 = Obs.Counter.value jobs in
+          let c0 = Obs.Counter.value cutoff_inline in
+          let hits = Array.make 100_000 0 in
+          Pool.parallel_for ~grain:1_000 ~n:100_000 (fun i ->
+              hits.(i) <- hits.(i) + 1);
+          check "covers" true (Array.for_all (fun c -> c = 1) hits);
+          check_int "no job dispatched" j0 (Obs.Counter.value jobs);
+          check_int "counted as cutoff-inline" (c0 + 1)
+            (Obs.Counter.value cutoff_inline)))
 
 let test_pool_counters_armed_per_job () =
   (* regression for the per-job arming latch: whether a job records
@@ -418,7 +366,7 @@ let test_pool_counters_armed_per_job () =
   let chunk_ns = Obs.Registry.counter reg "local.pool.chunk_ns" in
   with_dispatch_config (fun () ->
       Pool.set_size 4;
-      Pool.set_dispatch_mode Pool.Always;
+      Pool.set_force_dispatch true;
       Fun.protect
         ~finally:(fun () -> Obs.Registry.disable ())
         (fun () ->
@@ -426,7 +374,8 @@ let test_pool_counters_armed_per_job () =
           let c0 = Obs.Counter.value chunks in
           let p0 = Obs.Counter.value par_idx in
           let t0 = Obs.Counter.value chunk_ns in
-          Pool.parallel_for ~chunk:8 ~n:512 (fun _ -> ());
+          (* a huge grain asks for the most chunks: 16 per domain *)
+          Pool.parallel_for ~grain:1_000_000 ~n:512 (fun _ -> ());
           check_int "disarmed: chunks untouched" c0 (Obs.Counter.value chunks);
           check_int "disarmed: par_idx untouched" p0
             (Obs.Counter.value par_idx);
@@ -435,7 +384,7 @@ let test_pool_counters_armed_per_job () =
           Obs.Registry.enable ();
           let c1 = Obs.Counter.value chunks in
           let p1 = Obs.Counter.value par_idx in
-          Pool.parallel_for ~chunk:8 ~n:512 (fun _ -> ());
+          Pool.parallel_for ~grain:1_000_000 ~n:512 (fun _ -> ());
           Obs.Registry.disable ();
           check "armed: chunks advanced" true (Obs.Counter.value chunks > c1);
           check_int "armed: par_idx counts each index once" (p1 + 512)
@@ -460,10 +409,10 @@ let suite =
     ("two-coloring equal", `Quick, test_two_coloring_equal);
     ("gadget verifier equal", `Quick, test_verifier_equal);
     ("distributed checker equal", `Quick, test_distributed_check_equal);
-    ("autotuner invariance across modes/grains", `Quick, test_autotuner_invariance);
-    ("autotuner trace/cert invariance", `Quick, test_autotuner_obs_invariance);
-    ("run_rounds determinism", `Quick, test_run_rounds_equal);
-    ("run_rounds exception safety", `Quick, test_run_rounds_exception_safe);
-    ("run_rounds nesting", `Quick, test_run_rounds_nested);
+    ( "autotuner invariance across modes/sizes",
+      `Quick,
+      test_dispatch_invariance );
+    ("autotuner trace/cert invariance", `Quick, test_dispatch_obs_invariance);
+    ("oversubscribed pool stays inline", `Quick, test_oversubscribed_inline);
     ("pool counters armed per job", `Quick, test_pool_counters_armed_per_job);
   ]
