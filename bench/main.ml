@@ -165,7 +165,8 @@ let cases ~quick () =
     };
     (* the telemetry overhead pair: the same one-round check workload
        with the registry disabled (the gated fast path — this is the
-       overhead-when-disabled measurement) and with a live trace *)
+       overhead-when-disabled measurement) and with a live trace, spans
+       armed *)
     {
       name = "dcheck-so-3k";
       n = n_so;
@@ -181,9 +182,9 @@ let cases ~quick () =
       rounds = 1;
       run =
         (fun () ->
-          Obs.Trace.start ();
-          ignore (DC.run SO.problem inst3k ~input:so_inp ~output:so_out);
-          ignore (Obs.Trace.finish ());
+          ignore
+            (Obs.Trace.record (fun () ->
+                 DC.run SO.problem inst3k ~input:so_inp ~output:so_out));
           Obs.Registry.disable ());
       frontier = None;
     };

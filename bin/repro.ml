@@ -59,24 +59,11 @@ let with_obs ~label (trace, stats) f =
     match trace with
     | None -> f ()
     | Some file ->
-      (* spans arm alongside the trace: the run executes under a
-         cli.<label> root span, and every engine/pool span underneath
-         drains into the same JSONL as the round events. On failure both
-         recorders are aborted so a failed run cannot leave them armed
-         and polluting the next trace. *)
-      Obs.Trace.start ~label ();
-      let (_ : int) = Obs.Span.arm () in
-      let result =
-        try
-          let r = Obs.Span.with_span ("cli." ^ label) f in
-          Obs.Span.flush_to_trace ();
-          r
-        with e ->
-          Obs.Span.abort ();
-          Obs.Trace.abort ();
-          raise e
+      (* the run executes under a cli.<label> root span; the engines'
+         round spans and the pool's chunk spans nest underneath *)
+      let result, events =
+        Obs.Trace.record ~label (fun () -> Obs.Span.with_span ("cli." ^ label) f)
       in
-      let events = Obs.Trace.finish () in
       Obs.Trace.write_jsonl file events;
       Printf.printf "wrote %s (%d events)\n" file (List.length events);
       result
@@ -522,8 +509,8 @@ let trace_report_cmd =
     (Cmd.info "trace-report"
        ~doc:
          "Recompute trace invariants offline from a recorded JSONL file: \
-          round/counter consistency, audit balls, certificate summaries, \
-          span nesting; $(b,--spans) adds the span-tree report.")
+          round-span/counter consistency, audit balls, certificate \
+          summaries, span nesting; $(b,--spans) adds the span-tree report.")
     Term.(ret (const run $ file $ against $ spans))
 
 (* ------------------------------------------------------------------ *)

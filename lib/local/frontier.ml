@@ -50,8 +50,8 @@ module MP = Message_passing
 module FS = Frontier_set
 
 (* resolved against the ambient registry at run entry, memoized on
-   physical registry identity; the rng/pool counters are shared-by-name
-   with Randomness and Pool, so a round event can report their deltas *)
+   physical registry identity; the rng counter is shared-by-name with
+   Randomness, so a round span can report its delta *)
 type metrics = {
   reg : Obs.Registry.t;
   m_runs : Obs.Counter.t;
@@ -59,8 +59,6 @@ type metrics = {
   m_messages : Obs.Counter.t;
   m_bytes : Obs.Counter.t;
   m_rng : Obs.Counter.t;
-  m_chunks : Obs.Counter.t;
-  m_chunk_ns : Obs.Counter.t;
 }
 
 let make_metrics reg =
@@ -72,8 +70,6 @@ let make_metrics reg =
     m_messages = c "local.frontier.messages";
     m_bytes = c "local.frontier.payload_bytes";
     m_rng = c "local.rng.draws";
-    m_chunks = c "local.pool.chunks";
-    m_chunk_ns = c "local.pool.chunk_ns";
   }
 
 let memo : metrics option ref = ref None
@@ -89,11 +85,6 @@ let metrics () =
 
 let payload_bytes (v : 'a) =
   Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8)
-
-let obs_marks mt =
-  ( Obs.Counter.value mt.m_rng,
-    Obs.Counter.value mt.m_chunks,
-    Obs.Counter.value mt.m_chunk_ns )
 
 type 'out result = {
   outputs : 'out array;
@@ -222,8 +213,7 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
     let t0 = Obs.Clock.now_ns () in
     let dense = FS.is_dense live in
     let active = FS.cardinal live in
-    let traced = Obs.Trace.active () in
-    let marks0 = if traced then obs_marks mt else (0, 0, 0) in
+    let rng0 = if Obs.Span.live rsp then Obs.Counter.value mt.m_rng else 0 in
     let edges =
       if dense then Pool.run_fused send_dense ~n:(FS.word_count live)
       else Pool.run_fused send_sparse ~n:active
@@ -253,29 +243,20 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
     in
     remaining := !remaining - newly_halted;
     FS.remove_if live (fun v -> halted.(v));
-    if traced then begin
-      let rng0, chunks0, chunk_ns0 = marks0 in
-      let rng1, chunks1, chunk_ns1 = obs_marks mt in
-      Obs.Trace.emit
-        (Obs.Trace.Round
-           {
-             engine = "frontier";
-             round = r;
-             messages = !msgs;
-             payload_bytes = !bytes;
-             mailbox_max = !mbox_max;
-             mailbox_mean =
-               float_of_int !msgs /. float_of_int (max 1 active);
-             rng_draws = rng1 - rng0;
-             chunks = chunks1 - chunks0;
-             chunk_ns = chunk_ns1 - chunk_ns0;
-           })
-    end;
     (* clamped: the gettimeofday fallback clock can step backwards *)
     FS.Stats.record recorder ~active ~edges ~dense
       ~ns:(max 0 (Obs.Clock.now_ns () - t0));
     if Obs.Span.live rsp then
-      Obs.Span.exit ~kvs:[ ("round", r); ("active", active) ] rsp;
+      Obs.Span.exit rsp
+        ~kvs:
+          [
+            ("round", r);
+            ("active", active);
+            ("messages", !msgs);
+            ("payload_bytes", !bytes);
+            ("mailbox_max", !mbox_max);
+            ("rng_draws", Obs.Counter.value mt.m_rng - rng0);
+          ];
     incr round
   done;
   if !remaining > 0 then

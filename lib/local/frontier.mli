@@ -50,9 +50,9 @@
     Both phases of a round run as {!Pool} loops over the live set, and
     every write is index-owned, so results are bit-identical for every
     pool size. When the {!Repro_obs.Registry} is enabled the engine
-    maintains the [local.frontier.*] counters, and when a
-    {!Repro_obs.Trace} is recording it emits one [Round] event per round
-    tagged [engine = "frontier"] (DESIGN.md §9). When
+    maintains the [local.frontier.*] counters, and while {!Repro_obs.Span}
+    is armed each round's [frontier.round] span carries the round's
+    statistics as kvs (DESIGN.md §9). When
     {!Repro_obs.Provenance} is armed it tracks, per node and per
     in-flight message, the set of origin nodes whose initial state has
     reached it, and at halt submits the per-node sets and active-round

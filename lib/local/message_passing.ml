@@ -2,11 +2,11 @@ module G = Repro_graph.Multigraph
 module Obs = Repro_obs
 
 (* flood telemetry; every update below is a no-op while the owning
-   registry is disabled. Round events additionally need the trace
-   recorder active. Metrics are resolved against the ambient registry
-   once per run entry (memoized on physical registry identity); the
-   rng/pool metrics are shared-by-name with Randomness and Pool, so the
-   flood can report per-round deltas of counters it does not own. *)
+   registry is disabled, and round span kvs additionally need spans
+   armed. Metrics are resolved against the ambient registry once per run
+   entry (memoized on physical registry identity); the rng counter is
+   shared-by-name with Randomness, so the flood can report per-round
+   deltas of a counter it does not own. *)
 type metrics = {
   reg : Obs.Registry.t;
   m_flood_runs : Obs.Counter.t;
@@ -14,8 +14,6 @@ type metrics = {
   m_flood_messages : Obs.Counter.t;
   m_flood_bytes : Obs.Counter.t;
   m_rng : Obs.Counter.t;
-  m_chunks : Obs.Counter.t;
-  m_chunk_ns : Obs.Counter.t;
 }
 
 let make_metrics reg =
@@ -27,8 +25,6 @@ let make_metrics reg =
     m_flood_messages = c "local.flood.messages";
     m_flood_bytes = c "local.flood.payload_bytes";
     m_rng = c "local.rng.draws";
-    m_chunks = c "local.pool.chunks";
-    m_chunk_ns = c "local.pool.chunk_ns";
   }
 
 let memo : metrics option ref = ref None
@@ -47,12 +43,6 @@ let metrics () =
    the seq-vs-par telemetry contract. *)
 let payload_bytes (v : 'a) =
   Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8)
-
-(* snapshot of the delta-reported counters, taken at round boundaries *)
-let obs_marks mt =
-  ( Obs.Counter.value mt.m_rng,
-    Obs.Counter.value mt.m_chunks,
-    Obs.Counter.value mt.m_chunk_ns )
 
 type ('state, 'msg, 'out) algorithm = {
   init : Instance.t -> int -> 'state;
@@ -151,29 +141,28 @@ let flood_gather inst ~radius payload =
       done;
       !acc >= nc
     in
-    let emit_round ~r ~traced ~marks0 ~msgs ~mbox_max ~bytes =
+    (* [rng0] is the rng counter at round start ([rng_mark]), read only
+       while the round span is live *)
+    let rng_mark rsp =
+      if Obs.Span.live rsp then Obs.Counter.value mt.m_rng else 0
+    in
+    let close_round rsp ~r ~rng0 ~msgs ~mbox_max ~bytes =
       if Obs.Registry.live mt.reg then begin
         Obs.Counter.incr mt.m_flood_rounds;
         Obs.Counter.add mt.m_flood_messages msgs;
         Obs.Counter.add mt.m_flood_bytes bytes
       end;
-      if traced then begin
-        let rng0, chunks0, chunk_ns0 = marks0 in
-        let rng1, chunks1, chunk_ns1 = obs_marks mt in
-        Obs.Trace.emit
-          (Obs.Trace.Round
-             {
-               engine = "flood_gather";
-               round = r;
-               messages = msgs;
-               payload_bytes = bytes;
-               mailbox_max = mbox_max;
-               mailbox_mean = float_of_int msgs /. float_of_int (max 1 n);
-               rng_draws = rng1 - rng0;
-               chunks = chunks1 - chunks0;
-               chunk_ns = chunk_ns1 - chunk_ns0;
-             })
-      end
+      if Obs.Span.live rsp then
+        Obs.Span.exit rsp
+          ~kvs:
+            [
+              ("round", r);
+              ("active", n);
+              ("messages", msgs);
+              ("payload_bytes", bytes);
+              ("mailbox_max", mbox_max);
+              ("rng_draws", Obs.Counter.value mt.m_rng - rng0);
+            ]
     in
     if dense then begin
       let module B = Obs.Provenance.Bitset in
@@ -186,8 +175,7 @@ let flood_gather inst ~radius payload =
       let next = Array.init n (fun _ -> B.create nc) in
       for r = 0 to radius - 1 do
         let rsp = Obs.Span.enter "flood.round" in
-        let traced = Obs.Trace.active () in
-        let marks0 = if traced then obs_marks mt else (0, 0, 0) in
+        let rng0 = rng_mark rsp in
         if audit then
           Pool.parallel_for ~grain:200 ~n (fun v ->
               Obs.Provenance.Bitset.blit ~src:inf_state.(v) ~dst:inf_out.(v));
@@ -219,8 +207,7 @@ let flood_gather inst ~radius payload =
           known.(v) <- next.(v);
           next.(v) <- t
         done;
-        emit_round ~r ~traced ~marks0 ~msgs ~mbox_max ~bytes;
-        if Obs.Span.live rsp then Obs.Span.exit ~kvs:[ ("round", r) ] rsp
+        close_round rsp ~r ~rng0 ~msgs ~mbox_max ~bytes
       done
     end
     else begin
@@ -329,15 +316,13 @@ let flood_gather inst ~radius payload =
            expects, so audited floods keep the O(n + m) rounds *)
         for r = 0 to radius - 1 do
           let rsp = Obs.Span.enter "flood.round" in
-          let traced = Obs.Trace.active () in
-          let marks0 = if traced then obs_marks mt else (0, 0, 0) in
+          let rng0 = rng_mark rsp in
           Pool.parallel_for ~grain:300 ~n (fun v ->
               snap.(v) <- known.(v);
               Obs.Provenance.Bitset.blit ~src:inf_state.(v) ~dst:inf_out.(v));
           let msgs, mbox_max, bytes = account () in
           Pool.parallel_for ~grain:500 ~n (merge_node (fun _ -> true) r);
-          emit_round ~r ~traced ~marks0 ~msgs ~mbox_max ~bytes;
-          if Obs.Span.live rsp then Obs.Span.exit ~kvs:[ ("round", r) ] rsp
+          close_round rsp ~r ~rng0 ~msgs ~mbox_max ~bytes
         done
       else begin
         (* frontier path: only nodes whose set grew last round
@@ -357,8 +342,7 @@ let flood_gather inst ~radius payload =
         let in_changed v = Frontier_set.mem changed v in
         for r = 0 to radius - 1 do
           let rsp = Obs.Span.enter "flood.round" in
-          let traced = Obs.Trace.active () in
-          let marks0 = if traced then obs_marks mt else (0, 0, 0) in
+          let rng0 = rng_mark rsp in
           Pool.parallel_for ~grain:30 ~n:(Frontier_set.cardinal changed)
             (fun k ->
               let v = Frontier_set.member changed k in
@@ -372,8 +356,7 @@ let flood_gather inst ~radius payload =
           Frontier_set.clear changed;
           Frontier_set.iter cand (fun w ->
               if known.(w) != snap.(w) then Frontier_set.add changed w);
-          emit_round ~r ~traced ~marks0 ~msgs ~mbox_max ~bytes;
-          if Obs.Span.live rsp then Obs.Span.exit ~kvs:[ ("round", r) ] rsp
+          close_round rsp ~r ~rng0 ~msgs ~mbox_max ~bytes
         done
       end
     end;

@@ -15,9 +15,9 @@
 
     When the {!Repro_obs.Registry} is enabled, [flood_gather] maintains
     the [local.flood.*] counters (rounds, messages, payload bytes), and
-    when a {!Repro_obs.Trace} is recording it emits one [Round] event per
-    round tagged [engine = "flood_gather"] — the schema is documented in
-    DESIGN.md §9. When {!Repro_obs.Provenance} is armed it tracks and
+    while {!Repro_obs.Span} is armed each round's [flood.round] span
+    carries the round's statistics as kvs, with [active] = n — the
+    schema is documented in DESIGN.md §9. When {!Repro_obs.Provenance} is armed it tracks and
     submits per-node influence sets exactly like {!Frontier.run}
     (DESIGN.md §10). Disabled, the instrumentation is a single branch per
     round. *)

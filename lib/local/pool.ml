@@ -44,10 +44,8 @@ module Obs = Repro_obs
    dispatch time (memoized on physical registry identity, so the common
    case is one load and a pointer compare) and stored in the job record
    — worker domains read them from there and never consult the ambient
-   slot themselves. The engine reads chunk/chunk_ns deltas around each
-   round to fill the timing fields of its trace events — both are
-   schedule-dependent and excluded from the determinism contract (see
-   Obs.Trace). *)
+   slot themselves. Chunk counts and times are schedule-dependent and
+   excluded from the determinism contract (see Obs.Trace). *)
 type metrics = {
   preg : Obs.Registry.t;
   m_jobs : Obs.Counter.t;

@@ -1,24 +1,19 @@
 type metric = C of Counter.t | H of Histogram.t
 
 type t = {
-  rid : int;
   gate : bool ref;
   mutex : Mutex.t;
   metrics : (string, metric) Hashtbl.t;
 }
 
-let next_id = Atomic.make 0
-
 let create () =
   {
-    rid = Atomic.fetch_and_add next_id 1;
     gate = ref false;
     mutex = Mutex.create ();
     metrics = Hashtbl.create 64;
   }
 
 let default = create ()
-let id t = t.rid
 
 (* The ambient registry: a dynamically scoped "current registry" that
    instrumented layers resolve their metrics against at run entry. A

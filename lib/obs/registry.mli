@@ -3,8 +3,7 @@
     A registry is a first-class value: a named population of counters
     and histograms plus its own gate. The process starts with one,
     {!default}, and long-lived services create one {b per request} so
-    concurrent requests cannot bleed telemetry (or trace state, see
-    {!Trace}) into each other.
+    concurrent requests cannot bleed telemetry into each other.
 
     Instrumented layers do not hold metrics at module initialization any
     more; they resolve them against the {e ambient} registry at run
@@ -42,9 +41,6 @@ val create : unit -> t
 val default : t
 (** The process-wide registry: the ambient one until {!scoped} says
     otherwise, and the one one-shot CLI runs use throughout. *)
-
-val id : t -> int
-(** Unique per process; keys the per-registry trace recorders. *)
 
 val ambient : unit -> t
 (** The registry instrumented layers resolve metrics against. *)

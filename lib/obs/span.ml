@@ -1,11 +1,15 @@
-(* Hierarchical timing spans on per-slot ring buffers.
+(* Hierarchical timing spans on per-slot buffers.
 
    The recording discipline is Provenance's: one global [armed] flag,
    checked with a single boolean load on every operation, so disarmed
    instrumentation costs a load-and-branch and allocates nothing. While
    armed, each pool slot (the dispatching domain is slot 0, workers are
    1..slots-1, see Pool.worker_index) writes closed spans into its own
-   ring buffer — armed recording never contends either.
+   buffer — armed recording never contends either. Slot 0's buffer
+   grows and never drops: it holds every engine round span, and a
+   round span carries the round's statistics, so losing one would
+   falsify the trace. Worker buffers are fixed rings that shed their
+   oldest chunk spans on overflow (counted by {!dropped}).
 
    Slot identity comes from a registered source rather than from
    lib/local directly (repro_local depends on repro_obs, not the other
@@ -27,11 +31,21 @@
    Arming follows the ambient-scoping contract (Registry): one mutator,
    never while a pool job is in flight. Under the serve scheduler the
    single executor arms per request; one-shot CLI runs arm around the
-   whole run. *)
+   whole run through Trace.record. *)
 
-(* power of two: the ring index is a mask, and an overflowing ring
-   overwrites its oldest entries — the most recent spans (the root
-   closes last) are the ones a report cannot do without *)
+type span = {
+  trace_id : int;
+  span_id : int;
+  parent : int;
+  label : string;
+  start_ns : int;
+  stop_ns : int;
+  kvs : (string * int) list;
+}
+
+(* power of two: the ring index is a mask, and an overflowing worker
+   ring overwrites its oldest entries. Slot 0's buffer starts at this
+   size and doubles, so its index mask never wraps. *)
 let capacity = 4096
 
 type handle = {
@@ -44,7 +58,7 @@ type handle = {
 let null = { os_id = -1; os_label = ""; os_start = 0; os_parent = -1 }
 let live h = h.os_id >= 0
 
-let dummy_span : Trace.span =
+let dummy_span =
   {
     trace_id = 0;
     span_id = 0;
@@ -56,8 +70,8 @@ let dummy_span : Trace.span =
   }
 
 type ring = {
-  mutable buf : Trace.span array;
-  mutable n : int; (* spans ever written; index [n land (capacity-1)] *)
+  mutable buf : span array; (* length: a power of two *)
+  mutable n : int; (* spans ever written; index [n land (length-1)] *)
   mutable next_k : int; (* per-slot id counter *)
   mutable stack : handle list; (* open spans, innermost first *)
 }
@@ -113,8 +127,14 @@ let disarm () = armed_flag := false
 (* recording                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let push_ring r (s : Trace.span) =
-  r.buf.(r.n land (capacity - 1)) <- s;
+let push_ring slot r s =
+  let len = Array.length r.buf in
+  if slot = 0 && r.n = len then begin
+    let grown = Array.make (2 * len) dummy_span in
+    Array.blit r.buf 0 grown 0 len;
+    r.buf <- grown
+  end;
+  r.buf.(r.n land (Array.length r.buf - 1)) <- s;
   r.n <- r.n + 1
 
 let alloc_id r slot =
@@ -167,7 +187,7 @@ let exit ?(kvs = []) h =
       r.stack <- pop r.stack;
       if slot = 0 then
         cross_parent := (match r.stack with o :: _ -> o.os_id | [] -> -1);
-      push_ring r
+      push_ring slot r
         {
           trace_id = !cur_trace;
           span_id = h.os_id;
@@ -204,7 +224,7 @@ let record ~label ~start_ns ~stop_ns ?parent ?(kvs = []) () =
           match r.stack with h :: _ -> h.os_id | [] -> !cross_parent)
       in
       let id = alloc_id r slot in
-      push_ring r
+      push_ring slot r
         {
           trace_id = !cur_trace;
           span_id = id;
@@ -223,8 +243,10 @@ let record ~label ~start_ns ~stop_ns ?parent ?(kvs = []) () =
 (* ------------------------------------------------------------------ *)
 
 (* slot 0 first (the dispatching thread's spans, in deterministic
-   order), then the worker slots' chunk spans; an overflowed ring
-   surfaces its newest [capacity] spans, oldest first *)
+   order), then the worker slots' chunk spans; an overflowed worker
+   ring surfaces its newest [capacity] spans, oldest first. A grown
+   slot-0 buffer is released, so one large recording does not pin its
+   spans until the next one overwrites them. *)
 let take () =
   if not !armed_flag then []
   else begin
@@ -233,10 +255,11 @@ let take () =
     let rs = !rings in
     for slot = Array.length rs - 1 downto 0 do
       let r = rs.(slot) in
-      let first = if r.n > capacity then r.n - capacity else 0 in
-      for i = r.n - 1 downto first do
-        out := r.buf.(i land (capacity - 1)) :: !out
+      let len = Array.length r.buf in
+      for i = r.n - 1 downto max 0 (r.n - len) do
+        out := r.buf.(i land (len - 1)) :: !out
       done;
+      if len > capacity then r.buf <- Array.make capacity dummy_span;
       r.n <- 0;
       r.next_k <- 0;
       r.stack <- []
@@ -245,12 +268,7 @@ let take () =
   end
 
 let dropped () =
-  Array.fold_left
-    (fun acc r -> acc + if r.n > capacity then r.n - capacity else 0)
-    0 !rings
+  Array.fold_left (fun acc r -> acc + max 0 (r.n - Array.length r.buf)) 0 !rings
 
 let abort () =
   if !armed_flag then ignore (take ())
-
-let flush_to_trace () =
-  List.iter (fun s -> Trace.emit (Trace.Span s)) (take ())

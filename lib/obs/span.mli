@@ -3,16 +3,36 @@
     A span is a labelled interval with a parent, forming per-request
     (per-{e trace-id}) trees: the serve stack opens a root span per
     request, the engines open one per round, the pool one per executed
-    chunk. Closed spans are buffered in per-slot ring buffers (one per
-    pool slot, see {!Repro_local.Pool.worker_index}), so armed recording
-    never contends; while disarmed every operation is a single boolean
-    load (the {!Provenance} discipline). Spans drain into the ambient
-    {!Trace} stream as [Trace.Span] events.
+    chunk. Closed spans are buffered per pool slot (see
+    {!Repro_local.Pool.worker_index}), so armed recording never
+    contends; while disarmed every operation is a single boolean load
+    (the {!Provenance} discipline). The dispatching slot's buffer grows
+    and never drops — it holds every engine round span, whose kvs are
+    the round's statistics (DESIGN.md §9). Worker slots hold only
+    [pool.chunk] spans in fixed rings that shed their oldest entries on
+    overflow. {!Trace.record} arms spans and drains them into its event
+    stream as [Trace.Span] events.
 
     Arming follows the ambient-scoping contract ({!Registry}): a single
     mutator, never while a pool job is in flight. The serve scheduler's
     single executor satisfies it by construction; one-shot CLI runs arm
     around the whole run. *)
+
+type span = {
+  trace_id : int;  (** groups the spans of one recording/request *)
+  span_id : int;  (** unique within the trace *)
+  parent : int;  (** [span_id] of the enclosing span, or [-1] for a root *)
+  label : string;
+      (** dot-separated, [layer.operation]; labels prefixed [pool.] are
+          schedule-dependent and dropped by
+          {!Trace.deterministic_projection} *)
+  start_ns : int;  (** {!Clock.now_ns} at entry (monotonic origin) *)
+  stop_ns : int;  (** {!Clock.now_ns} at exit; [>= start_ns] *)
+  kvs : (string * int) list;
+      (** attributes; keys ending in [_ns] are timing data and stripped
+          by the deterministic projection *)
+}
+(** One closed interval of a hierarchical timing tree. *)
 
 type handle
 (** An open span. Handles returned while disarmed are inert: exiting
@@ -73,23 +93,17 @@ val record :
     defaults as in {!enter}. Returns the span id, or [-1] while
     disarmed. *)
 
-val take : unit -> Trace.span list
+val take : unit -> span list
 (** Disarm and drain: the dispatching slot's spans first (deterministic
-    order), then the worker slots' chunk spans. An overflowed ring
-    yields its newest {e capacity} spans (the root span closes last, so
-    overflow sheds the oldest, innermost data first). *)
+    order), then the worker slots' chunk spans. An overflowed worker
+    ring yields its newest {e capacity} spans. *)
 
 val dropped : unit -> int
-(** Spans lost to ring overflow so far (reset by {!take}/{!arm}). *)
+(** Worker chunk spans lost to ring overflow so far (reset by
+    {!take}/{!arm}); the dispatching slot never drops. *)
 
 val abort : unit -> unit
-(** Disarm and discard the buffered spans — the span-side counterpart
-    of {!Trace.abort}. *)
-
-val flush_to_trace : unit -> unit
-(** {!take} into the ambient trace: emit every drained span as a
-    [Trace.Span] event. Call from the dispatching thread only (the
-    recorder is single-threaded by contract), before [Trace.finish]. *)
+(** Disarm and discard the buffered spans. *)
 
 val set_worker_source : slots:(unit -> int) -> index:(unit -> int) -> unit
 (** Register the pool's slot geometry ([Pool.worker_slots] /

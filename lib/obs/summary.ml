@@ -41,15 +41,22 @@ let pp fmt () =
   Format.pp_print_cut fmt ();
   pp_histograms fmt ()
 
+(* one row per engine round span; mean = messages / active *)
 let pp_trace fmt evs =
-  Format.fprintf fmt "@[<v>%-16s %6s %10s %12s %6s %8s %8s %8s@," "engine"
-    "round" "messages" "bytes" "mbox" "mean" "rng" "chunks";
+  Format.fprintf fmt "@[<v>%-10s %6s %8s %10s %12s %6s %8s %8s@," "engine"
+    "round" "active" "messages" "bytes" "mbox" "mean" "rng";
   List.iter
     (function
-      | Trace.Round r ->
-        Format.fprintf fmt "%-16s %6d %10d %12d %6d %8.1f %8d %8d@," r.engine
-          r.round r.messages r.payload_bytes r.mailbox_max r.mailbox_mean
-          r.rng_draws r.chunks
+      | Trace.Span s -> (
+        match Trace.span_engine s with
+        | Some engine ->
+          let kv k = Trace.kv k s in
+          Format.fprintf fmt "%-10s %6d %8d %10d %12d %6d %8.1f %8d@," engine
+            (kv "round") (kv "active") (kv "messages") (kv "payload_bytes")
+            (kv "mailbox_max")
+            (float_of_int (kv "messages") /. float_of_int (max 1 (kv "active")))
+            (kv "rng_draws")
+        | None -> ())
       | Trace.Meta { label; n } ->
         Format.fprintf fmt "meta: label=%S n=%d@," label n
       | Trace.Cert c ->
@@ -58,7 +65,7 @@ let pp_trace fmt evs =
           c.label c.engine c.nodes c.declared c.max_influence_radius
           c.violations
           (if c.ok then "PASS" else "FAIL")
-      | Trace.Counter _ | Trace.Audit _ | Trace.Span _ -> ())
+      | Trace.Counter _ | Trace.Audit _ -> ())
     evs;
   Format.fprintf fmt "@]"
 

@@ -8,9 +8,10 @@ val pp_counters : Format.formatter -> unit -> unit
 val pp_histograms : Format.formatter -> unit -> unit
 
 val pp_trace : Format.formatter -> Trace.event list -> unit
-(** One table row per [Round] event, plus one line per [Cert] summary;
-    [Counter] and per-node [Audit] events are omitted (use {!pp} and
-    {!pp_certificate} for those). *)
+(** One table row per engine round span ({!Trace.span_engine}), with
+    [mean] = [messages / active], plus one line per [Meta] header and
+    [Cert] summary; [Counter] and per-node [Audit] events are omitted
+    (use {!pp} and {!pp_certificate} for those). *)
 
 val pp_certificate : Format.formatter -> Provenance.certificate -> unit
 (** The [repro audit] report: verdict, influence-radius histogram

@@ -1,16 +1,4 @@
-type round = {
-  engine : string;
-  round : int;
-  messages : int;
-  payload_bytes : int;
-  mailbox_max : int;
-  mailbox_mean : float;
-  rng_draws : int;
-  chunks : int;
-  chunk_ns : int;
-}
-
-type span = {
+type span = Span.span = {
   trace_id : int;
   span_id : int;
   parent : int;
@@ -22,7 +10,6 @@ type span = {
 
 type event =
   | Meta of { label : string; n : int }
-  | Round of round
   | Counter of { name : string; value : int }
   | Span of span
   | Audit of {
@@ -46,91 +33,51 @@ type event =
 (* recorder                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* One recorder per registry, keyed by Registry.id in a side table (the
-   recorder cannot live inside Registry.t without a module cycle on the
-   event type). Every module-level operation below resolves the ambient
-   registry first, so a recording is owned by the registry that was
-   ambient at [start] — under the serve scheduler that is the owning
-   request, and aborting one request's trace leaves every other
-   request's recorder armed. Entries are removed on [finish]/[abort],
-   so a long-lived daemon does not accumulate them.
-
-   Events are emitted from the dispatching domain only (the engines
-   emit between parallel phases), so the recorder itself needs no
-   internal locking; the table mutex only guards the find/create/remove
-   of entries. *)
+(* One recorder for the process. Events are emitted from the
+   dispatching domain only (the engines record rounds as spans, and
+   spans drain at the end of [record]), so the buffer needs no
+   locking. *)
 type recorder = {
   mutable buf : event list;
-  mutable base : (string * int) list;
+  base : (string * int) list; (* counter values at the start *)
 }
 
-let recorders : (int, recorder) Hashtbl.t = Hashtbl.create 8
-let recorders_mutex = Mutex.create ()
-
-let with_table f =
-  Mutex.lock recorders_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock recorders_mutex) f
-
-let recorder_opt () =
-  let rid = Registry.id (Registry.ambient ()) in
-  with_table (fun () -> Hashtbl.find_opt recorders rid)
-
-let active () = recorder_opt () <> None
+let recorder : recorder option ref = ref None
+let active () = !recorder <> None
 
 let emit e =
-  match recorder_opt () with
-  | Some r -> r.buf <- e :: r.buf
-  | None -> ()
+  match !recorder with Some r -> r.buf <- e :: r.buf | None -> ()
 
-let start ?(label = "") ?(n = 0) () =
+(* the per-trace counter deltas, so every trace file is self-contained:
+   its Counter lines are the totals consumed during the recording, not
+   process-lifetime values *)
+let counter_deltas base =
+  List.filter_map
+    (fun (name, v) ->
+      let b = Option.value ~default:0 (List.assoc_opt name base) in
+      if v - b <> 0 then Some (Counter { name; value = v - b }) else None)
+    (Registry.counters ())
+
+let record ?(label = "") ?(n = 0) f =
   Registry.enable ();
-  let rid = Registry.id (Registry.ambient ()) in
   let r = { buf = []; base = Registry.counters () } in
-  with_table (fun () -> Hashtbl.replace recorders rid r);
-  if label <> "" || n > 0 then emit (Meta { label; n })
-
-let events () =
-  match recorder_opt () with Some r -> List.rev r.buf | None -> []
-
-let drop () =
-  let rid = Registry.id (Registry.ambient ()) in
-  with_table (fun () -> Hashtbl.remove recorders rid)
-
-let abort () =
-  (* drop everything: a run that raised mid-trace must not leak its
-     events or counter baselines into the next recording — and only the
-     ambient (owning) registry's recorder is dropped, so concurrent
-     requests' recorders stay armed *)
-  drop ()
-
-let finish () =
-  match recorder_opt () with
-  | None -> []
-  | Some r ->
-    (* close the trace with the per-trace counter deltas, so every trace
-       file is self-contained: its Counter lines are the totals consumed
-       between start and finish, not process-lifetime values *)
-    let deltas =
-      List.filter_map
-        (fun (name, v) ->
-          let b =
-            match List.assoc_opt name r.base with Some b -> b | None -> 0
-          in
-          if v - b <> 0 then Some (Counter { name; value = v - b }) else None)
-        (Registry.counters ())
-    in
-    List.iter (fun e -> r.buf <- e :: r.buf) deltas;
-    drop ();
-    List.rev r.buf
-
-let record ?label ?n f =
-  start ?label ?n ();
+  recorder := Some r;
+  if label <> "" || n > 0 then emit (Meta { label; n });
+  let (_ : int) = Span.arm () in
   match f () with
-  | x -> (x, finish ())
+  | x ->
+    let dropped = Span.dropped () in
+    List.iter (fun s -> emit (Span s)) (Span.take ());
+    if dropped > 0 then
+      emit (Counter { name = "obs.spans_dropped"; value = dropped });
+    List.iter emit (counter_deltas r.base);
+    recorder := None;
+    (x, List.rev r.buf)
   | exception e ->
-    (* the protective finalizer: without it the recorder stays armed and
-       the next run silently inherits stale events and baselines *)
-    abort ();
+    (* without this the recorders stay armed and the next run silently
+       inherits stale events, spans and baselines *)
+    Span.abort ();
+    recorder := None;
     raise e
 
 (* ------------------------------------------------------------------ *)
@@ -141,20 +88,6 @@ let event_to_json = function
   | Meta { label; n } ->
     Json.Obj
       [ ("type", Json.String "meta"); ("label", Json.String label); ("n", Json.Int n) ]
-  | Round r ->
-    Json.Obj
-      [
-        ("type", Json.String "round");
-        ("engine", Json.String r.engine);
-        ("round", Json.Int r.round);
-        ("messages", Json.Int r.messages);
-        ("payload_bytes", Json.Int r.payload_bytes);
-        ("mailbox_max", Json.Int r.mailbox_max);
-        ("mailbox_mean", Json.Float r.mailbox_mean);
-        ("rng_draws", Json.Int r.rng_draws);
-        ("chunks", Json.Int r.chunks);
-        ("chunk_ns", Json.Int r.chunk_ns);
-      ]
   | Counter { name; value } ->
     Json.Obj
       [
@@ -208,11 +141,6 @@ let event_of_json j =
     | Some i -> Ok i
     | None -> Error (Printf.sprintf "missing int field %S" key)
   in
-  let float key =
-    match Option.bind (Json.member key j) Json.to_float with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "missing float field %S" key)
-  in
   let ( let* ) = Result.bind in
   let* kind = str "type" in
   match kind with
@@ -220,29 +148,6 @@ let event_of_json j =
     let* label = str "label" in
     let* n = int "n" in
     Ok (Meta { label; n })
-  | "round" ->
-    let* engine = str "engine" in
-    let* round = int "round" in
-    let* messages = int "messages" in
-    let* payload_bytes = int "payload_bytes" in
-    let* mailbox_max = int "mailbox_max" in
-    let* mailbox_mean = float "mailbox_mean" in
-    let* rng_draws = int "rng_draws" in
-    let* chunks = int "chunks" in
-    let* chunk_ns = int "chunk_ns" in
-    Ok
-      (Round
-         {
-           engine;
-           round;
-           messages;
-           payload_bytes;
-           mailbox_max;
-           mailbox_mean;
-           rng_draws;
-           chunks;
-           chunk_ns;
-         })
   | "counter" ->
     let* name = str "name" in
     let* value = int "value" in
@@ -326,14 +231,15 @@ let read_jsonl path =
 (* analysis                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let is_pool_counter name =
-  String.length name >= 11 && String.sub name 0 11 = "local.pool."
+(* the local.pool.* counters, and the worker chunk spans lost to ring
+   overflow, describe how the pool happened to execute the work *)
+let is_schedule_counter name =
+  String.starts_with ~prefix:"local.pool." name || name = "obs.spans_dropped"
 
 (* pool.* spans describe how the pool happened to chunk the work — the
    only spans recorded by worker domains, and the only
    schedule-dependent ones *)
-let is_pool_span label =
-  String.length label >= 5 && String.sub label 0 5 = "pool."
+let is_pool_span label = String.starts_with ~prefix:"pool." label
 
 let is_ns_kv key =
   let n = String.length key in
@@ -343,8 +249,7 @@ let deterministic_projection evs =
   let kept =
     List.filter_map
       (function
-        | Round r -> Some (Round { r with chunks = 0; chunk_ns = 0 })
-        | Counter { name; _ } when is_pool_counter name -> None
+        | Counter { name; _ } when is_schedule_counter name -> None
         | Span s when is_pool_span s.label -> None
         | Span s ->
           Some
@@ -390,15 +295,32 @@ let deterministic_projection evs =
 let deterministic_equal a b =
   deterministic_projection a = deterministic_projection b
 
+let kv key (s : span) = Option.value ~default:0 (List.assoc_opt key s.kvs)
+
+(* the engines that record their rounds as [<engine>.round] spans with
+   statistics kvs, and the counter their [messages] kvs sum to *)
+let round_engines =
+  [ ("frontier", "local.frontier.messages"); ("flood", "local.flood.messages") ]
+
+let span_engine (s : span) =
+  if String.ends_with ~suffix:".round" s.label then
+    let engine = String.sub s.label 0 (String.length s.label - 6) in
+    if List.mem_assoc engine round_engines then Some engine else None
+  else None
+
+let round_spans evs =
+  List.filter_map
+    (function
+      | Span s -> Option.map (fun e -> (e, s)) (span_engine s) | _ -> None)
+    evs
+
 let total_messages ?engine evs =
   List.fold_left
-    (fun acc e ->
-      match e with
-      | Round r
-        when (match engine with None -> true | Some e' -> r.engine = e') ->
-        acc + r.messages
-      | _ -> acc)
-    0 evs
+    (fun acc (e, s) ->
+      if Option.fold ~none:true ~some:(String.equal e) engine then
+        acc + kv "messages" s
+      else acc)
+    0 (round_spans evs)
 
 let counter_value name evs =
   List.fold_left
@@ -417,37 +339,26 @@ let spans evs = List.filter_map (function Span s -> Some s | _ -> None) evs
 let check_invariants evs =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  (* 1. per-engine round message sums equal the engine's counter delta *)
-  List.iter
-    (fun (engine, counter) ->
-      let sum = total_messages ~engine evs in
-      let has_rounds =
-        List.exists (function Round r -> r.engine = engine | _ -> false) evs
-      in
-      match counter_value counter evs with
-      | Some v when has_rounds && v <> sum ->
-        fail "%s: round message sum %d <> counter %s = %d" engine sum counter v
-      | Some v when (not has_rounds) && v <> 0 ->
-        fail "%s: counter %s = %d but the trace has no %s rounds" engine counter
-          v engine
-      | None when has_rounds ->
-        fail "%s: rounds recorded but counter %s is missing" engine counter
-      | _ -> ())
-    [
-      ("frontier", "local.frontier.messages");
-      ("flood_gather", "local.flood.messages");
-    ];
+  (* 1. in a recording (a stream that closes with counter deltas), each
+     engine's round message kvs sum to the engine's counter delta *)
+  if List.exists (function Counter _ -> true | _ -> false) evs then
+    List.iter
+      (fun (engine, counter) ->
+        let sum = total_messages ~engine evs in
+        let v = Option.value ~default:0 (counter_value counter evs) in
+        if v <> sum then
+          fail "%s: round message sum %d <> counter %s = %d" engine sum counter v)
+      round_engines;
   (* 2. round numbering starts at 0 and increases within an engine run *)
   let last : (string, int) Hashtbl.t = Hashtbl.create 4 in
   List.iter
-    (function
-      | Round r ->
-        let prev = Option.value ~default:(-1) (Hashtbl.find_opt last r.engine) in
-        if r.round <> prev + 1 && r.round <> 0 then
-          fail "%s: round %d follows round %d" r.engine r.round prev;
-        Hashtbl.replace last r.engine r.round
-      | _ -> ())
-    evs;
+    (fun (engine, s) ->
+      let r = kv "round" s in
+      let prev = Option.value ~default:(-1) (Hashtbl.find_opt last engine) in
+      if r <> prev + 1 && r <> 0 then
+        fail "%s: round %d follows round %d" engine r prev;
+      Hashtbl.replace last engine r)
+    (round_spans evs);
   (* 3. audit records respect their declared balls, and the certificate
      summaries agree with the per-node records they close *)
   let audit_violations = ref 0 and audit_nodes = ref 0 in

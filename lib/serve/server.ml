@@ -335,8 +335,8 @@ type span_ctx = {
 }
 
 (* run one admitted request inside its own registry: its counters, and
-   any trace or span recording it may open, are invisible to every other
-   request; on failure only this request's recorders are aborted *)
+   any span recording it may open, are invisible to every other request;
+   on failure only this request's spans are aborted *)
 let run_request srv op req ~queue_ns ~trace_id ~span_ctx =
   Obs.Histogram.observe
     (Obs.Registry.histogram srv.metrics_reg "serve.queue.wait_ns")
@@ -357,10 +357,8 @@ let run_request srv op req ~queue_ns ~trace_id ~span_ctx =
         match handle srv op req with
         | reply -> add_fields reply (telemetry_fields ())
         | exception Bad_request msg ->
-          Obs.Trace.abort ();
           Protocol.error_reply ~code:"bad-request" msg
         | exception e ->
-          Obs.Trace.abort ();
           Protocol.error_reply ~code:"internal" (Printexc.to_string e))
       | Some sc -> (
         let (_ : int) = Obs.Span.arm ~trace_id () in
@@ -403,11 +401,9 @@ let run_request srv op req ~queue_ns ~trace_id ~span_ctx =
               ])
         | exception Bad_request msg ->
           Obs.Span.abort ();
-          Obs.Trace.abort ();
           Protocol.error_reply ~code:"bad-request" msg
         | exception e ->
           Obs.Span.abort ();
-          Obs.Trace.abort ();
           Protocol.error_reply ~code:"internal" (Printexc.to_string e)))
 
 (* ------------------------------------------------------------------ *)

@@ -289,9 +289,9 @@ let flood_trace_rounds inst ~radius =
   Obs.Registry.disable ();
   List.filter_map
     (function
-      | Obs.Trace.Round r when r.Obs.Trace.engine = "flood_gather" ->
-        Some
-          (r.Obs.Trace.messages, r.Obs.Trace.payload_bytes, r.Obs.Trace.mailbox_max)
+      | Obs.Trace.Span s when s.Obs.Trace.label = "flood.round" ->
+        let kv k = Obs.Trace.kv k s in
+        Some (kv "messages", kv "payload_bytes", kv "mailbox_max")
       | _ -> None)
     events
 

@@ -1,10 +1,12 @@
 (* Tests for the telemetry subsystem: counter/histogram arithmetic, the
    disabled-registry no-op contract, find-or-create sharing, JSONL
-   round-trips, the trace-vs-counter message invariant, and the
+   round-trips, the round-span-vs-counter message invariant, and the
    seq-vs-par deterministic-projection invariant. *)
 
 module Obs = Repro_obs
 module G = Repro_graph.Multigraph
+module Gen = Repro_graph.Generators
+module MP = Repro_local.Message_passing
 module Instance = Repro_local.Instance
 module Pool = Repro_local.Pool
 module Frontier = Repro_local.Frontier
@@ -122,17 +124,19 @@ let test_jsonl_round_trip () =
   let events =
     [
       Obs.Trace.Meta { label = "unit"; n = 42 };
-      Obs.Trace.Round
+      Obs.Trace.Span
         {
-          engine = "frontier";
-          round = 0;
-          messages = 17;
-          payload_bytes = 680;
-          mailbox_max = 3;
-          mailbox_mean = 2.125;
-          rng_draws = 5;
-          chunks = 2;
-          chunk_ns = 12345;
+          trace_id = 1;
+          span_id = 0;
+          parent = -1;
+          label = "frontier.round";
+          start_ns = 100;
+          stop_ns = 250;
+          kvs =
+            [
+              ("round", 0); ("active", 8); ("messages", 17);
+              ("payload_bytes", 680); ("mailbox_max", 3); ("rng_draws", 5);
+            ];
         };
       Obs.Trace.Counter { name = "local.frontier.messages"; value = 17 };
     ]
@@ -190,7 +194,7 @@ let test_json_value_round_trips () =
   check "ints stay ints" true
     (match Obs.Json.of_string "7" with Ok (J.Int 7) -> true | _ -> false)
 
-(* the tentpole invariant: a traced run's per-round message counts sum to
+(* the central invariant: a traced run's per-round message kvs sum to
    the engine's own message counter delta *)
 
 (* the one-round checker on a solver output, then a frontier-engine
@@ -203,17 +207,19 @@ let check_and_flood inst g out =
   check "output accepted" true v.DC.all_accept;
   ignore (Frontier.run inst flood)
 
-let traced_run ~n ~seed () =
+(* [~root] runs the work under a root span, as the CLI records it *)
+let traced_run ?(root = false) ~n ~seed () =
   let rng = Random.State.make [| seed |] in
   let g = SO.hard_instance rng ~n in
   let inst = Instance.create ~seed g in
   let out, _ = SO.solve_randomized inst in
-  Obs.Trace.start ~label:"test" ~n ();
+  let work () = check_and_flood inst g out in
   Fun.protect
     ~finally:(fun () -> Obs.Registry.disable ())
     (fun () ->
-      check_and_flood inst g out;
-      Obs.Trace.finish ())
+      snd
+        (Obs.Trace.record ~label:"test" ~n (fun () ->
+             if root then Obs.Span.with_span "cli.test" work else work ())))
 
 (* regression: an engine raising mid-run under --trace must not leave the
    recorder armed (it used to, silently polluting the next trace) *)
@@ -238,32 +244,6 @@ let test_trace_record_disarms_on_raise () =
       check "fresh trace still consistent" true
         (Obs.Trace.check_invariants events = []))
 
-(* regression for the serve scheduler's isolation contract: aborting one
-   registry's trace (an engine raising mid-request) must leave another
-   registry's recorder armed with its events intact *)
-
-let test_trace_abort_scoped_to_registry () =
-  let r1 = Obs.Registry.create () in
-  let r2 = Obs.Registry.create () in
-  Obs.Registry.scoped r1 (fun () -> Obs.Trace.start ~label:"keep" ~n:1 ());
-  Obs.Registry.scoped r2 (fun () ->
-      Obs.Trace.start ~label:"doomed" ~n:1 ();
-      Obs.Trace.abort ();
-      check "aborted recorder disarmed" false (Obs.Trace.active ()));
-  Obs.Registry.scoped r1 (fun () ->
-      check "concurrent recorder still armed" true (Obs.Trace.active ());
-      let events = Obs.Trace.finish () in
-      check "survivor kept its own events" true
-        (List.exists
-           (function
-             | Obs.Trace.Meta { label; _ } -> label = "keep" | _ -> false)
-           events);
-      check "no events leaked from the aborted trace" false
-        (List.exists
-           (function
-             | Obs.Trace.Meta { label; _ } -> label = "doomed" | _ -> false)
-           events))
-
 let test_trace_messages_match_counter () =
   let events = traced_run ~n:300 ~seed:7 () in
   let per_round = Obs.Trace.total_messages ~engine:"frontier" events in
@@ -274,18 +254,19 @@ let test_trace_messages_match_counter () =
     | None -> -1);
   check "offline recheck passes" true (Obs.Trace.check_invariants events = [])
 
-(* the offline recheck must notice a frontier round whose message count
-   no longer sums to the engine's counter *)
+(* the offline recheck must notice a frontier round span whose messages
+   kv no longer sums to the engine's counter *)
 let test_trace_tampered_round_caught () =
   let events = traced_run ~n:120 ~seed:9 () in
   let tampered = ref false in
+  let bump = List.map (fun (k, v) -> (k, if k = "messages" then v + 1 else v)) in
   let events =
     List.map
       (function
-        | Obs.Trace.Round r when r.Obs.Trace.engine = "frontier" && not !tampered
+        | Obs.Trace.Span s when s.Obs.Trace.label = "frontier.round" && not !tampered
           ->
           tampered := true;
-          Obs.Trace.Round { r with Obs.Trace.messages = r.Obs.Trace.messages + 1 }
+          Obs.Trace.Span { s with Obs.Trace.kvs = bump s.Obs.Trace.kvs }
         | e -> e)
       events
   in
@@ -502,28 +483,12 @@ let test_span_forest_rebuild () =
       (Obs.Summary.self_time root = 950 - 100 - (200 - 110) - (900 - 210))
   | _ -> check "forest grouped as one trace under id 7" true false
 
-(* a traced + span-armed check-and-flood: the span stream drains into
-   the same trace the round events use *)
-let span_traced_run ~n ~seed () =
-  let rng = Random.State.make [| seed |] in
-  let g = SO.hard_instance rng ~n in
-  let inst = Instance.create ~seed g in
-  let out, _ = SO.solve_randomized inst in
-  Obs.Trace.start ~label:"test" ~n ();
-  let (_ : int) = Obs.Span.arm () in
-  Fun.protect
-    ~finally:(fun () -> Obs.Registry.disable ())
-    (fun () ->
-      Obs.Span.with_span "cli.test" (fun () -> check_and_flood inst g out);
-      Obs.Span.flush_to_trace ();
-      Obs.Trace.finish ())
-
 let test_span_seq_par_identical () =
   Fun.protect
     ~finally:(fun () -> Pool.set_size 1)
     (fun () ->
       Pool.set_size 1;
-      let seq = span_traced_run ~n:300 ~seed:13 () in
+      let seq = traced_run ~root:true ~n:300 ~seed:13 () in
       check "trace carries span events" true (Obs.Trace.spans seq <> []);
       check "span nesting invariants hold" true
         (Obs.Trace.check_invariants seq = []);
@@ -534,7 +499,7 @@ let test_span_seq_par_identical () =
       List.iter
         (fun s ->
           Pool.set_size s;
-          let par = span_traced_run ~n:300 ~seed:13 () in
+          let par = traced_run ~root:true ~n:300 ~seed:13 () in
           check
             (Printf.sprintf "span invariants hold at pool size %d" s)
             true
@@ -544,6 +509,38 @@ let test_span_seq_par_identical () =
             true
             (Obs.Trace.deterministic_equal seq par))
         [ 2; 4 ])
+
+(* regression: the dispatching slot's span buffer used to be a
+   4096-entry ring like the workers', so a long traced run lost its
+   oldest round spans and the message sums stopped matching. A 2-node
+   countdown runs [rounds] frontier rounds, every one a span on slot 0. *)
+let test_trace_slot0_keeps_every_round () =
+  let rounds = 5000 in
+  let countdown : (int, unit, unit) MP.algorithm =
+    {
+      init = (fun _ _ -> rounds);
+      send = (fun _ ~round:_ ~port:_ -> ());
+      receive =
+        (fun st ~round:_ _ -> if st <= 1 then Either.Right () else Either.Left (st - 1));
+    }
+  in
+  let inst = Instance.create (Gen.path 2) in
+  let _, events =
+    Fun.protect
+      ~finally:(fun () -> Obs.Registry.disable ())
+      (fun () ->
+        Obs.Trace.record (fun () -> Frontier.run ~limit:(rounds + 1) inst countdown))
+  in
+  let round_spans =
+    List.filter (fun s -> s.Obs.Trace.label = "frontier.round") (Obs.Trace.spans events)
+  in
+  check_int "every round span kept" rounds (List.length round_spans);
+  check "rounds numbered 0.." true
+    (List.mapi (fun i s -> Obs.Trace.kv "round" s = i) round_spans
+    |> List.for_all Fun.id);
+  check_int "round message sums equal the counter" (2 * rounds)
+    (Obs.Trace.total_messages ~engine:"frontier" events);
+  check "offline recheck passes" true (Obs.Trace.check_invariants events = [])
 
 let suite =
   [
@@ -558,12 +555,12 @@ let suite =
     ("seq-vs-par span telemetry", `Quick, test_span_seq_par_identical);
     ("registry find-or-create", `Quick, test_registry_sharing);
     ("registry isolation", `Quick, test_registry_isolation);
-    ("trace abort scoped to registry", `Quick, test_trace_abort_scoped_to_registry);
     ("jsonl round-trip", `Quick, test_jsonl_round_trip);
     ("json parser rejects garbage", `Quick, test_json_parser_rejects_garbage);
     ("json value round-trips", `Quick, test_json_value_round_trips);
     ("trace record disarms on raise", `Quick, test_trace_record_disarms_on_raise);
     ("trace messages match counter", `Quick, test_trace_messages_match_counter);
     ("trace tampered round caught", `Quick, test_trace_tampered_round_caught);
+    ("trace slot 0 keeps every round", `Quick, test_trace_slot0_keeps_every_round);
     ("seq-vs-par telemetry", `Quick, test_trace_seq_par_identical);
   ]

@@ -298,16 +298,17 @@ let test_dispatch_obs_invariance () =
   let g = inst.Instance.graph in
   let out, _ = SO.solve_deterministic inst in
   (* the checker plus an engine run, so the trace carries frontier
-     round events *)
+     round spans *)
   let flood = Audit.flood_algorithm ~actual:(fun v -> 1 + (v mod 3)) in
   let traced () =
-    Obs.Trace.start ~label:"dispatch" ~n:(G.n g) ();
     Fun.protect
       ~finally:(fun () -> Obs.Registry.disable ())
       (fun () ->
-        ignore (DC.run SO.problem inst ~input:(SO.trivial_input g) ~output:out);
-        ignore (Frontier.run inst flood);
-        Obs.Trace.finish ())
+        snd
+          (Obs.Trace.record ~label:"dispatch" ~n:(G.n g) (fun () ->
+               ignore
+                 (DC.run SO.problem inst ~input:(SO.trivial_input g) ~output:out);
+               ignore (Frontier.run inst flood))))
   in
   let audited () =
     snd (DC.audited_run SO.problem inst ~input:(SO.trivial_input g) ~output:out)
