@@ -27,6 +27,7 @@ module ND = Core.Problems.Network_decomposition
 
 module Obs = Core.Obs
 module DC = Core.Lcl.Distributed_check
+module Problem = Core.Problem
 
 open Cmdliner
 
@@ -74,39 +75,8 @@ let with_obs ~label (trace, stats) f =
 let landscape_cmd =
   let run sizes obs =
     with_obs ~label:"landscape" obs @@ fun () ->
-    Printf.printf "%-26s" "problem";
-    List.iter (fun n -> Printf.printf "%9d" n) sizes;
-    print_newline ();
-    let rng = Random.State.make [| 1 |] in
-    let row name f =
-      Printf.printf "%-26s" name;
-      List.iter (fun n -> Printf.printf "%9d" (f n)) sizes;
-      print_newline ()
-    in
-    row "coloring (log* n)" (fun n ->
-        let g = Gen.random_simple_regular rng ~n ~d:3 in
-        let _, m = Core.Problems.Coloring.solve (Instance.create g) in
-        Meter.max_radius m);
-    row "matching (log* n)" (fun n ->
-        let g = Gen.random_simple_regular rng ~n ~d:3 in
-        let _, m = Core.Problems.Matching.solve (Instance.create g) in
-        Meter.max_radius m);
-    row "SO rand (log log n)" (fun n ->
-        let g = SO.hard_instance rng ~n in
-        let _, m = SO.solve_randomized (Instance.create ~seed:n g) in
-        Meter.max_radius m);
-    row "SO det (log n)" (fun n ->
-        let g = SO.hard_instance rng ~n in
-        let _, m = SO.solve_deterministic (Instance.create g) in
-        Meter.max_radius m);
-    row "Pi2 rand (logn.loglogn)" (fun n ->
-        (Spec.run_hard (Core.pi 2) ~seed:2 ~target:n).Spec.rand_rounds);
-    row "Pi2 det (log^2 n)" (fun n ->
-        (Spec.run_hard (Core.pi 2) ~seed:2 ~target:n).Spec.det_rounds);
-    row "2-coloring (n)" (fun n ->
-        let g = Core.Problems.Two_coloring.hard_instance ~n in
-        let _, m = Core.Problems.Two_coloring.solve (Instance.create g) in
-        Meter.max_radius m)
+    Format.printf "%a@." Repro_experiments.Table.pp
+      (Repro_experiments.Runs.landscape sizes)
   in
   let sizes =
     Arg.(
@@ -222,22 +192,21 @@ let gadget_cmd =
 let solve_so_cmd =
   let run n seed obs =
     with_obs ~label:"solve-so" obs @@ fun () ->
-    let rng = Random.State.make [| seed |] in
-    let g = SO.hard_instance rng ~n in
-    let inst = Instance.create ~seed g in
-    let out_d, m_d = SO.solve_deterministic inst in
-    let out_r, m_r = SO.solve_randomized inst in
-    (* validity via the distributed one-round checker — the LOCAL-model
-       reading of "the output is locally checkable" *)
-    let dc out =
-      (DC.run SO.problem inst ~input:(SO.trivial_input g) ~output:out)
-        .DC.all_accept
-    in
+    let graph, _ = Option.get (Problem.sinkless "so-det") in
+    let g = graph ~seed ~n in
     Printf.printf "n=%d (3-regular)\n" (G.n g);
-    Printf.printf "deterministic: valid=%b rounds=%d\n" (dc out_d)
-      (Meter.max_radius m_d);
-    Printf.printf "randomized:    valid=%b rounds=%d\n" (dc out_r)
-      (Meter.max_radius m_r)
+    List.iter
+      (fun (label, name) ->
+        let _, run = Option.get (Problem.sinkless name) in
+        let inst, (out, m) = run ~seed g in
+        (* validity via the distributed one-round checker — the LOCAL-model
+           reading of "the output is locally checkable" *)
+        let verdict =
+          DC.run SO.problem inst ~input:(SO.trivial_input g) ~output:out
+        in
+        Printf.printf "%-14s valid=%b rounds=%d\n" label verdict.DC.all_accept
+          (Meter.max_radius m))
+      [ ("deterministic:", "so-det"); ("randomized:", "so-rand") ]
   in
   let n = Arg.(value & opt int 10000 & info [ "n" ] ~docv:"N" ~doc:"Nodes.") in
   Cmd.v
@@ -245,31 +214,32 @@ let solve_so_cmd =
     Term.(const run $ n $ seed_arg $ obs_args)
 
 let solve_cmd =
-  let module Catalog = Core.Problems.Solver_catalog in
   let run problem n seed out_file obs =
-    with_obs ~label:"solve" obs @@ fun () ->
-    match Catalog.solve ~problem ~seed ~n with
-    | Error msg -> failwith msg
-    | Ok solved ->
+    match Problem.dump problem with
+    | None -> `Error (false, Problem.unknown problem Problem.dump_names)
+    | Some dump ->
+      with_obs ~label:"solve" obs @@ fun () ->
+      let solved = dump ~seed ~n in
       Printf.printf "problem=%s n=%d seed=%d rounds=%d valid=%b\n" problem n
-        seed solved.Catalog.s_rounds solved.Catalog.s_valid;
+        seed solved.Problem.rounds solved.Problem.valid;
       (match out_file with
       | None -> ()
       | Some file ->
         let oc = open_out_bin file in
-        output_string oc solved.Catalog.s_output;
+        output_string oc solved.Problem.output;
         close_out oc;
         Printf.printf "wrote %s (%d bytes)\n" file
-          (String.length solved.Catalog.s_output));
-      if not solved.Catalog.s_valid then exit 1
+          (String.length solved.Problem.output));
+      if not solved.Problem.valid then exit 1;
+      `Ok ()
   in
   let problem =
     Arg.(
       value & opt string "mis"
       & info [ "p"; "problem" ] ~docv:"PROBLEM"
           ~doc:
-            (Printf.sprintf "Catalog problem: %s."
-               (String.concat ", " Catalog.names)))
+            (Printf.sprintf "Problem to solve: %s."
+               (String.concat ", " Problem.dump_names)))
   in
   let n = Arg.(value & opt int 1000 & info [ "n" ] ~docv:"N" ~doc:"Nodes.") in
   let out_file =
@@ -281,9 +251,9 @@ let solve_cmd =
   Cmd.v
     (Cmd.info "solve"
        ~doc:
-         "Solve a catalog problem and dump the canonical output bytes \
+         "Solve a registry problem and dump the canonical output bytes \
           (identical at every pool size; CI diffs them with cmp).")
-    Term.(const run $ problem $ n $ seed_arg $ out_file $ obs_args)
+    Term.(ret (const run $ problem $ n $ seed_arg $ out_file $ obs_args))
 
 let decompose_cmd =
   let run n p seed obs =
@@ -362,35 +332,23 @@ let experiment_cmd =
 
 (* ------------------------------------------------------------------ *)
 
-module AC = Core.Problems.Audit_catalog
 module Prov = Core.Obs.Provenance
-
-let audit_entries = Repro_serve.Server.audit_entries
 
 let audit_cmd =
   let run problem n seed cert_file obs =
-    let selected =
-      if problem = "all" then Ok audit_entries
-      else
-        match List.find_opt (fun e -> e.AC.a_name = problem) audit_entries with
-        | Some e -> Ok [ e ]
-        | None ->
-          Error
-            (Printf.sprintf "unknown problem %S (try: all, %s)" problem
-               (String.concat ", "
-                  (List.map (fun e -> e.AC.a_name) audit_entries)))
-    in
-    match selected with
-    | Error msg -> `Error (false, msg)
-    | Ok entries ->
+    let names = if problem = "all" then Problem.audit_names else [ problem ] in
+    match List.filter_map Problem.audit names with
+    | [] ->
+      `Error (false, Problem.unknown problem ("all" :: Problem.audit_names))
+    | audits ->
       with_obs ~label:"audit" obs @@ fun () ->
       let certs =
         List.map
-          (fun e ->
-            let cert = e.AC.a_run ~seed ~n in
+          (fun audit ->
+            let cert = audit ~seed ~n in
             Format.printf "%a@." Obs.Summary.pp_certificate cert;
             cert)
-          entries
+          audits
       in
       (match cert_file with
       | Some file ->

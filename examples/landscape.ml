@@ -1,63 +1,32 @@
 (* A miniature of the paper's Figure 1: the landscape of LCL round
    complexities, measured. One row per problem, one column per input size;
    entries are measured LOCAL rounds on that problem's natural inputs.
+   The rows and the classes they are declared in come from the problem
+   registry (Core.Problem), ordered bottom up as in Figure 1:
 
    O(1)        : the trivial LCL
-   Θ(log* n)   : (Δ+1)-coloring and MIS (flat, tiny)
+   Θ(log* n)   : (Δ+1)-coloring, MIS and maximal matching (flat, tiny)
    Θ(log log n): randomized sinkless orientation (the exponential gap)
    Θ(log n)    : deterministic sinkless orientation
    Θ(log n · log log n), Θ(log² n): randomized/deterministic Π² — the
-   black dots this paper adds to the landscape.
+   black dots this paper adds to the landscape
+   Θ(n)        : 2-coloring, the global row.
 
    Run with: dune exec examples/landscape.exe *)
-
-module Instance = Core.Local.Instance
-module Meter = Core.Local.Meter
-module Gen = Core.Graph.Generators
-module SO = Core.Problems.Sinkless_orientation
-module Coloring = Core.Problems.Coloring
-module Mis = Core.Problems.Mis
-module Spec = Core.Padding.Spec
 
 let sizes = [ 300; 3000; 30000 ]
 
 let () =
   Printf.printf "== the complexity landscape, measured (rounds) ==\n\n";
-  Printf.printf "%-28s" "problem";
+  Printf.printf "%-12s" "problem";
   List.iter (fun n -> Printf.printf "%10s" ("n=" ^ string_of_int n)) sizes;
-  Printf.printf "%16s\n" "paper says";
-  let row name paper f =
-    Printf.printf "%-28s" name;
-    List.iter (fun n -> Printf.printf "%10d" (f n)) sizes;
-    Printf.printf "%16s\n" paper
-  in
-  let rng = Random.State.make [| 1 |] in
-  row "trivial" "O(1)" (fun n ->
-      let g = Gen.cycle n in
-      let _, m = Core.Problems.Trivial.solve (Instance.create g) in
-      Meter.max_radius m);
-  row "(Δ+1)-coloring" "Θ(log* n)" (fun n ->
-      let g = Gen.random_simple_regular rng ~n ~d:3 in
-      let ids = Core.Local.Ids.spread rng n in
-      let _, m = Coloring.solve (Instance.create ~ids g) in
-      Meter.max_radius m);
-  row "maximal independent set" "Θ(log* n)" (fun n ->
-      let g = Gen.random_simple_regular rng ~n ~d:3 in
-      let _, m = Mis.solve (Instance.create g) in
-      Meter.max_radius m);
-  row "sinkless orientation rand" "Θ(log log n)" (fun n ->
-      let g = SO.hard_instance rng ~n in
-      let _, m = SO.solve_randomized (Instance.create ~seed:n g) in
-      Meter.max_radius m);
-  row "sinkless orientation det" "Θ(log n)" (fun n ->
-      let g = SO.hard_instance rng ~n in
-      let _, m = SO.solve_deterministic (Instance.create g) in
-      Meter.max_radius m);
-  let pi2 = Core.pi 2 in
-  row "Π² randomized  [this paper]" "Θ(logn·llogn)" (fun n ->
-      (Spec.run_hard pi2 ~seed:2 ~target:n).Spec.rand_rounds);
-  row "Π² deterministic [this paper]" "Θ(log² n)" (fun n ->
-      (Spec.run_hard pi2 ~seed:2 ~target:n).Spec.det_rounds);
+  Printf.printf "   %s\n" "paper says";
+  List.iter
+    (fun (r : Core.Problem.row) ->
+      Printf.printf "%-12s" r.name;
+      List.iter (Printf.printf "%10d") r.cells;
+      Printf.printf "   Θ(%s)\n" (Core.Stats.Fit.model_name r.declared))
+    (Core.Problem.landscape sizes);
   Printf.printf
     "\nReading the rows: flat = O(1)/log*; slowly growing = log log / log;\n";
   Printf.printf

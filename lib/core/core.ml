@@ -8,7 +8,9 @@
     - {!Gadget}: the (log, Δ)-gadget family of Section 4.
     - {!Padding}: padded LCLs (Section 3) and the Π^i hierarchy (Section 5).
     - {!Obs}: round-level telemetry — counters, histograms, JSONL traces.
-    - {!Fuzz}: property-based fuzzing + differential oracles ([repro fuzz]). *)
+    - {!Fuzz}: property-based fuzzing + differential oracles ([repro fuzz]).
+    - {!Problem}: the problem registry — every CLI/serve problem name, its
+      instance family, solvers and declared Figure-1 class. *)
 
 module Graph = Repro_graph
 module Local = Repro_local
@@ -28,3 +30,4 @@ let pi = Padding.Hierarchy.level
 let run_hard = Padding.Spec.run_hard
 
 module Stats = Repro_stats
+module Problem = Repro_registry.Problem

@@ -8,8 +8,6 @@ module Ids = Core.Local.Ids
 module VT = Core.Local.View_tree
 module Labeling = Core.Lcl.Labeling
 module SO = Core.Problems.Sinkless_orientation
-module Coloring = Core.Problems.Coloring
-module Mis = Core.Problems.Mis
 module ND = Core.Problems.Network_decomposition
 module GL = Core.Gadget.Labels
 module GB = Core.Gadget.Build
@@ -26,6 +24,7 @@ module PT = Core.Padding.Padded_types
 module H = Core.Padding.Hierarchy
 module Adv = Core.Padding.Adversary
 module Fit = Repro_stats.Fit
+module Problem = Core.Problem
 
 type outcome = {
   tables : Table.t list;
@@ -43,102 +42,67 @@ let logf n = log2 (float_of_int n)
 
 (* ------------------------------------------------------------------ *)
 
+(* the Figure-1 table: one registry row per line, its declared class as
+   the paper column *)
+let landscape_table sizes rows =
+  Table.make ~title:"F1: measured round complexities (Figure 1)"
+    ~columns:
+      ("problem" :: "paper" :: List.map (fun n -> "n=" ^ string_of_int n) sizes)
+    (List.map
+       (fun (r : Problem.row) ->
+         Table.Str r.name
+         :: Table.Str (Fit.model_name r.declared)
+         :: List.map (fun c -> Table.Int c) r.cells)
+       rows)
+
+let landscape sizes = landscape_table sizes (Problem.landscape sizes)
+
 let f1 ~quick =
   let sizes =
     if quick then [ 300; 3000; 30000 ]
     else [ 300; 1000; 3000; 10000; 30000; 100000 ]
   in
-  let rng = Random.State.make [| 1 |] in
-  let rows = ref [] in
-  let fits = ref [] in
-  let row name paper f =
-    let cells = List.map (fun n -> Table.Int (f n)) sizes in
-    let pts = List.map2 (fun n c -> (n, match c with Table.Int i -> float_of_int i | _ -> 0.0)) sizes cells in
-    fits := (name, paper, Fit.best_fit pts) :: !fits;
-    rows := (Table.Str name :: Table.Str paper :: cells) :: !rows
-  in
-  row "trivial" "O(1)" (fun n ->
-      let _, m = Core.Problems.Trivial.solve (Instance.create (Gen.cycle n)) in
-      Meter.max_radius m);
-  row "(D+1)-coloring" "log*n" (fun n ->
-      let g = Gen.random_simple_regular rng ~n ~d:3 in
-      let ids = Ids.spread rng n in
-      let _, m = Coloring.solve (Instance.create ~ids g) in
-      Meter.max_radius m);
-  row "MIS" "log*n" (fun n ->
-      let g = Gen.random_simple_regular rng ~n ~d:3 in
-      let _, m = Mis.solve (Instance.create g) in
-      Meter.max_radius m);
-  row "matching" "log*n" (fun n ->
-      let g = Gen.random_simple_regular rng ~n ~d:3 in
-      let _, m = Core.Problems.Matching.solve (Instance.create g) in
-      Meter.max_radius m);
-  row "SO randomized" "loglogn" (fun n ->
-      let g = SO.hard_instance rng ~n in
-      let _, m = SO.solve_randomized (Instance.create ~seed:n g) in
-      Meter.max_radius m);
-  row "SO deterministic" "logn" (fun n ->
-      let g = SO.hard_instance rng ~n in
-      let _, m = SO.solve_deterministic (Instance.create g) in
-      Meter.max_radius m);
-  row "Pi2 randomized" "ln*lln" (fun n ->
-      (Spec.run_hard (H.level 2) ~seed:2 ~target:n).Spec.rand_rounds);
-  row "Pi2 deterministic" "log2n" (fun n ->
-      (Spec.run_hard (H.level 2) ~seed:2 ~target:n).Spec.det_rounds);
-  let main =
-    Table.make ~title:"F1: measured round complexities (Figure 1)"
-      ~columns:
-        ("problem" :: "paper"
-        :: List.map (fun n -> "n=" ^ string_of_int n) sizes)
-      (List.rev !rows)
+  let rows = Problem.landscape sizes in
+  let points (r : Problem.row) =
+    List.map2 (fun n c -> (n, float_of_int c)) sizes r.cells
   in
   let fit_table =
     Table.make ~title:"F1: least-squares best fits"
       ~columns:[ "problem"; "paper"; "fitted model"; "coefficient"; "rel rmse" ]
       ~notes:
         [
-          "rows are ordered as in Figure 1: each class grows strictly";
-          "faster than the one above it.";
+          "rows are ordered by declared class, as in Figure 1: each class";
+          "grows at least as fast as the one above it.";
         ]
-      (List.rev_map
-         (fun (name, paper, fit) ->
+      (List.map
+         (fun (r : Problem.row) ->
+           let fit = Fit.best_fit (points r) in
            [
-             Table.Str name; Table.Str paper;
+             Table.Str r.name; Table.Str (Fit.model_name r.declared);
              Table.Str (Fit.model_name fit.Fit.model);
              Table.Float fit.Fit.coefficient; Table.Float fit.Fit.rmse;
            ])
-         !fits)
+         rows)
+  in
+  let series (label, name) =
+    let r = List.find (fun (r : Problem.row) -> r.name = name) rows in
+    let points = List.map (fun (n, y) -> (float_of_int n, y)) (points r) in
+    { Ascii_plot.label; points }
   in
   let plot =
-    let series label name =
-      {
-        Ascii_plot.label;
-        points =
-          (match
-             List.find_opt (fun row -> List.hd row = Table.Str name) (List.rev !rows)
-           with
-          | Some row ->
-            List.map2
-              (fun n c ->
-                ( float_of_int n,
-                  match c with Table.Int i -> float_of_int i | _ -> 0.0 ))
-              sizes
-              (List.tl (List.tl row))
-          | None -> []);
-      }
-    in
     Ascii_plot.render
       ~title:
-        "rounds vs n: d=Pi2-det  r=Pi2-rand  D=SO-det  R=SO-rand  c=coloring"
-      [
-        series 'c' "(D+1)-coloring";
-        series 'R' "SO randomized";
-        series 'D' "SO deterministic";
-        series 'r' "Pi2 randomized";
-        series 'd' "Pi2 deterministic";
-      ]
+        "rounds vs n: d=pi2-det  r=pi2-rand  D=so-det  R=so-rand  c=coloring"
+      (List.map series
+         [
+           ('c', "coloring");
+           ('R', "so-rand");
+           ('D', "so-det");
+           ('r', "pi2-rand");
+           ('d', "pi2-det");
+         ])
   in
-  { tables = [ main; fit_table ]; plots = [ plot ] }
+  { tables = [ landscape_table sizes rows; fit_table ]; plots = [ plot ] }
 
 (* ------------------------------------------------------------------ *)
 

@@ -21,3 +21,8 @@ val all : experiment list
 val ids : string list
 val find : string -> experiment option
 val run_and_print : ?quick:bool -> experiment -> unit
+
+val landscape : int list -> Table.t
+(** The Figure-1 table of F1 at the given sizes: one row per registry
+    landscape row ({!Core.Problem.landscape}), its declared class in the
+    paper column. [repro landscape] prints it. *)

@@ -4,12 +4,10 @@ module G = Core.Graph.Multigraph
 module Instance = Core.Local.Instance
 module Meter = Core.Local.Meter
 module SO = Core.Problems.Sinkless_orientation
-module AC = Core.Problems.Audit_catalog
-module Catalog = Core.Problems.Solver_catalog
+module Problem = Core.Problem
 module DC = Core.Lcl.Distributed_check
 module GB = Core.Gadget.Build
 module GL = Core.Gadget.Labels
-module V = Core.Gadget.Verifier
 module Spec = Core.Padding.Spec
 module Hierarchy = Core.Padding.Hierarchy
 module Targets = Core.Fuzz.Targets
@@ -98,12 +96,16 @@ let add_fields reply extra =
 (* builders run under a span so a traced request shows whether its time
    went into constructing the artifact or into the engines; on a cache
    hit the builder never runs and no span appears *)
-let hard_instance srv ~n ~seed =
-  Cache.find_or_add srv.instances
-    (Printf.sprintf "kind=so;n=%d;seed=%d" n seed)
-    (fun () ->
-      Obs.Span.with_span "serve.artifact.build" (fun () ->
-          SO.hard_instance (Random.State.make [| seed |]) ~n))
+
+(* a sinkless-orientation solve on the cached hard graph *)
+let solve_sinkless srv (graph, run) ~n ~seed =
+  let _, g =
+    Cache.find_or_add srv.instances
+      (Printf.sprintf "kind=so;n=%d;seed=%d" n seed)
+      (fun () ->
+        Obs.Span.with_span "serve.artifact.build" (fun () -> graph ~seed ~n))
+  in
+  run ~seed g
 
 let gadget_family srv ~delta ~height =
   Cache.find_or_add srv.gadgets
@@ -120,52 +122,36 @@ let hierarchy_level srv i =
 (* op handlers — these run on the scheduler's executor thread, inside a
    fresh per-request registry scope *)
 
-let solve_instance srv req =
+let sized req =
   let n = field_int req "n" ~default:1000 in
   let seed = field_int req "seed" ~default:1 in
   if n < 2 || n > 2_000_000 then raise (Bad_request "n out of range [2, 2e6]");
-  let problem = field_str req "problem" ~default:"so-det" in
-  let solver =
-    match problem with
-    | "so-det" -> SO.solve_deterministic
-    | "so-rand" -> SO.solve_randomized
-    | "so-wave" -> fun inst -> SO.solve_randomized_frontier inst
-    | other ->
-      raise
-        (Bad_request
-           (Printf.sprintf "unknown problem %S (try: so-det, so-rand, so-wave, %s)"
-              other
-              (String.concat ", " Catalog.names)))
-  in
-  let _, g = hard_instance srv ~n ~seed in
-  let inst = Instance.create ~seed g in
-  let out, meter = solver inst in
-  (problem, g, inst, out, meter)
+  (n, seed)
 
-let handle_catalog_solve (entry : Catalog.entry) req =
-  let n = field_int req "n" ~default:1000 in
-  let seed = field_int req "seed" ~default:1 in
-  if n < 2 || n > 2_000_000 then raise (Bad_request "n out of range [2, 2e6]");
-  let solved = entry.Catalog.c_solve ~seed ~n in
-  Json.Obj
-    [
-      ("ok", Json.Bool true);
-      ("op", Json.String "solve");
-      ("problem", Json.String entry.Catalog.c_name);
-      ("n", Json.Int n);
-      ("seed", Json.Int seed);
-      ("rounds", Json.Int solved.Catalog.s_rounds);
-      ("valid", Json.Bool solved.Catalog.s_valid);
-      ("output_bytes", Json.Int (String.length solved.Catalog.s_output));
-      ( "output_digest",
-        Json.String (Digest.to_hex (Digest.string solved.Catalog.s_output)) );
-    ]
+let unknown problem known = raise (Bad_request (Problem.unknown problem known))
 
 let handle_solve srv req =
-  match Catalog.find (field_str req "problem" ~default:"so-det") with
-  | Some entry -> handle_catalog_solve entry req
-  | None ->
-    let problem, g, _, out, meter = solve_instance srv req in
+  let problem = field_str req "problem" ~default:"so-det" in
+  let n, seed = sized req in
+  match (Problem.dump problem, Problem.sinkless problem) with
+  | Some dump, _ ->
+    let solved = dump ~seed ~n in
+    Json.Obj
+      [
+        ("ok", Json.Bool true);
+        ("op", Json.String "solve");
+        ("problem", Json.String problem);
+        ("n", Json.Int n);
+        ("seed", Json.Int seed);
+        ("rounds", Json.Int solved.Problem.rounds);
+        ("valid", Json.Bool solved.Problem.valid);
+        ("output_bytes", Json.Int (String.length solved.Problem.output));
+        ( "output_digest",
+          Json.String (Digest.to_hex (Digest.string solved.Problem.output)) );
+      ]
+  | None, Some so ->
+    let inst, (out, meter) = solve_sinkless srv so ~n ~seed in
+    let g = inst.Instance.graph in
     Json.Obj
       [
         ("ok", Json.Bool true);
@@ -176,45 +162,30 @@ let handle_solve srv req =
         ("sinks", Json.Int (SO.count_sinks g out));
         ("rounds", Json.Int (Meter.max_radius meter));
       ]
+  | None, None -> unknown problem Problem.solve_names
 
 let handle_check srv req =
-  let problem, g, inst, out, _ = solve_instance srv req in
-  let verdict = DC.run SO.problem inst ~input:(SO.trivial_input g) ~output:out in
-  let rejecting =
-    Array.fold_left (fun acc a -> if a then acc else acc + 1) 0 verdict.DC.accepts
-  in
-  Json.Obj
-    [
-      ("ok", Json.Bool true);
-      ("op", Json.String "check");
-      ("problem", Json.String problem);
-      ("n", Json.Int (G.n g));
-      ("all_accept", Json.Bool verdict.DC.all_accept);
-      ("rejecting_nodes", Json.Int rejecting);
-      ("checker_rounds", Json.Int verdict.DC.rounds);
-    ]
-
-(* the gadget verifier's audit entry lives here rather than in the
-   catalog: repro_problems does not depend on repro_gadget, but the
-   server layer sees both *)
-let verifier_entry : AC.entry =
-  {
-    AC.a_name = "verifier";
-    a_doc = "gadget prover V, O(log n) on a (log,\xce\x94)-gadget (\xc2\xa74.5)";
-    a_run =
-      (fun ~seed:_ ~n ->
-        (* smallest gadget with at least n nodes — size is exponential in
-           the height, so a linear scan is cheap *)
-        let rec pick h =
-          let t = GB.gadget ~delta:3 ~height:h in
-          if G.n t.GL.graph >= n || h >= 14 then t else pick (h + 1)
-        in
-        let t = pick 2 in
-        let _, _, cert = V.audited_run ~delta:3 ~n:(G.n t.GL.graph) t in
-        cert);
-  }
-
-let audit_entries = AC.all @ [ verifier_entry ]
+  let problem = field_str req "problem" ~default:"so-det" in
+  let n, seed = sized req in
+  match Problem.sinkless problem with
+  | None -> unknown problem Problem.check_names
+  | Some so ->
+    let inst, (out, _) = solve_sinkless srv so ~n ~seed in
+    let g = inst.Instance.graph in
+    let verdict = DC.run SO.problem inst ~input:(SO.trivial_input g) ~output:out in
+    let rejecting =
+      Array.fold_left (fun acc a -> if a then acc else acc + 1) 0 verdict.DC.accepts
+    in
+    Json.Obj
+      [
+        ("ok", Json.Bool true);
+        ("op", Json.String "check");
+        ("problem", Json.String problem);
+        ("n", Json.Int (G.n g));
+        ("all_accept", Json.Bool verdict.DC.all_accept);
+        ("rejecting_nodes", Json.Int rejecting);
+        ("checker_rounds", Json.Int verdict.DC.rounds);
+      ]
 
 (* An audit keeps n + 2m influence bitsets of n bits each and runs a
    BFS from every node, so its cost is quadratic in n; a fuzz run costs
@@ -229,14 +200,10 @@ let handle_audit req =
   let seed = field_int req "seed" ~default:1 in
   if n < 2 || n > max_audit_n then
     raise (Bad_request (Printf.sprintf "n out of range [2, %d]" max_audit_n));
-  match List.find_opt (fun e -> e.AC.a_name = name) audit_entries with
-  | None ->
-    raise
-      (Bad_request
-         (Printf.sprintf "unknown audit target %S (try: %s)" name
-            (String.concat ", " (List.map (fun e -> e.AC.a_name) audit_entries))))
-  | Some entry ->
-    let cert = entry.AC.a_run ~seed ~n in
+  match Problem.audit name with
+  | None -> unknown name Problem.audit_names
+  | Some audit ->
+    let cert = audit ~seed ~n in
     Json.Obj
       [
         ("ok", Json.Bool true);

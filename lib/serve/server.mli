@@ -34,11 +34,6 @@
     records together with its measured queue wait — see README §Serving
     for the full log schema. *)
 
-val audit_entries : Core.Problems.Audit_catalog.entry list
-(** The audit registry behind the [audit] op and [repro audit]: the
-    catalog's entries plus the gadget verifier, which needs the gadget
-    layer the catalog cannot depend on. *)
-
 type addr = Unix_path of string | Tcp of string * int
 
 type config = {

@@ -17,7 +17,7 @@ module MP = Repro_local.Message_passing
 module Audit = Repro_local.Audit
 module Meter = Repro_local.Meter
 module SO = Repro_problems.Sinkless_orientation
-module AC = Repro_problems.Audit_catalog
+module Problem = Core.Problem
 module Reference = Repro_fuzz.Reference
 
 let check = Alcotest.(check bool)
@@ -181,11 +181,12 @@ let test_switch_round_pinned () =
   check "boxed outputs" true (boxed.Reference.outputs = res.Frontier.outputs);
   check "boxed rounds" true (boxed.Reference.rounds = res.Frontier.rounds)
 
-(* certificate equivalence across the audit catalog: every entry's
+(* certificate equivalence across the audit registry: every entry's
    certificate (the frontier engine's flood) must equal the same solve's
    declared radii replayed on the boxed reference engine, modulo the
    engine tag — at 1, 2 and 4 domains. The instance families and solvers
-   mirror the catalog's; a drift between the two fails loudly. *)
+   are restated here, independently of the registry; a drift between the
+   two fails loudly. *)
 let catalog_replays =
   let hard_so seed n =
     Instance.create ~seed (SO.hard_instance (Random.State.make [| seed |]) ~n)
@@ -208,15 +209,17 @@ let catalog_replays =
 
 let test_catalog_engine_equivalence () =
   let strip c = { c with Prov.c_engine = ""; c_label = "" } in
-  check "every catalog entry has a replay" true
-    (List.map (fun (name, _, _) -> name) catalog_replays = AC.names);
+  (* the verifier audits a labeled gadget, not an Instance.t family *)
+  check "every flood-audited entry has a replay" true
+    (List.map (fun (name, _, _) -> name) catalog_replays
+    = List.filter (fun name -> name <> "verifier") Problem.audit_names);
   List.iter
     (fun (name, inst_of, declared_of) ->
-      let e = Option.get (AC.find name) in
+      let audit = Option.get (Problem.audit name) in
       List.iter
         (fun size ->
           with_pool_size size (fun () ->
-              let cert = e.AC.a_run ~seed:3 ~n:100 in
+              let cert = audit ~seed:3 ~n:100 in
               let inst = inst_of 3 100 in
               let declared = declared_of inst in
               let _, boxed =

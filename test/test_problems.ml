@@ -11,7 +11,8 @@ module Coloring = Repro_problems.Coloring
 module Mis = Repro_problems.Mis
 module Luby = Repro_problems.Luby
 module Trivial = Repro_problems.Trivial
-module Catalog = Repro_problems.Solver_catalog
+module Problem = Core.Problem
+module Fit = Repro_stats.Fit
 module Pool = Repro_local.Pool
 
 let check = Alcotest.(check bool)
@@ -386,24 +387,77 @@ let test_golden_solvers () =
         (Printf.sprintf "luby24 rounds, %d domains" s)
         luby24_rounds (Meter.max_radius lm))
 
-(* the catalog contract: canonical solve bytes are pool-size blind *)
+(* the dump contract: canonical solve bytes are pool-size blind *)
 let test_catalog_bytes_pool_blind () =
-  let run name =
-    match Catalog.solve ~problem:name ~seed:7 ~n:48 with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
+  let run name = (Option.get (Problem.dump name)) ~seed:7 ~n:48 in
   Pool.set_size 1;
-  let base = List.map run Catalog.names in
+  let base = List.map run Problem.dump_names in
   with_sizes (fun s ->
       List.iter2
-        (fun name (b : Catalog.solved) ->
+        (fun name (b : Problem.solved) ->
           let r = run name in
           check (Printf.sprintf "%s bytes, %d domains" name s) true
-            (String.equal r.Catalog.s_output b.Catalog.s_output);
+            (String.equal r.Problem.output b.Problem.output);
           check (Printf.sprintf "%s valid, %d domains" name s) true
-            r.Catalog.s_valid)
-        Catalog.names base)
+            r.Problem.valid)
+        Problem.dump_names base)
+
+(* the names each consumer of the registry accepts *)
+let test_registry_names () =
+  let set = List.sort compare in
+  let pin what expected got =
+    Alcotest.(check (list string)) what (set expected) (set got)
+  in
+  pin "dump" [ "mis"; "luby-mis"; "coloring"; "flood"; "dcheck" ]
+    Problem.dump_names;
+  pin "solve"
+    [
+      "mis"; "luby-mis"; "coloring"; "flood"; "dcheck"; "so-det"; "so-rand";
+      "so-wave";
+    ]
+    Problem.solve_names;
+  pin "check" [ "so-det"; "so-rand"; "so-wave" ] Problem.check_names;
+  List.iter
+    (fun name -> check (name ^ " has a solver") true (Problem.sinkless name <> None))
+    Problem.check_names;
+  check "no solver for mis" true (Problem.sinkless "mis" = None);
+  check "no dump for so-det" true (Problem.dump "so-det" = None)
+
+(* Figure 1's order, bottom up: the landscape rows' declared classes never
+   decrease along Fit.all_models *)
+let test_registry_landscape_order () =
+  let rank m =
+    let rec go i = function
+      | [] -> Alcotest.fail "model missing from Fit.all_models"
+      | x :: rest -> if x = m then i else go (i + 1) rest
+    in
+    go 0 Fit.all_models
+  in
+  let rows = Problem.landscape [] in
+  Alcotest.(check (list string))
+    "rows"
+    [ "trivial"; "coloring"; "mis"; "matching"; "so-rand"; "so-det"; "pi2-rand";
+      "pi2-det"; "2-coloring" ]
+    (List.map (fun (r : Problem.row) -> r.Problem.name) rows);
+  ignore
+    (List.fold_left
+       (fun prev (r : Problem.row) ->
+         let k = rank r.Problem.declared in
+         check (r.Problem.name ^ " not below the row before") true (k >= prev);
+         k)
+       0 rows)
+
+(* a cell draws its family at its own (seed, n): the n = 1000 column does
+   not depend on which other sizes share the table *)
+let test_registry_landscape_cells_size_blind () =
+  let first sizes =
+    List.map (fun (r : Problem.row) -> (r.Problem.name, List.hd r.Problem.cells))
+      (Problem.landscape sizes)
+  in
+  let alone = first [ 1000 ] and shared = first [ 1000; 10000 ] in
+  List.iter2
+    (fun (name, a) (_, b) -> check_int (name ^ " at n = 1000") a b)
+    alone shared
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
@@ -441,5 +495,9 @@ let suite =
     ("trivial", `Quick, test_trivial);
     ("golden mis/coloring/luby24", `Quick, test_golden_solvers);
     ("catalog solve bytes pool-blind", `Quick, test_catalog_bytes_pool_blind);
+    ("registry per-op names", `Quick, test_registry_names);
+    ("registry landscape in Figure-1 order", `Quick, test_registry_landscape_order);
+    ("registry landscape cells size-blind", `Slow,
+      test_registry_landscape_cells_size_blind);
   ]
   @ qcheck_tests

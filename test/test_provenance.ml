@@ -15,7 +15,7 @@ module Pool = Repro_local.Pool
 module Audit = Repro_local.Audit
 module Ball = Repro_local.Ball
 module SO = Repro_problems.Sinkless_orientation
-module AC = Repro_problems.Audit_catalog
+module Problem = Core.Problem
 module DC = Repro_lcl.Distributed_check
 
 let check = Alcotest.(check bool)
@@ -159,30 +159,32 @@ let test_cert_pool_size_independent () =
           check (Printf.sprintf "identical at pool size %d" s) true (seq = par))
         [ 2; 4 ])
 
-(* every catalog entry certifies cleanly at its declared bound *)
+(* every audit entry certifies cleanly at its declared bound *)
 
 let test_catalog_all_pass () =
-  check "catalog has the seven entries" true
-    (List.sort compare AC.names
-    = List.sort compare
-        [
-          "so-det";
-          "so-rand";
-          "so-wave";
-          "coloring";
-          "mis";
-          "matching";
-          "dcheck";
-        ]);
+  Alcotest.(check (list string))
+    "the eight audit entries"
+    (List.sort compare
+       [
+         "so-det";
+         "so-rand";
+         "so-wave";
+         "coloring";
+         "mis";
+         "matching";
+         "dcheck";
+         "verifier";
+       ])
+    (List.sort compare Problem.audit_names);
   List.iter
-    (fun e ->
-      let cert = e.AC.a_run ~seed:3 ~n:120 in
-      check (e.AC.a_name ^ " passes") true cert.Prov.c_ok;
-      check (e.AC.a_name ^ " audited every node") true
+    (fun name ->
+      let cert = (Option.get (Problem.audit name)) ~seed:3 ~n:120 in
+      check (name ^ " passes") true cert.Prov.c_ok;
+      check (name ^ " audited every node") true
         (Array.length cert.Prov.c_records = cert.Prov.c_n))
-    AC.all;
-  check "find hit" true (AC.find "mis" <> None);
-  check "find miss" true (AC.find "nope" = None)
+    Problem.audit_names;
+  check "find hit" true (Problem.audit "mis" <> None);
+  check "find miss" true (Problem.audit "nope" = None)
 
 (* audit/cert events round-trip through JSONL, and a certificate's event
    block satisfies the offline invariant checker *)

@@ -307,6 +307,32 @@ let test_server_bad_requests () =
       check "error reply carries no cache field" true
         (member_str "cache" r = None))
 
+(* an unknown-problem error lists exactly the names its op accepts *)
+let test_server_unknown_problem_lists_op_names () =
+  with_server (fun _srv addr ->
+      let message op problem =
+        let r =
+          call addr
+            (Json.Obj [ ("op", Json.String op); ("problem", Json.String problem) ])
+        in
+        check_str (op ^ " " ^ problem ^ " rejected") "bad-request"
+          (Option.get (member_str "error" r));
+        Option.get (member_str "message" r)
+      in
+      check_str "check lists only the SO names"
+        {|unknown problem "mis" (try: so-det, so-rand, so-wave)|}
+        (message "check" "mis");
+      List.iter
+        (fun (op, known) ->
+          check_str (op ^ " lists its names")
+            (Core.Problem.unknown "nope" known)
+            (message op "nope"))
+        [
+          ("check", Core.Problem.check_names);
+          ("solve", Core.Problem.solve_names);
+          ("audit", Core.Problem.audit_names);
+        ])
+
 let test_server_malformed_frame () =
   with_server (fun _srv addr ->
       let path = match addr with Serve.Server.Unix_path p -> p | _ -> assert false in
@@ -661,6 +687,8 @@ let suite =
     Alcotest.test_case "server solve + reply cache" `Quick
       test_server_solve_and_reply_cache;
     Alcotest.test_case "server bad requests" `Quick test_server_bad_requests;
+    Alcotest.test_case "server unknown problem lists op names" `Quick
+      test_server_unknown_problem_lists_op_names;
     Alcotest.test_case "server malformed frame" `Quick test_server_malformed_frame;
     Alcotest.test_case "server stats + audit" `Quick test_server_stats_and_audit;
     Alcotest.test_case "server audit size bound" `Quick
