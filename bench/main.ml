@@ -452,24 +452,17 @@ let bench_serve ~quick () =
    1-core or oversubscribed host dispatches nothing, which the schema
    records as dispatch_ns 0 / grain null rather than hiding) *)
 let dispatch_stats case =
-  let reg = Obs.Registry.ambient () in
-  let c_dispatch = Obs.Registry.counter reg "local.pool.dispatch_ns" in
-  let c_chunk = Obs.Registry.counter reg "local.pool.chunk_ns" in
-  let c_idx = Obs.Registry.counter reg "local.pool.par_idx" in
-  let was_enabled = Obs.Registry.enabled ~reg () in
-  Obs.Registry.enable ~reg ();
-  let d0 = Obs.Counter.value c_dispatch
-  and t0 = Obs.Counter.value c_chunk
-  and i0 = Obs.Counter.value c_idx in
+  let was_enabled = Obs.Registry.enabled () in
+  Obs.Registry.enable ();
+  let base = Obs.Registry.counters () in
   case.run ();
-  let d1 = Obs.Counter.value c_dispatch
-  and t1 = Obs.Counter.value c_chunk
-  and i1 = Obs.Counter.value c_idx in
-  if not was_enabled then Obs.Registry.disable ~reg ();
-  let idx = i1 - i0 in
-  ( d1 - d0,
-    if idx > 0 then Some (float_of_int (t1 - t0) /. float_of_int idx)
-    else None )
+  let delta = Obs.Registry.deltas base in
+  if not was_enabled then Obs.Registry.disable ();
+  let get name = Option.value ~default:0 (List.assoc_opt name delta) in
+  let idx = get "local.pool.par_idx" and chunk_ns = get "local.pool.chunk_ns" in
+  ( get "local.pool.dispatch_ns",
+    if idx > 0 then Some (float_of_int chunk_ns /. float_of_int idx) else None
+  )
 
 (* --json: measure every case under 1 domain and under [domains], write
    BENCH_parallel.json in the current directory *)

@@ -5,36 +5,12 @@ module Obs = Repro_obs
 open Labels
 
 (* per-run verdict tallies, added once after the verdict loop (the
-   verdict multiset is pool-size-independent, so the totals are too).
-   Resolved against the ambient registry at run entry, on the
-   dispatching domain. *)
-type metrics = {
-  reg : Obs.Registry.t;
-  m_runs : Obs.Counter.t;
-  m_err : Obs.Counter.t;
-  m_ok : Obs.Counter.t;
-  m_ptr : Obs.Counter.t;
-}
-
-let memo : metrics option ref = ref None
-
-let metrics () =
-  let reg = Obs.Registry.ambient () in
-  match !memo with
-  | Some m when m.reg == reg -> m
-  | _ ->
-    let c = Obs.Registry.counter reg in
-    let m =
-      {
-        reg;
-        m_runs = c "gadget.verifier.runs";
-        m_err = c "gadget.verifier.error_nodes";
-        m_ok = c "gadget.verifier.ok_nodes";
-        m_ptr = c "gadget.verifier.pointer_nodes";
-      }
-    in
-    memo := Some m;
-    m
+   verdict multiset is pool-size-independent, so the totals are too) *)
+let counter = Obs.Registry.counter Obs.Registry.default
+let m_runs = counter "gadget.verifier.runs"
+let m_err = counter "gadget.verifier.error_nodes"
+let m_ok = counter "gadget.verifier.ok_nodes"
+let m_ptr = counter "gadget.verifier.pointer_nodes"
 
 let proof_radius ~n =
   let rec log2_ceil x acc = if x <= 1 then acc else log2_ceil ((x + 1) / 2) (acc + 1) in
@@ -164,8 +140,7 @@ let clear dist q len =
   done
 
 let run ~delta ~n (t : Labels.t) =
-  let mt = metrics () in
-  Obs.Counter.incr mt.m_runs;
+  Obs.Counter.incr m_runs;
   let g = t.graph in
   let size = G.n g in
   let off = G.ports_off g and prt = G.ports_flat g in
@@ -235,9 +210,9 @@ let run ~delta ~n (t : Labels.t) =
     (function
       | Psi.Error -> incr n_err | Psi.Ptr _ -> incr n_ptr | Psi.Ok -> ())
     out;
-  Obs.Counter.add mt.m_err !n_err;
-  Obs.Counter.add mt.m_ptr !n_ptr;
-  Obs.Counter.add mt.m_ok (size - !n_err - !n_ptr);
+  Obs.Counter.add m_err !n_err;
+  Obs.Counter.add m_ptr !n_ptr;
+  Obs.Counter.add m_ok (size - !n_err - !n_ptr);
   (out, meter)
 
 (* run the prover, then certify its declared per-node radii as an actual

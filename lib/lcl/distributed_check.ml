@@ -25,6 +25,10 @@ type verdict = {
   rounds : int;
 }
 
+let counter = Obs.Registry.counter Obs.Registry.default
+let m_runs = counter "lcl.dcheck.runs"
+let m_rejecting = counter "lcl.dcheck.rejecting_nodes"
+
 let run p inst ~input ~output =
   let g = inst.Repro_local.Instance.graph in
   let n = G.n g in
@@ -84,12 +88,9 @@ let run p inst ~input ~output =
       (Pool.fused ~grain:5 (fun v -> if accepts.(v) then 1 else 0))
       ~n
   in
-  let reg = Obs.Registry.ambient () in
-  Obs.Counter.incr (Obs.Registry.counter reg "lcl.dcheck.runs");
-  if Obs.Registry.live reg then
-    Obs.Counter.add
-      (Obs.Registry.counter reg "lcl.dcheck.rejecting_nodes")
-      (n - accepted);
+  Obs.Counter.incr m_runs;
+  if Obs.Registry.enabled () then
+    Obs.Counter.add m_rejecting (n - accepted);
   {
     accepts;
     all_accept = accepted = n;

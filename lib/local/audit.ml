@@ -3,10 +3,11 @@ module T = Repro_graph.Traversal
 module Prov = Repro_obs.Provenance
 module Obs = Repro_obs
 
+let counter = Obs.Registry.counter Obs.Registry.default
+let m_certified = counter "local.audit.certified_runs"
+let m_violations = counter "local.audit.violations"
+
 let certify_run ?(label = "") inst ~declared f =
-  let reg = Obs.Registry.ambient () in
-  let m_certified = Obs.Registry.counter reg "local.audit.certified_runs" in
-  let m_violations = Obs.Registry.counter reg "local.audit.violations" in
   Prov.start ();
   let x =
     match f () with

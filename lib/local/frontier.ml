@@ -49,39 +49,14 @@ module Obs = Repro_obs
 module MP = Message_passing
 module FS = Frontier_set
 
-(* resolved against the ambient registry at run entry, memoized on
-   physical registry identity; the rng counter is shared-by-name with
-   Randomness, so a round span can report its delta *)
-type metrics = {
-  reg : Obs.Registry.t;
-  m_runs : Obs.Counter.t;
-  m_rounds : Obs.Counter.t;
-  m_messages : Obs.Counter.t;
-  m_bytes : Obs.Counter.t;
-  m_rng : Obs.Counter.t;
-}
-
-let make_metrics reg =
-  let c = Obs.Registry.counter reg in
-  {
-    reg;
-    m_runs = c "local.frontier.runs";
-    m_rounds = c "local.frontier.rounds";
-    m_messages = c "local.frontier.messages";
-    m_bytes = c "local.frontier.payload_bytes";
-    m_rng = c "local.rng.draws";
-  }
-
-let memo : metrics option ref = ref None
-
-let metrics () =
-  let reg = Obs.Registry.ambient () in
-  match !memo with
-  | Some m when m.reg == reg -> m
-  | _ ->
-    let m = make_metrics reg in
-    memo := Some m;
-    m
+(* the rng counter is shared-by-name with Randomness, so a round span
+   can report its delta *)
+let counter = Obs.Registry.counter Obs.Registry.default
+let m_runs = counter "local.frontier.runs"
+let m_rounds = counter "local.frontier.rounds"
+let m_messages = counter "local.frontier.messages"
+let m_bytes = counter "local.frontier.payload_bytes"
+let m_rng = counter "local.rng.draws"
 
 let payload_bytes (v : 'a) =
   Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8)
@@ -94,7 +69,6 @@ type 'out result = {
 }
 
 let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
-  let mt = metrics () in
   let g = inst.Instance.graph in
   let n = G.n g in
   let m2 = 2 * G.m g in
@@ -136,7 +110,7 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
     if audit then Array.init m2 (fun _ -> Obs.Provenance.Bitset.create n)
     else [||]
   in
-  Obs.Counter.incr mt.m_runs;
+  Obs.Counter.incr m_runs;
   let live = FS.create ?dense_threshold n in
   FS.fill_all live;
   let recorder = FS.Stats.recorder () in
@@ -213,7 +187,7 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
     let t0 = Obs.Clock.now_ns () in
     let dense = FS.is_dense live in
     let active = FS.cardinal live in
-    let rng0 = if Obs.Span.live rsp then Obs.Counter.value mt.m_rng else 0 in
+    let rng0 = if Obs.Span.live rsp then Obs.Counter.value m_rng else 0 in
     let edges =
       if dense then Pool.run_fused send_dense ~n:(FS.word_count live)
       else Pool.run_fused send_sparse ~n:active
@@ -223,7 +197,7 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
        per port, so the messages sent this round equal the mailbox sizes
        summed over live receivers *)
     let msgs = ref 0 and mbox_max = ref 0 and bytes = ref 0 in
-    if Obs.Registry.live mt.reg then begin
+    if Obs.Registry.enabled () then begin
       FS.iter live (fun v ->
           let d = off.(v + 1) - off.(v) in
           msgs := !msgs + d;
@@ -233,9 +207,9 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
             if mail_epoch.(h) >= 0 then
               bytes := !bytes + payload_bytes mail.(h)
           done);
-      Obs.Counter.incr mt.m_rounds;
-      Obs.Counter.add mt.m_messages !msgs;
-      Obs.Counter.add mt.m_bytes !bytes
+      Obs.Counter.incr m_rounds;
+      Obs.Counter.add m_messages !msgs;
+      Obs.Counter.add m_bytes !bytes
     end;
     let newly_halted =
       if dense then Pool.run_fused recv_dense ~n:(FS.word_count live)
@@ -255,7 +229,7 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
             ("messages", !msgs);
             ("payload_bytes", !bytes);
             ("mailbox_max", !mbox_max);
-            ("rng_draws", Obs.Counter.value mt.m_rng - rng0);
+            ("rng_draws", Obs.Counter.value m_rng - rng0);
           ];
     incr round
   done;

@@ -1,42 +1,16 @@
 module G = Repro_graph.Multigraph
 module Obs = Repro_obs
 
-(* flood telemetry; every update below is a no-op while the owning
+(* flood telemetry; every update below is a no-op while the process
    registry is disabled, and round span kvs additionally need spans
-   armed. Metrics are resolved against the ambient registry once per run
-   entry (memoized on physical registry identity); the rng counter is
-   shared-by-name with Randomness, so the flood can report per-round
-   deltas of a counter it does not own. *)
-type metrics = {
-  reg : Obs.Registry.t;
-  m_flood_runs : Obs.Counter.t;
-  m_flood_rounds : Obs.Counter.t;
-  m_flood_messages : Obs.Counter.t;
-  m_flood_bytes : Obs.Counter.t;
-  m_rng : Obs.Counter.t;
-}
-
-let make_metrics reg =
-  let c = Obs.Registry.counter reg in
-  {
-    reg;
-    m_flood_runs = c "local.flood.runs";
-    m_flood_rounds = c "local.flood.rounds";
-    m_flood_messages = c "local.flood.messages";
-    m_flood_bytes = c "local.flood.payload_bytes";
-    m_rng = c "local.rng.draws";
-  }
-
-let memo : metrics option ref = ref None
-
-let metrics () =
-  let reg = Obs.Registry.ambient () in
-  match !memo with
-  | Some m when m.reg == reg -> m
-  | _ ->
-    let m = make_metrics reg in
-    memo := Some m;
-    m
+   armed. The rng counter is shared-by-name with Randomness, so the
+   flood can report per-round deltas of a counter it does not own. *)
+let counter = Obs.Registry.counter Obs.Registry.default
+let m_flood_runs = counter "local.flood.runs"
+let m_flood_rounds = counter "local.flood.rounds"
+let m_flood_messages = counter "local.flood.messages"
+let m_flood_bytes = counter "local.flood.payload_bytes"
+let m_rng = counter "local.rng.draws"
 
 (* transmitted size of a payload: its reachable heap words, as bytes.
    Deterministic for structurally equal values, so safe to record under
@@ -86,10 +60,9 @@ let flood_account g n known_list =
   (!msgs, !mbox_max, !bytes)
 
 let flood_gather inst ~radius payload =
-  let mt = metrics () in
   let g = inst.Instance.graph in
   let n = G.n g in
-  Obs.Counter.incr mt.m_flood_runs;
+  Obs.Counter.incr m_flood_runs;
   let by_round = Array.init n (fun _ -> Array.make (max radius 0) []) in
   let payloads = Pool.tabulate ~grain:300 n payload in
   if n = 0 || radius <= 0 then by_round
@@ -144,13 +117,13 @@ let flood_gather inst ~radius payload =
     (* [rng0] is the rng counter at round start ([rng_mark]), read only
        while the round span is live *)
     let rng_mark rsp =
-      if Obs.Span.live rsp then Obs.Counter.value mt.m_rng else 0
+      if Obs.Span.live rsp then Obs.Counter.value m_rng else 0
     in
     let close_round rsp ~r ~rng0 ~msgs ~mbox_max ~bytes =
-      if Obs.Registry.live mt.reg then begin
-        Obs.Counter.incr mt.m_flood_rounds;
-        Obs.Counter.add mt.m_flood_messages msgs;
-        Obs.Counter.add mt.m_flood_bytes bytes
+      if Obs.Registry.enabled () then begin
+        Obs.Counter.incr m_flood_rounds;
+        Obs.Counter.add m_flood_messages msgs;
+        Obs.Counter.add m_flood_bytes bytes
       end;
       if Obs.Span.live rsp then
         Obs.Span.exit rsp
@@ -161,7 +134,7 @@ let flood_gather inst ~radius payload =
               ("messages", msgs);
               ("payload_bytes", bytes);
               ("mailbox_max", mbox_max);
-              ("rng_draws", Obs.Counter.value mt.m_rng - rng0);
+              ("rng_draws", Obs.Counter.value m_rng - rng0);
             ]
     in
     if dense then begin
@@ -180,7 +153,7 @@ let flood_gather inst ~radius payload =
           Pool.parallel_for ~grain:200 ~n (fun v ->
               Obs.Provenance.Bitset.blit ~src:inf_state.(v) ~dst:inf_out.(v));
         let msgs, mbox_max, bytes =
-          if Obs.Registry.live mt.reg then
+          if Obs.Registry.enabled () then
             flood_account g n (fun v ->
                 let acc = ref [] in
                 B.iter (fun c -> acc := class_payload.(c) :: !acc) known.(v);
@@ -232,7 +205,7 @@ let flood_gather inst ~radius payload =
       let known = Array.init n (fun v -> [| class_of.(v) |]) in
       let snap = Array.make n [||] in
       let account () =
-        if Obs.Registry.live mt.reg then
+        if Obs.Registry.enabled () then
           flood_account g n (fun v ->
               let s = snap.(v) in
               let acc = ref [] in

@@ -39,48 +39,19 @@
 
 module Obs = Repro_obs
 
-(* dispatch telemetry; all no-ops while the owning registry is
-   disabled. Metrics are resolved against the ambient registry at
-   dispatch time (memoized on physical registry identity, so the common
-   case is one load and a pointer compare) and stored in the job record
-   — worker domains read them from there and never consult the ambient
-   slot themselves. Chunk counts and times are schedule-dependent and
-   excluded from the determinism contract (see Obs.Trace). *)
-type metrics = {
-  preg : Obs.Registry.t;
-  m_jobs : Obs.Counter.t;
-  m_seq_loops : Obs.Counter.t;
-  m_cutoff_inline : Obs.Counter.t;
-  m_chunks : Obs.Counter.t;
-  m_chunk_ns : Obs.Counter.t;
-  m_par_idx : Obs.Counter.t;
-  m_dispatch_ns : Obs.Counter.t;
-  m_chunk_hist : Obs.Histogram.t;
-}
-
-let make_metrics reg =
-  {
-    preg = reg;
-    m_jobs = Obs.Registry.counter reg "local.pool.jobs";
-    m_seq_loops = Obs.Registry.counter reg "local.pool.seq_loops";
-    m_cutoff_inline = Obs.Registry.counter reg "local.pool.cutoff_inline";
-    m_chunks = Obs.Registry.counter reg "local.pool.chunks";
-    m_chunk_ns = Obs.Registry.counter reg "local.pool.chunk_ns";
-    m_par_idx = Obs.Registry.counter reg "local.pool.par_idx";
-    m_dispatch_ns = Obs.Registry.counter reg "local.pool.dispatch_ns";
-    m_chunk_hist = Obs.Registry.histogram reg "local.pool.chunk_ns.hist";
-  }
-
-let memo : metrics option ref = ref None
-
-let metrics () =
-  let reg = Obs.Registry.ambient () in
-  match !memo with
-  | Some m when m.preg == reg -> m
-  | _ ->
-    let m = make_metrics reg in
-    memo := Some m;
-    m
+(* dispatch telemetry on the process registry; all no-ops while it is
+   disabled. Chunk counts and times are schedule-dependent and excluded
+   from the determinism contract (see Obs.Trace). *)
+let counter = Obs.Registry.counter Obs.Registry.default
+let m_jobs = counter "local.pool.jobs"
+let m_seq_loops = counter "local.pool.seq_loops"
+let m_cutoff_inline = counter "local.pool.cutoff_inline"
+let m_chunks = counter "local.pool.chunks"
+let m_chunk_ns = counter "local.pool.chunk_ns"
+let m_par_idx = counter "local.pool.par_idx"
+let m_dispatch_ns = counter "local.pool.dispatch_ns"
+let m_chunk_hist =
+  Obs.Registry.histogram Obs.Registry.default "local.pool.chunk_ns.hist"
 
 (* claims pack (epoch << chunk_bits) | chunk in one atomic int; so does
    the armed word, (epoch << chunk_bits) | chunks. 26 bits bound a
@@ -111,7 +82,6 @@ type job = {
   completed : int Atomic.t; (* chunks fully executed this epoch *)
   mutable body : int -> int -> unit; (* [body lo hi]: indices [lo, hi) *)
   failed : exn option Atomic.t;
-  mutable jm : metrics; (* the dispatching run's metrics, see above *)
 }
 
 type pool = {
@@ -225,12 +195,11 @@ let run_job pool job =
          if Obs.Span.live sp then Obs.Span.exit ~kvs:[ ("chunk", c) ] sp;
          if timed then begin
            (* clamped: the gettimeofday fallback clock can step *)
-           let m = job.jm in
            let dt = max 0 (Obs.Clock.now_ns () - t0) in
-           Obs.Counter.incr m.m_chunks;
-           Obs.Counter.add m.m_chunk_ns dt;
-           Obs.Counter.add m.m_par_idx (hi - lo);
-           Obs.Histogram.observe m.m_chunk_hist dt
+           Obs.Counter.incr m_chunks;
+           Obs.Counter.add m_chunk_ns dt;
+           Obs.Counter.add m_par_idx (hi - lo);
+           Obs.Histogram.observe m_chunk_hist dt
          end
        end);
       if
@@ -392,11 +361,10 @@ let chunk_layout ~grain ~n sz =
   (chunk_size, 1 + ((n - 1) / chunk_size))
 
 let run_parallel ?grain ~n ~make_body ~seq () =
-  let m = metrics () in
   let inline () =
-    Obs.Counter.incr m.m_seq_loops;
+    Obs.Counter.incr m_seq_loops;
     if n >= 2 && (not !busy) && size () > 1 then
-      Obs.Counter.incr m.m_cutoff_inline;
+      Obs.Counter.incr m_cutoff_inline;
     seq ()
   in
   if n <= 0 then inline ()
@@ -411,7 +379,7 @@ let run_parallel ?grain ~n ~make_body ~seq () =
           chunks;
           chunk_size;
           total = n;
-          j_timed = Obs.Registry.live m.preg;
+          j_timed = Obs.Registry.enabled ();
           j_span = Obs.Span.armed ();
           j_parent = Obs.Span.dispatch_parent ();
           armed = Atomic.make 0;
@@ -419,17 +387,16 @@ let run_parallel ?grain ~n ~make_body ~seq () =
           completed = Atomic.make 0;
           body = make_body ~chunk_size;
           failed = Atomic.make None;
-          jm = m;
         }
       in
-      Obs.Counter.incr m.m_jobs;
+      Obs.Counter.incr m_jobs;
       let t0 = if job.j_timed then Obs.Clock.now_ns () else 0 in
       busy := true;
       Fun.protect
         ~finally:(fun () -> busy := false)
         (fun () -> dispatch pool job);
       if job.j_timed then
-        Obs.Counter.add m.m_dispatch_ns (max 0 (Obs.Clock.now_ns () - t0));
+        Obs.Counter.add m_dispatch_ns (max 0 (Obs.Clock.now_ns () - t0));
       (match Atomic.get job.failed with Some e -> raise e | None -> ())
 
 let parallel_for ?grain ~n f =
@@ -504,7 +471,6 @@ let fused ?grain body =
           completed = Atomic.make 0;
           body = (fun _ _ -> ());
           failed = Atomic.make None;
-          jm = metrics ();
         };
       fu_grain = grain_of grain;
       fu_slots = Array.make (max 1 (size ())) 0;
@@ -524,12 +490,11 @@ let fused ?grain body =
 let run_fused t ~n =
   if n <= 0 then 0
   else begin
-    let m = metrics () in
     match plan ~n ~grain:t.fu_grain with
     | None ->
-      Obs.Counter.incr m.m_seq_loops;
+      Obs.Counter.incr m_seq_loops;
       if n >= 2 && (not !busy) && size () > 1 then
-        Obs.Counter.incr m.m_cutoff_inline;
+        Obs.Counter.incr m_cutoff_inline;
       let b = t.fu_body in
       let s = ref 0 in
       for i = 0 to n - 1 do
@@ -546,11 +511,10 @@ let run_fused t ~n =
       job.total <- n;
       job.chunk_size <- chunk_size;
       job.chunks <- chunks;
-      job.jm <- m;
-      job.j_timed <- Obs.Registry.live m.preg;
+      job.j_timed <- Obs.Registry.enabled ();
       job.j_span <- Obs.Span.armed ();
       job.j_parent <- Obs.Span.dispatch_parent ();
-      Obs.Counter.incr m.m_jobs;
+      Obs.Counter.incr m_jobs;
       let t0 = if job.j_timed then Obs.Clock.now_ns () else 0 in
       busy := true;
       (match dispatch pool job with
@@ -559,7 +523,7 @@ let run_fused t ~n =
         busy := false;
         raise e);
       if job.j_timed then
-        Obs.Counter.add m.m_dispatch_ns (max 0 (Obs.Clock.now_ns () - t0));
+        Obs.Counter.add m_dispatch_ns (max 0 (Obs.Clock.now_ns () - t0));
       (match Atomic.get job.failed with Some e -> raise e | None -> ());
       let s = ref 0 in
       for w = 0 to Array.length slots - 1 do

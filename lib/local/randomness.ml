@@ -2,22 +2,9 @@ type t = { seed : int64 }
 
 (* every derived draw (bit/int/float) funnels through bits64, so one
    counter measures the total randomness consumed by a run; the draw
-   multiset is schedule-oblivious, so the count is too. Resolved against
-   the ambient registry, memoized on physical registry identity so the
-   hot path is one load and a pointer compare. Worker domains read the
-   memo mid-job, which is safe under the ambient scoping contract:
-   scopes never switch while a pool job is in flight, so the memo is
-   stable for the duration of every dispatch. *)
-let memo : (Repro_obs.Registry.t * Repro_obs.Counter.t) option ref = ref None
-
-let m_draws () =
-  let reg = Repro_obs.Registry.ambient () in
-  match !memo with
-  | Some (r, c) when r == reg -> c
-  | _ ->
-    let c = Repro_obs.Registry.counter reg "local.rng.draws" in
-    memo := Some (reg, c);
-    c
+   multiset is schedule-oblivious, so the count is too *)
+let m_draws =
+  Repro_obs.Registry.counter Repro_obs.Registry.default "local.rng.draws"
 
 let create ~seed = { seed = Int64.of_int seed }
 
@@ -28,7 +15,7 @@ let mix z =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let bits64 t ~node ~idx =
-  Repro_obs.Counter.incr (m_draws ());
+  Repro_obs.Counter.incr m_draws;
   let x = Int64.add t.seed (Int64.mul (Int64.of_int node) 0x9e3779b97f4a7c15L) in
   let x = Int64.add x (Int64.mul (Int64.of_int idx) 0xd1b54a32d192ed03L) in
   mix (mix x)

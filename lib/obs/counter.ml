@@ -5,8 +5,8 @@ let name c = c.name
 
 (* The disabled path is one ref load and a branch; the enabled path is a
    single atomic add. The gate ref is shared with the registry the
-   counter was created in, so per-request registries switch their whole
-   metric population on and off with one write. Increments may come from
+   counter was created in, so a registry switches its whole metric
+   population on and off with one write. Increments may come from
    any pool domain, and since integer addition commutes the final value
    depends only on the multiset of increments, never on the schedule —
    counters therefore inherit the engine's seq-vs-par determinism for

@@ -15,28 +15,9 @@ let create () =
 
 let default = create ()
 
-(* The ambient registry: a dynamically scoped "current registry" that
-   instrumented layers resolve their metrics against at run entry. A
-   plain ref, not a DLS slot, on purpose: pool worker domains must see
-   the registry of the run they are executing chunks for, which is the
-   one the dispatching domain installed. The single-mutator contract
-   (see the .mli) is what makes the unsynchronized read sound — scopes
-   only switch between runs, never while a pool job is in flight. *)
-let current = ref default
-
-let ambient () = !current
-
-let scoped reg f =
-  let prev = !current in
-  current := reg;
-  Fun.protect ~finally:(fun () -> current := prev) f
-
-let resolve = function Some reg -> reg | None -> !current
-
-let enable ?reg () = (resolve reg).gate := true
-let disable ?reg () = (resolve reg).gate := false
-let enabled ?reg () = !((resolve reg).gate)
-let live t = !(t.gate)
+let enable ?(reg = default) () = reg.gate := true
+let disable ?(reg = default) () = reg.gate := false
+let enabled ?(reg = default) () = !(reg.gate)
 
 let locked t f =
   Mutex.lock t.mutex;
@@ -70,19 +51,25 @@ let sorted_fold t f =
   in
   List.sort compare (List.filter_map f items)
 
-let counters ?reg () =
-  sorted_fold (resolve reg) (function
+let counters ?(reg = default) () =
+  sorted_fold reg (function
     | C c -> Some (Counter.name c, Counter.value c)
     | H _ -> None)
 
-let histograms ?reg () =
-  sorted_fold (resolve reg) (function
+let histograms ?(reg = default) () =
+  sorted_fold reg (function
     | H h -> Some (Histogram.name h, Histogram.snapshot h)
     | C _ -> None)
 
-let reset ?reg () =
-  let t = resolve reg in
-  locked t (fun () ->
+let reset ?(reg = default) () =
+  locked reg (fun () ->
       Hashtbl.iter
         (fun _ -> function C c -> Counter.reset c | H h -> Histogram.reset h)
-        t.metrics)
+        reg.metrics)
+
+let deltas base =
+  List.filter_map
+    (fun (name, v) ->
+      let d = v - Option.value ~default:0 (List.assoc_opt name base) in
+      if d <> 0 then Some (name, d) else None)
+    (counters ())

@@ -21,17 +21,16 @@
    have an empty stack between chunks, so a chunk span's parent is the
    [cross_parent]: the dispatching slot's innermost open span. The pool
    reads it at dispatch ({!dispatch_parent}) and hands it to every chunk
-   of the job (the job hand-off provides the happens-before edge, the
-   same reasoning as the ambient registry slot); read live, it could
-   already be slot 0's own chunk span. Span ids are allocated per slot as [slot + k * nslots], which
-   makes them unique without an atomic — and makes the raw values
-   depend on the pool size, which is why Trace.deterministic_projection
-   renumbers them canonically.
+   of the job (the job hand-off provides the happens-before edge); read
+   live, it could already be slot 0's own chunk span. Span ids are
+   allocated per slot as [slot + k * nslots], which makes them unique
+   without an atomic — and makes the raw values depend on the pool
+   size, which is why Trace.deterministic_projection renumbers them
+   canonically.
 
-   Arming follows the ambient-scoping contract (Registry): one mutator,
-   never while a pool job is in flight. Under the serve scheduler the
-   single executor arms per request; one-shot CLI runs arm around the
-   whole run through Trace.record. *)
+   Arming has one mutator, never while a pool job is in flight. Under
+   the serve scheduler the single executor arms per request; one-shot
+   CLI runs arm around the whole run through Trace.record. *)
 
 type span = {
   trace_id : int;

@@ -13,10 +13,9 @@
     overflow. {!Trace.record} arms spans and drains them into its event
     stream as [Trace.Span] events.
 
-    Arming follows the ambient-scoping contract ({!Registry}): a single
-    mutator, never while a pool job is in flight. The serve scheduler's
-    single executor satisfies it by construction; one-shot CLI runs arm
-    around the whole run. *)
+    Arming has a single mutator, never while a pool job is in flight.
+    The serve scheduler's single executor satisfies this by
+    construction; one-shot CLI runs arm around the whole run. *)
 
 type span = {
   trace_id : int;  (** groups the spans of one recording/request *)

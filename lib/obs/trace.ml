@@ -48,16 +48,6 @@ let active () = !recorder <> None
 let emit e =
   match !recorder with Some r -> r.buf <- e :: r.buf | None -> ()
 
-(* the per-trace counter deltas, so every trace file is self-contained:
-   its Counter lines are the totals consumed during the recording, not
-   process-lifetime values *)
-let counter_deltas base =
-  List.filter_map
-    (fun (name, v) ->
-      let b = Option.value ~default:0 (List.assoc_opt name base) in
-      if v - b <> 0 then Some (Counter { name; value = v - b }) else None)
-    (Registry.counters ())
-
 let record ?(label = "") ?(n = 0) f =
   Registry.enable ();
   let r = { buf = []; base = Registry.counters () } in
@@ -70,7 +60,12 @@ let record ?(label = "") ?(n = 0) f =
     List.iter (fun s -> emit (Span s)) (Span.take ());
     if dropped > 0 then
       emit (Counter { name = "obs.spans_dropped"; value = dropped });
-    List.iter emit (counter_deltas r.base);
+    (* per-trace deltas, so every trace file is self-contained: its
+       Counter lines are the totals consumed during the recording, not
+       process-lifetime values *)
+    List.iter
+      (fun (name, value) -> emit (Counter { name; value }))
+      (Registry.deltas r.base);
     recorder := None;
     (x, List.rev r.buf)
   | exception e ->

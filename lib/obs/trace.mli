@@ -64,7 +64,7 @@ type event =
     only. *)
 
 val record : ?label:string -> ?n:int -> (unit -> 'a) -> 'a * event list
-(** [record f] enables the ambient registry, snapshots its counters,
+(** [record f] enables {!Registry.default}, snapshots its counters,
     arms {!Span} and runs [f]. It then returns [f]'s result and the
     trace: a [Meta] event when [label]/[n] are given, whatever [f]
     emitted, every drained span, an [obs.spans_dropped] counter if

@@ -42,9 +42,13 @@ let iter_segments color big nbig f =
     i := !j
   done
 
+let counter = Obs.Registry.counter Obs.Registry.default
+let m_runs = counter "problems.coloring.runs"
+let m_cv_rounds = counter "problems.coloring.cv_rounds"
+let m_rounds = counter "problems.coloring.rounds"
+
 let solve inst =
-  let reg = Obs.Registry.ambient () in
-  Obs.Counter.incr (Obs.Registry.counter reg "problems.coloring.runs");
+  Obs.Counter.incr m_runs;
   let g = inst.Instance.graph in
   let ids = inst.Instance.ids in
   let n = G.n g in
@@ -204,10 +208,8 @@ let solve inst =
           let rec pick c = if used.(c) then pick (c + 1) else c in
           color.(v) <- pick 0));
   rounds := !rounds + (pow3.(delta) - delta - 1);
-  Obs.Counter.add
-    (Obs.Registry.counter reg "problems.coloring.cv_rounds")
-    !max_forest_rounds;
-  Obs.Counter.add (Obs.Registry.counter reg "problems.coloring.rounds") !rounds;
+  Obs.Counter.add m_cv_rounds !max_forest_rounds;
+  Obs.Counter.add m_rounds !rounds;
   Meter.charge_all meter !rounds;
   let out = Labeling.init g ~v:(fun v -> color.(v)) ~e:(fun _ -> ()) ~b:(fun _ -> ()) in
   (out, meter)

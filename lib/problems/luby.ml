@@ -26,9 +26,13 @@ let draw rand ~iter ~n active p =
            lor v
          else min_int))
 
+let counter = Obs.Registry.counter Obs.Registry.default
+let m_runs = counter "problems.luby.runs"
+let m_iterations = counter "problems.luby.iterations"
+let m_members = counter "problems.luby.members"
+
 let solve inst =
-  let reg = Obs.Registry.ambient () in
-  Obs.Counter.incr (Obs.Registry.counter reg "problems.luby.runs");
+  Obs.Counter.incr m_runs;
   let g = inst.Instance.graph in
   let n = G.n g in
   if n > max_nodes then invalid_arg "Luby.solve: more than 2^22 nodes";
@@ -75,12 +79,9 @@ let solve inst =
     remaining := Pool.run_fused count_active ~n;
     incr iter
   done;
-  Obs.Counter.add
-    (Obs.Registry.counter reg "problems.luby.iterations")
-    !iter;
-  if Obs.Registry.live reg then
-    Obs.Counter.add
-      (Obs.Registry.counter reg "problems.luby.members")
+  Obs.Counter.add m_iterations !iter;
+  if Obs.Registry.enabled () then
+    Obs.Counter.add m_members
       (Array.fold_left (fun a b -> if b then a + 1 else a) 0 members);
   (* two LOCAL rounds per iteration: the priority exchange and the
      membership exchange *)

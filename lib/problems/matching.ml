@@ -44,9 +44,13 @@ let is_valid g output =
   let input = Labeling.const g ~v:() ~e:() ~b:() in
   Ne_lcl.is_valid problem g ~input ~output
 
+let counter = Obs.Registry.counter Obs.Registry.default
+let m_runs = counter "problems.matching.runs"
+let m_palette = counter "problems.matching.palette_classes"
+let m_matched = counter "problems.matching.matched_edges"
+
 let solve inst =
-  let reg = Obs.Registry.ambient () in
-  Obs.Counter.incr (Obs.Registry.counter reg "problems.matching.runs");
+  Obs.Counter.incr m_runs;
   let g = inst.Instance.graph in
   let coloring, meter = Coloring.solve inst in
   let color v = coloring.Labeling.v.(v) in
@@ -92,12 +96,9 @@ let solve inst =
             node_matched.(v) <- true
           end)
   done;
-  if Obs.Registry.live reg then begin
-    Obs.Counter.add
-      (Obs.Registry.counter reg "problems.matching.palette_classes")
-      palette;
-    Obs.Counter.add
-      (Obs.Registry.counter reg "problems.matching.matched_edges")
+  if Obs.Registry.enabled () then begin
+    Obs.Counter.add m_palette palette;
+    Obs.Counter.add m_matched
       (Array.fold_left (fun a b -> if b then a + 1 else a) 0 matched)
   end;
   (* the sweep is one round per palette class *)

@@ -59,9 +59,12 @@ let class_buckets coloring ~n ~delta =
   done;
   (off, bucket)
 
+let counter = Obs.Registry.counter Obs.Registry.default
+let m_runs = counter "problems.mis.runs"
+let m_members = counter "problems.mis.members"
+
 let solve inst =
-  let reg = Obs.Registry.ambient () in
-  Obs.Counter.incr (Obs.Registry.counter reg "problems.mis.runs");
+  Obs.Counter.incr m_runs;
   let g = inst.Instance.graph in
   let n = G.n g in
   let coloring, meter = Coloring.solve inst in
@@ -86,9 +89,8 @@ let solve inst =
           List.iter (fun w -> blocked.(w) <- true) (G.neighbors g v)
         end)
   done;
-  if Obs.Registry.live reg then
-    Obs.Counter.add
-      (Obs.Registry.counter reg "problems.mis.members")
+  if Obs.Registry.enabled () then
+    Obs.Counter.add m_members
       (Array.fold_left (fun a b -> if b then a + 1 else a) 0 members);
   Meter.charge_all meter (Meter.max_radius meter + delta + 1);
   (of_members g members, meter)

@@ -10,56 +10,23 @@ module Randomness = Repro_local.Randomness
 module FS = Repro_local.Frontier_set
 module Obs = Repro_obs
 
-(* solver telemetry (no-ops while the owning registry is disabled);
-   counts and histogram totals are schedule-oblivious, see DESIGN.md §9.
-   Resolved against the ambient registry at solver entry, memoized on
-   physical registry identity. *)
-type metrics = {
-  reg : Obs.Registry.t;
-  m_det_runs : Obs.Counter.t;
-  m_det_trees : Obs.Counter.t;
-  m_det_cyclic : Obs.Counter.t;
-  m_rand_runs : Obs.Counter.t;
-  m_rand_sinks : Obs.Counter.t;
-  m_rand_flips : Obs.Counter.t;
-  m_rand_len : Obs.Histogram.t;
-  m_wave_runs : Obs.Counter.t;
-  m_wave_sinks : Obs.Counter.t;
-  m_wave_rounds : Obs.Counter.t;
-  m_wave_flips : Obs.Counter.t;
-  m_wave_fallback : Obs.Counter.t;
-  m_wave_len : Obs.Histogram.t;
-}
-
-let memo : metrics option ref = ref None
-
-let metrics () =
-  let reg = Obs.Registry.ambient () in
-  match !memo with
-  | Some m when m.reg == reg -> m
-  | _ ->
-    let c = Obs.Registry.counter reg in
-    let h = Obs.Registry.histogram reg in
-    let m =
-      {
-        reg;
-        m_det_runs = c "problems.so.det.runs";
-        m_det_trees = c "problems.so.det.tree_components";
-        m_det_cyclic = c "problems.so.det.cyclic_classes";
-        m_rand_runs = c "problems.so.rand.runs";
-        m_rand_sinks = c "problems.so.rand.initial_sinks";
-        m_rand_flips = c "problems.so.rand.half_flips";
-        m_rand_len = h "problems.so.rand.repair_len";
-        m_wave_runs = c "problems.so.wave.runs";
-        m_wave_sinks = c "problems.so.wave.initial_sinks";
-        m_wave_rounds = c "problems.so.wave.rounds";
-        m_wave_flips = c "problems.so.wave.half_flips";
-        m_wave_fallback = c "problems.so.wave.fallback_repairs";
-        m_wave_len = h "problems.so.wave.repair_len";
-      }
-    in
-    memo := Some m;
-    m
+(* solver telemetry (no-ops while the process registry is disabled);
+   counts and histogram totals are schedule-oblivious, see DESIGN.md §9 *)
+let counter = Obs.Registry.counter Obs.Registry.default
+let histogram = Obs.Registry.histogram Obs.Registry.default
+let m_det_runs = counter "problems.so.det.runs"
+let m_det_trees = counter "problems.so.det.tree_components"
+let m_det_cyclic = counter "problems.so.det.cyclic_classes"
+let m_rand_runs = counter "problems.so.rand.runs"
+let m_rand_sinks = counter "problems.so.rand.initial_sinks"
+let m_rand_flips = counter "problems.so.rand.half_flips"
+let m_rand_len = histogram "problems.so.rand.repair_len"
+let m_wave_runs = counter "problems.so.wave.runs"
+let m_wave_sinks = counter "problems.so.wave.initial_sinks"
+let m_wave_rounds = counter "problems.so.wave.rounds"
+let m_wave_flips = counter "problems.so.wave.half_flips"
+let m_wave_fallback = counter "problems.so.wave.fallback_repairs"
+let m_wave_len = histogram "problems.so.wave.repair_len"
 
 type orientation = Out | In
 
@@ -257,8 +224,7 @@ let find_class_cycle g is_bridge cls c root ~visited ~parent_half ~qbuf =
     Some (!down_v @ [ h ] @ List.rev !up_w)
 
 let solve_deterministic inst =
-  let mt = metrics () in
-  Obs.Counter.incr mt.m_det_runs;
+  Obs.Counter.incr m_det_runs;
   let g = inst.Instance.graph in
   let ids = inst.Instance.ids in
   let n = G.n g in
@@ -304,7 +270,7 @@ let solve_deterministic inst =
     let c = cls.(v) in
     if class_cyclic.(c) && not handled.(c) then begin
       handled.(c) <- true;
-      Obs.Counter.incr mt.m_det_cyclic;
+      Obs.Counter.incr m_det_cyclic;
       (* find the min-id root: scan the class by BFS over non-bridge
          edges; the queue prefix qbuf.(0 .. nmembers-1) doubles as the
          member list *)
@@ -413,7 +379,7 @@ let solve_deterministic inst =
     | [] -> ()
     | first :: _ ->
       if dist_x.(first) < 0 && comp_edges.(c) > 0 then begin
-        Obs.Counter.incr mt.m_det_trees;
+        Obs.Counter.incr m_det_trees;
         let diameter = solve_tree_component g ids out nodes ~seen ~dist ~qbuf in
         List.iter (fun v -> Meter.charge meter v diameter) nodes
       end
@@ -525,15 +491,13 @@ let repair_sink g out out_deg meter u =
       in
       let halves = path z [] in
       let len = List.length halves in
-      let mt = metrics () in
-      Obs.Counter.add mt.m_rand_flips len;
-      Obs.Histogram.observe mt.m_rand_len len;
+      Obs.Counter.add m_rand_flips len;
+      Obs.Histogram.observe m_rand_len len;
       flip_path g out out_deg meter halves len
   end
 
 let solve_randomized inst =
-  let mt = metrics () in
-  Obs.Counter.incr mt.m_rand_runs;
+  Obs.Counter.incr m_rand_runs;
   let g = inst.Instance.graph in
   let ids = inst.Instance.ids in
   let rand = inst.Instance.rand in
@@ -543,7 +507,7 @@ let solve_randomized inst =
   Meter.charge_all meter 1;
   let out_deg = out_degrees g out in
   let sinks = sorted_sinks g ids out_deg in
-  Obs.Counter.add mt.m_rand_sinks (List.length sinks);
+  Obs.Counter.add m_rand_sinks (List.length sinks);
   List.iter (repair_sink g out out_deg meter) sinks;
   (out, meter)
 
@@ -568,8 +532,7 @@ let solve_randomized inst =
    rounds' state; frontier membership orders are pool-independent
    (Frontier_set discipline). *)
 let solve_randomized_frontier ?stats inst =
-  let mt = metrics () in
-  Obs.Counter.incr mt.m_wave_runs;
+  Obs.Counter.incr m_wave_runs;
   let g = inst.Instance.graph in
   let ids = inst.Instance.ids in
   let rand = inst.Instance.rand in
@@ -580,7 +543,7 @@ let solve_randomized_frontier ?stats inst =
   Meter.charge_all meter 1;
   let out_deg = out_degrees g out in
   let sinks = sorted_sinks g ids out_deg in
-  Obs.Counter.add mt.m_wave_sinks (List.length sinks);
+  Obs.Counter.add m_wave_sinks (List.length sinks);
   let region = Array.make n (-1) in
   (* parent_half.(w): the half at w's region parent pointing toward w *)
   let parent_half = Array.make n (-1) in
@@ -640,7 +603,7 @@ let solve_randomized_frontier ?stats inst =
     FS.clear front;
     FS.iter cand (fun w ->
         if region_target.(region.(w)) = -1 then FS.add front w);
-    Obs.Counter.incr mt.m_wave_rounds;
+    Obs.Counter.incr m_wave_rounds;
     (match stats with
     | Some r ->
       (* clamped: the gettimeofday fallback clock can step backwards *)
@@ -667,8 +630,8 @@ let solve_randomized_frontier ?stats inst =
         in
         let halves = path z [] in
         let len = List.length halves in
-        Obs.Counter.add mt.m_wave_flips len;
-        Obs.Histogram.observe mt.m_wave_len len;
+        Obs.Counter.add m_wave_flips len;
+        Obs.Histogram.observe m_wave_len len;
         flip_path g out out_deg meter halves len
       end)
     sinks;
@@ -676,7 +639,7 @@ let solve_randomized_frontier ?stats inst =
   List.iter
     (fun u ->
       if region_target.(u) = -1 then begin
-        Obs.Counter.incr mt.m_wave_fallback;
+        Obs.Counter.incr m_wave_fallback;
         repair_sink g out out_deg meter u
       end)
     sinks;

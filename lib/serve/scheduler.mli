@@ -5,11 +5,12 @@
     runs its engines over the one process-wide domain pool
     ({!Repro_local.Pool}), so running two requests' engine phases
     concurrently would only make them queue on the pool's single job
-    slot — and it would break the ambient-registry scoping contract
-    ({!Repro_obs.Registry}). One executor gives per-request telemetry
-    isolation by construction while the domain pool still parallelizes
-    each request internally. Connection IO stays concurrent: one
-    systhread per client blocks on {!wait} while the executor works.
+    slot — and their counters would mix in the one metric population
+    ({!Repro_obs.Registry.default}). One executor gives per-request
+    telemetry isolation by construction while the domain pool still
+    parallelizes each request internally. Connection IO stays
+    concurrent: one systhread per client blocks on {!wait} while the
+    executor works.
 
     Admission is FIFO-fair and bounded: when [capacity] requests are
     already waiting, {!submit} refuses immediately — the server turns

@@ -35,10 +35,11 @@ type t = {
   instances : G.t Cache.t;
   started : float;
   started_ns : int;
-  (* server-lifetime metrics, distinct from the per-request registries:
-     request counts per op, per-op latency histograms, queue-wait
-     histogram. Enabled from birth; the [metrics] op renders it as
-     Prometheus text and [stats] summarizes its quantiles. *)
+  (* server-lifetime metrics, distinct from the engine counters in
+     Registry.default that each reply's telemetry reads: request counts
+     per op, per-op latency histograms, queue-wait histogram. Enabled
+     from birth; the [metrics] op renders it as Prometheus text and
+     [stats] summarizes its quantiles. *)
   metrics_reg : Obs.Registry.t;
   mutable stopping : bool;
   mutex : Mutex.t; (* guards conns, op_counts, stopping, log *)
@@ -119,8 +120,8 @@ let hierarchy_level srv i =
       Obs.Span.with_span "serve.artifact.build" (fun () -> Hierarchy.level i))
 
 (* ------------------------------------------------------------------ *)
-(* op handlers — these run on the scheduler's executor thread, inside a
-   fresh per-request registry scope *)
+(* op handlers — these run on the scheduler's executor thread, one
+   request at a time *)
 
 let sized req =
   let n = field_int req "n" ~default:1000 in
@@ -301,77 +302,76 @@ type span_ctx = {
   sc_submit_ns : int;  (** just before [Scheduler.submit] *)
 }
 
-(* run one admitted request inside its own registry: its counters, and
-   any span recording it may open, are invisible to every other request;
-   on failure only this request's spans are aborted *)
+(* run one admitted request. The single executor runs it alone, so its
+   telemetry is the change in the process registry's counters across
+   it, and on failure only this request's spans are aborted. *)
 let run_request srv op req ~queue_ns ~trace_id ~span_ctx =
   Obs.Histogram.observe
     (Obs.Registry.histogram srv.metrics_reg "serve.queue.wait_ns")
     queue_ns;
-  let reg = Obs.Registry.create () in
-  Obs.Registry.scoped reg (fun () ->
-      Obs.Registry.enable ();
-      let telemetry_fields () =
-        let telemetry =
-          List.filter_map
-            (fun (name, v) -> if v = 0 then None else Some (name, Json.Int v))
-            (Obs.Registry.counters ())
-        in
-        [ ("telemetry", Json.Obj telemetry) ]
+  Obs.Registry.enable ();
+  let base = Obs.Registry.counters () in
+  let telemetry_fields () =
+    let telemetry =
+      List.map (fun (name, d) -> (name, Json.Int d)) (Obs.Registry.deltas base)
+    in
+    [ ("telemetry", Json.Obj telemetry) ]
+  in
+  match span_ctx with
+  | None -> (
+    match handle srv op req with
+    | reply -> add_fields reply (telemetry_fields ())
+    | exception Bad_request msg ->
+      Protocol.error_reply ~code:"bad-request" msg
+    | exception e ->
+      Protocol.error_reply ~code:"internal" (Printexc.to_string e))
+  | Some sc -> (
+    let (_ : int) = Obs.Span.arm ~trace_id () in
+    match
+      (* root backdated to arrival so queue wait and the cache probe
+         sit inside it; both were measured on the connection thread *)
+      let root = Obs.Span.enter ~start_ns:sc.sc_arrival_ns ("serve." ^ op) in
+      let (_ : int) =
+        Obs.Span.record ~label:"serve.cache.lookup"
+          ~start_ns:sc.sc_probe_start_ns ~stop_ns:sc.sc_probe_stop_ns ()
       in
-      match span_ctx with
-      | None -> (
-        match handle srv op req with
-        | reply -> add_fields reply (telemetry_fields ())
-        | exception Bad_request msg ->
-          Protocol.error_reply ~code:"bad-request" msg
-        | exception e ->
-          Protocol.error_reply ~code:"internal" (Printexc.to_string e))
-      | Some sc -> (
-        let (_ : int) = Obs.Span.arm ~trace_id () in
-        match
-          (* root backdated to arrival so queue wait and the cache probe
-             sit inside it; both were measured on the connection thread *)
-          let root = Obs.Span.enter ~start_ns:sc.sc_arrival_ns ("serve." ^ op) in
-          let (_ : int) =
-            Obs.Span.record ~label:"serve.cache.lookup"
-              ~start_ns:sc.sc_probe_start_ns ~stop_ns:sc.sc_probe_stop_ns ()
-          in
-          let (_ : int) =
-            Obs.Span.record ~label:"serve.queue.wait" ~start_ns:sc.sc_submit_ns
-              ~stop_ns:(sc.sc_submit_ns + queue_ns) ()
-          in
-          let reply = Obs.Span.with_span "serve.execute" (fun () -> handle srv op req) in
-          (* reference encoding: write_frame re-encodes the (augmented)
-             reply later, this measures the dominant cost and its size *)
-          let e0 = Obs.Clock.now_ns () in
-          let bytes = String.length (Json.to_string reply) in
-          let e1 = Obs.Clock.now_ns () in
-          let (_ : int) =
-            Obs.Span.record ~label:"serve.encode" ~start_ns:e0 ~stop_ns:e1
-              ~kvs:[ ("bytes", bytes) ] ()
-          in
-          Obs.Span.exit root;
-          reply
-        with
-        | reply ->
-          let spans = Obs.Span.take () in
-          add_fields reply
-            (telemetry_fields ()
-            @ [
-                ("trace_id", Json.Int trace_id);
-                ( "spans",
-                  Json.List
-                    (List.map
-                       (fun s -> Obs.Trace.event_to_json (Obs.Trace.Span s))
-                       spans) );
-              ])
-        | exception Bad_request msg ->
-          Obs.Span.abort ();
-          Protocol.error_reply ~code:"bad-request" msg
-        | exception e ->
-          Obs.Span.abort ();
-          Protocol.error_reply ~code:"internal" (Printexc.to_string e)))
+      let (_ : int) =
+        Obs.Span.record ~label:"serve.queue.wait" ~start_ns:sc.sc_submit_ns
+          ~stop_ns:(sc.sc_submit_ns + queue_ns) ()
+      in
+      let reply =
+        Obs.Span.with_span "serve.execute" (fun () -> handle srv op req)
+      in
+      (* reference encoding: write_frame re-encodes the (augmented)
+         reply later, this measures the dominant cost and its size *)
+      let e0 = Obs.Clock.now_ns () in
+      let bytes = String.length (Json.to_string reply) in
+      let e1 = Obs.Clock.now_ns () in
+      let (_ : int) =
+        Obs.Span.record ~label:"serve.encode" ~start_ns:e0 ~stop_ns:e1
+          ~kvs:[ ("bytes", bytes) ] ()
+      in
+      Obs.Span.exit root;
+      reply
+    with
+    | reply ->
+      let spans = Obs.Span.take () in
+      add_fields reply
+        (telemetry_fields ()
+        @ [
+            ("trace_id", Json.Int trace_id);
+            ( "spans",
+              Json.List
+                (List.map
+                   (fun s -> Obs.Trace.event_to_json (Obs.Trace.Span s))
+                   spans) );
+          ])
+    | exception Bad_request msg ->
+      Obs.Span.abort ();
+      Protocol.error_reply ~code:"bad-request" msg
+    | exception e ->
+      Obs.Span.abort ();
+      Protocol.error_reply ~code:"internal" (Printexc.to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* stats and metrics — answered inline by connection threads: read-only *)

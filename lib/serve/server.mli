@@ -4,12 +4,13 @@
     One systhread per client connection reads length-prefixed JSON frames
     ({!Protocol}); every engine-running request goes through the
     {!Scheduler} (FIFO-fair, bounded, explicit [busy] backpressure) and
-    executes inside a fresh per-request {!Repro_obs.Registry} scope, so
-    each reply carries only its own telemetry counters and a failed
-    request can abort only its own trace. Successful replies to
-    deterministic requests are cached by canonical request hash
-    ({!Cache}), alongside artifact caches for gadget families, padded
-    hierarchy levels, and hard instances.
+    executes alone, so its reply's telemetry is the change in the process
+    registry's counters across that request
+    ({!Repro_obs.Registry.deltas}) and a failed request can abort only
+    its own trace. Successful replies to deterministic requests are
+    cached by canonical request hash ({!Cache}), alongside artifact
+    caches for gadget families, padded hierarchy levels, and hard
+    instances.
 
     Request vocabulary ([op] field): [solve], [check], [audit], [fuzz],
     [bench], [stats], [metrics]. Every op bounds its work: [solve] and

@@ -615,33 +615,11 @@ module Verifier_ref = struct
   module Labels = Repro_gadget.Labels
   open Repro_gadget.Labels
 
-  type metrics = {
-    reg : Obs.Registry.t;
-    m_runs : Obs.Counter.t;
-    m_err : Obs.Counter.t;
-    m_ok : Obs.Counter.t;
-    m_ptr : Obs.Counter.t;
-  }
-
-  let memo : metrics option ref = ref None
-
-  let metrics () =
-    let reg = Obs.Registry.ambient () in
-    match !memo with
-    | Some m when m.reg == reg -> m
-    | _ ->
-      let c = Obs.Registry.counter reg in
-      let m =
-        {
-          reg;
-          m_runs = c "gadget.verifier.runs";
-          m_err = c "gadget.verifier.error_nodes";
-          m_ok = c "gadget.verifier.ok_nodes";
-          m_ptr = c "gadget.verifier.pointer_nodes";
-        }
-      in
-      memo := Some m;
-      m
+  let counter = Obs.Registry.counter Obs.Registry.default
+  let m_runs = counter "gadget.verifier.runs"
+  let m_err = counter "gadget.verifier.error_nodes"
+  let m_ok = counter "gadget.verifier.ok_nodes"
+  let m_ptr = counter "gadget.verifier.pointer_nodes"
 
   let proof_radius ~n =
     let rec log2_ceil x acc = if x <= 1 then acc else log2_ceil ((x + 1) / 2) (acc + 1) in
@@ -726,8 +704,7 @@ module Verifier_ref = struct
       else Psi.PUp
 
   let run ~delta ~n (t : Labels.t) =
-    let mt = metrics () in
-    Obs.Counter.incr mt.m_runs;
+    Obs.Counter.incr m_runs;
     let g = t.graph in
     let size = G.n g in
     let radius = proof_radius ~n in
@@ -783,17 +760,17 @@ module Verifier_ref = struct
     Pool.parallel_for ~grain:2_500 ~n:size (fun u ->
         if err.(u) then begin
           out.(u) <- Psi.Error;
-          Obs.Counter.incr mt.m_err;
+          Obs.Counter.incr m_err;
           Meter.charge meter u 2
         end
         else if dist_err.(u) > radius then begin
           out.(u) <- Psi.Ok;
-          Obs.Counter.incr mt.m_ok;
+          Obs.Counter.incr m_ok;
           Meter.charge meter u (min radius ecc_est.(u))
         end
         else begin
           out.(u) <- Psi.Ptr (pointer_for t err u ~cap);
-          Obs.Counter.incr mt.m_ptr;
+          Obs.Counter.incr m_ptr;
           Meter.charge meter u (min radius ecc_est.(u))
         end);
     (out, meter)

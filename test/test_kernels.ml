@@ -368,19 +368,19 @@ let test_check_allocation () =
 
 let radii m n = Array.init n (Meter.radius m)
 
-(* [f ()] in a fresh enabled registry, with the gadget.verifier.*
-   counter totals it left behind *)
+(* [f ()] with the registry enabled, and the gadget.verifier.* counter
+   totals it added *)
 let counted f =
-  let reg = Obs.Registry.create () in
-  Obs.Registry.enable ~reg ();
-  let r = Obs.Registry.scoped reg f in
+  Obs.Registry.enable ();
+  let base = Obs.Registry.counters () in
+  let r = Fun.protect ~finally:(fun () -> Obs.Registry.disable ()) f in
   let prefix = "gadget.verifier." in
   let np = String.length prefix in
   ( r,
     List.filter
       (fun (name, _) ->
         String.length name > np && String.sub name 0 np = prefix)
-      (Obs.Registry.counters ~reg ()) )
+      (Obs.Registry.deltas base) )
 
 let show_counters cs =
   String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) cs)

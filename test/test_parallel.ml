@@ -335,7 +335,7 @@ let test_dispatch_obs_invariance () =
 let test_oversubscribed_inline () =
   (* a pool with more members than the host has cores only adds context
      switches, so the rule keeps even a large loop inline there *)
-  let reg = Obs.Registry.ambient () in
+  let reg = Obs.Registry.default in
   let jobs = Obs.Registry.counter reg "local.pool.jobs" in
   let cutoff_inline = Obs.Registry.counter reg "local.pool.cutoff_inline" in
   with_dispatch_config (fun () ->
@@ -361,7 +361,7 @@ let test_pool_counters_armed_per_job () =
      while the registry is disarmed must leave every pool counter
      untouched, and an armed job must account each chunk and each index
      exactly once *)
-  let reg = Obs.Registry.ambient () in
+  let reg = Obs.Registry.default in
   let chunks = Obs.Registry.counter reg "local.pool.chunks" in
   let par_idx = Obs.Registry.counter reg "local.pool.par_idx" in
   let chunk_ns = Obs.Registry.counter reg "local.pool.chunk_ns" in

@@ -469,6 +469,48 @@ let test_server_two_client_isolation () =
             (List.mem "problems.so.det.runs" names))
         !rand_replies)
 
+(* telemetry is a delta over the process registry, so it must not
+   depend on what the server answered before: request B's counters
+   (outside the schedule-dependent local.pool.* ones) are the same on a
+   fresh server and on one that has just answered a different fresh
+   request and a bad request *)
+let test_server_telemetry_history_independent () =
+  let req_b =
+    Json.Obj
+      [
+        ("op", Json.String "solve");
+        ("problem", Json.String "so-rand");
+        ("n", Json.Int 500);
+        ("seed", Json.Int 3);
+      ]
+  in
+  let telemetry reply =
+    match Json.member "telemetry" reply with
+    | Some (Json.Obj fields) ->
+      List.filter
+        (fun (name, _) -> not (String.starts_with ~prefix:"local.pool." name))
+        fields
+    | _ -> []
+  in
+  let fresh = with_server (fun _srv addr -> telemetry (call addr req_b)) in
+  let after_history =
+    with_server (fun _srv addr ->
+        check "request A ok" true (is_ok (call addr (solve_req 600 4)));
+        let bad =
+          call addr
+            (Json.Obj
+               [ ("op", Json.String "solve"); ("problem", Json.String "nope") ])
+        in
+        check_str "bad request refused" "bad-request"
+          (Option.get (member_str "error" bad));
+        telemetry (call addr req_b))
+  in
+  check "B reports telemetry" true
+    (List.mem_assoc "problems.so.rand.runs" fresh);
+  check_str "B's telemetry is history-independent"
+    (Json.to_string (Json.Obj fresh))
+    (Json.to_string (Json.Obj after_history))
+
 (* ------------------------------------------------------------------ *)
 (* metrics exposition, span trees, cache bypass, request log *)
 
@@ -697,6 +739,8 @@ let suite =
       test_server_fuzz_count_bound;
     Alcotest.test_case "server two-client isolation" `Quick
       test_server_two_client_isolation;
+    Alcotest.test_case "server telemetry history-independent" `Quick
+      test_server_telemetry_history_independent;
     Alcotest.test_case "server metrics exposition" `Quick test_server_metrics_op;
     Alcotest.test_case "server span tree" `Quick test_server_span_tree;
     Alcotest.test_case "server log schema" `Quick test_server_log_schema;
