@@ -1,24 +1,25 @@
-(* The experiment harness: regenerates every figure/claim of the paper.
+(* The wall-clock bench: times every leg sequentially (pool size 1) and
+   in parallel (the configured pool size), records its allocation and
+   dispatch telemetry, runs the serve leg, and writes BENCH_parallel.json
+   in the current directory — the perf trajectory that check_bench
+   gates. The paper's figures are `repro experiment all`.
 
-   The experiments themselves live in the Repro_experiments library (one
-   per figure/theorem — see DESIGN.md's index); this executable runs them
-   all at full size, prints their tables and plots, and appends the
-   Bechamel wall-clock micro-benchmarks. EXPERIMENTS.md records the
-   paper-vs-measured analysis of a reference run.
+   Timing: [pairs] alternating seq/par pairs per leg. Each side of a pair
+   sets the pool size, runs the leg once untimed, then keeps the fastest
+   of the runs that fit in [quota]. A leg reports the median seq and par
+   times, the median of its pair ratios par/seq, and their interquartile
+   spread.
 
-   Modes:
-     (default)        full experiment run + console micro-benchmarks
-     --json           micro-benchmarks only, each measured sequentially
-                      (1 domain) and in parallel (REPRO_DOMAINS or 4
-                      domains), written to BENCH_parallel.json — the
-                      machine-readable perf trajectory across PRs
-     --quick          shrink instances and quotas (the `dune runtest`
-                      smoke invocation uses `--json --quick`)
+   Usage: main.exe [--quick] [--filter NAME]
+     --quick          shrink instances, pairs and quotas (the `dune
+                      runtest` smoke invocation)
      --filter NAME    measure only the cases whose name contains NAME
                       (substring match); prints to the console only —
                       the serve leg and the JSON file are skipped, so a
                       filtered run never clobbers the trajectory. A
-                      NAME matching no case exits non-zero. *)
+                      NAME matching no case exits non-zero.
+   The parallel pool size is Pool.size (): REPRO_DOMAINS, else the core
+   count. *)
 
 module G = Core.Graph.Multigraph
 module Instance = Core.Local.Instance
@@ -42,10 +43,6 @@ module Obs = Core.Obs
 module FS = Core.Local.Frontier_set
 module Frontier = Core.Local.Frontier
 module Audit = Core.Local.Audit
-module Runs = Repro_experiments.Runs
-
-let section name =
-  Printf.printf "\n==================== %s ====================\n" name
 
 (* name, instance size, workload; names are stable across PRs (and across
    --quick, which shrinks the instances) so the JSON trajectory lines up.
@@ -201,8 +198,8 @@ let cases ~quick () =
           ignore (DC.audited_run SO.problem inst3k ~input:so_inp ~output:so_out));
       frontier = None;
     };
-    (* the 1M legs: wall-clock via bechamel like every other case, plus
-       the per-round frontier columns (deterministic, so measured once) *)
+    (* the 1M legs: timed like every other case, plus the per-round
+       frontier columns (deterministic, so measured once) *)
     {
       name = "frontier-wave-1m";
       n = n_front;
@@ -253,27 +250,72 @@ let cases ~quick () =
     };
   ]
 
-let estimate ~quota ~limit case =
-  let open Bechamel in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
+(* the fastest of the runs that fit in [quota] seconds, after one untimed
+   warm-up: Pool.set_size shuts the workers down, and the warm-up's first
+   loop respawns them *)
+let fastest ~quota ~size case =
+  Pool.set_size size;
+  case.run ();
+  let rec go best spent =
+    if spent >= quota then best
+    else begin
+      let t0 = Unix.gettimeofday () in
+      case.run ();
+      let dt = Unix.gettimeofday () -. t0 in
+      go (Float.min best dt) (spent +. dt)
+    end
   in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit ~quota:(Time.second quota) () in
-  let test = Test.make ~name:case.name (Staged.stage case.run) in
-  let raw = Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ]) in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun _ o acc ->
-      match Analyze.OLS.estimates o with Some [ t ] -> Some t | _ -> acc)
-    results None
+  go infinity 0.0 *. 1e9
+
+(* nearest-rank quantile of a non-empty sample *)
+let quantile q xs =
+  let a = Array.of_list (List.sort compare xs) in
+  let n = Array.length a in
+  a.(max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1)))
+
+type timing = {
+  seq_ns : float;  (** median of the pairs' seq sides *)
+  par_ns : float;  (** median of the pairs' par sides *)
+  ratio : float;  (** median of the pairs' par/seq ratios *)
+  spread : float;  (** interquartile range of those ratios *)
+}
+
+(* even pairs run seq first, odd pairs par first, so a drift in host load
+   does not always land on the same side *)
+let time_pairs ~pairs ~quota ~domains case =
+  let side size = fastest ~quota ~size case in
+  let pair i =
+    if i mod 2 = 0 then
+      let s = side 1 in
+      (s, side domains)
+    else
+      let p = side domains in
+      (side 1, p)
+  in
+  let sides = List.init pairs pair in
+  let ratios = List.map (fun (s, p) -> p /. s) sides in
+  {
+    seq_ns = quantile 0.5 (List.map fst sides);
+    par_ns = quantile 0.5 (List.map snd sides);
+    ratio = quantile 0.5 ratios;
+    spread = quantile 0.75 ratios -. quantile 0.25 ratios;
+  }
 
 (* allocation per round, measured on the dispatching domain with the pool
    at size 1 (Gc counters are per-domain, so a multi-domain run would
    undercount); one warm-up run first so one-time caches and pool setup
-   don't pollute the delta *)
+   don't pollute the delta. Compacting until the live heap stops changing
+   (at most 10 times) first makes the promoted column independent of how
+   many timed runs came before: what a minor collection promotes depends
+   on the heap it starts from *)
 let alloc_stats case =
   Pool.set_size 1;
+  let rec settle tries live =
+    Gc.compact ();
+    let live' = (Gc.stat ()).Gc.live_words in
+    if live' <> live && tries > 1 then settle (tries - 1) live'
+  in
+  settle 10 0;
   case.run ();
   let reps = 3 in
   (* Gc.minor_words () (not quick_stat) for the minor column: it is the
@@ -308,22 +350,12 @@ let filter_cases ~filter cases =
       exit 1
     | kept -> kept)
 
-let w_bechamel ~filter () =
-  section "W-bechamel (wall-clock micro-benchmarks)";
-  List.iter
-    (fun case ->
-      match estimate ~quota:0.5 ~limit:100 case with
-      | Some t -> Printf.printf "%-24s %14.0f ns/run\n" case.name t
-      | None -> Printf.printf "%-24s (no estimate)\n" case.name)
-    (filter_cases ~filter (cases ~quick:false ()))
-
-(* the serve leg: cold-vs-warm requests/s over a live unix-socket server.
-   Measured by hand (wall clock over a fixed request mix) rather than via
-   bechamel: the unit of work is one framed round-trip, and the cold mix
-   can only be measured once per server lifetime — the reply cache makes
-   every later pass warm by definition. The mix is gadget-family-heavy
-   (plus solves and an audit), the workloads whose artifacts the
-   content-addressed caches exist to amortize. *)
+(* the serve leg: cold-vs-warm requests/s over a live unix-socket server,
+   timed over a fixed request mix. The cold mix can only be measured once
+   per server lifetime — the reply cache makes every later pass warm by
+   definition. The mix is gadget-family-heavy (plus solves and an
+   audit), the workloads whose artifacts the content-addressed caches
+   exist to amortize. *)
 type serve_stats = {
   sv_requests : int;  (** requests in one pass of the mix *)
   sv_cold_ns : float;  (** ns per request, first pass (all misses) *)
@@ -335,7 +367,6 @@ type serve_stats = {
   sv_disarmed_ns : float;  (** ns per fresh-seed solve, spans disarmed *)
   sv_traced_ns : float;  (** ns per fresh-seed solve, spans recorded *)
 }
-
 let bench_serve ~quick () =
   let module Server = Repro_serve.Server in
   let module Client = Repro_serve.Client in
@@ -390,7 +421,7 @@ let bench_serve ~quick () =
      reply-cache miss and actually runs the wave engine. One pass with the
      span pipeline disarmed (plain request), one with ["spans": true]
      (arm + record + encode the full tree). disarmed_ns_per_req is the
-     compare_bench gate: the disarmed instrumentation must stay within 3%
+     check_bench gate: the disarmed instrumentation must stay within 3%
      of the committed baseline at equal span workload. *)
   let span_n = if quick then 400 else 2000 in
   let span_reps = if quick then 4 else 10 in
@@ -464,52 +495,35 @@ let dispatch_stats case =
     if idx > 0 then Some (float_of_int chunk_ns /. float_of_int idx) else None
   )
 
-(* --json: measure every case under 1 domain and under [domains], write
-   BENCH_parallel.json in the current directory *)
-let run_json ~quick ~filter () =
-  let domains =
-    match Sys.getenv_opt "REPRO_DOMAINS" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some k when k >= 1 -> k
-      | Some _ | None -> 4)
-    | None -> max 4 (Domain.recommended_domain_count ())
-  in
-  let quota = if quick then 0.05 else 0.5 in
-  let limit = if quick then 20 else 100 in
+(* measure every case under pool size 1 and under the configured pool
+   size, then (unfiltered) run the serve leg and write BENCH_parallel.json *)
+let run ~quick ~filter =
+  (* read before the first set_size overrides it *)
+  let domains = Pool.size () in
+  let pairs, quota = if quick then (5, 0.005) else (9, 0.1) in
   let cases = filter_cases ~filter (cases ~quick ()) in
   let measured =
     List.map
       (fun case ->
-        Pool.set_size 1;
-        let seq = estimate ~quota ~limit case in
-        Pool.set_size domains;
-        let par = estimate ~quota ~limit case in
-        (* dispatch telemetry on the parallel pool, before alloc_stats
+        let t = time_pairs ~pairs ~quota ~domains case in
+        (* dispatch telemetry on a warm parallel pool, before alloc_stats
            shrinks it back to 1 *)
+        Pool.set_size domains;
+        case.run ();
         let disp_ns, grain_obs = dispatch_stats case in
         let minor_w, promoted_w = alloc_stats case in
         (* per-round frontier columns: deterministic (pool-size
            independent), so one instrumented run at pool size 1 suffices *)
-        let fstats =
-          match case.frontier with
-          | None -> None
-          | Some f ->
-            Pool.set_size 1;
-            Some (f ())
-        in
+        let fstats = Option.map (fun f -> f ()) case.frontier in
         Printf.printf
-          "%-24s n=%-7d seq %12s ns/run   par(%d) %12s ns/run   minor %12.1f \
-           w/round   dispatch %9d ns   grain %s\n"
-          case.name case.n
-          (match seq with Some t -> Printf.sprintf "%.0f" t | None -> "-")
-          domains
-          (match par with Some t -> Printf.sprintf "%.0f" t | None -> "-")
-          minor_w disp_ns
+          "%-24s n=%-7d seq %12.0f ns/run   par(%d) %12.0f ns/run   par/seq \
+           %.3f iqr %.3f   minor %12.1f w/round   dispatch %9d ns   grain %s\n%!"
+          case.name case.n t.seq_ns domains t.par_ns t.ratio t.spread minor_w
+          disp_ns
           (match grain_obs with
           | Some g -> Printf.sprintf "%.1f ns/idx" g
           | None -> "-");
-        (case, seq, par, disp_ns, grain_obs, minor_w, promoted_w, fstats))
+        (case, t, disp_ns, grain_obs, minor_w, promoted_w, fstats))
       cases
   in
   if filter <> None then begin
@@ -530,10 +544,6 @@ let run_json ~quick ~filter () =
     (serve.sv_traced_ns /. serve.sv_disarmed_ns);
   let file = "BENCH_parallel.json" in
   let oc = open_out file in
-  let field = function
-    | Some t -> Printf.sprintf "%.1f" t
-    | None -> "null"
-  in
   let int_array a =
     "[" ^ String.concat ", " (List.map string_of_int (Array.to_list a)) ^ "]"
   in
@@ -543,48 +553,30 @@ let run_json ~quick ~filter () =
   (* cores records oversubscription: speedup is only physically possible
      when domains <= cores (a 1-core container shows slowdowns) *)
   Printf.fprintf oc
-    "{\n  \"schema\": \"repro-bench-parallel/7\",\n  \"domains\": %d,\n  \"cores\": %d,\n  \"quick\": %b,\n"
+    "{\n  \"schema\": \"repro-bench-parallel/8\",\n  \"domains\": %d,\n  \"cores\": %d,\n  \"quick\": %b,\n"
     domains
     (Domain.recommended_domain_count ())
     quick;
-  (* ns/req and rps are two views of the same pair of measurements; both
-     are recorded so trajectory readers need no arithmetic *)
   Printf.fprintf oc
     "  \"serve\": {\"mix\": \"gadget-heavy\", \"requests\": %d, \"cold_ns_per_req\": \
-     %.1f, \"warm_ns_per_req\": %.1f, \"cold_rps\": %.1f, \"warm_rps\": %.1f, \
-     \"warm_cold_ratio\": %.3f, \"reply_cache_hits\": %d, \
+     %.1f, \"warm_ns_per_req\": %.1f, \"reply_cache_hits\": %d, \
      \"reply_cache_misses\": %d, \"span_n\": %d, \"span_requests\": %d, \
-     \"disarmed_ns_per_req\": %.1f, \"traced_ns_per_req\": %.1f, \
-     \"span_overhead_ratio\": %.3f},\n"
-    serve.sv_requests serve.sv_cold_ns serve.sv_warm_ns
-    (1e9 /. serve.sv_cold_ns)
-    (1e9 /. serve.sv_warm_ns)
-    (serve.sv_cold_ns /. serve.sv_warm_ns)
-    serve.sv_hits serve.sv_misses serve.sv_span_n serve.sv_span_reqs
-    serve.sv_disarmed_ns serve.sv_traced_ns
-    (serve.sv_traced_ns /. serve.sv_disarmed_ns);
+     \"disarmed_ns_per_req\": %.1f, \"traced_ns_per_req\": %.1f},\n"
+    serve.sv_requests serve.sv_cold_ns serve.sv_warm_ns serve.sv_hits
+    serve.sv_misses serve.sv_span_n serve.sv_span_reqs serve.sv_disarmed_ns
+    serve.sv_traced_ns;
   Printf.fprintf oc "  \"results\": [\n";
   List.iteri
-    (fun i (case, seq, par, disp_ns, grain_obs, minor_w, promoted_w, fstats) ->
-      let speedup =
-        match (seq, par) with
-        | Some s, Some p when p > 0.0 -> Printf.sprintf "%.3f" (s /. p)
-        | _ -> "null"
-      in
-      (* par-over-seq overhead ratio: 1.0 is parity, above 1 the pool
-         dispatch costs more than it recovers (the compare_bench gate) *)
-      let ratio =
-        match (seq, par) with
-        | Some s, Some p when s > 0.0 -> Printf.sprintf "%.3f" (p /. s)
-        | _ -> "null"
-      in
-      (* dispatch economics (schema /7): dispatch_ns is the measured
-         whole-job dispatch wall time of one parallel-leg run; grain the
-         observed ns per dispatched index, null when nothing dispatched *)
+    (fun i (case, t, disp_ns, grain_obs, minor_w, promoted_w, fstats) ->
+      (* par_seq_ratio: 1.0 is parity, above 1 the pool dispatch costs
+         more than it recovers (the check_bench gate). dispatch_ns is the
+         measured whole-job dispatch wall time of one parallel-leg run;
+         grain the observed ns per dispatched index, null when nothing
+         dispatched *)
       Printf.fprintf oc
-        "    {\"name\": %S, \"n\": %d, \"rounds\": %d, \"seq_ns_per_run\": %s, \"par_ns_per_run\": %s, \"speedup\": %s, \"par_seq_ratio\": %s, \"minor_words_per_round\": %.1f, \"promoted_words_per_round\": %.1f, \"dispatch_ns\": %d, \"grain\": %s"
-        case.name case.n case.rounds (field seq) (field par) speedup ratio
-        minor_w promoted_w disp_ns
+        "    {\"name\": %S, \"n\": %d, \"rounds\": %d, \"seq_ns_per_run\": %.1f, \"par_ns_per_run\": %.1f, \"par_seq_ratio\": %.3f, \"par_seq_spread\": %.3f, \"minor_words_per_round\": %.1f, \"promoted_words_per_round\": %.1f, \"dispatch_ns\": %d, \"grain\": %s"
+        case.name case.n case.rounds t.seq_ns t.par_ns t.ratio t.spread minor_w
+        promoted_w disp_ns
         (match grain_obs with
         | Some g -> Printf.sprintf "%.1f" g
         | None -> "null");
@@ -605,32 +597,13 @@ let run_json ~quick ~filter () =
   Printf.printf "wrote %s (domains=%d, quick=%b)\n" file domains quick
 
 let () =
-  let args = Array.to_list Sys.argv in
-  let quick = List.mem "--quick" args in
-  let filter =
-    let rec find = function
-      | "--filter" :: name :: _ -> Some name
-      | [ "--filter" ] ->
-        prerr_endline "bench: --filter needs a case-name substring";
-        exit 1
-      | _ :: rest -> find rest
-      | [] -> None
-    in
-    find args
+  let rec parse quick filter = function
+    | [] -> (quick, filter)
+    | "--quick" :: rest -> parse true filter rest
+    | "--filter" :: name :: rest -> parse quick (Some name) rest
+    | _ ->
+      prerr_endline "usage: main.exe [--quick] [--filter NAME]";
+      exit 2
   in
-  if List.mem "--json" args then run_json ~quick ~filter ()
-  else if filter <> None then w_bechamel ~filter ()
-  else begin
-    Printf.printf "Reproduction harness: every table/figure of the paper.\n";
-    Printf.printf
-      "(see DESIGN.md for the experiment index, EXPERIMENTS.md for analysis)\n";
-    let t0 = Unix.gettimeofday () in
-    List.iter
-      (fun (e : Runs.experiment) ->
-        section (Printf.sprintf "%s (%s)" e.Runs.id e.Runs.doc);
-        Runs.run_and_print ~quick:false e)
-      Runs.all;
-    w_bechamel ~filter:None ();
-    Printf.printf "\nAll experiment sections completed in %.1f s.\n"
-      (Unix.gettimeofday () -. t0)
-  end
+  let quick, filter = parse false None (List.tl (Array.to_list Sys.argv)) in
+  run ~quick ~filter

@@ -280,42 +280,55 @@ let decompose_cmd =
 let experiment_cmd =
   let module Runs = Repro_experiments.Runs in
   let run id quick csv_dir =
+    (* one run per experiment: the outcome is printed by
+       Runs.run_and_print and its tables reused for the CSV files *)
+    let run_one (e : Runs.experiment) =
+      let outcome = e.Runs.run ~quick in
+      Runs.run_and_print { e with Runs.run = (fun ~quick:_ -> outcome) };
+      match csv_dir with
+      | Some dir ->
+        List.iteri
+          (fun i t ->
+            let path =
+              Filename.concat dir
+                (Printf.sprintf "%s-%d.csv" (String.lowercase_ascii e.Runs.id) i)
+            in
+            Repro_experiments.Table.write_csv ~path t;
+            Printf.printf "wrote %s\n" path)
+          outcome.Runs.tables
+      | None -> ()
+    in
     match id with
     | None ->
-      Printf.printf "available experiments:\n";
+      Printf.printf "available experiments (or all):\n";
       List.iter
         (fun (e : Runs.experiment) ->
           Printf.printf "  %-5s %s\n" e.Runs.id e.Runs.doc)
+        Runs.all;
+      `Ok ()
+    | Some "all" ->
+      List.iter
+        (fun (e : Runs.experiment) ->
+          Printf.printf "\n==================== %s (%s) ====================\n"
+            e.Runs.id e.Runs.doc;
+          run_one e)
         Runs.all;
       `Ok ()
     | Some id -> (
       match Runs.find id with
       | None ->
         `Error
-          (false, Printf.sprintf "unknown experiment %S (try: %s)" id
+          (false, Printf.sprintf "unknown experiment %S (try: all, %s)" id
                     (String.concat ", " Runs.ids))
       | Some e ->
-        let outcome = e.Runs.run ~quick in
-        List.iter
-          (fun t -> Format.printf "%a@." Repro_experiments.Table.pp t)
-          outcome.Runs.tables;
-        List.iter print_string outcome.Runs.plots;
-        (match csv_dir with
-        | Some dir ->
-          List.iteri
-            (fun i t ->
-              let path =
-                Filename.concat dir
-                  (Printf.sprintf "%s-%d.csv" (String.lowercase_ascii e.Runs.id) i)
-              in
-              Repro_experiments.Table.write_csv ~path t;
-              Printf.printf "wrote %s\n" path)
-            outcome.Runs.tables
-        | None -> ());
+        run_one e;
         `Ok ())
   in
   let id =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Experiment id (omit to list).")
+    Arg.(
+      value
+      & pos 0 (some string) None
+      & info [] ~docv:"ID" ~doc:"Experiment id, or $(b,all) (omit to list).")
   in
   let quick =
     Arg.(value & flag & info [ "q"; "quick" ] ~doc:"Smaller instance sizes.")
@@ -327,7 +340,8 @@ let experiment_cmd =
       & info [ "csv" ] ~docv:"DIR" ~doc:"Also write each table as CSV into DIR.")
   in
   Cmd.v
-    (Cmd.info "experiment" ~doc:"Run one experiment from the paper's index.")
+    (Cmd.info "experiment"
+       ~doc:"Run one experiment from the paper's index, or all of them.")
     Term.(ret (const run $ id $ quick $ csv_dir))
 
 (* ------------------------------------------------------------------ *)

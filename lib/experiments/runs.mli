@@ -2,9 +2,9 @@
     experiment returning structured {!Table}s (see DESIGN.md §4 for the
     index and EXPERIMENTS.md for the paper-vs-measured record).
 
-    Both the benchmark harness ([bench/main.exe]) and the CLI
-    ([bin/repro.exe experiment <id>]) run these; [quick] shrinks instance
-    sizes for interactive use. *)
+    The CLI runs these: [bin/repro.exe experiment <id>] one of them,
+    [experiment all] every one in order through {!run_and_print};
+    [quick] shrinks instance sizes for interactive use. *)
 
 type outcome = {
   tables : Table.t list;
