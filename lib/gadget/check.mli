@@ -14,16 +14,19 @@ type violation = {
 val pp_violation : Format.formatter -> violation -> unit
 
 val node_violations : delta:int -> Labels.t -> int -> violation list
-(** All constraint violations visible from one node. *)
+(** All constraint violations visible from one node, in rule order (a
+    rule checked per half-edge is reported once per offending half). *)
 
 val violations : delta:int -> Labels.t -> violation list
+(** {!node_violations} of every node, in node order. *)
 
 val is_valid : delta:int -> Labels.t -> bool
+(** No node is bad; stops at the first violation. *)
 
 val node_bad : delta:int -> Labels.t -> int -> bool
-(** [node_bad ~delta t u] iff [node_violations ~delta t u <> []] — the
-    allocation-free form the hot prover path uses; the equivalence is a
-    tested invariant. *)
+(** [node_bad ~delta t u] iff [node_violations ~delta t u <> []]. Both
+    run the same per-node scan; this one stops at the first violation
+    and allocates nothing, which is what the hot prover path needs. *)
 
 val erring_nodes : delta:int -> Labels.t -> bool array
 (** [true] for every node with at least one violation — the nodes the

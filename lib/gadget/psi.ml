@@ -22,7 +22,7 @@ let violations ~delta (t : Labels.t) (out : out array) =
   let bad = ref [] in
   let fail u rule = bad := { node = u; rule } :: !bad in
   for u = 0 to G.n g - 1 do
-    let locally_bad = Check.node_violations ~delta t u <> [] in
+    let locally_bad = Check.node_bad ~delta t u in
     (* rule 2: Error exactly at local violations *)
     (match out.(u) with
     | Error -> if not locally_bad then fail u "2"

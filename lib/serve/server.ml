@@ -39,14 +39,13 @@ type t = {
      Registry.default that each reply's telemetry reads: request counts
      per op, per-op latency histograms, queue-wait histogram. Enabled
      from birth; the [metrics] op renders it as Prometheus text and
-     [stats] summarizes its quantiles. *)
+     [stats] reports its request counts and summarizes its quantiles. *)
   metrics_reg : Obs.Registry.t;
   mutable stopping : bool;
-  mutex : Mutex.t; (* guards conns, op_counts, stopping, log *)
+  mutex : Mutex.t; (* guards conns, stopping, log *)
   mutable conns : (int * Unix.file_descr) list;
   mutable next_conn : int;
   mutable threads : Thread.t list;
-  op_counts : (string, int) Hashtbl.t;
   log : out_channel option;
   mutable accept_thread : Thread.t option;
 }
@@ -288,9 +287,11 @@ let handle srv op req =
   | other -> raise (Bad_request (Printf.sprintf "unknown op %S" other))
 
 (* metric names are clamped to the known op set so a client sending
-   made-up ops cannot grow the metrics registry without bound *)
+   made-up ops cannot grow the metrics registry, nor the [stats] reply
+   built from it, without bound *)
 let known_ops = [ "solve"; "check"; "audit"; "fuzz"; "bench"; "stats"; "metrics" ]
 let metric_op op = if List.mem op known_ops then op else "other"
+let requests_prefix = "serve.requests."
 
 (* timestamps the connection thread collected before handing off; the
    executor turns them into spans. Connection threads never record
@@ -405,15 +406,20 @@ let latency_json srv =
 let stats_json srv =
   let executed, rejected, depth = Scheduler.stats srv.sched in
   let ops =
-    locked srv (fun () ->
-        Hashtbl.fold (fun op k acc -> (op, Json.Int k) :: acc) srv.op_counts [])
+    let p = String.length requests_prefix in
+    List.filter_map
+      (fun (name, k) ->
+        if String.starts_with ~prefix:requests_prefix name then
+          Some (String.sub name p (String.length name - p), Json.Int k)
+        else None)
+      (Obs.Registry.counters ~reg:srv.metrics_reg ())
   in
   Json.Obj
     [
       ("ok", Json.Bool true);
       ("op", Json.String "stats");
       ("uptime_s", Json.Float (Unix.gettimeofday () -. srv.started));
-      ("requests", Json.Obj (List.sort compare ops));
+      ("requests", Json.Obj ops);
       ("latency", Json.Obj (latency_json srv));
       ( "scheduler",
         Json.Obj
@@ -466,11 +472,6 @@ let metrics_json srv =
 
 exception Uncacheable of Json.t
 
-let count_request srv op =
-  locked srv (fun () ->
-      Hashtbl.replace srv.op_counts op
-        (1 + Option.value ~default:0 (Hashtbl.find_opt srv.op_counts op)))
-
 (* one JSONL line per request; schema documented in README §serving.
    [queue_ms] is 0 for requests that never reached the scheduler (cache
    hits, inline stats/metrics, busy rejections); [trace_id] is assigned
@@ -514,9 +515,8 @@ let process srv req =
   match op with
   | Error msg -> Protocol.error_reply ~code:"bad-request" msg
   | Ok op ->
-    count_request srv op;
     Obs.Counter.incr
-      (Obs.Registry.counter srv.metrics_reg ("serve.requests." ^ metric_op op));
+      (Obs.Registry.counter srv.metrics_reg (requests_prefix ^ metric_op op));
     let t0 = Unix.gettimeofday () in
     let arrival_ns = Obs.Clock.now_ns () in
     let trace_id = Obs.Span.fresh_trace_id () in
@@ -698,7 +698,6 @@ let start config =
       conns = [];
       next_conn = 0;
       threads = [];
-      op_counts = Hashtbl.create 8;
       log = Option.map open_out config.log_path;
       accept_thread = None;
     }

@@ -560,9 +560,9 @@ let test_corrupt_all_kinds_invalidate () =
         (try_once 10))
     Corrupt.all_kinds
 
-(* [Check.node_bad] is the allocation-free twin of
-   [node_violations <> []] used by the verifier hot path; keep them in
-   lockstep on valid gadgets and on every corruption kind *)
+(* [Check.node_bad] (the verifier's stop-at-first-violation path) and
+   [node_violations] (the collecting path) drive one scan; they must
+   agree on valid gadgets and on every corruption kind *)
 let test_node_bad_matches_violations () =
   let agree name t =
     for u = 0 to G.n t.L.graph - 1 do

@@ -17,6 +17,9 @@ module Pi = Repro_padding.Pi_prime
 module H = Repro_padding.Hierarchy
 module PG = Repro_padding.Padded_graph
 module Adv = Repro_padding.Adversary
+module GB = Repro_gadget.Build
+module GC = Repro_gadget.Check
+module Corrupt = Repro_gadget.Corrupt
 
 let pi2 = Pi.pad H.sinkless_orientation
 
@@ -142,4 +145,34 @@ let test_pi2_golden () =
         [ ("det", pi2.Spec.solve_det); ("rand", pi2.Spec.solve_rand) ])
     (instances ())
 
-let suite = [ ("pi2 output golden", `Quick, test_pi2_golden) ]
+(* [Check.violations] golden: the nodes, rules, order and multiplicity
+   of the gadget checker's report on a fixed-seed corruption corpus
+   (every kind, Δ = 3, heights 3-5, three draws each), pinned as the
+   digest of its [pp_violation] rendering *)
+let violations_golden = "0773511923787f62b13618b8cd8227ff"
+
+let test_violations_golden () =
+  let rng = Random.State.make [| 20 |] in
+  let buf = Buffer.create 65536 in
+  List.iter
+    (fun kind ->
+      for height = 3 to 5 do
+        for draw = 0 to 2 do
+          let t = Corrupt.apply rng kind (GB.gadget ~delta:3 ~height) in
+          add buf
+            (Format.asprintf "%a h%d #%d\n" Corrupt.pp_kind kind height draw);
+          List.iter
+            (fun v -> add buf (Format.asprintf "%a\n" GC.pp_violation v))
+            (GC.violations ~delta:3 t)
+        done
+      done)
+    Corrupt.all_kinds;
+  Alcotest.(check string)
+    "violations digest" violations_golden
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+let suite =
+  [
+    ("pi2 output golden", `Quick, test_pi2_golden);
+    ("gadget violations golden", `Quick, test_violations_golden);
+  ]

@@ -376,6 +376,18 @@ let test_server_stats_and_audit () =
         (Option.map Json.to_string wire_ops <> None
         && Option.map Json.to_string wire_ops = Option.map Json.to_string local_ops))
 
+(* [stats.requests] is built from the clamped request counters: a
+   made-up op counts as "other" and never becomes a key of its own *)
+let test_server_stats_clamps_unknown_ops () =
+  with_server (fun _srv addr ->
+      let (_ : Json.t) = call addr (Json.Obj [ ("op", Json.String "zzz") ]) in
+      let stats = call addr (Json.Obj [ ("op", Json.String "stats") ]) in
+      let requests = Option.get (Json.member "requests" stats) in
+      check "unknown op counted as other" true
+        (Json.member "other" requests = Some (Json.Int 1));
+      check "no key for the made-up op" true
+        (Json.member "zzz" requests = None))
+
 (* the per-op size caps: an out-of-range audit [n] or fuzz [count] is
    rejected as a bad request before any work starts, and the daemon
    keeps answering a cheap request normally afterwards *)
@@ -733,6 +745,8 @@ let suite =
       test_server_unknown_problem_lists_op_names;
     Alcotest.test_case "server malformed frame" `Quick test_server_malformed_frame;
     Alcotest.test_case "server stats + audit" `Quick test_server_stats_and_audit;
+    Alcotest.test_case "server stats clamps unknown ops" `Quick
+      test_server_stats_clamps_unknown_ops;
     Alcotest.test_case "server audit size bound" `Quick
       test_server_audit_size_bound;
     Alcotest.test_case "server fuzz count bound" `Quick
