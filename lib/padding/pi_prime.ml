@@ -389,15 +389,72 @@ let problem ~family (spec : _ Spec.t) : _ Ne_lcl.t =
 
 type comp_data = {
   members : int array;          (* padded ids, local order *)
-  labels : GL.t;
+  labels : GL.t;                (* physically shared by equal local forms *)
+  rep : int;                    (* first component with this local form *)
   lhalf : int array;            (* padded half -> local half or -1 *)
   mutable valid : bool;
   mutable vnode : int;          (* virtual node id, or -1 *)
 }
 
+(* Interning. On hard instances every base node carries a copy of one
+   gadget, so most components have the same local form: the same sizes,
+   local edge list and labels. Each component is filled into scratch
+   buffers, hashed, and compared in full against the earlier
+   representatives with that hash; a match shares the representative's
+   [GL.t], so its arrays and CSR are never allocated and the solver
+   proves it once. The table lives for one call. Equal forms get equal
+   Ψ_G proofs, since the prover reads only the labeled gadget and the
+   call's promise [n]. *)
+
+(* scratch for one component's local form, sized for the largest *)
+type form = {
+  f_half_node : int array;
+  f_nodes : GL.node_label array;
+  f_halves : GL.half_label array;
+  f_color2 : int array;
+  f_flags : GL.half_flags array;
+}
+
+(* the first [len] entries of [a] and [b] are equal. On copies of one
+   gadget the labels are the gadget's own records, so [==] decides. *)
+let rec agree a b i len =
+  i >= len || ((a.(i) == b.(i) || a.(i) = b.(i)) && agree a b (i + 1) len)
+
+(* [r] has the local form held in the first [nc] nodes and [gm] edges of
+   [f]: every array is compared element by element *)
+let same_form (r : GL.t) f nc gm =
+  G.n r.GL.graph = nc
+  && G.m r.GL.graph = gm
+  && agree (G.half_node_flat r.GL.graph) f.f_half_node 0 (2 * gm)
+  && agree r.GL.nodes f.f_nodes 0 nc
+  && agree r.GL.halves f.f_halves 0 (2 * gm)
+  && agree r.GL.half_color2 f.f_color2 0 (2 * gm)
+  && agree r.GL.half_flags f.f_flags 0 (2 * gm)
+
+let mix h x = ((h * 31) + x) land max_int
+
+let half_sample f lh =
+  Hashtbl.hash (f.f_halves.(lh), f.f_color2.(lh), f.f_flags.(lh))
+
+(* The hash reads the whole structure (sizes and local edge list) but
+   the labels of only the first and last node and half. Label variants of
+   one structure, such as a copy with one corrupted label, may share a
+   bucket: the complete compare tells them apart. The sampled ends still
+   separate the isolated nodes of a garbage input by their labels. *)
+let form_hash f nc gm =
+  let h = ref (mix nc gm) in
+  for lh = 0 to (2 * gm) - 1 do
+    h := mix !h f.f_half_node.(lh)
+  done;
+  let h =
+    mix (mix !h (Hashtbl.hash f.f_nodes.(0))) (Hashtbl.hash f.f_nodes.(nc - 1))
+  in
+  if gm = 0 then h
+  else mix (mix h (half_sample f 0)) (half_sample f ((2 * gm) - 1))
+
 (* Split an arbitrary Π'-instance into its gadget components (connected
    components of the GadEdge subgraph) and re-assemble each as a labeled
-   gadget candidate for Ψ_G. *)
+   gadget candidate for Ψ_G, interning equal local forms. *)
 let gadget_components g (input : _ Labeling.t) =
   let n = G.n g in
   let comp = Array.make n (-1) in
@@ -465,40 +522,64 @@ let gadget_components g (input : _ Labeling.t) =
     end
   done;
   let lhalf = Array.make (2 * m) (-1) in
+  let max_size = Array.fold_left max 0 sizes in
+  let max_m = Array.fold_left max 0 ecount in
+  let f =
+    {
+      f_half_node = Array.make (2 * max_m) 0;
+      f_nodes = Array.make max_size default_gad_v;
+      f_halves = Array.make (2 * max_m) GL.Up;
+      f_color2 = Array.make (2 * max_m) 0;
+      f_flags = Array.make (2 * max_m) default_flags;
+    }
+  in
+  (* local-form hash -> (representative, its labels) *)
+  let reps = Hashtbl.create 16 in
   let comps =
     Array.init !ncomp (fun c ->
-        let gm = ecount.(c) in
-        let half_node = Array.make (2 * gm) 0 in
-        for le = 0 to gm - 1 do
-          let e = ebuf.(eoff.(c) + le) in
-          half_node.(2 * le) <- local.(G.half_node g (2 * e));
-          half_node.((2 * le) + 1) <- local.(G.half_node g ((2 * e) + 1));
-          lhalf.(2 * e) <- 2 * le;
-          lhalf.((2 * e) + 1) <- (2 * le) + 1
+        let nc = sizes.(c) and gm = ecount.(c) in
+        let mem = members.(c) in
+        for l = 0 to nc - 1 do
+          f.f_nodes.(l) <- (input.Labeling.v.(mem.(l)) : _ pv_in).gad_v
         done;
-        let graph = G.of_half_node ~n:sizes.(c) ~m:gm half_node in
-        let nodes =
-          Array.map (fun v -> (input.Labeling.v.(v) : _ pv_in).gad_v) members.(c)
-        in
-        let halves = Array.make (2 * gm) GL.Up in
-        let half_color2 = Array.make (2 * gm) 0 in
-        let half_flags = Array.make (2 * gm) default_flags in
         for le = 0 to gm - 1 do
           let e = ebuf.(eoff.(c) + le) in
+          f.f_half_node.(2 * le) <- local.(G.half_node g (2 * e));
+          f.f_half_node.((2 * le) + 1) <- local.(G.half_node g ((2 * e) + 1));
+          lhalf.(2 * e) <- 2 * le;
+          lhalf.((2 * e) + 1) <- (2 * le) + 1;
           for h = 2 * e to (2 * e) + 1 do
             let b_in : _ pb_in = input.Labeling.b.(h) in
-            halves.(lhalf.(h)) <- b_in.gad_b.NP.bl;
-            half_color2.(lhalf.(h)) <- b_in.gad_b.NP.bcolor;
-            half_flags.(lhalf.(h)) <- b_in.gad_b.NP.bflags
+            let lh = lhalf.(h) in
+            f.f_halves.(lh) <- b_in.gad_b.NP.bl;
+            f.f_color2.(lh) <- b_in.gad_b.NP.bcolor;
+            f.f_flags.(lh) <- b_in.gad_b.NP.bflags
           done
         done;
-        {
-          members = members.(c);
-          labels = { GL.graph; nodes; halves; half_color2; half_flags };
-          lhalf;
-          valid = false;
-          vnode = -1;
-        })
+        let key = form_hash f nc gm in
+        let rep, labels =
+          match
+            List.find_opt
+              (fun (_, labels) -> same_form labels f nc gm)
+              (Hashtbl.find_all reps key)
+          with
+          | Some found -> found
+          | None ->
+            let hm = 2 * gm in
+            let labels =
+              {
+                GL.graph =
+                  G.of_half_node ~n:nc ~m:gm (Array.sub f.f_half_node 0 hm);
+                nodes = Array.sub f.f_nodes 0 nc;
+                halves = Array.sub f.f_halves 0 hm;
+                half_color2 = Array.sub f.f_color2 0 hm;
+                half_flags = Array.sub f.f_flags 0 hm;
+              }
+            in
+            Hashtbl.add reps key (c, labels);
+            (c, labels)
+        in
+        { members = mem; labels; rep; lhalf; valid = false; vnode = -1 })
   in
   (comp, comps)
 
@@ -533,7 +614,9 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
   let n = G.n g in
   let meter = Meter.create n in
   let comp, comps = gadget_components g input in
-  (* 1. prove Ψ_G on every gadget component *)
+  (* 1. prove Ψ_G on every gadget component, once per local form: a
+     component interned to an earlier one takes its representative's
+     proof, meter and verdict *)
   let psi_v = Array.make n { NP.status = NP.NOk; chains = [] } in
   let psi_half = Array.make (2 * G.m g) None in
   (* the last [Some] written: consecutive halves whose Ψ_G outputs are
@@ -541,16 +624,26 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
      across all nodes with nothing to prove) share it too *)
   let last = ref None in
   let off = G.ports_off g and prt = G.ports_flat g in
-  Array.iter
-    (fun cd ->
-      let sol, m = family.Family.prove ~n:inst.Instance.n_promise cd.labels in
+  let proofs = Array.make (Array.length comps) None in
+  Array.iteri
+    (fun c cd ->
+      let sol, m =
+        match proofs.(cd.rep) with
+        | Some p -> p
+        | None ->
+          let p = family.Family.prove ~n:inst.Instance.n_promise cd.labels in
+          proofs.(c) <- Some p;
+          p
+      in
       cd.valid <-
-        Array.for_all
-          (fun (o : NP.node_out) ->
-            match o.NP.status with
-            | NP.NOk -> true
-            | NP.NPtr _ | NP.NWit -> false)
-          sol.Labeling.v;
+        (if cd.rep = c then
+           Array.for_all
+             (fun (o : NP.node_out) ->
+               match o.NP.status with
+               | NP.NOk -> true
+               | NP.NPtr _ | NP.NWit -> false)
+             sol.Labeling.v
+         else comps.(cd.rep).valid);
       Array.iteri
         (fun l v ->
           psi_v.(v) <- sol.Labeling.v.(l);
@@ -770,13 +863,13 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
     }
   in
   (* 9. meter: the Lemma-4 communication overhead *)
-  let dmax =
-    Array.fold_left
-      (fun acc cd ->
-        if cd.valid then max acc (double_sweep_diameter cd.labels.GL.graph)
-        else acc)
-      0 comps
-  in
+  let dmax = ref 0 in
+  Array.iteri
+    (fun c cd ->
+      if cd.valid && cd.rep = c then
+        dmax := max !dmax (double_sweep_diameter cd.labels.GL.graph))
+    comps;
+  let dmax = !dmax in
   Array.iter
     (fun cd ->
       if cd.valid then begin

@@ -18,7 +18,8 @@
        between valid ports force the Π-edge constraint on the virtual
        edge.
 
-    The solver follows Lemma 4: prove Ψ_G per gadget component, classify
+    The solver follows Lemma 4: prove Ψ_G per gadget component (once per
+    distinct labeled component: equal copies share one proof), classify
     ports, contract valid gadgets into a virtual multigraph (phantom
     degree-1 neighbors stand in for the dangling ports that face a
     [PortErr2] port), run Π's solver on it with the instance's promise

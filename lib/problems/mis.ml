@@ -9,13 +9,22 @@ module Obs = Repro_obs
 type half_out = { mine : bool; claim : bool }
 type output = (bool, unit, half_out) Labeling.t
 
+(* every half from port [i] on repeats the node's membership [v] / some
+   half from [i] on claims a member neighbor. Top-level recursions, not
+   [Array.for_all]/[Array.exists], which build a closure per call: the
+   node check runs once per node per check. *)
+let rec all_mine (b : half_out array) v i =
+  i >= Array.length b || (b.(i).mine = v && all_mine b v (i + 1))
+
+let rec some_claim (b : half_out array) i =
+  i < Array.length b && (b.(i).claim || some_claim b (i + 1))
+
 let problem : (unit, unit, unit, bool, unit, half_out) Ne_lcl.t =
   {
     name = "maximal-independent-set";
     check_node =
       (fun nv ->
-        Array.for_all (fun b -> b.mine = nv.v_out) nv.b_out
-        && (nv.v_out || Array.exists (fun b -> b.claim) nv.b_out));
+        all_mine nv.b_out nv.v_out 0 && (nv.v_out || some_claim nv.b_out 0));
     check_edge =
       (fun ev ->
         ev.bu_out.mine = ev.u_out

@@ -36,12 +36,16 @@ let pp_orientation fmt = function
 
 type output = (unit, unit, orientation) Labeling.t
 
+(* some half from port [i] on is oriented out. A top-level recursion, not
+   [Array.exists], which builds a closure per call: 6 words per checked
+   node, on every SO node and every hypothetical node of Π'. *)
+let rec has_out (b : orientation array) i =
+  i < Array.length b && (b.(i) = Out || has_out b (i + 1))
+
 let problem : (unit, unit, unit, unit, unit, orientation) Ne_lcl.t =
   {
     name = "sinkless-orientation";
-    check_node =
-      (fun nv ->
-        nv.degree < 3 || Array.exists (fun o -> o = Out) nv.b_out);
+    check_node = (fun nv -> nv.degree < 3 || has_out nv.b_out 0);
     check_edge =
       (fun ev ->
         match (ev.bu_out, ev.bw_out) with

@@ -331,36 +331,52 @@ let test_psi_matches_reference () =
 (* A full check of a Π² output allocates O(slots · max_degree) words,
    not O(n + m): the centralized check and the one-round distributed
    check each stay under 32 minor words per node (the closure-based
-   kernels took about 320 and 190). *)
+   kernels took about 320 and 190). The centralized checks, Π²'s and
+   sinkless orientation's own, allocate nothing per node at all: under
+   1 word per node. (SO's node predicate took 6 through [Array.exists]'s
+   closure, on every SO node and on every hypothetical node of Π².) *)
 let test_check_allocation () =
   let rng = Random.State.make [| 15 |] in
   let g, input = pi2.Spec.hard_instance rng ~target:3_000 in
   let inst = Instance.create ~seed:1 g in
   let out, _ = pi2.Spec.solve_det inst input in
-  let n = float_of_int (G.n g) in
-  (* the second of two runs: the first makes the scratch views *)
-  let words f =
+  (* words per node of [g], on the second of two runs: the first makes
+     the scratch views *)
+  let words g f =
     ignore (f ());
     let w0 = Gc.minor_words () in
     let r = f () in
-    ((Gc.minor_words () -. w0) /. n, r)
+    ((Gc.minor_words () -. w0) /. float_of_int (G.n g), r)
   in
   let bounded what w =
     check (Printf.sprintf "%s allocates %.1f words/node (<= 32)" what w) true
       (w <= 32.)
   in
+  let per_node_free what w =
+    check (Printf.sprintf "%s allocates %.3f words/node (< 1)" what w) true
+      (w < 1.)
+  in
   Fun.protect
     ~finally:(fun () -> Pool.set_size 1)
     (fun () ->
       Pool.set_size 1;
-      let w, ok = words (fun () -> Spec.is_valid pi2 g ~input ~output:out) in
+      let w, ok = words g (fun () -> Spec.is_valid pi2 g ~input ~output:out) in
       check "valid" true ok;
       bounded "is_valid" w;
+      per_node_free "Π² is_valid" w;
       let w, v =
-        words (fun () -> DC.run pi2.Spec.problem inst ~input ~output:out)
+        words g (fun () -> DC.run pi2.Spec.problem inst ~input ~output:out)
       in
       check "dcheck accepts" true v.DC.all_accept;
-      bounded "dcheck" w)
+      bounded "dcheck" w;
+      let sg, sinput = so.Spec.hard_instance rng ~target:19_000 in
+      let sout, _ = so.Spec.solve_det (Instance.create ~seed:1 sg) sinput in
+      let w, vs =
+        words sg (fun () ->
+            Ne_lcl.violations so.Spec.problem sg ~input:sinput ~output:sout)
+      in
+      check "SO output valid" true (vs = []);
+      per_node_free "SO violations" w)
 
 (* ------------------------------------------------------------------ *)
 (* the prover against its reference                                   *)
@@ -537,6 +553,137 @@ let test_prove_allocation () =
       check (Printf.sprintf "prove allocates %.1f minor words/node (<= 12)" w)
         true (w <= 12.))
 
+(* ------------------------------------------------------------------ *)
+(* interning in Lemma 4's solver                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A padded instance's gadget components are exactly its base nodes'
+   gadgets, numbered as in the gadget, so proving each gadget on its own
+   gives what the solver must output on its component: the node and half
+   outputs exactly, and the meter radius too where no Lemma-4 overhead
+   applies (gadgets with an erring node). Elsewhere the radius is the
+   overhead combined with the Ψ_G radius, so it is at least the latter. *)
+let pi2_family = Family.log_family ~delta:(Pi.delta_of so)
+
+let is_all_nok (sol : NP.solution) =
+  Array.for_all
+    (fun (o : NP.node_out) ->
+      match o.NP.status with NP.NOk -> true | NP.NPtr _ | NP.NWit -> false)
+    sol.Labeling.v
+
+let matches_separate_proofs name (pg : PG.t) inst
+    ((out : (_, unit, PT.pb_out) Labeling.t), meter) =
+  let g = pg.PG.padded in
+  let proofs =
+    Array.init (G.n pg.PG.base) (fun bv ->
+        pi2_family.Family.prove ~n:inst.Instance.n_promise (pg.PG.gadget_of bv))
+  in
+  let nodes_ok = ref true and radii_ok = ref true and halves_ok = ref true in
+  for v = 0 to G.n g - 1 do
+    let bv = pg.PG.base_node_of.(v) in
+    let sol, m = proofs.(bv) in
+    let l = v - pg.PG.node_offset.(bv) in
+    if out.Labeling.v.(v).PT.psi_v <> sol.Labeling.v.(l) then nodes_ok := false;
+    let r = Meter.radius meter v and want = max 2 (Meter.radius m l) in
+    if (if is_all_nok sol then r < want else r <> want) then radii_ok := false
+  done;
+  for ph = 0 to (2 * G.m g) - 1 do
+    let gh = pg.PG.half_gad.(ph) in
+    let want =
+      if gh < 0 then None
+      else
+        let bv = pg.PG.base_node_of.(G.half_node g ph) in
+        Some (fst proofs.(bv)).Labeling.b.(gh)
+    in
+    if out.Labeling.b.(ph) <> want then halves_ok := false
+  done;
+  check (name ^ ": node outputs") true !nodes_ok;
+  check (name ^ ": half outputs") true !halves_ok;
+  check (name ^ ": meter radii") true !radii_ok
+
+(* the gadget.verifier.runs delta of [f ()] *)
+let proofs_run f =
+  let r, c = counted f in
+  (r, Option.value ~default:0 (List.assoc_opt "gadget.verifier.runs" c))
+
+(* how many distinct gadgets the base nodes of [pg] carry *)
+let distinct_gadgets (pg : PG.t) =
+  let seen = ref [] in
+  for bv = 0 to G.n pg.PG.base - 1 do
+    let t = pg.PG.gadget_of bv in
+    if not (List.mem t !seen) then seen := t :: !seen
+  done;
+  List.length !seen
+
+(* both solvers on [pg]: outputs as if every component were proved on
+   its own, and one proof per distinct component *)
+let solves_as_separate name (pg : PG.t) input =
+  let inst = Instance.create ~seed:3 pg.PG.padded in
+  let distinct = distinct_gadgets pg in
+  List.iter
+    (fun (which, solve) ->
+      let name = name ^ " " ^ which in
+      let r, runs = proofs_run (fun () -> solve inst input) in
+      matches_separate_proofs name pg inst r;
+      Alcotest.(check int) (name ^ ": proofs run") distinct runs;
+      check (name ^ ": valid") true
+        (Spec.is_valid pi2 pg.PG.padded ~input ~output:(fst r)))
+    [ ("det", pi2.Spec.solve_det); ("rand", pi2.Spec.solve_rand) ]
+
+let test_interning_matches_separate_proofs () =
+  let rng = Random.State.make [| 18 |] in
+  List.iter
+    (fun corrupt ->
+      let pg, input, _ =
+        Adv.padded_with_corruption so rng ~base_target:20 ~gadget_target:30
+          ~corrupt
+      in
+      check "clean and corrupted copies mix" true
+        (distinct_gadgets pg > 1 && distinct_gadgets pg <= corrupt + 1);
+      solves_as_separate (Printf.sprintf "%d corrupted" corrupt) pg input)
+    [ 1; 4; 9 ]
+
+let test_interning_one_proof_on_hard () =
+  let rng = Random.State.make [| 19 |] in
+  let pg, input =
+    Pi.hard_instance_parts so rng ~base_target:30 ~gadget_target:60
+  in
+  check "one gadget" true (distinct_gadgets pg = 1);
+  solves_as_separate "hard" pg input
+
+(* Two copies that differ in one half's color or flags only must both
+   be proved. The half is an inner one of the gadget's, away from the
+   ends of the local form. *)
+let test_interning_tells_labels_apart () =
+  let rng = Random.State.make [| 20 |] in
+  let delta = Pi.delta_of so in
+  let good = GB.gadget ~delta ~height:(GB.height_for ~delta ~target:40) in
+  let h = 2 * (G.m good.GL.graph / 2) in
+  let recolored =
+    let c = Array.copy good.GL.half_color2 in
+    c.(h) <- c.(h) + 1;
+    { good with GL.half_color2 = c }
+  in
+  let reflagged =
+    let f = Array.copy good.GL.half_flags in
+    f.(h) <- { (f.(h)) with GL.f_right = not f.(h).GL.f_right };
+    { good with GL.half_flags = f }
+  in
+  let base_g, base_in = so.Spec.hard_instance rng ~target:12 in
+  List.iter
+    (fun (name, other) ->
+      let pg =
+        PG.build base_g ~delta ~gadget_for:(fun bv ->
+            if bv = 0 then other else good)
+      in
+      let input =
+        PG.input_labeling pg ~base_input:base_in ~dei:so.Spec.dei
+          ~dbi:so.Spec.dbi
+      in
+      check (name ^ ": two distinct gadgets") true (distinct_gadgets pg = 2);
+      solves_as_separate name pg input)
+    [ ("bcolor", recolored); ("bflags", reflagged) ]
+
 let suite =
   [
     ("psi kernels match reference", `Quick, test_psi_matches_reference);
@@ -548,4 +695,11 @@ let suite =
       `Quick,
       test_verifier_linear_in_components );
     ("prove allocation per node", `Quick, test_prove_allocation);
+    ( "interning matches separate proofs",
+      `Quick,
+      test_interning_matches_separate_proofs );
+    ( "interning proves a hard instance once",
+      `Quick,
+      test_interning_one_proof_on_hard );
+    ("interning tells labels apart", `Quick, test_interning_tells_labels_apart);
   ]
