@@ -583,10 +583,10 @@ let fuzz_cmd =
        ~doc:
          "Structure-aware property-based fuzzing: generate graph / gadget / \
           padded instances and fail on any disagreement between independent \
-          implementations (solver vs sequential vs distributed checker, \
-          sequential vs parallel engine, gadget Check vs Verifier, locality \
-          certificates). Failures shrink to minimal counterexamples and \
-          print a replay seed; runs are deterministic for a fixed seed.")
+          implementations (solver vs constraint sweep vs node-centric \
+          reference checker, sequential vs parallel engine, gadget Check vs \
+          Verifier, locality certificates). Failures shrink to minimal \
+          counterexamples and print a replay seed; runs are deterministic for a fixed seed.")
     Term.(ret (const run $ target $ count $ seed_arg $ json $ out $ obs_args))
 
 (* ------------------------------------------------------------------ *)

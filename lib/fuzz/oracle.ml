@@ -41,20 +41,21 @@ let requiref cond fmt = Format.kasprintf (require cond) fmt
 
 let unit_input g = Labeling.const g ~v:() ~e:() ~b:()
 
-let dc_accepts problem inst out =
-  (DC.run problem inst ~input:(unit_input inst.Instance.graph) ~output:out)
-    .DC.all_accept
+(* every node accepts under the node-centric reference *)
+let ref_accepts problem g out =
+  Array.for_all Fun.id
+    (Reference.node_verdicts problem g ~input:(unit_input g) ~output:out)
 
 let so_solvers (recipe, seed) =
   let g = Gen_graph.to_graph recipe in
   let inst = Instance.create ~seed g in
   let check label (out : SO.output) =
-    let& () = requiref (SO.is_valid g out) "%s: sequential checker rejects" label in
+    let& () = requiref (SO.is_valid g out) "%s: checker rejects" label in
     let& () =
       requiref (SO.count_sinks g out = 0) "%s: %d sinks left" label
         (SO.count_sinks g out)
     in
-    requiref (dc_accepts SO.problem inst out) "%s: distributed checker rejects"
+    requiref (ref_accepts SO.problem g out) "%s: reference checker rejects"
       label
   in
   let out_d, _ = SO.solve_deterministic inst in
@@ -69,31 +70,38 @@ let colorful (recipe, seed) =
   let inst = Instance.create ~seed g in
   let delta = G.max_degree g in
   let col, _ = Coloring.solve inst in
-  let& () = require (Coloring.is_valid g col) "coloring: sequential checker rejects" in
+  let& () = require (Coloring.is_valid g col) "coloring: checker rejects" in
   let& () =
     require
-      (dc_accepts (Coloring.problem ~delta) inst col)
-      "coloring: distributed checker rejects"
+      (ref_accepts (Coloring.problem ~delta) g col)
+      "coloring: reference checker rejects"
   in
   let mis, _ = Mis.solve inst in
-  let& () = require (Mis.is_valid g mis) "mis: sequential checker rejects" in
-  let& () = require (dc_accepts Mis.problem inst mis) "mis: distributed checker rejects" in
-  let luby, _ = Luby.solve inst in
-  let& () = require (Luby.is_valid g luby) "luby-mis: sequential checker rejects" in
+  let& () = require (Mis.is_valid g mis) "mis: checker rejects" in
   let& () =
-    require (dc_accepts Mis.problem inst luby) "luby-mis: distributed checker rejects"
+    require (ref_accepts Mis.problem g mis) "mis: reference checker rejects"
+  in
+  let luby, _ = Luby.solve inst in
+  let& () = require (Luby.is_valid g luby) "luby-mis: checker rejects" in
+  let& () =
+    require (ref_accepts Mis.problem g luby)
+      "luby-mis: reference checker rejects"
   in
   let mat, _ = Matching.solve inst in
-  let& () = require (Matching.is_valid g mat) "matching: sequential checker rejects" in
-  require (dc_accepts Matching.problem inst mat) "matching: distributed checker rejects"
+  let& () = require (Matching.is_valid g mat) "matching: checker rejects" in
+  require
+    (ref_accepts Matching.problem g mat)
+    "matching: reference checker rejects"
 
 let two_coloring (recipe, seed) =
   let g = Gen_graph.to_graph recipe in
   let& () = require (Two.is_bipartite g) "generator produced a non-bipartite graph" in
   let inst = Instance.create ~seed g in
   let out, _ = Two.solve inst in
-  let& () = require (Two.is_valid g out) "2-coloring: sequential checker rejects" in
-  require (dc_accepts Two.problem inst out) "2-coloring: distributed checker rejects"
+  let& () = require (Two.is_valid g out) "2-coloring: checker rejects" in
+  require
+    (ref_accepts Two.problem g out)
+    "2-coloring: reference checker rejects"
 
 let decompose (recipe, seed) =
   let g = Gen_graph.to_graph recipe in
@@ -104,9 +112,9 @@ let decompose (recipe, seed) =
   require (ND.is_valid g gr) "greedy decomposition invalid"
 
 (* ------------------------------------------------------------------ *)
-(* checker-vs-checker differential (the planted-bug oracle) *)
+(* sweep-vs-reference differential (the planted-bug oracle) *)
 
-let so_seq_problem () =
+let so_sweep_problem () =
   match !planted_bug with
   | Some "so-edge-clause" ->
     (* the deliberately broken copy: accepts any edge labeling *)
@@ -118,6 +126,23 @@ let flip_half (out : SO.output) h =
   b.(h) <- (match b.(h) with SO.Out -> SO.In | SO.In -> SO.Out);
   { out with Labeling.b }
 
+(* the sweep's per-node accepts (through [Distributed_check.run], with
+   [p]) equal the node-centric reference's (with [p_ref]) *)
+let agrees label inst p p_ref out =
+  let g = inst.Instance.graph in
+  let input = unit_input g in
+  let got = (DC.run p inst ~input ~output:out).DC.accepts in
+  let want = Reference.node_verdicts p_ref g ~input ~output:out in
+  let rec first v =
+    if v = G.n g then Ok ()
+    else if got.(v) <> want.(v) then
+      Error
+        (Printf.sprintf "%s: node %d: sweep says %b, reference says %b" label v
+           got.(v) want.(v))
+    else first (v + 1)
+  in
+  first 0
+
 let dcheck (recipe, seed, mutate) =
   let g = Gen_graph.to_graph recipe in
   let inst = Instance.create ~seed g in
@@ -127,17 +152,24 @@ let dcheck (recipe, seed, mutate) =
     | Some h when G.m g > 0 -> (flip_half out (h mod (2 * G.m g)), true)
     | _ -> (out, false)
   in
-  let seq_ok =
-    Ne_lcl.is_valid (so_seq_problem ()) g ~input:(unit_input g) ~output:out
-  in
-  let dist_ok = dc_accepts SO.problem inst out in
+  let& () = agrees "so" inst (so_sweep_problem ()) SO.problem out in
+  let ok = ref_accepts SO.problem g out in
   let& () =
-    requiref (seq_ok = dist_ok)
-      "checkers disagree: sequential says %b, distributed says %b" seq_ok dist_ok
+    requiref (ok = not mutated) "verdict %b but output was %s" ok
+      (if mutated then "corrupted" else "produced by the solver")
   in
-  requiref (dist_ok = not mutated)
-    "verdict %b but output was %s" dist_ok
-    (if mutated then "corrupted" else "produced by the solver")
+  (* labelings of the other landscape problems on the same multigraph,
+     drawn from the case's seed *)
+  let rng = Random.State.make [| seed |] in
+  let col = Gen_labeling.coloring rng g in
+  let& () =
+    let p = Coloring.problem ~delta:(G.max_degree g) in
+    agrees "coloring" inst p p col
+  in
+  let mis = Gen_labeling.mis rng g in
+  let& () = agrees "mis" inst Mis.problem Mis.problem mis in
+  let mat = Gen_labeling.matching rng g in
+  agrees "matching" inst Matching.problem Matching.problem mat
 
 (* ------------------------------------------------------------------ *)
 (* pool-size differential *)

@@ -2,9 +2,9 @@
     cross-checks several independent implementations, failing on any
     disagreement. The oracle matrix (DESIGN.md §11):
 
-    - solver output × {!Repro_lcl.Ne_lcl} sequential check ×
-      {!Repro_lcl.Distributed_check} one-round check, per landscape
-      problem;
+    - solver output × the {!Repro_lcl.Ne_lcl.sweep} checks × the
+      node-centric reference checker ({!Reference.node_verdicts}), per
+      landscape problem;
     - sequential (pool size 1) × parallel (2, 4 domains) engine runs;
     - the frontier engine × the boxed reference engine
       ({!Reference.run_boxed});
@@ -22,15 +22,16 @@
 
 val planted_bug : string option ref
 (** Test-only fault injection: when set to a known bug name, one clause
-    of one {e copy} of a checker is dropped, so the differential harness
+    of the sweep's {e copy} of a problem is dropped, so the differential harness
     must catch the disagreement (the acceptance gate for the whole
     subsystem — see [test/test_fuzz.ml] and DESIGN.md §11). Initialized
     from the [REPRO_FUZZ_BREAK] environment variable. Never set outside
     tests. *)
 
 val known_bugs : string list
-(** Currently: ["so-edge-clause"] — the sequential copy of the sinkless
-    orientation checker accepts any edge labeling. *)
+(** Currently: ["so-edge-clause"] — the copy of the sinkless
+    orientation problem the [dcheck] oracle sweeps with accepts any edge
+    labeling; the reference keeps the real one. *)
 
 (** {1 Oracles} — [Error] carries the disagreement description. *)
 
@@ -38,26 +39,31 @@ type verdict = (unit, string) result
 
 val so_solvers : Gen_graph.recipe * int -> verdict
 (** Both SO solvers on an arbitrary multigraph: output valid by the
-    sequential checker, zero sinks, and the distributed checker accepts. *)
+    checker, zero sinks, and the node-centric reference accepts at
+    every node. *)
 
 val colorful : Gen_graph.recipe * int -> verdict
 (** Coloring, MIS (coloring sweep and Luby) and matching on a simple
-    graph: each output valid by its sequential checker and accepted by
-    the distributed checker. *)
+    graph: each output valid by its checker and accepted at every node
+    by the node-centric reference. *)
 
 val two_coloring : Gen_graph.recipe * int -> verdict
-(** 2-coloring on a bipartite recipe: valid + distributed agreement. *)
+(** 2-coloring on a bipartite recipe: valid + reference agreement. *)
 
 val decompose : Gen_graph.recipe * int -> verdict
 (** Linial–Saks and greedy network decompositions both valid. *)
 
 val dcheck : Gen_graph.recipe * int * int option -> verdict
-(** The checker-vs-checker differential: solve SO, optionally corrupt
+(** The sweep-vs-reference differential: solve SO, optionally corrupt
     one half-edge output (the [int option] picks the half), then demand
-    the sequential {!Repro_lcl.Ne_lcl} verdict and the
-    {!Repro_lcl.Distributed_check} verdict agree — and that the verdict
-    is "reject" exactly when a corruption was actually applied. This is
-    the oracle that catches the [so-edge-clause] planted bug. *)
+    that the per-node accepts of {!Repro_lcl.Distributed_check.run}
+    (derived from {!Repro_lcl.Ne_lcl.sweep}) equal the verdicts of
+    {!Reference.node_verdicts} — and that the verdict is "reject"
+    exactly when a corruption was actually applied. The same per-node
+    comparison then runs on coloring, MIS and matching labelings of the
+    same multigraph drawn from the case seed ({!Gen_labeling}). This is
+    the oracle that catches the [so-edge-clause] planted bug, and a
+    sweep that misreads a self-loop. *)
 
 val engines : Gen_graph.recipe * int -> verdict
 (** Pool-size differential: SO (det) outputs, meters and a flood-gather

@@ -3,6 +3,9 @@ module Instance = Repro_local.Instance
 module MP = Repro_local.Message_passing
 module Pool = Repro_local.Pool
 module B = Repro_obs.Provenance.Bitset
+module Ball = Repro_local.Ball
+module Labeling = Repro_lcl.Labeling
+module Ne_lcl = Repro_lcl.Ne_lcl
 
 type 'out result = {
   outputs : 'out array;
@@ -84,3 +87,58 @@ let run_boxed ?limit inst (alg : _ MP.algorithm) =
     rounds;
     max_rounds = Array.fold_left max 0 rounds;
   }
+
+(* Everything about [v]'s neighbourhood is read off its radius-1 ball:
+   the ports of [v] are the ports of the ball's center, and the ball's
+   local edge [k] is the [k]-th global edge (ascending id) with both
+   endpoints inside the ball, its halves in the same order. The global
+   graph is only read to list those edge ids. *)
+let node_verdicts (p : _ Ne_lcl.t) g ~(input : _ Labeling.t)
+    ~(output : _ Labeling.t) =
+  Array.init (G.n g) (fun v ->
+      let ball = Ball.gather g ~center:v ~radius:1 in
+      let sub = ball.Ball.graph in
+      let edge_ids =
+        Array.of_list
+          (List.rev
+             (G.fold_edges g ~init:[] ~f:(fun acc e a b ->
+                  if Ball.mem_global ball a && Ball.mem_global ball b then
+                    e :: acc
+                  else acc)))
+      in
+      let global h = (2 * edge_ids.(G.edge_of_half h)) + (h land 1) in
+      let node h = ball.Ball.to_global.(G.half_node sub h) in
+      let halves = G.halves sub ball.Ball.center in
+      let ports = Array.map global halves in
+      let node_ok =
+        p.Ne_lcl.check_node
+          {
+            Ne_lcl.degree = Array.length ports;
+            v_in = input.Labeling.v.(v);
+            v_out = output.Labeling.v.(v);
+            e_in = Array.map (fun h -> input.Labeling.e.(h / 2)) ports;
+            e_out = Array.map (fun h -> output.Labeling.e.(h / 2)) ports;
+            b_in = Array.map (fun h -> input.Labeling.b.(h)) ports;
+            b_out = Array.map (fun h -> output.Labeling.b.(h)) ports;
+          }
+      in
+      (* C_E of the edge behind local half [h], seen from v's side *)
+      let edge_ok h =
+        let hu = global h and hw = global (G.mate h) in
+        let w = node (G.mate h) in
+        p.Ne_lcl.check_edge
+          {
+            Ne_lcl.self_loop = w = v;
+            u_in = input.Labeling.v.(v);
+            u_out = output.Labeling.v.(v);
+            w_in = input.Labeling.v.(w);
+            w_out = output.Labeling.v.(w);
+            ee_in = input.Labeling.e.(hu / 2);
+            ee_out = output.Labeling.e.(hu / 2);
+            bu_in = input.Labeling.b.(hu);
+            bu_out = output.Labeling.b.(hu);
+            bw_in = input.Labeling.b.(hw);
+            bw_out = output.Labeling.b.(hw);
+          }
+      in
+      node_ok && Array.for_all edge_ok halves)

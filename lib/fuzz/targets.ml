@@ -77,17 +77,17 @@ let all =
   [
     {
       t_name = "so";
-      t_doc = "sinkless orientation (det+rand) on multigraphs: solver vs seq vs distributed checker";
+      t_doc = "sinkless orientation (det+rand) on multigraphs: solver vs sweep vs node-centric reference";
       t_prop = P so_prop;
     };
     {
       t_name = "colorful";
-      t_doc = "coloring/MIS/Luby-MIS/matching on simple graphs: solver vs seq vs distributed checker";
+      t_doc = "coloring/MIS/Luby-MIS/matching on simple graphs: solver vs sweep vs node-centric reference";
       t_prop = P colorful_prop;
     };
     {
       t_name = "two-coloring";
-      t_doc = "2-coloring on bipartite recipes: solver vs seq vs distributed checker";
+      t_doc = "2-coloring on bipartite recipes: solver vs sweep vs node-centric reference";
       t_prop = P two_coloring_prop;
     };
     {
@@ -97,7 +97,7 @@ let all =
     };
     {
       t_name = "dcheck";
-      t_doc = "sequential Ne_lcl verdict = one-round Distributed_check verdict on (optionally corrupted) SO outputs";
+      t_doc = "per-node Distributed_check accepts = node-centric reference verdicts on (optionally corrupted) SO outputs and coloring/MIS/matching labelings";
       t_prop = P dcheck_prop;
     };
     {

@@ -5,14 +5,15 @@
     This module runs that algorithm: in one round every node learns the
     labels of its neighbours (and of their half-edges), then evaluates
     its node constraint and the edge constraint of every incident edge.
-    The round is executed as one direct pass over the CSR arrays — the
-    message a port delivers is the mate half-edge, already addressable —
-    so no engine mailbox is built. A globally correct solution is
-    accepted at every node; an incorrect one is rejected at some node —
-    and the rejecting nodes are exactly those adjacent to a violation,
-    which the centralized checker {!Ne_lcl.violations} confirms
-    (cross-checked in the tests and by the [dcheck] fuzz target).
-    Verdicts are bit-identical at any [REPRO_DOMAINS]. *)
+    The round's verdicts are read off {!Ne_lcl.sweep}: node [v] accepts
+    iff [C_N] holds at [v] and [C_E] holds on every edge at [v]. A
+    globally correct solution is accepted at every node; an incorrect
+    one is rejected exactly at the nodes that violate [C_N] or touch an
+    edge that violates [C_E]. The node-centric reference checker
+    ([Reference.node_verdicts] in the fuzz library), which rebuilds each
+    node's views from its radius-1 ball, confirms the verdicts per node
+    in the tests and in the [dcheck] fuzz target. Verdicts are
+    bit-identical at any [REPRO_DOMAINS]. *)
 
 type verdict = {
   accepts : bool array;  (** per-node accept *)

@@ -1,9 +1,10 @@
 module G = Repro_graph.Multigraph
+module Pool = Repro_local.Pool
 
-(* View fields are mutable so checkers can refill one scratch view per
-   domain instead of allocating a view per node/edge per check (see
-   {!fill_node_view}/{!fill_edge_view} and Distributed_check). Check
-   functions receive views by reference and must not retain them. *)
+(* View fields are mutable so [sweep] can refill one scratch view per
+   pool slot instead of allocating a view per node/edge per check.
+   Check functions receive views by reference and must not retain
+   them. *)
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) node_view = {
   mutable degree : int;
   mutable v_in : 'vi;
@@ -60,35 +61,23 @@ let fill_node_view g ~(input : _ Labeling.t) ~(output : _ Labeling.t) nv v =
 
 let node_view g ~(input : _ Labeling.t) ~(output : _ Labeling.t) v =
   let d = G.degree g v in
-  if d = 0 then
+  let h0 = if d = 0 then 0 else G.half_at g v 0 in
+  (* seed the arrays from real label values so they get the element
+     type's representation, then fill in place *)
+  let make a i = if d = 0 then [||] else Array.make d a.(i) in
+  let nv =
     {
-      degree = 0;
+      degree = d;
       v_in = input.Labeling.v.(v);
       v_out = output.Labeling.v.(v);
-      e_in = [||];
-      e_out = [||];
-      b_in = [||];
-      b_out = [||];
+      e_in = make input.Labeling.e (G.edge_of_half h0);
+      e_out = make output.Labeling.e (G.edge_of_half h0);
+      b_in = make input.Labeling.b h0;
+      b_out = make output.Labeling.b h0;
     }
-  else begin
-    (* seed the arrays from real label values so they get the element
-       type's representation, then fill in place *)
-    let h0 = G.half_at g v 0 in
-    let e0 = G.edge_of_half h0 in
-    let nv =
-      {
-        degree = d;
-        v_in = input.Labeling.v.(v);
-        v_out = output.Labeling.v.(v);
-        e_in = Array.make d input.Labeling.e.(e0);
-        e_out = Array.make d output.Labeling.e.(e0);
-        b_in = Array.make d input.Labeling.b.(h0);
-        b_out = Array.make d output.Labeling.b.(h0);
-      }
-    in
-    fill_node_view g ~input ~output nv v;
-    nv
-  end
+  in
+  fill_node_view g ~input ~output nv v;
+  nv
 
 let fill_edge_view g ~(input : _ Labeling.t) ~(output : _ Labeling.t) ev e =
   let hu = 2 * e in
@@ -123,34 +112,55 @@ let edge_view g ~(input : _ Labeling.t) ~(output : _ Labeling.t) e =
     bw_out = output.Labeling.b.(hw);
   }
 
-(* sequential full check: one scratch edge view, plus one scratch node
-   view per distinct degree (the arrays are degree-sized) *)
-let violations p g ~input ~output =
-  let bad = ref [] in
-  let m = G.m g in
-  if m > 0 then begin
-    let ev = edge_view g ~input ~output (m - 1) in
-    if not (p.check_edge ev) then bad := Edge (m - 1) :: !bad;
-    for e = m - 2 downto 0 do
+type bad = { bad_nodes : int list; bad_edges : int list }
+
+(* Two pool loops: index [v] of the first evaluates C_N at node [v],
+   index [e] of the second C_E at edge [e] in the canonical orientation
+   of [fill_edge_view], so each node and each edge is evaluated exactly
+   once and the labels are read in id order. Each slot keeps one node
+   view per degree (the arrays are degree-sized), one edge view, and
+   its own lists of bad nodes and edges. The union of those lists does
+   not depend on which slot ran which index, so sorting it gives the
+   same result at every pool size; and a valid output costs no
+   O(n + m) flag array. *)
+let sweep p g ~input ~output =
+  let slots = Pool.worker_slots () in
+  let nvs = Array.init slots (fun _ -> Array.make (G.max_degree g + 1) None) in
+  let evs = Array.make slots None in
+  let bad_nodes = Array.make slots [] and bad_edges = Array.make slots [] in
+  Pool.parallel_for ~grain:400 ~n:(G.n g) (fun v ->
+      let wi = Pool.worker_index () in
+      let d = G.degree g v in
+      let nv =
+        match nvs.(wi).(d) with
+        | Some nv -> nv
+        | None ->
+          let nv = node_view g ~input ~output v in
+          nvs.(wi).(d) <- Some nv;
+          nv
+      in
+      fill_node_view g ~input ~output nv v;
+      if not (p.check_node nv) then bad_nodes.(wi) <- v :: bad_nodes.(wi));
+  Pool.parallel_for ~grain:200 ~n:(G.m g) (fun e ->
+      let wi = Pool.worker_index () in
+      let ev =
+        match evs.(wi) with
+        | Some ev -> ev
+        | None ->
+          let ev = edge_view g ~input ~output e in
+          evs.(wi) <- Some ev;
+          ev
+      in
       fill_edge_view g ~input ~output ev e;
-      if not (p.check_edge ev) then bad := Edge e :: !bad
-    done
-  end;
-  let nvs = Array.make (G.max_degree g + 1) None in
-  for v = G.n g - 1 downto 0 do
-    let d = G.degree g v in
-    let nv =
-      match nvs.(d) with
-      | Some nv ->
-        fill_node_view g ~input ~output nv v;
-        nv
-      | None ->
-        let nv = node_view g ~input ~output v in
-        nvs.(d) <- Some nv;
-        nv
-    in
-    if not (p.check_node nv) then bad := Node v :: !bad
-  done;
-  !bad
+      if not (p.check_edge ev) then bad_edges.(wi) <- e :: bad_edges.(wi));
+  let ascending per_slot =
+    List.sort Int.compare (Array.fold_left List.rev_append [] per_slot)
+  in
+  { bad_nodes = ascending bad_nodes; bad_edges = ascending bad_edges }
+
+let violations p g ~input ~output =
+  let b = sweep p g ~input ~output in
+  List.map (fun v -> Node v) b.bad_nodes
+  @ List.map (fun e -> Edge e) b.bad_edges
 
 let is_valid p g ~input ~output = violations p g ~input ~output = []

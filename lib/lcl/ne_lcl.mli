@@ -13,11 +13,12 @@
     node; the node view sees both half-edges of the loop on their two
     ports.
 
-    View fields are mutable so checkers can refill one scratch view per
-    domain ({!fill_node_view}/{!fill_edge_view}) instead of allocating a
-    view per constraint evaluation; construction syntax is unchanged.
-    Check functions receive views by reference, valid only for the
-    duration of the call — they must not retain a view or its arrays. *)
+    Every check here is derived from one sweep, {!sweep}. View fields
+    are mutable so it can refill one scratch view per pool slot instead
+    of allocating a view per constraint evaluation; construction syntax
+    is unchanged. Check functions receive views by reference, valid only
+    for the duration of the call — they must not retain a view or its
+    arrays. *)
 
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) node_view = {
   mutable degree : int;
@@ -67,26 +68,30 @@ val edge_view :
   int ->
   ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) edge_view
 
-val fill_node_view :
-  Repro_graph.Multigraph.t ->
-  input:('vi, 'ei, 'bi) Labeling.t ->
-  output:('vo, 'eo, 'bo) Labeling.t ->
-  ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) node_view ->
-  int ->
-  unit
-(** [fill_node_view g ~input ~output nv v] refills scratch view [nv]
-    in place for node [v]. The caller guarantees [nv]'s arrays have
-    length [degree g v] — cache one view per distinct degree (that is
-    what {!violations} and the distributed checker do). *)
+type bad = {
+  bad_nodes : int list;  (** nodes where [C_N] fails, ascending *)
+  bad_edges : int list;  (** edges where [C_E] fails, ascending *)
+}
 
-val fill_edge_view :
+val sweep :
+  ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) t ->
   Repro_graph.Multigraph.t ->
   input:('vi, 'ei, 'bi) Labeling.t ->
   output:('vo, 'eo, 'bo) Labeling.t ->
-  ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) edge_view ->
-  int ->
-  unit
-(** Refill a scratch edge view in place for the given edge. *)
+  bad
+(** The one evaluation of [C_N] and [C_E] over a graph: one
+    {!Repro_local.Pool.parallel_for} evaluates [C_N] at every node once,
+    a second evaluates [C_E] at every edge once, in the canonical
+    orientation of {!edge_view}: side [u] is half [2e], side [w] half
+    [2e + 1]. Each pool slot keeps one scratch node view per degree, one
+    edge view and its own lists of bad indices, which are merged and
+    sorted at the end, so the result is the same at every pool size and
+    a sweep allocates O(slots · max_degree) words plus three per bad
+    node or edge, not a view per node or edge.
+
+    Evaluating an edge in one orientation only is exact because every
+    [C_E] must be invariant under swapping its two sides; the test suite
+    checks this for every [C_E] in the tree. *)
 
 val violations :
   ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) t ->
@@ -94,6 +99,7 @@ val violations :
   input:('vi, 'ei, 'bi) Labeling.t ->
   output:('vo, 'eo, 'bo) Labeling.t ->
   violation list
+(** {!sweep}'s bad nodes ascending, then its bad edges ascending. *)
 
 val is_valid :
   ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) t ->
@@ -101,3 +107,4 @@ val is_valid :
   input:('vi, 'ei, 'bi) Labeling.t ->
   output:('vo, 'eo, 'bo) Labeling.t ->
   bool
+(** [true] iff {!sweep} finds nothing bad. *)

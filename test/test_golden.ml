@@ -171,8 +171,125 @@ let test_violations_golden () =
     "violations digest" violations_golden
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* ne-LCL check golden: the rendered [Ne_lcl.violations] list (its
+   order and multiplicity) and the [Distributed_check.run] accept array
+   of every case of a fixed-seed corpus, pinned as one digest. The
+   corpus is sinkless orientation, colouring, MIS and matching labelings
+   ({!Repro_fuzz.Gen_labeling}) on multigraphs with self-loops and
+   parallel edges, plus Π² outputs with swapped node labels, halves
+   marked as bad edges and flipped port-error flags. The digest was
+   computed with the two hand-written sweeps that [Ne_lcl.sweep]
+   replaced. *)
+module Ne_lcl = Repro_lcl.Ne_lcl
+module DC = Repro_lcl.Distributed_check
+module GG = Repro_fuzz.Gen_graph
+module GLab = Repro_fuzz.Gen_labeling
+
+let check_golden = "4613b83624a146aa99617e40e20a100b"
+
+let render_check buf name p g ~input ~output =
+  add buf (name ^ "\n");
+  List.iter
+    (fun v -> add buf (Format.asprintf "%a\n" Ne_lcl.pp_violation v))
+    (Ne_lcl.violations p g ~input ~output);
+  let v = DC.run p (Instance.create g) ~input ~output in
+  add buf (bools v.DC.accepts ^ "\n")
+
+let multigraph rng =
+  let r_n = 1 + Random.State.int rng 30 in
+  (* [Array.init] applies its function in index order, so the draws
+     are sequenced; one proposal in eight is a self-loop *)
+  let r_edges =
+    Array.to_list
+      (Array.init (2 * r_n) (fun _ ->
+           let u = Random.State.int rng r_n in
+           let loop = Random.State.int rng 8 = 0 in
+           (u, if loop then u else Random.State.int rng r_n)))
+  in
+  GG.to_graph
+    {
+      GG.r_n;
+      r_max_deg = 1 + Random.State.int rng 4;
+      r_shape = GG.Any;
+      r_edges;
+    }
+
+let swap a i j =
+  let x = a.(i) in
+  a.(i) <- a.(j);
+  a.(j) <- x
+
+let test_check_golden () =
+  let rng = Random.State.make [| 24 |] in
+  let buf = Buffer.create 65536 in
+  for k = 0 to 39 do
+    let g = multigraph rng in
+    let input = Labeling.const g ~v:() ~e:() ~b:() in
+    let case name = Printf.sprintf "%s #%d n%d m%d" name k (G.n g) (G.m g) in
+    render_check buf (case "so") SO.problem g ~input ~output:(GLab.so rng g);
+    render_check buf (case "coloring")
+      (Repro_problems.Coloring.problem ~delta:(G.max_degree g))
+      g ~input ~output:(GLab.coloring rng g);
+    render_check buf (case "mis") Repro_problems.Mis.problem g ~input
+      ~output:(GLab.mis rng g);
+    render_check buf (case "matching") Repro_problems.Matching.problem g ~input
+      ~output:(GLab.matching rng g)
+  done;
+  List.iter
+    (fun seed ->
+      let g, input =
+        pi2.Spec.hard_instance (Random.State.make [| seed |]) ~target:400
+      in
+      let inst = Instance.create ~seed g in
+      List.iter
+        (fun (which, solve) ->
+          let out, _ = solve inst input in
+          let n = G.n g and hs = Array.length out.Labeling.b in
+          let pick k = Random.State.int rng k in
+          let swap_v = Labeling.copy out in
+          let bad_edge = Labeling.copy out in
+          for _ = 1 to 3 do
+            swap swap_v.Labeling.v (pick n) (pick n);
+            let h = pick hs in
+            bad_edge.Labeling.b.(h) <-
+              Option.map
+                (fun ho -> { ho with NP.bad_edge = true })
+                out.Labeling.b.(h)
+          done;
+          let perr = Labeling.copy out in
+          for _ = 1 to 3 do
+            let v = pick n in
+            let o = perr.Labeling.v.(v) in
+            perr.Labeling.v.(v) <-
+              {
+                o with
+                PT.perr =
+                  (match o.PT.perr with
+                  | PT.NoPortErr -> PT.PortErr1
+                  | PT.PortErr1 -> PT.PortErr2
+                  | PT.PortErr2 -> PT.NoPortErr);
+              }
+          done;
+          List.iter
+            (fun (c, output) ->
+              render_check buf
+                (Printf.sprintf "pi2 seed %d %s %s" seed which c)
+                pi2.Spec.problem g ~input ~output)
+            [
+              ("clean", out);
+              ("swap v", swap_v);
+              ("bad edge", bad_edge);
+              ("perr", perr);
+            ])
+        [ ("det", pi2.Spec.solve_det); ("rand", pi2.Spec.solve_rand) ])
+    [ 1; 2; 3 ];
+  Alcotest.(check string)
+    "check digest" check_golden
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suite =
   [
     ("pi2 output golden", `Quick, test_pi2_golden);
     ("gadget violations golden", `Quick, test_violations_golden);
+    ("ne-LCL check golden", `Quick, test_check_golden);
   ]

@@ -211,19 +211,35 @@ let corrupt_inner rng out =
 (* the sweeps                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let dcheck_agrees name p p_ref inst ~input ~output =
+(* the checker's accepts with the kernels equal its accepts with the
+   closure-based reference kernels at every pool size and, with
+   [node_centric], the node-centric reference checker's verdicts (an
+   O(n·(n + m)) oracle, so Π² only) *)
+let dcheck_agrees ~node_centric name p p_ref inst ~input ~output =
+  let g = inst.Instance.graph in
+  let verdicts =
+    if node_centric then
+      Some (Repro_fuzz.Reference.node_verdicts p g ~input ~output)
+    else None
+  in
   List.iter
     (fun k ->
       Pool.set_size k;
       let got = DC.run p inst ~input ~output in
       let want = DC.run p_ref inst ~input ~output in
       check (Printf.sprintf "%s: dcheck accepts at pool %d" name k) true
-        (got.DC.accepts = want.DC.accepts))
+        (got.DC.accepts = want.DC.accepts);
+      Option.iter
+        (fun v ->
+          check
+            (Printf.sprintf "%s: node-centric verdicts at pool %d" name k)
+            true (got.DC.accepts = v))
+        verdicts)
     [ 1; 2; 4 ]
 
 (* every solver output of every instance, and three rounds of every
    corruption of it; returns how many corrupted outputs were rejected *)
-let sweep ~label spec p p_ref ~extra rng instances =
+let sweep ~label ~node_centric spec p p_ref ~extra rng instances =
   let rejected = ref 0 in
   Fun.protect
     ~finally:(fun () -> Pool.set_size 1)
@@ -236,7 +252,7 @@ let sweep ~label spec p p_ref ~extra rng instances =
               let name = Printf.sprintf "%s instance %d %s" label k which in
               check (name ^ " valid") false
                 (same_violations name p p_ref g ~input ~output:out);
-              dcheck_agrees name p p_ref inst ~input ~output:out;
+              dcheck_agrees ~node_centric name p p_ref inst ~input ~output:out;
               for r = 1 to 3 do
                 List.iter
                   (fun (cname, bad) ->
@@ -244,7 +260,8 @@ let sweep ~label spec p p_ref ~extra rng instances =
                     if same_violations name p p_ref g ~input ~output:bad then
                       incr rejected;
                     if r = 1 then
-                      dcheck_agrees name p p_ref inst ~input ~output:bad)
+                      dcheck_agrees ~node_centric name p p_ref inst ~input
+                        ~output:bad)
                   (List.filter_map
                      (fun (cname, o) -> Option.map (fun o -> (cname, o)) o)
                      (corruptions rng g out @ extra rng out))
@@ -270,7 +287,7 @@ let test_pi2_matches_reference () =
     List.map (adversarial so rng ~base_target:8 ~gadget_target:30) [ 2; 5 ]
   in
   let rejected =
-    sweep ~label:"pi2" pi2 pi2.Spec.problem ref2
+    sweep ~label:"pi2" ~node_centric:true pi2 pi2.Spec.problem ref2
       ~extra:(fun _ _ -> [])
       rng (hard :: adv)
   in
@@ -281,7 +298,7 @@ let test_pi3_matches_reference () =
   let hard = pi3.Spec.hard_instance rng ~target:60 in
   let adv = adversarial pi2 rng ~base_target:30 ~gadget_target:12 2 in
   let rejected =
-    sweep ~label:"pi3" pi3 pi3.Spec.problem ref3
+    sweep ~label:"pi3" ~node_centric:false pi3 pi3.Spec.problem ref3
       ~extra:corrupt_inner
       rng [ hard; adv ]
   in
