@@ -40,7 +40,6 @@ module Mis = Core.Problems.Mis
 module Coloring = Core.Problems.Coloring
 module Luby = Core.Problems.Luby
 module Obs = Core.Obs
-module FS = Core.Local.Frontier_set
 module Frontier = Core.Local.Frontier
 module Audit = Core.Local.Audit
 
@@ -50,16 +49,16 @@ module Audit = Core.Local.Audit
    communication rounds the workload simulates (1 for one-round checkers
    and non-round workloads), NOT a measured quantity — keeping it constant
    per case makes the per-round numbers comparable across PRs.
-   [frontier], when present, re-runs the workload once with a
-   Frontier_set.Stats recorder attached and yields the per-round
-   active_nodes / frontier_edges / dense_rounds columns for the JSON —
-   the committed evidence that round cost tracks the frontier, not n *)
+   [frontier], when present, names the round-span label whose kvs give
+   the per-round active_nodes / frontier_edges / dense_rounds columns
+   for the JSON ([round_columns]) — the committed evidence that round
+   cost tracks the frontier, not n *)
 type case = {
   name : string;
   n : int;
   rounds : int;
   run : unit -> unit;
-  frontier : (unit -> FS.Stats.t) option;
+  frontier : string option;
 }
 
 let cases ~quick () =
@@ -205,20 +204,14 @@ let cases ~quick () =
       n = n_front;
       rounds = 1;
       run = (fun () -> ignore (SO.solve_randomized_frontier finst));
-      frontier =
-        Some
-          (fun () ->
-            let stats = FS.Stats.recorder () in
-            ignore (SO.solve_randomized_frontier ~stats finst);
-            FS.Stats.snapshot stats);
+      frontier = Some "wave.round";
     };
     {
       name = "frontier-replay-1m";
       n = n_front;
       rounds = replay_rounds;
       run = (fun () -> ignore (Frontier.run finst replay_alg));
-      frontier =
-        Some (fun () -> (Frontier.run finst replay_alg).Frontier.stats);
+      frontier = Some "frontier.round";
     };
     {
       name = "mis-sweep-2k";
@@ -495,6 +488,37 @@ let dispatch_stats case =
     if idx > 0 then Some (float_of_int chunk_ns /. float_of_int idx) else None
   )
 
+(* the per-round frontier columns of one run of [case] with spans
+   armed (not Trace.record: the registry stays disabled, so the run pays
+   no per-message byte accounting). Each [label] round span is one row:
+   active_nodes / frontier_edges / dense_rounds are its [active] /
+   [edges] / [dense] kvs, round_ns its wall time (timing only — outside
+   the determinism contract, like the pool's chunk times) *)
+type frontier_columns = {
+  active_nodes : int array;
+  frontier_edges : int array;
+  dense_rounds : bool array;
+  round_ns : int array;
+}
+
+let round_columns case label =
+  let (_ : int) = Obs.Span.arm () in
+  (try case.run ()
+   with e ->
+     Obs.Span.abort ();
+     raise e);
+  let rows =
+    Array.of_list
+      (List.filter (fun s -> s.Obs.Span.label = label) (Obs.Span.take ()))
+  in
+  let kv key s = Option.value ~default:0 (List.assoc_opt key s.Obs.Span.kvs) in
+  {
+    active_nodes = Array.map (kv "active") rows;
+    frontier_edges = Array.map (kv "edges") rows;
+    dense_rounds = Array.map (fun s -> kv "dense" s = 1) rows;
+    round_ns = Array.map (fun s -> s.Obs.Span.stop_ns - s.Obs.Span.start_ns) rows;
+  }
+
 (* measure every case under pool size 1 and under the configured pool
    size, then (unfiltered) run the serve leg and write BENCH_parallel.json *)
 let run ~quick ~filter =
@@ -514,7 +538,7 @@ let run ~quick ~filter =
         let minor_w, promoted_w = alloc_stats case in
         (* per-round frontier columns: deterministic (pool-size
            independent), so one instrumented run at pool size 1 suffices *)
-        let fstats = Option.map (fun f -> f ()) case.frontier in
+        let fstats = Option.map (round_columns case) case.frontier in
         Printf.printf
           "%-24s n=%-7d seq %12.0f ns/run   par(%d) %12.0f ns/run   par/seq \
            %.3f iqr %.3f   minor %12.1f w/round   dispatch %9d ns   grain %s\n%!"
@@ -585,10 +609,10 @@ let run ~quick ~filter =
       | Some st ->
         Printf.fprintf oc
           ",\n     \"frontier\": {\"active_nodes\": %s, \"frontier_edges\": %s, \"dense_rounds\": %s, \"round_ns\": %s}"
-          (int_array st.FS.Stats.active_nodes)
-          (int_array st.FS.Stats.frontier_edges)
-          (bool_array st.FS.Stats.dense_rounds)
-          (int_array st.FS.Stats.round_ns));
+          (int_array st.active_nodes)
+          (int_array st.frontier_edges)
+          (bool_array st.dense_rounds)
+          (int_array st.round_ns));
       Printf.fprintf oc "}%s\n"
         (if i = List.length measured - 1 then "" else ","))
     measured;

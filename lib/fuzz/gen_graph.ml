@@ -64,14 +64,17 @@ let pp_recipe fmt r =
     (String.concat "; "
        (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) (materialized_edges r)))
 
+(* the proposals are drawn independently of [n] (they are read mod n
+   anyway): were their count bound to [n], every shrink of [n] would
+   regenerate the list and lose the failing edges *)
 let gen ?(max_n = 40) ?(max_deg = 4) shape =
   let open Gen in
-  let* n = int_range 1 max_n in
-  let* cap = int_range 1 max_deg in
-  let* edges =
-    list ~min:0 ~max:(2 * n) (pair (int_range 0 (max_n - 1)) (int_range 0 (max_n - 1)))
-  in
-  return { r_n = n; r_max_deg = cap; r_shape = shape; r_edges = edges }
+  let endpoint = int_range 0 (max_n - 1) in
+  map2
+    (fun (n, cap) edges ->
+      { r_n = n; r_max_deg = cap; r_shape = shape; r_edges = edges })
+    (pair (int_range 1 max_n) (int_range 1 max_deg))
+    (list ~min:0 ~max:(2 * max_n) (pair endpoint endpoint))
 
 type regular = { g_n : int; g_d : int; g_seed : int }
 

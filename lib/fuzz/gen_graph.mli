@@ -38,7 +38,9 @@ val nodes_of : recipe -> int
 
 val gen : ?max_n:int -> ?max_deg:int -> shape -> recipe Gen.t
 (** [n] uniform in [1..max_n] (default 40), cap uniform in
-    [1..max_deg] (default 4), edge count up to [2·n]. *)
+    [1..max_deg] (default 4), up to [2·max_n] edge proposals drawn
+    independently of [n], so shrinking [n] keeps the proposals (and a
+    failing edge shrinks with them). *)
 
 type regular = { g_n : int; g_d : int; g_seed : int }
 (** A configuration-model d-regular multigraph: [n·d] even by

@@ -41,8 +41,8 @@
 
    Hot-path discipline: both phase loops are prebuilt {!Pool.fused}
    tasks (zero per-round allocation in the engine itself), the send
-   task returns the scanned half-edge count (the frontier_edges stat
-   for free) and the receive task returns the newly-halted count. *)
+   task returns the scanned half-edge count (the round span's [edges]
+   kv for free) and the receive task returns the newly-halted count. *)
 
 module G = Repro_graph.Multigraph
 module Obs = Repro_obs
@@ -58,14 +58,10 @@ let m_messages = counter "local.frontier.messages"
 let m_bytes = counter "local.frontier.payload_bytes"
 let m_rng = counter "local.rng.draws"
 
-let payload_bytes (v : 'a) =
-  Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8)
-
 type 'out result = {
   outputs : 'out array;
   rounds : int array;
   max_rounds : int;
-  stats : FS.Stats.t;
 }
 
 let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
@@ -113,7 +109,6 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
   Obs.Counter.incr m_runs;
   let live = FS.create ?dense_threshold n in
   FS.fill_all live;
-  let recorder = FS.Stats.recorder () in
   let round = ref 0 in
   (* the per-node phase bodies, hoisted once; the current round is read
      through [round] so the prebuilt fused tasks never change *)
@@ -184,7 +179,6 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
   while !remaining > 0 && !round < limit do
     let r = !round in
     let rsp = Obs.Span.enter "frontier.round" in
-    let t0 = Obs.Clock.now_ns () in
     let dense = FS.is_dense live in
     let active = FS.cardinal live in
     let rng0 = if Obs.Span.live rsp then Obs.Counter.value m_rng else 0 in
@@ -205,7 +199,7 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
           for i = off.(v) to off.(v + 1) - 1 do
             let h = G.mate prt.(i) in
             if mail_epoch.(h) >= 0 then
-              bytes := !bytes + payload_bytes mail.(h)
+              bytes := !bytes + MP.payload_bytes mail.(h)
           done);
       Obs.Counter.incr m_rounds;
       Obs.Counter.add m_messages !msgs;
@@ -217,15 +211,14 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
     in
     remaining := !remaining - newly_halted;
     FS.remove_if live (fun v -> halted.(v));
-    (* clamped: the gettimeofday fallback clock can step backwards *)
-    FS.Stats.record recorder ~active ~edges ~dense
-      ~ns:(max 0 (Obs.Clock.now_ns () - t0));
     if Obs.Span.live rsp then
       Obs.Span.exit rsp
         ~kvs:
           [
             ("round", r);
             ("active", active);
+            ("edges", edges);
+            ("dense", Bool.to_int dense);
             ("messages", !msgs);
             ("payload_bytes", !bytes);
             ("mailbox_max", !mbox_max);
@@ -248,9 +241,4 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
         influence = inf_state;
         rounds_active = Array.copy rounds;
       };
-  {
-    outputs;
-    rounds;
-    max_rounds = Array.fold_left max 0 rounds;
-    stats = FS.Stats.snapshot recorder;
-  }
+  { outputs; rounds; max_rounds = Array.fold_left max 0 rounds }

@@ -52,7 +52,10 @@
     pool size. When the {!Repro_obs.Registry} is enabled the engine
     maintains the [local.frontier.*] counters, and while {!Repro_obs.Span}
     is armed each round's [frontier.round] span carries the round's
-    statistics as kvs (DESIGN.md §9). When
+    statistics as kvs (DESIGN.md §9) — among them the live-set size
+    [active], the scanned half-edges [edges] and the representation
+    [dense], the evidence that round cost tracks the frontier, not
+    [n]. When
     {!Repro_obs.Provenance} is armed it tracks, per node and per
     in-flight message, the set of origin nodes whose initial state has
     reached it, and at halt submits the per-node sets and active-round
@@ -64,10 +67,6 @@ type 'out result = {
   outputs : 'out array;
   rounds : int array;  (** rounds each node ran before halting *)
   max_rounds : int;
-  stats : Frontier_set.Stats.t;
-      (** per-round [active_nodes] / [frontier_edges] / [dense_rounds] /
-          [round_ns] — the evidence that round cost tracks the
-          frontier, not [n] *)
 }
 
 val run :

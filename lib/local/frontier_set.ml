@@ -166,63 +166,3 @@ let expand ~g ?(keep = fun _ -> true) ~src ~dst s =
     if (not (mem dst w)) && keep w then add dst w
   done;
   edges
-
-(* ------------------------------------------------------------------ *)
-(* per-round statistics                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Stats = struct
-  (* the proof obligation of the 1M bench legs: per-round frontier size
-     and scanned edges (deterministic), plus wall time (timing only —
-     excluded from the determinism contract, like pool chunk times) *)
-  type t = {
-    active_nodes : int array;
-    frontier_edges : int array;
-    dense_rounds : bool array;
-    round_ns : int array;
-  }
-
-  type recorder = {
-    mutable len : int;
-    mutable r_active : int array;
-    mutable r_edges : int array;
-    mutable r_dense : bool array;
-    mutable r_ns : int array;
-  }
-
-  let recorder () =
-    { len = 0; r_active = [||]; r_edges = [||]; r_dense = [||]; r_ns = [||] }
-
-  let grow r =
-    let cap = Array.length r.r_active in
-    if r.len >= cap then begin
-      let cap' = max 16 (2 * cap) in
-      let copy a fill =
-        let b = Array.make cap' fill in
-        Array.blit a 0 b 0 r.len;
-        b
-      in
-      r.r_active <- copy r.r_active 0;
-      r.r_edges <- copy r.r_edges 0;
-      r.r_dense <- copy r.r_dense false;
-      r.r_ns <- copy r.r_ns 0
-    end
-
-  let record r ~active ~edges ~dense ~ns =
-    grow r;
-    r.r_active.(r.len) <- active;
-    r.r_edges.(r.len) <- edges;
-    r.r_dense.(r.len) <- dense;
-    r.r_ns.(r.len) <- ns;
-    r.len <- r.len + 1
-
-  let reset r = r.len <- 0
-
-  let snapshot r =
-    {
-      active_nodes = Array.sub r.r_active 0 r.len;
-      frontier_edges = Array.sub r.r_edges 0 r.len;
-      dense_rounds = Array.sub r.r_dense 0 r.len;
-      round_ns = Array.sub r.r_ns 0 r.len;
-    }
-end

@@ -77,26 +77,6 @@ val expand :
     in order). The candidate fill runs on the pool with per-index slice
     ownership; prefix sums and dedup run on the dispatching domain, so
     the resulting member order is pool-size independent. Returns the
-    number of half-edges scanned — the frontier-edge count of [src].
+    number of half-edges scanned — the frontier-edge count of [src], which
+    the wave solver reports as its round span's [edges] kv.
     [keep] must not depend on state mutated during the call. *)
-
-(** Per-round frontier statistics: the evidence columns of the 1M
-    bench legs. [active_nodes]/[frontier_edges]/[dense_rounds] are
-    deterministic; [round_ns] is wall time, excluded from the
-    determinism contract like the pool's chunk timings. *)
-module Stats : sig
-  type t = {
-    active_nodes : int array;
-    frontier_edges : int array;
-    dense_rounds : bool array;
-    round_ns : int array;
-  }
-
-  type recorder
-
-  val recorder : unit -> recorder
-  val record :
-    recorder -> active:int -> edges:int -> dense:bool -> ns:int -> unit
-  val reset : recorder -> unit
-  val snapshot : recorder -> t
-end

@@ -12,9 +12,6 @@ let m_flood_messages = counter "local.flood.messages"
 let m_flood_bytes = counter "local.flood.payload_bytes"
 let m_rng = counter "local.rng.draws"
 
-(* transmitted size of a payload: its reachable heap words, as bytes.
-   Deterministic for structurally equal values, so safe to record under
-   the seq-vs-par telemetry contract. *)
 let payload_bytes (v : 'a) =
   Obj.reachable_words (Obj.repr v) * (Sys.word_size / 8)
 
@@ -29,25 +26,21 @@ type ('state, 'msg, 'out) algorithm = {
 (* ------------------------------------------------------------------ *)
 
 (* Receiver-centric flooding over flat knowledge sets. Distinct payload
-   values are interned once into integer {e classes} (class id = first
-   node carrying that value, so ids are instance-determined); a node's
-   knowledge is then a set of class ids, represented either as a sorted
-   int array (sparse regime: balls stay small relative to the class
-   count) or as a {!Obs.Provenance.Bitset} over classes (dense regime:
-   the radius-[radius] ball can plausibly cover most classes). In both
-   regimes node [w] pulls the frozen round-start snapshot of every
-   neighbour's set and updates only its own, so per-node work is
-   independent and schedule-oblivious, exactly like the old
-   hashtable-based engine.
+   values are interned once into integer {e classes} (numbered in order
+   of each value's first carrier node, so ids are instance-determined);
+   a node's knowledge is then a sorted array of class ids. Node [w]
+   pulls the frozen round-start snapshots of its neighbours and updates
+   only its own set, so per-node work is independent and
+   schedule-oblivious.
 
-   Byte telemetry contract: the old engine charged, per node per round,
-   [degree * payload_bytes] of the node's knowledge-snapshot {e list}.
-   To keep traced byte counts identical, the accounting below rebuilds
-   that list (representative payload per known class) — only when the
-   registry is enabled, so the hot path never conses. *)
+   Byte telemetry: per node per round, [degree * payload_bytes] of the
+   node's round-start knowledge as a payload list (one representative
+   payload per known class, in descending class order). The list is
+   built only while the registry is enabled, so the hot path never
+   conses. *)
 
-(* per-round accounting shared by both regimes; [known_list v] is the
-   payload list a node would have sent (round-start snapshot) *)
+(* per-round accounting; [known_list v] is the payload list node [v]
+   sends this round (its round-start snapshot) *)
 let flood_account g n known_list =
   let msgs = ref 0 and mbox_max = ref 0 and bytes = ref 0 in
   for v = 0 to n - 1 do
@@ -84,42 +77,125 @@ let flood_gather inst ~radius payload =
         class_of.(v) <- c
     done;
     let nc = !class_count in
-    (* audit mode: one influence set per node plus one per-node snapshot
-       taken in the send phase — same per-index ownership as the
-       knowledge sets, so pool-size independent *)
-    let audit = Obs.Provenance.active () in
-    let inf_state =
-      if audit then
-        Array.init n (fun v ->
-            let b = Obs.Provenance.Bitset.create n in
-            Obs.Provenance.Bitset.add b v;
-            b)
-      else [||]
-    in
-    let inf_out =
-      if audit then Array.init n (fun _ -> Obs.Provenance.Bitset.create n)
-      else [||]
-    in
-    (* dense iff a radius-[radius] ball could cover the classes:
-       sum_{i<=radius} maxdeg^i >= nc, computed with saturation *)
-    let dense =
-      let md = G.max_degree g in
-      let acc = ref 1 and frontier = ref 1 and i = ref 0 in
-      while !i < radius && !acc < nc do
-        frontier :=
-          (let f = !frontier * max 1 md in
-           if f <= 0 || f > nc then nc else f);
-        acc := min nc (!acc + !frontier);
-        incr i
+    (* Sorted class-id arrays, merge-union through two per-domain
+       ping-pong scratch buffers. A node's published array is immutable
+       once written, so the snapshot phase is a pointer copy and readers
+       never see a partial merge. The pull phase walks the raw CSR
+       arrays: no per-node closure, and the loop state stays in
+       (compiler-unboxed) local refs.
+
+       Only nodes whose set grew last round ([changed]) publish fresh
+       snapshots, and only their neighbours ([cand], first-discovery
+       order) re-merge, pulling only changed neighbours — so a round
+       costs O(changed + its edges), not O(n + m). Skipping an
+       unchanged neighbour v loses nothing: its snapshot was absorbed a
+       round earlier (B_{r-1}(w) ⊇ B_{r-2}(v)). The telemetry accounting
+       stays a full O(n) scan while the registry is enabled; [snap] is
+       current for every node, since a snapshot only goes stale the
+       round after its node grew, and then the node is in [changed] and
+       re-publishes. *)
+    let off = G.ports_off g and prt = G.ports_flat g in
+    let slots = Pool.worker_slots () in
+    let bufa = Array.init slots (fun _ -> Array.make nc 0) in
+    let bufb = Array.init slots (fun _ -> Array.make nc 0) in
+    let known = Array.init n (fun v -> [| class_of.(v) |]) in
+    let snap = Array.make n [||] in
+    let changed = Frontier_set.create n in
+    let cand = Frontier_set.create n in
+    let fscratch = Frontier_set.scratch () in
+    Frontier_set.fill_all changed;
+    let merge_node r w =
+      let wi = Pool.worker_index () in
+      let ba = bufa.(wi) and bb = bufb.(wi) in
+      let own = snap.(w) in
+      let cur = ref own and len = ref (Array.length own) in
+      for hh = off.(w) to off.(w + 1) - 1 do
+        let v = G.half_node g (G.mate prt.(hh)) in
+        if Frontier_set.mem changed v then begin
+          let b = snap.(v) in
+          let bl = Array.length b in
+          if bl > 0 then begin
+            let dst = if !cur == ba then bb else ba in
+            let a = !cur and al = !len in
+            let i = ref 0 and j = ref 0 and k = ref 0 in
+            while !i < al && !j < bl do
+              let x = a.(!i) and y = b.(!j) in
+              if x < y then begin
+                dst.(!k) <- x;
+                incr i
+              end
+              else if y < x then begin
+                dst.(!k) <- y;
+                incr j
+              end
+              else begin
+                dst.(!k) <- x;
+                incr i;
+                incr j
+              end;
+              incr k
+            done;
+            while !i < al do
+              dst.(!k) <- a.(!i);
+              incr i;
+              incr k
+            done;
+            while !j < bl do
+              dst.(!k) <- b.(!j);
+              incr j;
+              incr k
+            done;
+            cur := dst;
+            len := !k
+          end
+        end
       done;
-      !acc >= nc
+      if !len > Array.length own then begin
+        let merged = !cur in
+        (* fresh classes, collected ascending (both arrays are sorted
+           and [own] is a subset of [merged]) *)
+        let acc = ref [] in
+        let i = ref (!len - 1) and j = ref (Array.length own - 1) in
+        while !i >= 0 do
+          if !j >= 0 && own.(!j) = merged.(!i) then begin
+            decr i;
+            decr j
+          end
+          else begin
+            acc := class_payload.(merged.(!i)) :: !acc;
+            decr i
+          end
+        done;
+        by_round.(w).(r) <- !acc;
+        known.(w) <- Array.sub merged 0 !len
+      end
     in
-    (* [rng0] is the rng counter at round start ([rng_mark]), read only
-       while the round span is live *)
-    let rng_mark rsp =
-      if Obs.Span.live rsp then Obs.Counter.value m_rng else 0
-    in
-    let close_round rsp ~r ~rng0 ~msgs ~mbox_max ~bytes =
+    for r = 0 to radius - 1 do
+      let rsp = Obs.Span.enter "flood.round" in
+      (* the rng counter at round start, read only while the span is live *)
+      let rng0 = if Obs.Span.live rsp then Obs.Counter.value m_rng else 0 in
+      Pool.parallel_for ~grain:30 ~n:(Frontier_set.cardinal changed) (fun k ->
+          let v = Frontier_set.member changed k in
+          snap.(v) <- known.(v));
+      let msgs, mbox_max, bytes =
+        if Obs.Registry.enabled () then
+          flood_account g n (fun v ->
+              let s = snap.(v) in
+              let acc = ref [] in
+              for i = 0 to Array.length s - 1 do
+                acc := class_payload.(s.(i)) :: !acc
+              done;
+              !acc)
+        else (0, 0, 0)
+      in
+      ignore (Frontier_set.expand ~g ~src:changed ~dst:cand fscratch);
+      Pool.parallel_for ~grain:500 ~n:(Frontier_set.cardinal cand) (fun k ->
+          merge_node r (Frontier_set.member cand k));
+      (* next frontier: the candidates that grew (fresh [known] pointer),
+         in candidate order — deterministic *)
+      Frontier_set.clear changed;
+      Frontier_set.iter cand (fun w ->
+          if known.(w) != snap.(w) then Frontier_set.add changed w);
       if Obs.Registry.enabled () then begin
         Obs.Counter.incr m_flood_rounds;
         Obs.Counter.add m_flood_messages msgs;
@@ -136,211 +212,7 @@ let flood_gather inst ~radius payload =
               ("mailbox_max", mbox_max);
               ("rng_draws", Obs.Counter.value m_rng - rng0);
             ]
-    in
-    if dense then begin
-      let module B = Obs.Provenance.Bitset in
-      let known =
-        Array.init n (fun v ->
-            let b = B.create nc in
-            B.add b class_of.(v);
-            b)
-      in
-      let next = Array.init n (fun _ -> B.create nc) in
-      for r = 0 to radius - 1 do
-        let rsp = Obs.Span.enter "flood.round" in
-        let rng0 = rng_mark rsp in
-        if audit then
-          Pool.parallel_for ~grain:200 ~n (fun v ->
-              Obs.Provenance.Bitset.blit ~src:inf_state.(v) ~dst:inf_out.(v));
-        let msgs, mbox_max, bytes =
-          if Obs.Registry.enabled () then
-            flood_account g n (fun v ->
-                let acc = ref [] in
-                B.iter (fun c -> acc := class_payload.(c) :: !acc) known.(v);
-                !acc)
-          else (0, 0, 0)
-        in
-        (* pull: [known] is frozen this phase; node [w] writes only
-           [next.(w)] and its own by_round slot *)
-        Pool.parallel_for ~grain:600 ~n (fun w ->
-            let nx = next.(w) in
-            B.blit ~src:known.(w) ~dst:nx;
-            G.iter_halves g w ~f:(fun h ->
-                let v = G.half_node g (G.mate h) in
-                if audit then
-                  Obs.Provenance.Bitset.union_into ~into:inf_state.(w)
-                    inf_out.(v);
-                B.union_into ~into:nx known.(v));
-            let acc = ref [] in
-            B.iter_diff (fun c -> acc := class_payload.(c) :: !acc) nx known.(w);
-            if !acc <> [] then by_round.(w).(r) <- List.rev !acc);
-        (* swap the double buffer (pointer swaps, main domain) *)
-        for v = 0 to n - 1 do
-          let t = known.(v) in
-          known.(v) <- next.(v);
-          next.(v) <- t
-        done;
-        close_round rsp ~r ~rng0 ~msgs ~mbox_max ~bytes
-      done
-    end
-    else begin
-      (* sparse regime: sorted class-id arrays, merge-union through two
-         per-domain ping-pong scratch buffers. A node's published array
-         is immutable once written, so the snapshot phase is a pointer
-         copy and readers never see a partial merge. The pull phase
-         walks the raw CSR arrays: no per-node closure, and the loop
-         state stays in (compiler-unboxed) local refs.
-
-         [merge_node keep_nbr w] pulls the snapshots of [w]'s
-         neighbours passing [keep_nbr] into [w]'s set. The full-scan
-         path passes an always-true filter; the frontier path filters
-         to last round's changed set — sound because an unchanged
-         neighbour's snapshot was already absorbed a round earlier
-         (B_{r-1}(w) ⊇ B_{r-2}(v) for every neighbour v), so skipping
-         it cannot lose classes and the merged arrays stay equal. *)
-      let off = G.ports_off g and prt = G.ports_flat g in
-      let slots = Pool.worker_slots () in
-      let bufa = Array.init slots (fun _ -> Array.make nc 0) in
-      let bufb = Array.init slots (fun _ -> Array.make nc 0) in
-      let known = Array.init n (fun v -> [| class_of.(v) |]) in
-      let snap = Array.make n [||] in
-      let account () =
-        if Obs.Registry.enabled () then
-          flood_account g n (fun v ->
-              let s = snap.(v) in
-              let acc = ref [] in
-              for i = 0 to Array.length s - 1 do
-                acc := class_payload.(s.(i)) :: !acc
-              done;
-              !acc)
-        else (0, 0, 0)
-      in
-      let merge_node keep_nbr r w =
-        let wi = Pool.worker_index () in
-        let ba = bufa.(wi) and bb = bufb.(wi) in
-        let own = snap.(w) in
-        let cur = ref own and len = ref (Array.length own) in
-        for hh = off.(w) to off.(w + 1) - 1 do
-          let v = G.half_node g (G.mate prt.(hh)) in
-          if audit then
-            Obs.Provenance.Bitset.union_into ~into:inf_state.(w) inf_out.(v);
-          if keep_nbr v then begin
-            let b = snap.(v) in
-            let bl = Array.length b in
-            if bl > 0 then begin
-              let dst = if !cur == ba then bb else ba in
-              let a = !cur and al = !len in
-              let i = ref 0 and j = ref 0 and k = ref 0 in
-              while !i < al && !j < bl do
-                let x = a.(!i) and y = b.(!j) in
-                if x < y then begin
-                  dst.(!k) <- x;
-                  incr i
-                end
-                else if y < x then begin
-                  dst.(!k) <- y;
-                  incr j
-                end
-                else begin
-                  dst.(!k) <- x;
-                  incr i;
-                  incr j
-                end;
-                incr k
-              done;
-              while !i < al do
-                dst.(!k) <- a.(!i);
-                incr i;
-                incr k
-              done;
-              while !j < bl do
-                dst.(!k) <- b.(!j);
-                incr j;
-                incr k
-              done;
-              cur := dst;
-              len := !k
-            end
-          end
-        done;
-        if !len > Array.length own then begin
-          let merged = !cur in
-          (* fresh classes, collected ascending (both arrays are
-             sorted and [own] is a subset of [merged]) *)
-          let acc = ref [] in
-          let i = ref (!len - 1) and j = ref (Array.length own - 1) in
-          while !i >= 0 do
-            if !j >= 0 && own.(!j) = merged.(!i) then begin
-              decr i;
-              decr j
-            end
-            else begin
-              acc := class_payload.(merged.(!i)) :: !acc;
-              decr i
-            end
-          done;
-          by_round.(w).(r) <- !acc;
-          known.(w) <- Array.sub merged 0 !len
-        end
-      in
-      if audit then
-        (* full-scan path: the influence sets must union every
-           neighbour every round, exactly as the certificate model
-           expects, so audited floods keep the O(n + m) rounds *)
-        for r = 0 to radius - 1 do
-          let rsp = Obs.Span.enter "flood.round" in
-          let rng0 = rng_mark rsp in
-          Pool.parallel_for ~grain:300 ~n (fun v ->
-              snap.(v) <- known.(v);
-              Obs.Provenance.Bitset.blit ~src:inf_state.(v) ~dst:inf_out.(v));
-          let msgs, mbox_max, bytes = account () in
-          Pool.parallel_for ~grain:500 ~n (merge_node (fun _ -> true) r);
-          close_round rsp ~r ~rng0 ~msgs ~mbox_max ~bytes
-        done
-      else begin
-        (* frontier path: only nodes whose set grew last round
-           ([changed]) publish fresh snapshots, and only their
-           neighbours ([cand], first-discovery order) re-merge — so a
-           round costs O(changed + its edges), not O(n + m). The
-           telemetry accounting stays a full O(n) scan when the
-           registry is enabled ([snap] is current for every node: a
-           node's snapshot only goes stale the round after it grew,
-           and then it is in [changed] and re-published). by_round
-           output is byte-identical to the full scan: the skipped
-           merges are exactly the no-op ones. *)
-        let changed = Frontier_set.create n in
-        let cand = Frontier_set.create n in
-        let fscratch = Frontier_set.scratch () in
-        Frontier_set.fill_all changed;
-        let in_changed v = Frontier_set.mem changed v in
-        for r = 0 to radius - 1 do
-          let rsp = Obs.Span.enter "flood.round" in
-          let rng0 = rng_mark rsp in
-          Pool.parallel_for ~grain:30 ~n:(Frontier_set.cardinal changed)
-            (fun k ->
-              let v = Frontier_set.member changed k in
-              snap.(v) <- known.(v));
-          let msgs, mbox_max, bytes = account () in
-          ignore (Frontier_set.expand ~g ~src:changed ~dst:cand fscratch);
-          Pool.parallel_for ~grain:500 ~n:(Frontier_set.cardinal cand)
-            (fun k -> merge_node in_changed r (Frontier_set.member cand k));
-          (* next frontier: the candidates that grew (fresh [known]
-             pointer), in candidate order — deterministic *)
-          Frontier_set.clear changed;
-          Frontier_set.iter cand (fun w ->
-              if known.(w) != snap.(w) then Frontier_set.add changed w);
-          close_round rsp ~r ~rng0 ~msgs ~mbox_max ~bytes
-        done
-      end
-    end;
-    if audit then
-      Obs.Provenance.submit
-        {
-          Obs.Provenance.engine = "flood_gather";
-          n;
-          influence = inf_state;
-          rounds_active = Array.make n radius;
-        };
+    done;
     if Obs.Span.live run_sp then
       Obs.Span.exit ~kvs:[ ("radius", radius); ("n", n) ] run_sp;
     by_round

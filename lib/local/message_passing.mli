@@ -11,16 +11,22 @@
     executes these algorithms; its header documents the mailbox and
     halted-sender contracts.
 
-    {2 Telemetry and provenance}
+    {2 Telemetry}
 
     When the {!Repro_obs.Registry} is enabled, [flood_gather] maintains
     the [local.flood.*] counters (rounds, messages, payload bytes), and
     while {!Repro_obs.Span} is armed each round's [flood.round] span
     carries the round's statistics as kvs, with [active] = n — the
-    schema is documented in DESIGN.md §9. When {!Repro_obs.Provenance} is armed it tracks and
-    submits per-node influence sets exactly like {!Frontier.run}
-    (DESIGN.md §10). Disabled, the instrumentation is a single branch per
-    round. *)
+    schema is documented in DESIGN.md §9. Disabled, the instrumentation
+    is a single branch per round. [flood_gather] carries no provenance:
+    audited floods run on {!Frontier.run} through {!Audit.run_flood}
+    (DESIGN.md §10). *)
+
+val payload_bytes : 'a -> int
+(** The transmitted size of a payload: its reachable heap words, as
+    bytes. Deterministic for structurally equal values, so safe to
+    record under the seq-vs-par telemetry contract. Both engines charge
+    their [payload_bytes] telemetry with it. *)
 
 type ('state, 'msg, 'out) algorithm = {
   init : Instance.t -> int -> 'state;
@@ -45,6 +51,7 @@ val flood_gather :
     class). Used to realize gather-based algorithms over the engine and to
     cross-check {!Ball}. [result.(v).(d)] holds payloads of nodes at
     distance exactly [d+1 <= radius] (with multiplicity along paths
-    collapsed to set semantics by payload equality). The per-round lists
-    are in no specified order, but the order is deterministic: it depends
-    only on the instance, never on the pool size. *)
+    collapsed to set semantics by payload equality: a payload is listed
+    at the first distance any node carrying it is seen). Each per-round
+    list is in ascending order of the payload's first carrier node, so
+    it depends only on the instance, never on the pool size. *)

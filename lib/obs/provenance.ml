@@ -64,23 +64,6 @@ module Bitset = struct
     done
 
   let equal a b = a.len = b.len && Bytes.equal a.bits b.bits
-
-  (* members of [src] absent from [other], ascending: byte-wise skip of
-     the (common) all-equal prefix makes this cheap when the difference
-     is sparse — the flood engine uses it to enumerate newly learned
-     origins each round without materialising a difference set *)
-  let iter_diff f src other =
-    same_capacity src other;
-    for j = 0 to Bytes.length src.bits - 1 do
-      let d =
-        Char.code (Bytes.unsafe_get src.bits j)
-        land lnot (Char.code (Bytes.unsafe_get other.bits j))
-      in
-      if d <> 0 then
-        for b = 0 to 7 do
-          if d land (1 lsl b) <> 0 then f ((8 * j) + b)
-        done
-    done
 end
 
 type audit = {

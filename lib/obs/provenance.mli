@@ -3,9 +3,9 @@
     is a function of its radius-T ball" (paper §2) that every complexity
     claim in the reproduction rests on.
 
-    When audit mode is armed, the engines ({!Repro_local.Frontier} and
-    {!Repro_local.Message_passing.flood_gather}) attach to every node (and to every
-    in-flight message) a compact {!Bitset} of {e origin} nodes whose
+    When audit mode is armed, the round engine ({!Repro_local.Frontier})
+    attaches to every node (and to every in-flight message) a compact
+    {!Bitset} of {e origin} nodes whose
     initial state has reached it; mailbox delivery unions the sender's
     set into the receiver's. At halt the engine {!submit}s the per-node
     influence sets together with the rounds each node was active, and
@@ -17,7 +17,7 @@
     that source could have arrived.
 
     Audit mode is gated exactly like the rest of [lib/obs]: while
-    disarmed (the default) the engines pay one boolean load per run, and
+    disarmed (the default) the engine pays one boolean load per run, and
     no bitset is ever allocated. Influence sets grow only through
     per-slot writes owned by a single loop index (the same ownership
     discipline as the mailboxes, see {!Repro_local.Pool}), and set union
@@ -55,16 +55,13 @@ module Bitset : sig
   val iter : (int -> unit) -> t -> unit
   (** Members in ascending order. *)
 
-  val iter_diff : (int -> unit) -> t -> t -> unit
-  (** [iter_diff f src other] applies [f] to the members of [src] that
-      are not in [other], in ascending order. Word-wise skip over the
-      shared portion; no allocation. Capacities must match. *)
-
   val equal : t -> t -> bool
 end
 
 type audit = {
-  engine : string;  (** ["frontier"] or ["flood_gather"] *)
+  engine : string;
+      (** ["frontier"]; the fuzz layer's boxed reference engine submits
+          ["boxed"] *)
   n : int;
   influence : Bitset.t array;  (** per node: origins that reached it *)
   rounds_active : int array;  (** per node: rounds before halting *)

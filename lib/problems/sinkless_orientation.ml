@@ -535,7 +535,7 @@ let solve_randomized inst =
    resolution writes only candidate-owned slots and reads only previous
    rounds' state; frontier membership orders are pool-independent
    (Frontier_set discipline). *)
-let solve_randomized_frontier ?stats inst =
+let solve_randomized_frontier inst =
   Obs.Counter.incr m_wave_runs;
   let g = inst.Instance.graph in
   let ids = inst.Instance.ids in
@@ -566,7 +566,6 @@ let solve_randomized_frontier ?stats inst =
   let wround = ref 0 in
   while FS.cardinal front > 0 do
     let rsp = Obs.Span.enter "wave.round" in
-    let t0 = Obs.Clock.now_ns () in
     let active = FS.cardinal front and dense = FS.is_dense front in
     let edges =
       FS.expand ~g ~keep:(fun w -> region.(w) = -1) ~src:front ~dst:cand
@@ -608,14 +607,16 @@ let solve_randomized_frontier ?stats inst =
     FS.iter cand (fun w ->
         if region_target.(region.(w)) = -1 then FS.add front w);
     Obs.Counter.incr m_wave_rounds;
-    (match stats with
-    | Some r ->
-      (* clamped: the gettimeofday fallback clock can step backwards *)
-      FS.Stats.record r ~active ~edges ~dense
-        ~ns:(max 0 (Obs.Clock.now_ns () - t0))
-    | None -> ());
     if Obs.Span.live rsp then
-      Obs.Span.exit ~kvs:[ ("round", !wround); ("active", active) ] rsp;
+      Obs.Span.exit
+        ~kvs:
+          [
+            ("round", !wround);
+            ("active", active);
+            ("edges", edges);
+            ("dense", Bool.to_int dense);
+          ]
+        rsp;
     incr wround
   done;
   if Obs.Span.live run_sp then

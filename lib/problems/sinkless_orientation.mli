@@ -52,7 +52,6 @@ val solve_randomized : Repro_local.Instance.t -> output * Repro_local.Meter.t
     [Θ(log log n)] algorithm. *)
 
 val solve_randomized_frontier :
-  ?stats:Repro_local.Frontier_set.Stats.recorder ->
   Repro_local.Instance.t ->
   output * Repro_local.Meter.t
 (** The frontier (wave) variant of {!solve_randomized}: same private-coin
@@ -67,8 +66,9 @@ val solve_randomized_frontier :
     others fall back to the sequential repair in sink-id order. Output
     is a valid sinkless orientation (not byte-equal to
     {!solve_randomized}'s — the repair paths differ); deterministic at
-    any pool size. [stats] records per-round frontier telemetry for the
-    bench legs. *)
+    any pool size. While {!Repro_obs.Span} is armed each wave round's
+    [wave.round] span carries its frontier size [active], scanned
+    half-edges [edges] and representation [dense] (DESIGN.md §9). *)
 
 val count_sinks : Repro_graph.Multigraph.t -> output -> int
 (** Number of degree-≥3 nodes without an [Out] half — 0 on valid outputs. *)

@@ -2,8 +2,9 @@
    expansion, the fused pool primitive, the frontier engine's
    byte-identity with the boxed reference engine (including the
    sparse↔dense switch, pinned on a golden instance), the audit-catalog
-   certificate equivalence between the two engines, the flood_gather
-   changed-set path, and the wave SO solver. *)
+   certificate equivalence between the two engines, flood_gather
+   against a BFS oracle, and the wave SO solver; per-round frontier
+   shape is read from the engines' round spans. *)
 
 module Obs = Repro_obs
 module Prov = Repro_obs.Provenance
@@ -30,6 +31,21 @@ let with_pool_size s f =
     (fun () ->
       Pool.set_size s;
       f ())
+
+(* the [label] round spans of one call, recorded with spans armed, in
+   round order *)
+let round_spans label f =
+  let (_ : int) = Obs.Span.arm () in
+  match f () with
+  | x -> (x, List.filter (fun s -> s.Obs.Span.label = label) (Obs.Span.take ()))
+  | exception e ->
+    Obs.Span.abort ();
+    raise e
+
+let kv key (s : Obs.Span.span) =
+  Option.value ~default:0 (List.assoc_opt key s.Obs.Span.kvs)
+
+let column key spans = Array.of_list (List.map (kv key) spans)
 
 (* ------------------------------------------------------------------ *)
 (* Frontier_set *)
@@ -140,19 +156,17 @@ let test_switch_round_pinned () =
   let n = 160 in
   let inst = Instance.create (Gen.path n) in
   let alg = Audit.flood_algorithm ~actual:(fun v -> v + 1) in
-  let res = Frontier.run inst alg in
+  let res, spans = round_spans "frontier.round" (fun () -> Frontier.run inst alg) in
   check_int "rounds" n res.Frontier.max_rounds;
-  let st = res.Frontier.stats in
-  check_int "one stats row per round" n (Array.length st.FS.Stats.active_nodes);
+  check_int "one round span per round" n (List.length spans);
+  let active = column "active" spans and edges = column "edges" spans in
+  let dense = column "dense" spans in
   for r = 0 to n - 1 do
+    check_int (Printf.sprintf "active at round %d" r) (n - r) active.(r);
     check_int
-      (Printf.sprintf "active at round %d" r)
-      (n - r)
-      st.FS.Stats.active_nodes.(r);
-    check
       (Printf.sprintf "mode at round %d" r)
-      (n - r >= 10)
-      st.FS.Stats.dense_rounds.(r)
+      (Bool.to_int (n - r >= 10))
+      dense.(r)
   done;
   (* the path's live prefix loses one node per round: scanned half-edges
      strictly decrease once the wavefront moves *)
@@ -160,12 +174,18 @@ let test_switch_round_pinned () =
     check
       (Printf.sprintf "edges shrink at round %d" r)
       true
-      (st.FS.Stats.frontier_edges.(r) <= st.FS.Stats.frontier_edges.(r - 1))
+      (edges.(r) <= edges.(r - 1))
   done;
   (* forcing the threshold to either extreme changes the mode profile
      but not one byte of the results *)
-  let dense = Frontier.run ~dense_threshold:0 inst alg in
-  let sparse = Frontier.run ~dense_threshold:(n + 1) inst alg in
+  let dense, dense_spans =
+    round_spans "frontier.round" (fun () ->
+        Frontier.run ~dense_threshold:0 inst alg)
+  in
+  let sparse, sparse_spans =
+    round_spans "frontier.round" (fun () ->
+        Frontier.run ~dense_threshold:(n + 1) inst alg)
+  in
   check "always-dense outputs" true (dense.Frontier.outputs = res.Frontier.outputs);
   check "always-sparse outputs" true
     (sparse.Frontier.outputs = res.Frontier.outputs);
@@ -173,9 +193,9 @@ let test_switch_round_pinned () =
   check "always-sparse rounds" true
     (sparse.Frontier.rounds = res.Frontier.rounds);
   check "always-dense ran dense" true
-    (Array.for_all Fun.id dense.Frontier.stats.FS.Stats.dense_rounds);
+    (List.for_all (fun s -> kv "dense" s = 1) dense_spans);
   check "always-sparse ran sparse" true
-    (Array.for_all not sparse.Frontier.stats.FS.Stats.dense_rounds);
+    (List.for_all (fun s -> kv "dense" s = 0) sparse_spans);
   (* and the boxed reference engine agrees with all of them *)
   let boxed = Reference.run_boxed inst alg in
   check "boxed outputs" true (boxed.Reference.outputs = res.Frontier.outputs);
@@ -242,31 +262,55 @@ let test_catalog_engine_equivalence () =
     catalog_replays
 
 (* ------------------------------------------------------------------ *)
-(* flood_gather: the changed-set frontier path (audit off) must equal
-   the full-scan path (audit armed) *)
+(* flood_gather against an independent BFS oracle: [by_round.(v).(d)]
+   must list, in ascending class order, the payload classes whose
+   nearest carrier is at distance exactly d+1 from v. A class is a
+   distinct payload value, ordered by its first carrier node; the
+   colliding payload [v mod 5] checks the set semantics. *)
 
-let test_flood_frontier_vs_full_scan () =
+let flood_oracle g ~radius payload =
+  let n = G.n g in
+  let firsts =
+    List.filter
+      (fun u -> not (List.exists (fun w -> payload w = payload u) (List.init u Fun.id)))
+      (List.init n Fun.id)
+  in
+  Array.init n (fun v ->
+      let dist = Repro_graph.Traversal.bfs g v in
+      let rows = Array.make radius [] in
+      List.iter
+        (fun u ->
+          let d = ref max_int in
+          for w = 0 to n - 1 do
+            if payload w = payload u && dist.(w) >= 0 then d := min !d dist.(w)
+          done;
+          if !d >= 1 && !d <= radius then
+            rows.(!d - 1) <- payload u :: rows.(!d - 1))
+        (List.rev firsts);
+      rows)
+
+let test_flood_bfs_oracle () =
   List.iter
-    (fun g ->
+    (fun (gname, g) ->
       let inst = Instance.create g in
-      let fast = MP.flood_gather inst ~radius:6 (fun v -> v * 7) in
-      Prov.start ();
-      let full =
-        match MP.flood_gather inst ~radius:6 (fun v -> v * 7) with
-        | x ->
-          Prov.abort ();
-          x
-        | exception e ->
-          Prov.abort ();
-          raise e
-      in
-      check "audited and frontier floods agree" true (fast = full))
+      List.iter
+        (fun (pname, payload) ->
+          let expect = flood_oracle g ~radius:6 payload in
+          List.iter
+            (fun size ->
+              with_pool_size size (fun () ->
+                  check
+                    (Printf.sprintf "%s, payload %s, %d domains" gname pname size)
+                    true
+                    (MP.flood_gather inst ~radius:6 payload = expect)))
+            [ 1; 2; 4 ])
+        [ ("v*7", fun v -> v * 7); ("v mod 5", fun v -> v mod 5) ])
     [
-      Gen.path 40;
-      Gen.cycle 9;
-      Gen.star 12;
-      Gen.grid 5 7;
-      SO.hard_instance (Random.State.make [| 11 |]) ~n:60;
+      ("path 40", Gen.path 40);
+      ("cycle 9", Gen.cycle 9);
+      ("star 12", Gen.star 12);
+      ("grid 5x7", Gen.grid 5 7);
+      ("hard SO 60", SO.hard_instance (Random.State.make [| 11 |]) ~n:60);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -278,31 +322,32 @@ let test_wave_solver () =
       let rng = Random.State.make [| seed |] in
       let g = SO.hard_instance rng ~n:400 in
       let inst = Instance.create ~seed g in
-      let stats = FS.Stats.recorder () in
-      let out, meter = SO.solve_randomized_frontier ~stats inst in
+      let (out, meter), spans =
+        round_spans "wave.round" (fun () -> SO.solve_randomized_frontier inst)
+      in
       check (Printf.sprintf "valid (seed %d)" seed) true (SO.is_valid g out);
       check_int (Printf.sprintf "no sinks (seed %d)" seed) 0
         (SO.count_sinks g out);
       check (Printf.sprintf "metered (seed %d)" seed) true
         (Repro_local.Meter.max_radius meter >= 1);
-      (* identical output and wave telemetry at every pool size *)
-      let st = FS.Stats.snapshot stats in
+      (* identical output and wave shape at every pool size *)
+      let shape spans = (column "active" spans, column "edges" spans) in
       List.iter
         (fun size ->
           with_pool_size size (fun () ->
-              let stats' = FS.Stats.recorder () in
-              let out', _ = SO.solve_randomized_frontier ~stats:stats' inst in
+              let (out', _), spans' =
+                round_spans "wave.round" (fun () ->
+                    SO.solve_randomized_frontier inst)
+              in
               check
                 (Printf.sprintf "deterministic at %d domains (seed %d)" size
                    seed)
                 true
                 (out'.Repro_lcl.Labeling.b = out.Repro_lcl.Labeling.b);
-              let st' = FS.Stats.snapshot stats' in
               check
                 (Printf.sprintf "wave shape at %d domains (seed %d)" size seed)
                 true
-                (st'.FS.Stats.active_nodes = st.FS.Stats.active_nodes
-                && st'.FS.Stats.frontier_edges = st.FS.Stats.frontier_edges)))
+                (shape spans' = shape spans)))
         [ 2; 4 ])
     [ 1; 5; 9 ]
 
@@ -314,6 +359,6 @@ let suite =
     ("fused pool loop", `Quick, test_fused);
     ("switch round pinned on golden instance", `Quick, test_switch_round_pinned);
     ("audit catalog engine equivalence", `Slow, test_catalog_engine_equivalence);
-    ("flood frontier path vs full scan", `Quick, test_flood_frontier_vs_full_scan);
+    ("flood equals BFS oracle", `Quick, test_flood_bfs_oracle);
     ("wave SO solver", `Quick, test_wave_solver);
   ]

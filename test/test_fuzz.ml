@@ -11,6 +11,8 @@ module Prop = Repro_fuzz.Prop
 module Oracle = Repro_fuzz.Oracle
 module Targets = Repro_fuzz.Targets
 module Json = Repro_obs.Json
+module GG = Repro_fuzz.Gen_graph
+module G = Repro_graph.Multigraph
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -84,6 +86,29 @@ let test_shrink_list_to_singleton () =
   in
   let f = run_shrunk p in
   check_str "single minimal element" "51" f.Prop.f_case
+
+(* a graph recipe shrinks to the minimum: on multigraphs, "no
+   self-loop" must shrink to one node carrying one loop. This needs the
+   edge proposals drawn independently of the node count — otherwise each
+   shrink of n regenerates the edges and loses the loop. *)
+let test_shrink_recipe_to_one_loop () =
+  let no_loop r =
+    let loop = ref false in
+    G.iter_edges (GG.to_graph r) ~f:(fun _ u v -> if u = v then loop := true);
+    not !loop
+  in
+  let p =
+    Prop.make ~name:"no self-loop" ~size_of:GG.nodes_of
+      ~show:(Format.asprintf "%a" GG.pp_recipe)
+      (GG.gen GG.Any) (Prop.law_bool no_loop)
+  in
+  for seed = 1 to 20 do
+    let f = run_shrunk ~seed p in
+    check_int
+      (Printf.sprintf "seed %d shrunk to one node: %s" seed f.Prop.f_case)
+      1
+      (Option.value ~default:(-1) f.Prop.f_size)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* runner contracts: determinism and replay *)
@@ -206,6 +231,7 @@ let suite =
     ("shrink int to boundary", `Quick, test_shrink_int_to_boundary);
     ("shrink pair to boundary", `Quick, test_shrink_pair_to_boundary);
     ("shrink list to singleton", `Quick, test_shrink_list_to_singleton);
+    ("shrink graph recipe to one loop", `Quick, test_shrink_recipe_to_one_loop);
     ("case_seed contract", `Quick, test_case_seed_identity);
     ("runs deterministic", `Quick, test_run_deterministic);
     ("replay reproduces", `Quick, test_replay_reproduces);

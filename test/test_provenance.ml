@@ -252,8 +252,7 @@ let test_audit_abort_on_raise () =
   check "next audit clean" true cert.Prov.c_ok
 
 (* ------------------------------------------------------------------ *)
-(* Bitset edge cases: word boundaries, empty/full sets, aliasing (the
-   flood_gather double-buffer substrate) *)
+(* Bitset edge cases: empty/full sets and aliasing *)
 
 let bitset_of len members =
   let s = Bitset.create len in
@@ -265,34 +264,6 @@ let elements s =
   Bitset.iter (fun i -> acc := i :: !acc) s;
   List.rev !acc
 
-let diff_elements a b =
-  let acc = ref [] in
-  Bitset.iter_diff (fun i -> acc := i :: !acc) a b;
-  List.rev !acc
-
-(* iter_diff straddling the 63/64/65-bit word boundaries: membership
-   patterns chosen so the boundary bit itself flips in and out *)
-let test_iter_diff_word_boundaries () =
-  List.iter
-    (fun len ->
-      let evens = List.filter (fun i -> i mod 2 = 0) (List.init len Fun.id) in
-      let threes = List.filter (fun i -> i mod 3 = 0) (List.init len Fun.id) in
-      let a = bitset_of len evens and b = bitset_of len threes in
-      let expect = List.filter (fun i -> i mod 3 <> 0) evens in
-      check (Printf.sprintf "len %d evens\\threes" len) true
-        (diff_elements a b = expect);
-      let expect' = List.filter (fun i -> i mod 2 <> 0) threes in
-      check (Printf.sprintf "len %d threes\\evens" len) true
-        (diff_elements b a = expect');
-      (* the last valid index sits right at the boundary *)
-      let top = bitset_of len [ len - 1 ] in
-      let empty = Bitset.create len in
-      check (Printf.sprintf "len %d top bit survives" len) true
-        (diff_elements top empty = [ len - 1 ]);
-      check (Printf.sprintf "len %d top bit cancels" len) true
-        (diff_elements top top = []))
-    [ 1; 62; 63; 64; 65; 127; 128; 129 ]
-
 let test_empty_full_masks () =
   List.iter
     (fun len ->
@@ -302,18 +273,15 @@ let test_empty_full_masks () =
         (Bitset.cardinal full);
       check_int (Printf.sprintf "len %d empty cardinal" len) 0
         (Bitset.cardinal empty);
-      check (Printf.sprintf "len %d full\\empty" len) true
-        (diff_elements full empty = all);
-      check (Printf.sprintf "len %d empty\\full" len) true
-        (diff_elements empty full = []);
-      check (Printf.sprintf "len %d full\\full" len) true
-        (diff_elements full full = []);
       check (Printf.sprintf "len %d iter full" len) true
         (elements full = all))
     [ 1; 63; 64; 65; 128 ]
 
-(* self-aliasing of the mutators: flood_gather's double-buffer swap
-   makes [union_into] and [blit] hit a buffer that was just the source *)
+(* self-aliasing of the mutators: [union_into] and [blit] must be
+   identities when source and destination are one set. Frontier.run
+   never aliases them — its influence and mailbox sets are distinct
+   bitsets, even across a self-loop — so this pins the mutators'
+   contract for any caller, not an engine path. *)
 let test_aliasing () =
   let s = bitset_of 70 [ 0; 13; 63; 64; 69 ] in
   let before = elements s in
@@ -333,7 +301,6 @@ let suite =
     ("audit events jsonl round-trip", `Quick, test_audit_events_jsonl_round_trip);
     ("invariant checker catches tampering", `Quick, test_invariant_checker_catches_tampering);
     ("audit aborted on raise", `Quick, test_audit_abort_on_raise);
-    ("iter_diff at word boundaries", `Quick, test_iter_diff_word_boundaries);
     ("empty and full masks", `Quick, test_empty_full_masks);
     ("aliased union/blit", `Quick, test_aliasing);
   ]
