@@ -530,15 +530,15 @@ let run ~quick ~filter =
     List.map
       (fun case ->
         let t = time_pairs ~pairs ~quota ~domains case in
-        (* dispatch telemetry on a warm parallel pool, before alloc_stats
-           shrinks it back to 1 *)
+        (* dispatch telemetry and the per-round frontier columns on a
+           warm parallel pool, before alloc_stats shrinks it back to 1:
+           the columns are taken at the configured pool size, so runs at
+           different sizes can confirm they are pool-size independent *)
         Pool.set_size domains;
         case.run ();
         let disp_ns, grain_obs = dispatch_stats case in
-        let minor_w, promoted_w = alloc_stats case in
-        (* per-round frontier columns: deterministic (pool-size
-           independent), so one instrumented run at pool size 1 suffices *)
         let fstats = Option.map (round_columns case) case.frontier in
+        let minor_w, promoted_w = alloc_stats case in
         Printf.printf
           "%-24s n=%-7d seq %12.0f ns/run   par(%d) %12.0f ns/run   par/seq \
            %.3f iqr %.3f   minor %12.1f w/round   dispatch %9d ns   grain %s\n%!"

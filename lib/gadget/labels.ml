@@ -114,12 +114,19 @@ let relabel_node t v nl =
   G.iter_halves t.graph v ~f:(fun h -> half_color2.(h) <- nl.color2);
   { t with nodes; half_color2 }
 
+(* one pass over the raw CSR arrays, so that only the result record is
+   allocated: every port half of a padded input labeling calls this *)
 let true_flags t v =
-  let has l =
-    G.fold_halves t.graph v ~init:false ~f:(fun acc h ->
-        acc || t.halves.(h) = l)
-  in
-  { f_right = has Right; f_left = has Left; f_child = has LChild || has RChild }
+  let off = G.ports_off t.graph and prt = G.ports_flat t.graph in
+  let right = ref false and left = ref false and child = ref false in
+  for i = off.(v) to off.(v + 1) - 1 do
+    match t.halves.(prt.(i)) with
+    | Right -> right := true
+    | Left -> left := true
+    | LChild | RChild -> child := true
+    | Parent | Up | Down _ -> ()
+  done;
+  { f_right = !right; f_left = !left; f_child = !child }
 
 let flags_ok t =
   let ok = ref true in

@@ -116,28 +116,49 @@ let build base ~delta ~gadget_for =
 
 let port_node t v i = t.port_nodes.(v).(i - 1)
 
+(* Copies share their labels. The table is the labeling under
+   construction, with a one-entry [==] cache on the gadget: base node
+   [bv]'s copy takes the records of [bv - 1]'s when both carry the same
+   gadget (and, for nodes, the same Π-input), else it gets fresh ones.
+   [build] lays out each copy's nodes at [node_offset.(bv)] and its
+   edges right after the previous copy's, so one [Array.blit] copies the
+   previous copy's records. Every record is immutable, so sharing one
+   is safe. *)
 let input_labeling t ~base_input ~dei ~dbi =
   let g = t.padded in
-  let v_label pv =
+  let nb = G.n t.base in
+  let shares bv = bv > 0 && t.gadget_of bv == t.gadget_of (bv - 1) in
+  let v_fresh pv =
     let bv = t.base_node_of.(pv) in
-    let gl = t.gadget_of bv in
     {
       pi_v = base_input.Labeling.v.(bv);
-      gad_v = gl.GL.nodes.(pv - t.node_offset.(bv));
+      gad_v = (t.gadget_of bv).GL.nodes.(pv - t.node_offset.(bv));
     }
   in
-  let e_label pe =
-    if t.edge_is_port.(pe) then
-      let bh = t.half_base.(2 * pe) in
-      { pi_e = base_input.Labeling.e.(G.edge_of_half bh); etype = PortEdge }
-    else { pi_e = dei; etype = GadEdge }
+  let v = if G.n g = 0 then [||] else Array.make (G.n g) (v_fresh 0) in
+  for bv = 0 to nb - 1 do
+    let off = t.node_offset.(bv) and size = G.n (t.gadget_of bv).GL.graph in
+    if shares bv && base_input.Labeling.v.(bv) == base_input.Labeling.v.(bv - 1)
+    then Array.blit v t.node_offset.(bv - 1) v off size
+    else
+      for pv = off to off + size - 1 do
+        v.(pv) <- v_fresh pv
+      done
+  done;
+  let gad_e = { pi_e = dei; etype = GadEdge } in
+  let e =
+    Array.init (G.m g) (fun pe ->
+        if t.edge_is_port.(pe) then
+          let bh = t.half_base.(2 * pe) in
+          { pi_e = base_input.Labeling.e.(G.edge_of_half bh); etype = PortEdge }
+        else gad_e)
   in
-  let b_label ph =
+  let b_fresh ph =
     let pv = G.half_node g ph in
     let bv = t.base_node_of.(pv) in
     let gl = t.gadget_of bv in
-    if t.half_gad.(ph) >= 0 then
-      let gh = t.half_gad.(ph) in
+    let gh = t.half_gad.(ph) in
+    if gh >= 0 then
       {
         pi_b = dbi;
         gad_b =
@@ -161,7 +182,23 @@ let input_labeling t ~base_input ~dei ~dbi =
           };
       }
   in
-  Labeling.init g ~v:v_label ~e:e_label ~b:b_label
+  let hm = 2 * G.m g in
+  let b = if hm = 0 then [||] else Array.make hm (b_fresh 0) in
+  (* the gadget halves, copy by copy; the port halves follow *)
+  let first = ref 0 in
+  for bv = 0 to nb - 1 do
+    let size = 2 * G.m (t.gadget_of bv).GL.graph in
+    if shares bv then Array.blit b (!first - size) b !first size
+    else
+      for ph = !first to !first + size - 1 do
+        b.(ph) <- b_fresh ph
+      done;
+    first := !first + size
+  done;
+  for ph = !first to hm - 1 do
+    b.(ph) <- b_fresh ph
+  done;
+  { Labeling.v; e; b }
 
 let stretch_stats t =
   let total = ref 0.0 and count = ref 0 and worst = ref 0.0 in

@@ -47,7 +47,14 @@ val input_labeling :
 (** The Π'-input of the padded graph: gadget labels everywhere; the base
     Π-input copied onto the gadget nodes (every node of [v]'s gadget gets
     [base_input.v.(v)]), the base edge inputs onto the port edges and their
-    halves; defaults elsewhere. *)
+    halves; defaults elsewhere.
+
+    Copies share immutable records. Every gadget edge holds one record.
+    Base node [v]'s gadget halves hold [v - 1]'s records when both carry
+    the physically same gadget ([==]), and its nodes do too when their
+    Π-inputs are also [==]; otherwise the copy gets fresh records. Port
+    edges and port halves get a record each. Values are as if every
+    label were built fresh; only the number of records differs. *)
 
 val stretch_stats : t -> float * float
 (** (mean, max) over gadgets of the pairwise within-gadget port distances —

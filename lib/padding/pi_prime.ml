@@ -398,59 +398,104 @@ type comp_data = {
 
 (* Interning. On hard instances every base node carries a copy of one
    gadget, so most components have the same local form: the same sizes,
-   local edge list and labels. Each component is filled into scratch
-   buffers, hashed, and compared in full against the earlier
-   representatives with that hash; a match shares the representative's
-   [GL.t], so its arrays and CSR are never allocated and the solver
-   proves it once. The table lives for one call. Equal forms get equal
-   Ψ_G proofs, since the prover reads only the labeled gadget and the
-   call's promise [n]. *)
+   local edge list and labels. Each component is hashed and compared in
+   full against the earlier representatives with that hash, reading its
+   labels in place from the input labeling; a match shares the
+   representative's [GL.t], so its arrays and CSR are never built and
+   the solver proves it once. Only a new representative's arrays are
+   filled. The table lives for one call. Equal forms get equal Ψ_G
+   proofs, since the prover reads only the labeled gadget and the call's
+   promise [n]. *)
 
-(* scratch for one component's local form, sized for the largest *)
-type form = {
-  f_half_node : int array;
-  f_nodes : GL.node_label array;
-  f_halves : GL.half_label array;
-  f_color2 : int array;
-  f_flags : GL.half_flags array;
+(* A component read in place: its [nc] members (padded ids in local
+   order) and its [gm] gadget edges [ebuf.(e0)] .. [ebuf.(e0 + gm - 1)],
+   in global edge order. Local half [lh] is padded half
+   [padded_half c lh], at local node [local_node c lh]. *)
+type 'a comp_view = {
+  input : 'a;
+  local : int array;
+  hn : int array;
+  ebuf : int array;
+  mem : int array;
+  e0 : int;
+  nc : int;
+  gm : int;
 }
 
-(* the first [len] entries of [a] and [b] are equal. On copies of one
-   gadget the labels are the gadget's own records, so [==] decides. *)
-let rec agree a b i len =
-  i >= len || ((a.(i) == b.(i) || a.(i) = b.(i)) && agree a b (i + 1) len)
+let padded_half c lh = (2 * c.ebuf.(c.e0 + (lh lsr 1))) + (lh land 1)
 
-(* [r] has the local form held in the first [nc] nodes and [gm] edges of
-   [f]: every array is compared element by element *)
-let same_form (r : GL.t) f nc gm =
-  G.n r.GL.graph = nc
-  && G.m r.GL.graph = gm
-  && agree (G.half_node_flat r.GL.graph) f.f_half_node 0 (2 * gm)
-  && agree r.GL.nodes f.f_nodes 0 nc
-  && agree r.GL.halves f.f_halves 0 (2 * gm)
-  && agree r.GL.half_color2 f.f_color2 0 (2 * gm)
-  && agree r.GL.half_flags f.f_flags 0 (2 * gm)
+let local_node c lh = c.local.(c.hn.(padded_half c lh))
+
+let node_in (c : (_ pv_in, _, _) Labeling.t comp_view) l =
+  c.input.Labeling.v.(c.mem.(l)).gad_v
+
+let half_in (c : (_, _, _ pb_in) Labeling.t comp_view) lh =
+  c.input.Labeling.b.(padded_half c lh).gad_b
 
 let mix h x = ((h * 31) + x) land max_int
-
-let half_sample f lh =
-  Hashtbl.hash (f.f_halves.(lh), f.f_color2.(lh), f.f_flags.(lh))
 
 (* The hash reads the whole structure (sizes and local edge list) but
    the labels of only the first and last node and half. Label variants of
    one structure, such as a copy with one corrupted label, may share a
    bucket: the complete compare tells them apart. The sampled ends still
    separate the isolated nodes of a garbage input by their labels. *)
-let form_hash f nc gm =
-  let h = ref (mix nc gm) in
-  for lh = 0 to (2 * gm) - 1 do
-    h := mix !h f.f_half_node.(lh)
+let form_hash c =
+  let h = ref (mix c.nc c.gm) in
+  for lh = 0 to (2 * c.gm) - 1 do
+    h := mix !h (local_node c lh)
   done;
   let h =
-    mix (mix !h (Hashtbl.hash f.f_nodes.(0))) (Hashtbl.hash f.f_nodes.(nc - 1))
+    mix
+      (mix !h (Hashtbl.hash (node_in c 0)))
+      (Hashtbl.hash (node_in c (c.nc - 1)))
   in
-  if gm = 0 then h
-  else mix (mix h (half_sample f 0)) (half_sample f ((2 * gm) - 1))
+  if c.gm = 0 then h
+  else
+    mix
+      (mix h (Hashtbl.hash (half_in c 0)))
+      (Hashtbl.hash (half_in c ((2 * c.gm) - 1)))
+
+(* the component in view has the local form of [r]: every node and half
+   is compared, records [==] first and structurally only when that
+   fails. On copies of one gadget the labels are the gadget's own
+   records, so [==] decides. *)
+let same_form (r : GL.t) c =
+  G.n r.GL.graph = c.nc
+  && G.m r.GL.graph = c.gm
+  &&
+  let rhn = G.half_node_flat r.GL.graph in
+  let ok = ref true and lh = ref 0 in
+  while !ok && !lh < 2 * c.gm do
+    let h = padded_half c !lh in
+    let b = c.input.Labeling.b.(h).gad_b in
+    let bl = r.GL.halves.(!lh) and fl = r.GL.half_flags.(!lh) in
+    ok :=
+      rhn.(!lh) = c.local.(c.hn.(h))
+      && r.GL.half_color2.(!lh) = b.NP.bcolor
+      && (bl == b.NP.bl || bl = b.NP.bl)
+      && (fl == b.NP.bflags || fl = b.NP.bflags);
+    incr lh
+  done;
+  let l = ref 0 in
+  while !ok && !l < c.nc do
+    let a = r.GL.nodes.(!l) and b = node_in c !l in
+    ok := a == b || a = b;
+    incr l
+  done;
+  !ok
+
+(* the component in view as a gadget candidate of its own *)
+let form_labels c =
+  let hm = 2 * c.gm in
+  {
+    GL.graph =
+      G.of_half_node ~n:c.nc ~m:c.gm
+        (Array.init hm (local_node c));
+    nodes = Array.init c.nc (node_in c);
+    halves = Array.init hm (fun lh -> (half_in c lh).NP.bl);
+    half_color2 = Array.init hm (fun lh -> (half_in c lh).NP.bcolor);
+    half_flags = Array.init hm (fun lh -> (half_in c lh).NP.bflags);
+  }
 
 (* Split an arbitrary Π'-instance into its gadget components (connected
    components of the GadEdge subgraph) and re-assemble each as a labeled
@@ -522,60 +567,38 @@ let gadget_components g (input : _ Labeling.t) =
     end
   done;
   let lhalf = Array.make (2 * m) (-1) in
-  let max_size = Array.fold_left max 0 sizes in
-  let max_m = Array.fold_left max 0 ecount in
-  let f =
-    {
-      f_half_node = Array.make (2 * max_m) 0;
-      f_nodes = Array.make max_size default_gad_v;
-      f_halves = Array.make (2 * max_m) GL.Up;
-      f_color2 = Array.make (2 * max_m) 0;
-      f_flags = Array.make (2 * max_m) default_flags;
-    }
-  in
   (* local-form hash -> (representative, its labels) *)
   let reps = Hashtbl.create 16 in
   let comps =
     Array.init !ncomp (fun c ->
-        let nc = sizes.(c) and gm = ecount.(c) in
         let mem = members.(c) in
-        for l = 0 to nc - 1 do
-          f.f_nodes.(l) <- (input.Labeling.v.(mem.(l)) : _ pv_in).gad_v
-        done;
-        for le = 0 to gm - 1 do
+        let view =
+          {
+            input;
+            local;
+            hn;
+            ebuf;
+            mem;
+            e0 = eoff.(c);
+            nc = sizes.(c);
+            gm = ecount.(c);
+          }
+        in
+        for le = 0 to ecount.(c) - 1 do
           let e = ebuf.(eoff.(c) + le) in
-          f.f_half_node.(2 * le) <- local.(G.half_node g (2 * e));
-          f.f_half_node.((2 * le) + 1) <- local.(G.half_node g ((2 * e) + 1));
           lhalf.(2 * e) <- 2 * le;
-          lhalf.((2 * e) + 1) <- (2 * le) + 1;
-          for h = 2 * e to (2 * e) + 1 do
-            let b_in : _ pb_in = input.Labeling.b.(h) in
-            let lh = lhalf.(h) in
-            f.f_halves.(lh) <- b_in.gad_b.NP.bl;
-            f.f_color2.(lh) <- b_in.gad_b.NP.bcolor;
-            f.f_flags.(lh) <- b_in.gad_b.NP.bflags
-          done
+          lhalf.((2 * e) + 1) <- (2 * le) + 1
         done;
-        let key = form_hash f nc gm in
+        let key = form_hash view in
         let rep, labels =
           match
             List.find_opt
-              (fun (_, labels) -> same_form labels f nc gm)
+              (fun (_, labels) -> same_form labels view)
               (Hashtbl.find_all reps key)
           with
           | Some found -> found
           | None ->
-            let hm = 2 * gm in
-            let labels =
-              {
-                GL.graph =
-                  G.of_half_node ~n:nc ~m:gm (Array.sub f.f_half_node 0 hm);
-                nodes = Array.sub f.f_nodes 0 nc;
-                halves = Array.sub f.f_halves 0 hm;
-                half_color2 = Array.sub f.f_color2 0 hm;
-                half_flags = Array.sub f.f_flags 0 hm;
-              }
-            in
+            let labels = form_labels view in
             Hashtbl.add reps key (c, labels);
             (c, labels)
         in
@@ -607,6 +630,18 @@ let double_sweep_diameter g =
     let da = T.bfs g !a in
     Array.fold_left max 0 da
   end
+
+(* a Σ_list with no valid port: every entry the spec's default *)
+let fresh_sigma ~delta (spec : _ Spec.t) =
+  {
+    s = Array.make delta false;
+    iv = spec.Spec.dvi;
+    ie = Array.make delta spec.Spec.dei;
+    ib = Array.make delta spec.Spec.dbi;
+    ov = spec.Spec.dvo;
+    oe = Array.make delta spec.Spec.deo;
+    ob = Array.make delta spec.Spec.dbo;
+  }
 
 let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling.t) =
   let delta = family.Family.delta in
@@ -794,18 +829,7 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
   in
   let vout, vmeter = solver vinst vinput in
   (* 6. Σ_list per valid component *)
-  let fresh_sigma () =
-    {
-      s = Array.make delta false;
-      iv = spec.Spec.dvi;
-      ie = Array.make delta spec.Spec.dei;
-      ib = Array.make delta spec.Spec.dbi;
-      ov = spec.Spec.dvo;
-      oe = Array.make delta spec.Spec.deo;
-      ob = Array.make delta spec.Spec.dbo;
-    }
-  in
-  let sigma = Array.map (fun _ -> fresh_sigma ()) comps in
+  let sigma = Array.map (fun _ -> fresh_sigma ~delta spec) comps in
   Array.iteri
     (fun c cd ->
       if cd.valid then begin
@@ -915,17 +939,6 @@ let pad_with (family : Family.t) (spec : _ Spec.t) : _ Spec.t =
   if family.Family.delta < spec.Spec.hard_max_degree then
     invalid_arg "Pi_prime.pad_with: family delta below hard-instance degree";
   let delta = family.Family.delta in
-  let fresh_sigma () =
-    {
-      s = Array.make delta false;
-      iv = spec.Spec.dvi;
-      ie = Array.make delta spec.Spec.dei;
-      ib = Array.make delta spec.Spec.dbi;
-      ov = spec.Spec.dvo;
-      oe = Array.make delta spec.Spec.deo;
-      ob = Array.make delta spec.Spec.dbo;
-    }
-  in
   {
     Spec.name = spec.Spec.name ^ "'";
     problem = problem_of ~family spec;
@@ -942,7 +955,7 @@ let pad_with (family : Family.t) (spec : _ Spec.t) : _ Spec.t =
       };
     dvo =
       {
-        list_part = fresh_sigma ();
+        list_part = fresh_sigma ~delta spec;
         perr = NoPortErr;
         psi_v = default_psi_v;
       };

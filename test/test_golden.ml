@@ -145,6 +145,123 @@ let test_pi2_golden () =
         [ ("det", pi2.Spec.solve_det); ("rand", pi2.Spec.solve_rand) ])
     (instances ())
 
+(* Padded-input golden: [Padded_graph.input_labeling] on the Π² hard
+   instances and the adversarial instance above (five distinct corrupted
+   gadgets among clean copies) and on one Π³ hard instance, rendered as
+   text like the outputs above, so that sharing records between gadget
+   copies cannot move the digests. They were computed with the code that
+   allocated fresh records for every copy. *)
+module GL = Repro_gadget.Labels
+
+let pi3 = Pi.pad pi2
+
+let gad_v buf (l : GL.node_label) =
+  add buf
+    (Printf.sprintf "%s %s k%d"
+       (match l.GL.kind with
+       | GL.Center -> "c"
+       | GL.Index i -> Printf.sprintf "i%d" i)
+       (match l.GL.port with None -> "-" | Some i -> Printf.sprintf "p%d" i)
+       l.GL.color2)
+
+let gad_b buf (b : NP.half_in) =
+  add buf
+    (Format.asprintf "%a k%d %s" GL.pp_half_label b.NP.bl b.NP.bcolor
+       (bools
+          [| b.NP.bflags.GL.f_right; b.NP.bflags.GL.f_left; b.NP.bflags.GL.f_child |]))
+
+(* renderers of one padding level around the renderer of the level below *)
+let pv inner buf (x : _ PT.pv_in) =
+  add buf "{";
+  inner buf x.PT.pi_v;
+  add buf " ";
+  gad_v buf x.PT.gad_v;
+  add buf "}"
+
+let pe inner buf (x : _ PT.pe_in) =
+  add buf "{";
+  inner buf x.PT.pi_e;
+  add buf (match x.PT.etype with PT.GadEdge -> " gad}" | PT.PortEdge -> " port}")
+
+let pb inner buf (x : _ PT.pb_in) =
+  add buf "{";
+  inner buf x.PT.pi_b;
+  add buf " ";
+  gad_b buf x.PT.gad_b;
+  add buf "}"
+
+let unit_ buf () = add buf "()"
+
+(* each half is rendered with its node, so that the port halves pin
+   which port of which gadget copy every base edge attaches to *)
+let render_input g ~v ~e ~b (inp : _ Labeling.t) =
+  let buf = Buffer.create 65536 in
+  let section tag f a =
+    Array.iteri
+      (fun i x ->
+        add buf (tag i);
+        f buf x;
+        add buf "\n")
+      a
+  in
+  section (Printf.sprintf "v%d ") v inp.Labeling.v;
+  section (Printf.sprintf "e%d ") e inp.Labeling.e;
+  section (fun h -> Printf.sprintf "h%d@%d " h (G.half_node g h)) b
+    inp.Labeling.b;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let input_golden =
+  [
+    ("seed 1", "f838d5007254e70e6828a065fea1d073");
+    ("seed 2", "0916e52030aa42193ec940fd8ef93282");
+    ("seed 3", "2b29b40d3c4c1e9008545e04973e46af");
+    ("adversarial", "c8c6c7d183f08dad4eecec6064233852");
+    ("pi3 n6080", "17aab7aa9cf75191300a8bb21408018a");
+  ]
+
+let test_padded_input_golden () =
+  let g3, input3 =
+    pi3.Spec.hard_instance (Random.State.make [| 1 |]) ~target:3000
+  in
+  let got =
+    List.map
+      (fun (name, inst, input) ->
+        ( name,
+          render_input inst.Instance.graph ~v:(pv unit_) ~e:(pe unit_)
+            ~b:(pb unit_) input ))
+      (instances ())
+    @ [
+        ( Printf.sprintf "pi3 n%d" (G.n g3),
+          render_input g3 ~v:(pv (pv unit_)) ~e:(pe (pe unit_))
+            ~b:(pb (pb unit_)) input3 );
+      ]
+  in
+  List.iter
+    (fun (name, d) ->
+      Alcotest.(check string)
+        ("padded input " ^ name) (List.assoc name input_golden) d)
+    got;
+  (* every copy of the one gadget holds the first copy's gadget-half
+     input records, not equal ones of its own *)
+  let pg, input =
+    Pi.hard_instance_parts H.sinkless_orientation
+      (Random.State.make [| 1 |])
+      ~base_target:30 ~gadget_target:60
+  in
+  let first = Hashtbl.create 256 in
+  let shared = ref 0 and apart = ref 0 in
+  Array.iteri
+    (fun ph gh ->
+      if gh >= 0 then
+        let b = input.Labeling.b.(ph) in
+        match Hashtbl.find_opt first gh with
+        | None -> Hashtbl.add first gh b
+        | Some b0 -> if b0 == b then incr shared else incr apart)
+    pg.PG.half_gad;
+  Alcotest.(check (pair int bool))
+    "gadget-half inputs of later copies: none apart, some shared" (0, true)
+    (!apart, !shared > 0)
+
 (* [Check.violations] golden: the nodes, rules, order and multiplicity
    of the gadget checker's report on a fixed-seed corruption corpus
    (every kind, Δ = 3, heights 3-5, three draws each), pinned as the
@@ -290,6 +407,7 @@ let test_check_golden () =
 let suite =
   [
     ("pi2 output golden", `Quick, test_pi2_golden);
+    ("padded input golden", `Quick, test_padded_input_golden);
     ("gadget violations golden", `Quick, test_violations_golden);
     ("ne-LCL check golden", `Quick, test_check_golden);
   ]

@@ -570,6 +570,27 @@ let test_prove_allocation () =
       check (Printf.sprintf "prove allocates %.1f minor words/node (<= 12)" w)
         true (w <= 12.))
 
+(* the padded input labeling of the Π² hard instance at target 10^4
+   allocates its three arrays and the labels of one gadget copy: every
+   later copy shares the first one's records (a fresh record per label
+   came to 11.2 words per padded half) *)
+let test_input_labeling_allocation () =
+  let pg, _ =
+    Pi.hard_instance_parts so (Random.State.make [| 1 |]) ~base_target:100
+      ~gadget_target:100
+  in
+  let base_input = Labeling.const pg.PG.base ~v:() ~e:() ~b:() in
+  let label () =
+    PG.input_labeling pg ~base_input ~dei:so.Spec.dei ~dbi:so.Spec.dbi
+  in
+  ignore (label ());
+  let halves = 2 * G.m pg.PG.padded in
+  let w = allocated_words label /. float_of_int halves in
+  check
+    (Printf.sprintf "input_labeling allocates %.2f words per padded half (< 2)"
+       w)
+    true (w < 2.)
+
 (* ------------------------------------------------------------------ *)
 (* interning in Lemma 4's solver                                       *)
 (* ------------------------------------------------------------------ *)
@@ -712,6 +733,9 @@ let suite =
       `Quick,
       test_verifier_linear_in_components );
     ("prove allocation per node", `Quick, test_prove_allocation);
+    ( "input labeling allocation per half",
+      `Quick,
+      test_input_labeling_allocation );
     ( "interning matches separate proofs",
       `Quick,
       test_interning_matches_separate_proofs );
