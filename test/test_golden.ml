@@ -336,6 +336,64 @@ let swap a i j =
   a.(i) <- a.(j);
   a.(j) <- x
 
+(* The Π³ part of the corpus: det and rand outputs of one Π³ hard
+   instance, clean and with 1, 4 and 9 corrupted nodes. The corruptions
+   cycle through the three padding levels: every orientation of the
+   virtual SO node inside the virtual Π² node's Σ_list turned inward, a
+   port node's own port-error flag, and the virtual Π² node's flag. So
+   the nested Π³ → Π² → SO constraint checks are pinned too. The digest was computed with the
+   checker that copied every label into scratch views. *)
+let check_golden_pi3 = "f4a861c1f6b874ae2b285663f2ede29e"
+
+let next_perr = function
+  | PT.NoPortErr -> PT.PortErr1
+  | PT.PortErr1 -> PT.PortErr2
+  | PT.PortErr2 -> PT.NoPortErr
+
+let corrupt_pi3 rng ~(input : (_ PT.pv_in, _, _) Labeling.t) out k =
+  let c = Labeling.copy out in
+  let n = Array.length c.Labeling.v in
+  let rec port_node () =
+    let v = Random.State.int rng n in
+    if input.Labeling.v.(v).PT.gad_v.GL.port <> None then v else port_node ()
+  in
+  for i = 0 to k - 1 do
+    let v = if i mod 3 = 1 then port_node () else Random.State.int rng n in
+    let o = c.Labeling.v.(v) in
+    let l = o.PT.list_part in
+    let ov = l.PT.ov in
+    let with_ov ov = { o with PT.list_part = { l with PT.ov } } in
+    c.Labeling.v.(v) <-
+      (match i mod 3 with
+      | 0 ->
+        let il = ov.PT.list_part in
+        let ob = Array.map (fun _ -> SO.In) il.PT.ob in
+        with_ov { ov with PT.list_part = { il with PT.ob } }
+      | 1 -> { o with PT.perr = next_perr o.PT.perr }
+      | _ -> with_ov { ov with PT.perr = next_perr ov.PT.perr })
+  done;
+  c
+
+let render_pi3_checks () =
+  let rng = Random.State.make [| 27 |] in
+  let buf = Buffer.create 65536 in
+  let g, input =
+    pi3.Spec.hard_instance (Random.State.make [| 1 |]) ~target:3000
+  in
+  let inst = Instance.create ~seed:1 g in
+  List.iter
+    (fun (which, solve) ->
+      let out, _ = solve inst input in
+      List.iter
+        (fun k ->
+          render_check buf
+            (Printf.sprintf "pi3 n%d %s corrupt %d" (G.n g) which k)
+            pi3.Spec.problem g ~input
+            ~output:(if k = 0 then out else corrupt_pi3 rng ~input out k))
+        [ 0; 1; 4; 9 ])
+    [ ("det", pi3.Spec.solve_det); ("rand", pi3.Spec.solve_rand) ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
 let test_check_golden () =
   let rng = Random.State.make [| 24 |] in
   let buf = Buffer.create 65536 in
@@ -402,7 +460,9 @@ let test_check_golden () =
     [ 1; 2; 3 ];
   Alcotest.(check string)
     "check digest" check_golden
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  Alcotest.(check string)
+    "pi3 check digest" check_golden_pi3 (render_pi3_checks ())
 
 let suite =
   [
