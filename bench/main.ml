@@ -109,6 +109,14 @@ let cases ~quick () =
     Gen.random_simple_regular (Random.State.make [| 23 |]) ~n:n_sweep ~d:3
   in
   let sweepinst = Instance.create ~seed:23 gsweep in
+  (* the padded checker at scale: one constraint sweep over a fixed Π²
+     deterministic output, n ≈ 1.2·10⁵ (target 3000, n ≈ 5·10³, under
+     --quick; the name stays "-120k") *)
+  let g_chk, in_chk =
+    so'.Spec.hard_instance (Random.State.make [| 1 |])
+      ~target:(if quick then 3000 else 100_000)
+  in
+  let out_chk, _ = so'.Spec.solve_det (Instance.create ~seed:1 g_chk) in_chk in
   [
     {
       name = "ball-gather-r10-3k";
@@ -157,6 +165,14 @@ let cases ~quick () =
       n = G.n pg.PG.padded;
       rounds = 1;
       run = (fun () -> ignore (so'.Spec.solve_det pinst pinp));
+      frontier = None;
+    };
+    {
+      name = "pi2-check-120k";
+      n = G.n g_chk;
+      rounds = 1;
+      run =
+        (fun () -> ignore (Spec.is_valid so' g_chk ~input:in_chk ~output:out_chk));
       frontier = None;
     };
     (* the telemetry overhead pair: the same one-round check workload

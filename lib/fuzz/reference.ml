@@ -113,13 +113,17 @@ let node_verdicts (p : _ Ne_lcl.t) g ~(input : _ Labeling.t)
       let node_ok =
         p.Ne_lcl.check_node
           {
-            Ne_lcl.degree = Array.length ports;
-            v_in = input.Labeling.v.(v);
-            v_out = output.Labeling.v.(v);
-            e_in = Array.map (fun h -> input.Labeling.e.(h / 2)) ports;
-            e_out = Array.map (fun h -> output.Labeling.e.(h / 2)) ports;
-            b_in = Array.map (fun h -> input.Labeling.b.(h)) ports;
-            b_out = Array.map (fun h -> output.Labeling.b.(h)) ports;
+            Ne_lcl.vi = input.Labeling.v;
+            vo = output.Labeling.v;
+            ei = input.Labeling.e;
+            eo = output.Labeling.e;
+            bi = input.Labeling.b;
+            bo = output.Labeling.b;
+            ports;
+            node = v;
+            lo = 0;
+            degree = Array.length ports;
+            edge_shift = 1;
           }
       in
       (* C_E of the edge behind local half [h], seen from v's side *)
@@ -128,17 +132,22 @@ let node_verdicts (p : _ Ne_lcl.t) g ~(input : _ Labeling.t)
         let w = node (G.mate h) in
         p.Ne_lcl.check_edge
           {
-            Ne_lcl.self_loop = w = v;
-            u_in = input.Labeling.v.(v);
-            u_out = output.Labeling.v.(v);
-            w_in = input.Labeling.v.(w);
-            w_out = output.Labeling.v.(w);
-            ee_in = input.Labeling.e.(hu / 2);
-            ee_out = output.Labeling.e.(hu / 2);
-            bu_in = input.Labeling.b.(hu);
-            bu_out = output.Labeling.b.(hu);
-            bw_in = input.Labeling.b.(hw);
-            bw_out = output.Labeling.b.(hw);
+            Ne_lcl.uvi = input.Labeling.v;
+            uvo = output.Labeling.v;
+            wvi = input.Labeling.v;
+            wvo = output.Labeling.v;
+            eei = input.Labeling.e;
+            eeo = output.Labeling.e;
+            ubi = input.Labeling.b;
+            ubo = output.Labeling.b;
+            wbi = input.Labeling.b;
+            wbo = output.Labeling.b;
+            u = v;
+            w;
+            edge = hu / 2;
+            hu;
+            hw;
+            loop = w = v;
           }
       in
       node_ok && Array.for_all edge_ok halves)

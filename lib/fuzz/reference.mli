@@ -39,8 +39,8 @@ val node_verdicts :
     {e It does not matter how you define locally checkable labelings}):
     node [v] accepts iff [C_N] holds at [v] and [C_E] holds on every
     port of [v], evaluated with [v] as side [u]; a self-loop is so
-    checked in both orientations. Each node's views are rebuilt from its
-    own {!Repro_local.Ball.gather} at radius 1, through the ball's
+    checked in both orientations. Each node's views are windows built
+    from its own {!Repro_local.Ball.gather} at radius 1, through the ball's
     numbering (center ports, [to_global], the ascending-edge-id order of
     the induced edges), not through the CSR mates the sweep reads.
     Sequential and O(n·(n + m)): for small graphs only. *)

@@ -232,41 +232,51 @@ let edge_input_bad (u_in : node_label) (w_in : node_label) (bu : half_in)
   || dir bw.bl w_in.kind u_in.kind bu.bl
 
 let check_node ~delta (nv : (node_label, unit, half_in, node_out, unit, half_out) Ne_lcl.node_view) =
-  let out = nv.Ne_lcl.v_out in
-  let halves = nv.Ne_lcl.b_out in
-  let inputs = nv.Ne_lcl.b_in in
-  let mirrors_ok = Array.for_all (fun h -> h.mirror = out) halves in
+  let out = Ne_lcl.v_out nv in
+  let d = Ne_lcl.degree nv in
+  let all_halves f =
+    let ok = ref true in
+    for i = 0 to d - 1 do
+      if not (f (Ne_lcl.b_out nv i)) then ok := false
+    done;
+    !ok
+  in
+  let mirrors_ok = all_halves (fun h -> h.mirror = out) in
   let ok_clean =
     out.status <> NOk
     || (out.chains = []
-       && Array.for_all
-            (fun h ->
+       && all_halves (fun h ->
               (not h.bad_edge) && h.color_claim = None && h.to_next = []
-              && h.from_prev = [])
-            halves)
+              && h.from_prev = []))
   in
   (* this family needs no chains: forbid them entirely *)
   let no_chains =
-    out.chains = []
-    && Array.for_all (fun h -> h.to_next = [] && h.from_prev = []) halves
+    out.chains = [] && all_halves (fun h -> h.to_next = [] && h.from_prev = [])
   in
-  let has_label l = Array.exists (fun i -> i.bl = l) inputs in
+  let has_label l =
+    let found = ref false in
+    for i = 0 to d - 1 do
+      if (Ne_lcl.b_in nv i).bl = l then found := true
+    done;
+    !found
+  in
   let ptr_ok =
     match out.status with
     | NPtr Psi.PParent -> has_label Parent
     | NPtr Psi.PRChild -> has_label RChild
-    | NPtr Psi.PUp -> nv.Ne_lcl.v_in.kind <> Center && has_label Up
-    | NPtr (Psi.PDown i) -> nv.Ne_lcl.v_in.kind = Center && has_label (Down i)
+    | NPtr Psi.PUp -> (Ne_lcl.v_in nv).kind <> Center && has_label Up
+    | NPtr (Psi.PDown i) -> (Ne_lcl.v_in nv).kind = Center && has_label (Down i)
     | NPtr (Psi.PRight | Psi.PLeft) -> false (* not used by this family *)
     | NOk | NWit -> true
   in
   let justified =
     match out.status with
     | NWit ->
-      node_input_bad ~delta nv.Ne_lcl.v_in inputs
-      || Array.exists (fun h -> h.bad_edge) halves
+      node_input_bad ~delta (Ne_lcl.v_in nv) (Array.init d (Ne_lcl.b_in nv))
+      || not (all_halves (fun h -> not h.bad_edge))
       || (let claims =
-            Array.to_list halves |> List.filter_map (fun h -> h.color_claim)
+            List.init d (Ne_lcl.b_out nv)
+            |> List.filter_map (fun h -> h.color_claim)
           in
           let sorted = List.sort compare claims in
           let rec dup = function
@@ -279,8 +289,12 @@ let check_node ~delta (nv : (node_label, unit, half_in, node_out, unit, half_out
   mirrors_ok && ok_clean && no_chains && ptr_ok && justified
 
 let check_edge (ev : (node_label, unit, half_in, node_out, unit, half_out) Ne_lcl.edge_view) =
-  let mirrors = ev.Ne_lcl.bu_out.mirror = ev.Ne_lcl.u_out && ev.Ne_lcl.bw_out.mirror = ev.Ne_lcl.w_out in
-  let mix = (ev.Ne_lcl.u_out.status = NOk) = (ev.Ne_lcl.w_out.status = NOk) in
+  let u_in = Ne_lcl.u_in ev and w_in = Ne_lcl.w_in ev in
+  let u_out = Ne_lcl.u_out ev and w_out = Ne_lcl.w_out ev in
+  let bu_in = Ne_lcl.bu_in ev and bw_in = Ne_lcl.bw_in ev in
+  let bu_out = Ne_lcl.bu_out ev and bw_out = Ne_lcl.bw_out ev in
+  let mirrors = bu_out.mirror = u_out && bw_out.mirror = w_out in
+  let mix = (u_out.status = NOk) = (w_out.status = NOk) in
   let ptr_rule (src : node_out) (src_in : node_label) (lsrc : half_label)
       (dst : node_out) =
     match src.status with
@@ -308,18 +322,18 @@ let check_edge (ev : (node_label, unit, half_in, node_out, unit, half_out) Ne_lc
             (NOk | NPtr _) ) -> false)
   in
   let bad_edge_ok =
-    ((not ev.Ne_lcl.bu_out.bad_edge) && not ev.Ne_lcl.bw_out.bad_edge)
-    || edge_input_bad ev.Ne_lcl.u_in ev.Ne_lcl.w_in ev.Ne_lcl.bu_in ev.Ne_lcl.bw_in
+    ((not bu_out.bad_edge) && not bw_out.bad_edge)
+    || edge_input_bad u_in w_in bu_in bw_in
   in
   let claim_ok (h : half_out) (far : node_label) =
     match h.color_claim with None -> true | Some c -> far.color2 = c
   in
   mirrors && mix
-  && ptr_rule ev.Ne_lcl.u_out ev.Ne_lcl.u_in ev.Ne_lcl.bu_in.bl ev.Ne_lcl.w_out
-  && ptr_rule ev.Ne_lcl.w_out ev.Ne_lcl.w_in ev.Ne_lcl.bw_in.bl ev.Ne_lcl.u_out
+  && ptr_rule u_out u_in bu_in.bl w_out
+  && ptr_rule w_out w_in bw_in.bl u_out
   && bad_edge_ok
-  && claim_ok ev.Ne_lcl.bu_out ev.Ne_lcl.w_in
-  && claim_ok ev.Ne_lcl.bw_out ev.Ne_lcl.u_in
+  && claim_ok bu_out w_in
+  && claim_ok bw_out u_in
 
 let problem ~delta : problem_t =
   {

@@ -172,37 +172,42 @@ let is_clean h =
   && (match h.to_next with [] -> true | _ :: _ -> false)
   && match h.from_prev with [] -> true | _ :: _ -> false
 
+(* Ψ_G is checked at every gadget node and edge of every Π' check, so
+   [check_node]'s pass over the halves and [check_edge] read the
+   window's raw fields; the rarer predicates below (chains, pointers,
+   witnesses) read through {!Ne_lcl}'s accessors. *)
+
 (* the halves whose [tags] (e.g. [to_next_of]) carry [c]; [tags] is a
    top-level function, so passing it allocates nothing *)
-let count_tags tags c (halves : half_out array) =
+let count_tags tags c nv =
   let k = ref 0 in
-  for i = 0 to Array.length halves - 1 do
-    if chain_mem c (tags halves.(i)) then incr k
+  for i = 0 to Ne_lcl.degree nv - 1 do
+    if chain_mem c (tags (Ne_lcl.b_out nv i)) then incr k
   done;
   !k
 
 let to_next_of h = h.to_next
 let from_prev_of h = h.from_prev
 
-let rec chains_ok halves = function
+let rec chains_ok nv = function
   | [] -> true
   | c :: r ->
-    (c.cpos >= chain_last c.ckind || count_tags to_next_of c halves = 1)
-    && (c.cpos = 0 || count_tags from_prev_of c halves = 1)
-    && chains_ok halves r
+    (c.cpos >= chain_last c.ckind || count_tags to_next_of c nv = 1)
+    && (c.cpos = 0 || count_tags from_prev_of c nv = 1)
+    && chains_ok nv r
 
-(* [tags_ok] for one half. Every tag of every half is checked, with no
-   early exit: [chain_step] may raise on a later tag even after an
+(* The tag checks of one half. Every tag of every half is checked, with
+   no early exit: [chain_step] may raise on a later tag even after an
    earlier one failed. *)
-let rec next_tags_ok out (inputs : half_in array) idx ok = function
+let rec next_tags_ok out (input : half_in) ok = function
   | [] -> ok
   | c :: r ->
     let bad =
       (not (chain_mem c out.chains))
       || c.cpos >= chain_last c.ckind
-      || inputs.(idx).bl <> chain_step c.ckind c.cpos
+      || input.bl <> chain_step c.ckind c.cpos
     in
-    next_tags_ok out inputs idx (ok && not bad) r
+    next_tags_ok out input (ok && not bad) r
 
 let rec prev_tags_ok out ok = function
   | [] -> ok
@@ -210,40 +215,25 @@ let rec prev_tags_ok out ok = function
     let bad = (not (chain_mem c out.chains)) || c.cpos = 0 in
     prev_tags_ok out (ok && not bad) r
 
-let tags_ok out (halves : half_out array) (inputs : half_in array) =
-  let ok = ref true in
-  for idx = 0 to Array.length halves - 1 do
-    let h = halves.(idx) in
-    ok := next_tags_ok out inputs idx !ok h.to_next;
-    ok := prev_tags_ok out !ok h.from_prev
-  done;
-  !ok
+(* scans from port [i]; top-level so that it allocates nothing *)
+let rec has_label l nv i =
+  i < Ne_lcl.degree nv
+  && ((Ne_lcl.b_in nv i : half_in).bl = l || has_label l nv (i + 1))
 
-(* scans from index [i]; top-level so that they allocate nothing *)
-let rec has_label l (inputs : half_in array) i =
-  i < Array.length inputs && (inputs.(i).bl = l || has_label l inputs (i + 1))
-
-let rec mirrors_ok out (halves : half_out array) i =
-  i >= Array.length halves
-  || (mirror_ok halves.(i) out && mirrors_ok out halves (i + 1))
-
-let rec all_clean (halves : half_out array) i =
-  i >= Array.length halves || (is_clean halves.(i) && all_clean halves (i + 1))
-
-let rec any_bad_edge (halves : half_out array) i =
-  i < Array.length halves
-  && (halves.(i).bad_edge || any_bad_edge halves (i + 1))
+let rec any_bad_edge nv i =
+  i < Ne_lcl.degree nv
+  && ((Ne_lcl.b_out nv i : half_out).bad_edge || any_bad_edge nv (i + 1))
 
 (* two halves claim the same color *)
-let dup_claims (halves : half_out array) =
-  let d = Array.length halves in
+let dup_claims nv =
+  let d = Ne_lcl.degree nv in
   let found = ref false in
   for i = 0 to d - 1 do
-    match halves.(i).color_claim with
+    match (Ne_lcl.b_out nv i : half_out).color_claim with
     | None -> ()
     | Some a ->
       for j = i + 1 to d - 1 do
-        match halves.(j).color_claim with
+        match (Ne_lcl.b_out nv j : half_out).color_claim with
         | Some b when a = b -> found := true
         | Some _ | None -> ()
       done
@@ -263,32 +253,47 @@ let rec open_start chains = function
     || open_start chains r
 
 let check_node ~delta (nv : (node_label, unit, half_in, node_out, unit, half_out) Ne_lcl.node_view) =
-  let out = nv.v_out in
-  let halves = nv.b_out in
-  let inputs = nv.b_in in
-  (* the only predicate that can raise goes first, in full *)
-  tags_ok out halves inputs
-  && mirrors_ok out halves 0
+  let out : node_out = nv.Ne_lcl.vo.(nv.Ne_lcl.node) in
+  (* One pass reads each half once, from the window's raw fields (Ne_lcl's
+     raw window access). Every tag of every half is checked in full,
+     since that is the only predicate that can raise; the mirror and
+     cleanliness checks alongside it cannot, so the verdict and the
+     raising are those of checking the tags first. *)
+  let bo : half_out array = nv.Ne_lcl.bo and bi : half_in array = nv.Ne_lcl.bi in
+  let ports = nv.Ne_lcl.ports and lo = nv.Ne_lcl.lo in
+  let tags = ref true and mirrors = ref true and clean = ref true in
+  for i = 0 to nv.Ne_lcl.degree - 1 do
+    let p = ports.(lo + i) in
+    let h = bo.(p) in
+    (match h.to_next with
+    | [] -> ()
+    | l -> tags := next_tags_ok out bi.(p) !tags l);
+    tags := prev_tags_ok out !tags h.from_prev;
+    if not (mirror_ok h out) then mirrors := false;
+    if not (is_clean h) then clean := false
+  done;
+  !tags && !mirrors
   && ((not (is_nok out.status))
-     || (match out.chains with [] -> true | _ :: _ -> false)
-        && all_clean halves 0)
-  && chains_ok halves out.chains
+     || (match out.chains with [] -> true | _ :: _ -> false) && !clean)
+  && chains_ok nv out.chains
   && (* pointer well-formedness *)
   (match out.status with
-  | NPtr Psi.PRight -> has_label Right inputs 0
-  | NPtr Psi.PLeft -> has_label Left inputs 0
-  | NPtr Psi.PParent -> has_label Parent inputs 0
-  | NPtr Psi.PRChild -> has_label RChild inputs 0
-  | NPtr Psi.PUp -> nv.v_in.kind <> Center && has_label Up inputs 0
-  | NPtr (Psi.PDown i) -> nv.v_in.kind = Center && has_label (Down i) inputs 0
+  | NPtr Psi.PRight -> has_label Right nv 0
+  | NPtr Psi.PLeft -> has_label Left nv 0
+  | NPtr Psi.PParent -> has_label Parent nv 0
+  | NPtr Psi.PRChild -> has_label RChild nv 0
+  | NPtr Psi.PUp -> (Ne_lcl.v_in nv).kind <> Center && has_label Up nv 0
+  | NPtr (Psi.PDown i) ->
+    (Ne_lcl.v_in nv).kind = Center && has_label (Down i) nv 0
   | NOk | NWit -> true)
   &&
   (* witness justification *)
   match out.status with
   | NWit ->
-    node_input_bad ~delta nv.v_in inputs
-    || any_bad_edge halves 0
-    || dup_claims halves
+    node_input_bad ~delta (Ne_lcl.v_in nv)
+      (Array.init (Ne_lcl.degree nv) (Ne_lcl.b_in nv))
+    || any_bad_edge nv 0
+    || dup_claims nv
     || open_end out.chains out.chains
     || open_start out.chains out.chains
   | NOk | NPtr _ -> true
@@ -351,17 +356,23 @@ let chain_edge (h : half_out) (lsrc : half_in) (lfar : half_in)
   next_edge_ok lsrc far h.to_next && prev_edge_ok lfar far h.from_prev
 
 let check_edge (ev : (node_label, unit, half_in, node_out, unit, half_out) Ne_lcl.edge_view) =
-  mirror_ok ev.bu_out ev.u_out
-  && mirror_ok ev.bw_out ev.w_out
-  && is_nok ev.u_out.status = is_nok ev.w_out.status
-  && ptr_rule ev.u_out ev.u_in ev.bu_in.bl ev.w_out
-  && ptr_rule ev.w_out ev.w_in ev.bw_in.bl ev.u_out
-  && (((not ev.bu_out.bad_edge) && not ev.bw_out.bad_edge)
-     || edge_input_bad ev.u_in ev.w_in ev.bu_in ev.bw_in)
-  && claim_ok ev.bu_out ev.w_in
-  && claim_ok ev.bw_out ev.u_in
-  && chain_edge ev.bu_out ev.bu_in ev.bw_in ev.w_out
-  && chain_edge ev.bw_out ev.bw_in ev.bu_in ev.u_out
+  let u = ev.Ne_lcl.u and w = ev.Ne_lcl.w in
+  let hu = ev.Ne_lcl.hu and hw = ev.Ne_lcl.hw in
+  let u_in : node_label = ev.Ne_lcl.uvi.(u) and w_in : node_label = ev.Ne_lcl.wvi.(w) in
+  let u_out : node_out = ev.Ne_lcl.uvo.(u) and w_out : node_out = ev.Ne_lcl.wvo.(w) in
+  let bu_in : half_in = ev.Ne_lcl.ubi.(hu) and bw_in : half_in = ev.Ne_lcl.wbi.(hw) in
+  let bu_out : half_out = ev.Ne_lcl.ubo.(hu) and bw_out : half_out = ev.Ne_lcl.wbo.(hw) in
+  mirror_ok bu_out u_out
+  && mirror_ok bw_out w_out
+  && is_nok u_out.status = is_nok w_out.status
+  && ptr_rule u_out u_in bu_in.bl w_out
+  && ptr_rule w_out w_in bw_in.bl u_out
+  && (((not bu_out.bad_edge) && not bw_out.bad_edge)
+     || edge_input_bad u_in w_in bu_in bw_in)
+  && claim_ok bu_out w_in
+  && claim_ok bw_out u_in
+  && chain_edge bu_out bu_in bw_in w_out
+  && chain_edge bw_out bw_in bu_in u_out
 
 let problem ~delta : problem_t =
   {

@@ -1,33 +1,62 @@
 module G = Repro_graph.Multigraph
 module Pool = Repro_local.Pool
 
-(* View fields are mutable so [sweep] can refill one scratch view per
-   pool slot instead of allocating a view per node/edge per check.
-   Check functions receive views by reference and must not retain
-   them. *)
+(* A view is a window: the label arrays it reads plus the positions of
+   one node or edge in them. [sweep] moves one window per pool slot
+   from node to node by writing its int fields only; no label is ever
+   copied into a view. Check functions receive views by reference and
+   must not retain them. *)
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) node_view = {
+  mutable vi : 'vi array;
+  mutable vo : 'vo array;
+  mutable ei : 'ei array;
+  mutable eo : 'eo array;
+  mutable bi : 'bi array;
+  mutable bo : 'bo array;
+  mutable ports : int array;
+  mutable node : int;
+  mutable lo : int;
   mutable degree : int;
-  mutable v_in : 'vi;
-  mutable v_out : 'vo;
-  mutable e_in : 'ei array;
-  mutable e_out : 'eo array;
-  mutable b_in : 'bi array;
-  mutable b_out : 'bo array;
+  mutable edge_shift : int;
 }
 
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) edge_view = {
-  mutable self_loop : bool;
-  mutable u_in : 'vi;
-  mutable u_out : 'vo;
-  mutable w_in : 'vi;
-  mutable w_out : 'vo;
-  mutable ee_in : 'ei;
-  mutable ee_out : 'eo;
-  mutable bu_in : 'bi;
-  mutable bu_out : 'bo;
-  mutable bw_in : 'bi;
-  mutable bw_out : 'bo;
+  mutable uvi : 'vi array;
+  mutable uvo : 'vo array;
+  mutable wvi : 'vi array;
+  mutable wvo : 'vo array;
+  mutable eei : 'ei array;
+  mutable eeo : 'eo array;
+  mutable ubi : 'bi array;
+  mutable ubo : 'bo array;
+  mutable wbi : 'bi array;
+  mutable wbo : 'bo array;
+  mutable u : int;
+  mutable w : int;
+  mutable edge : int;
+  mutable hu : int;
+  mutable hw : int;
+  mutable loop : bool;
 }
+
+let degree (nv : _ node_view) = nv.degree
+let v_in (nv : _ node_view) = nv.vi.(nv.node)
+let v_out (nv : _ node_view) = nv.vo.(nv.node)
+let e_in (nv : _ node_view) i = nv.ei.(nv.ports.(nv.lo + i) lsr nv.edge_shift)
+let e_out (nv : _ node_view) i = nv.eo.(nv.ports.(nv.lo + i) lsr nv.edge_shift)
+let b_in (nv : _ node_view) i = nv.bi.(nv.ports.(nv.lo + i))
+let b_out (nv : _ node_view) i = nv.bo.(nv.ports.(nv.lo + i))
+let self_loop (ev : _ edge_view) = ev.loop
+let u_in (ev : _ edge_view) = ev.uvi.(ev.u)
+let u_out (ev : _ edge_view) = ev.uvo.(ev.u)
+let w_in (ev : _ edge_view) = ev.wvi.(ev.w)
+let w_out (ev : _ edge_view) = ev.wvo.(ev.w)
+let ee_in (ev : _ edge_view) = ev.eei.(ev.edge)
+let ee_out (ev : _ edge_view) = ev.eeo.(ev.edge)
+let bu_in (ev : _ edge_view) = ev.ubi.(ev.hu)
+let bu_out (ev : _ edge_view) = ev.ubo.(ev.hu)
+let bw_in (ev : _ edge_view) = ev.wbi.(ev.hw)
+let bw_out (ev : _ edge_view) = ev.wbo.(ev.hw)
 
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) t = {
   name : string;
@@ -41,122 +70,117 @@ let pp_violation fmt = function
   | Node v -> Format.fprintf fmt "node %d" v
   | Edge e -> Format.fprintf fmt "edge %d" e
 
-(* refill [nv] for node [v]; the caller guarantees the view's arrays have
-   length [degree v] (views are cached per degree) *)
-let fill_node_view g ~(input : _ Labeling.t) ~(output : _ Labeling.t) nv v =
-  let off = G.ports_off g and prt = G.ports_flat g in
-  let lo = off.(v) in
-  let d = off.(v + 1) - lo in
-  nv.degree <- d;
-  nv.v_in <- input.Labeling.v.(v);
-  nv.v_out <- output.Labeling.v.(v);
-  for i = 0 to d - 1 do
-    let h = prt.(lo + i) in
-    let e = G.edge_of_half h in
-    nv.e_in.(i) <- input.Labeling.e.(e);
-    nv.e_out.(i) <- output.Labeling.e.(e);
-    nv.b_in.(i) <- input.Labeling.b.(h);
-    nv.b_out.(i) <- output.Labeling.b.(h)
-  done
+(* windows onto [g]'s labelings, not yet at any node or edge *)
+let graph_node_view g ~(input : _ Labeling.t) ~(output : _ Labeling.t) =
+  {
+    vi = input.Labeling.v;
+    vo = output.Labeling.v;
+    ei = input.Labeling.e;
+    eo = output.Labeling.e;
+    bi = input.Labeling.b;
+    bo = output.Labeling.b;
+    ports = G.ports_flat g;
+    node = 0;
+    lo = 0;
+    degree = 0;
+    edge_shift = 1;
+  }
 
-let node_view g ~(input : _ Labeling.t) ~(output : _ Labeling.t) v =
-  let d = G.degree g v in
-  let h0 = if d = 0 then 0 else G.half_at g v 0 in
-  (* seed the arrays from real label values so they get the element
-     type's representation, then fill in place *)
-  let make a i = if d = 0 then [||] else Array.make d a.(i) in
-  let nv =
-    {
-      degree = d;
-      v_in = input.Labeling.v.(v);
-      v_out = output.Labeling.v.(v);
-      e_in = make input.Labeling.e (G.edge_of_half h0);
-      e_out = make output.Labeling.e (G.edge_of_half h0);
-      b_in = make input.Labeling.b h0;
-      b_out = make output.Labeling.b h0;
-    }
-  in
-  fill_node_view g ~input ~output nv v;
+let graph_edge_view ~(input : _ Labeling.t) ~(output : _ Labeling.t) =
+  {
+    uvi = input.Labeling.v;
+    uvo = output.Labeling.v;
+    wvi = input.Labeling.v;
+    wvo = output.Labeling.v;
+    eei = input.Labeling.e;
+    eeo = output.Labeling.e;
+    ubi = input.Labeling.b;
+    ubo = output.Labeling.b;
+    wbi = input.Labeling.b;
+    wbo = output.Labeling.b;
+    u = 0;
+    w = 0;
+    edge = 0;
+    hu = 0;
+    hw = 0;
+    loop = false;
+  }
+
+(* move a graph window to node [v] / edge [e]: ints only *)
+let at_node off (nv : _ node_view) v =
+  let lo = off.(v) in
+  nv.node <- v;
+  nv.lo <- lo;
+  nv.degree <- off.(v + 1) - lo
+
+let at_edge hn (ev : _ edge_view) e =
+  let hu = 2 * e in
+  let u = hn.(hu) and w = hn.(hu + 1) in
+  ev.u <- u;
+  ev.w <- w;
+  ev.edge <- e;
+  ev.hu <- hu;
+  ev.hw <- hu + 1;
+  ev.loop <- u = w
+
+let node_view g ~input ~output v =
+  let nv = graph_node_view g ~input ~output in
+  at_node (G.ports_off g) nv v;
   nv
 
-let fill_edge_view g ~(input : _ Labeling.t) ~(output : _ Labeling.t) ev e =
-  let hu = 2 * e in
-  let hw = (2 * e) + 1 in
-  let u = G.half_node g hu and w = G.half_node g hw in
-  ev.self_loop <- u = w;
-  ev.u_in <- input.Labeling.v.(u);
-  ev.u_out <- output.Labeling.v.(u);
-  ev.w_in <- input.Labeling.v.(w);
-  ev.w_out <- output.Labeling.v.(w);
-  ev.ee_in <- input.Labeling.e.(e);
-  ev.ee_out <- output.Labeling.e.(e);
-  ev.bu_in <- input.Labeling.b.(hu);
-  ev.bu_out <- output.Labeling.b.(hu);
-  ev.bw_in <- input.Labeling.b.(hw);
-  ev.bw_out <- output.Labeling.b.(hw)
-
-let edge_view g ~(input : _ Labeling.t) ~(output : _ Labeling.t) e =
-  let u, w = G.endpoints g e in
-  let hu, hw = G.halves_of_edge e in
-  {
-    self_loop = u = w;
-    u_in = input.Labeling.v.(u);
-    u_out = output.Labeling.v.(u);
-    w_in = input.Labeling.v.(w);
-    w_out = output.Labeling.v.(w);
-    ee_in = input.Labeling.e.(e);
-    ee_out = output.Labeling.e.(e);
-    bu_in = input.Labeling.b.(hu);
-    bu_out = output.Labeling.b.(hu);
-    bw_in = input.Labeling.b.(hw);
-    bw_out = output.Labeling.b.(hw);
-  }
+let edge_view g ~input ~output e =
+  let ev = graph_edge_view ~input ~output in
+  at_edge (G.half_node_flat g) ev e;
+  ev
 
 type bad = { bad_nodes : int list; bad_edges : int list }
 
+type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) slot = {
+  nv : ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) node_view;
+  ev : ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) edge_view;
+  mutable bad_ns : int list;
+  mutable bad_es : int list;
+}
+
 (* Two pool loops: index [v] of the first evaluates C_N at node [v],
    index [e] of the second C_E at edge [e] in the canonical orientation
-   of [fill_edge_view], so each node and each edge is evaluated exactly
-   once and the labels are read in id order. Each slot keeps one node
-   view per degree (the arrays are degree-sized), one edge view, and
-   its own lists of bad nodes and edges. The union of those lists does
-   not depend on which slot ran which index, so sorting it gives the
-   same result at every pool size; and a valid output costs no
-   O(n + m) flag array. *)
+   of [at_edge], so each node and each edge is evaluated exactly once
+   and the labels are read in id order. Each slot keeps one node window,
+   one edge window and its own lists of bad nodes and edges, all padded
+   onto cache lines of their own: a window's int fields are written at
+   every index, and two slots sharing a line would make the domains
+   invalidate each other's reads. The union of the bad lists does not
+   depend on which slot ran which index, so sorting it gives the same
+   result at every pool size; and a valid output costs no O(n + m) flag
+   array. *)
 let sweep p g ~input ~output =
-  let slots = Pool.worker_slots () in
-  let nvs = Array.init slots (fun _ -> Array.make (G.max_degree g + 1) None) in
-  let evs = Array.make slots None in
-  let bad_nodes = Array.make slots [] and bad_edges = Array.make slots [] in
-  Pool.parallel_for ~grain:400 ~n:(G.n g) (fun v ->
-      let wi = Pool.worker_index () in
-      let d = G.degree g v in
-      let nv =
-        match nvs.(wi).(d) with
-        | Some nv -> nv
-        | None ->
-          let nv = node_view g ~input ~output v in
-          nvs.(wi).(d) <- Some nv;
-          nv
-      in
-      fill_node_view g ~input ~output nv v;
-      if not (p.check_node nv) then bad_nodes.(wi) <- v :: bad_nodes.(wi));
-  Pool.parallel_for ~grain:200 ~n:(G.m g) (fun e ->
-      let wi = Pool.worker_index () in
-      let ev =
-        match evs.(wi) with
-        | Some ev -> ev
-        | None ->
-          let ev = edge_view g ~input ~output e in
-          evs.(wi) <- Some ev;
-          ev
-      in
-      fill_edge_view g ~input ~output ev e;
-      if not (p.check_edge ev) then bad_edges.(wi) <- e :: bad_edges.(wi));
-  let ascending per_slot =
-    List.sort Int.compare (Array.fold_left List.rev_append [] per_slot)
+  let slots =
+    Array.init (Pool.worker_slots ()) (fun _ ->
+        Pool.padded
+          {
+            nv = Pool.padded (graph_node_view g ~input ~output);
+            ev = Pool.padded (graph_edge_view ~input ~output);
+            bad_ns = [];
+            bad_es = [];
+          })
   in
-  { bad_nodes = ascending bad_nodes; bad_edges = ascending bad_edges }
+  let off = G.ports_off g and hn = G.half_node_flat g in
+  Pool.parallel_for ~grain:400 ~n:(G.n g) (fun v ->
+      let s = slots.(Pool.worker_index ()) in
+      at_node off s.nv v;
+      if not (p.check_node s.nv) then s.bad_ns <- v :: s.bad_ns);
+  Pool.parallel_for ~grain:200 ~n:(G.m g) (fun e ->
+      let s = slots.(Pool.worker_index ()) in
+      at_edge hn s.ev e;
+      if not (p.check_edge s.ev) then s.bad_es <- e :: s.bad_es);
+  let ascending bad =
+    List.sort Int.compare
+      (Array.fold_left (fun acc s -> List.rev_append (bad s) acc) [] slots)
+  in
+  {
+    bad_nodes = ascending (fun s -> s.bad_ns);
+    bad_edges = ascending (fun s -> s.bad_es);
+  }
 
 let violations p g ~input ~output =
   let b = sweep p g ~input ~output in

@@ -13,36 +13,99 @@
     node; the node view sees both half-edges of the loop on their two
     ports.
 
-    Every check here is derived from one sweep, {!sweep}. View fields
-    are mutable so it can refill one scratch view per pool slot instead
-    of allocating a view per constraint evaluation; construction syntax
-    is unchanged. Check functions receive views by reference, valid only
-    for the duration of the call — they must not retain a view or its
-    arrays. *)
+    Every check here is derived from one sweep, {!sweep}. A view is a
+    window, not a copy: it holds the label arrays it reads and the
+    position of one node or edge in them, and checks read labels
+    through the accessors below. The sweep keeps one window per pool
+    slot and moves it from node to node by writing its int fields only.
+    Fields are mutable so that a caller can also point a window at
+    arrays of its own (Π' points one at a Σ_list). Check functions
+    receive views by reference, valid only for the duration of the call
+    — they must not retain a view. *)
+
+(** {1 Raw window access}
+
+    The fields are the raw window. Node [nv]'s labels are
+    [nv.vi.(nv.node)] and [nv.vo.(nv.node)]; its port [i]
+    ([0 <= i < nv.degree]) is half [h = nv.ports.(nv.lo + i)], with
+    labels [nv.bi.(h)], [nv.bo.(h)] and edge labels
+    [nv.ei.(h lsr nv.edge_shift)], [nv.eo.(h lsr nv.edge_shift)]. Edge
+    [ev]'s labels are [ev.uvi.(ev.u)] and [ev.wvi.(ev.w)] (outputs
+    likewise), [ev.eei.(ev.edge)], [ev.ubi.(ev.hu)] and [ev.wbi.(ev.hw)].
+    The accessors of the next section say the same; a kernel that runs
+    at every node or edge of every check (SO's, Ψ_G's and Π''s) reads
+    the fields instead, because the default dune profile compiles with
+    [-opaque] and so no accessor is inlined across modules, as
+    {!Repro_graph.Multigraph}'s hot loops read its raw CSR arrays. *)
 
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) node_view = {
+  mutable vi : 'vi array;    (** node labels; this node's is [vi.(node)] *)
+  mutable vo : 'vo array;
+  mutable ei : 'ei array;    (** edge labels, indexed by [half lsr edge_shift] *)
+  mutable eo : 'eo array;
+  mutable bi : 'bi array;    (** half-edge labels, indexed by half *)
+  mutable bo : 'bo array;
+  mutable ports : int array; (** port [i]'s half is [ports.(lo + i)] *)
+  mutable node : int;
+  mutable lo : int;
   mutable degree : int;
-  mutable v_in : 'vi;
-  mutable v_out : 'vo;
-  mutable e_in : 'ei array;   (** incident edge inputs, port order *)
-  mutable e_out : 'eo array;
-  mutable b_in : 'bi array;   (** this node's half-edge inputs, port order *)
-  mutable b_out : 'bo array;
+  mutable edge_shift : int;  (** 1 on a graph (edge [h / 2]), 0 when halves are edges *)
 }
 
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) edge_view = {
-  mutable self_loop : bool;
-  mutable u_in : 'vi;
-  mutable u_out : 'vo;
-  mutable w_in : 'vi;         (** other endpoint (equal to [u_*] for a self-loop) *)
-  mutable w_out : 'vo;
-  mutable ee_in : 'ei;
-  mutable ee_out : 'eo;
-  mutable bu_in : 'bi;        (** half at u (side 0 of the edge) *)
-  mutable bu_out : 'bo;
-  mutable bw_in : 'bi;        (** half at w (side 1) *)
-  mutable bw_out : 'bo;
+  mutable uvi : 'vi array;   (** side u's node labels, at [u] *)
+  mutable uvo : 'vo array;
+  mutable wvi : 'vi array;   (** side w's node labels, at [w] *)
+  mutable wvo : 'vo array;
+  mutable eei : 'ei array;   (** edge labels, at [edge] *)
+  mutable eeo : 'eo array;
+  mutable ubi : 'bi array;   (** side u's half labels, at [hu] *)
+  mutable ubo : 'bo array;
+  mutable wbi : 'bi array;   (** side w's half labels, at [hw] *)
+  mutable wbo : 'bo array;
+  mutable u : int;
+  mutable w : int;
+  mutable edge : int;
+  mutable hu : int;
+  mutable hw : int;
+  mutable loop : bool;       (** a self-loop: both sides are one node *)
 }
+
+(** {1 Reading a view} *)
+
+val degree : (_, _, _, _, _, _) node_view -> int
+val v_in : ('vi, _, _, _, _, _) node_view -> 'vi
+val v_out : (_, _, _, 'vo, _, _) node_view -> 'vo
+
+val e_in : (_, 'ei, _, _, _, _) node_view -> int -> 'ei
+(** [e_in nv i]: the input of the edge on port [i], [0 <= i < degree nv]. *)
+
+val e_out : (_, _, _, _, 'eo, _) node_view -> int -> 'eo
+
+val b_in : (_, _, 'bi, _, _, _) node_view -> int -> 'bi
+(** [b_in nv i]: the input of this node's half-edge on port [i]. *)
+
+val b_out : (_, _, _, _, _, 'bo) node_view -> int -> 'bo
+val self_loop : (_, _, _, _, _, _) edge_view -> bool
+val u_in : ('vi, _, _, _, _, _) edge_view -> 'vi
+val u_out : (_, _, _, 'vo, _, _) edge_view -> 'vo
+
+val w_in : ('vi, _, _, _, _, _) edge_view -> 'vi
+(** The other endpoint (the same node as [u_in] for a self-loop). *)
+
+val w_out : (_, _, _, 'vo, _, _) edge_view -> 'vo
+val ee_in : (_, 'ei, _, _, _, _) edge_view -> 'ei
+val ee_out : (_, _, _, _, 'eo, _) edge_view -> 'eo
+
+val bu_in : (_, _, 'bi, _, _, _) edge_view -> 'bi
+(** The half at u (side 0 of the edge). *)
+
+val bu_out : (_, _, _, _, _, 'bo) edge_view -> 'bo
+
+val bw_in : (_, _, 'bi, _, _, _) edge_view -> 'bi
+(** The half at w (side 1). *)
+
+val bw_out : (_, _, _, _, _, 'bo) edge_view -> 'bo
 
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) t = {
   name : string;
@@ -60,6 +123,7 @@ val node_view :
   output:('vo, 'eo, 'bo) Labeling.t ->
   int ->
   ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) node_view
+(** A fresh window onto the labelings at one node. *)
 
 val edge_view :
   Repro_graph.Multigraph.t ->
@@ -67,6 +131,8 @@ val edge_view :
   output:('vo, 'eo, 'bo) Labeling.t ->
   int ->
   ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) edge_view
+(** A fresh window onto the labelings at one edge, in {!sweep}'s
+    orientation. *)
 
 type bad = {
   bad_nodes : int list;  (** nodes where [C_N] fails, ascending *)
@@ -83,11 +149,12 @@ val sweep :
     {!Repro_local.Pool.parallel_for} evaluates [C_N] at every node once,
     a second evaluates [C_E] at every edge once, in the canonical
     orientation of {!edge_view}: side [u] is half [2e], side [w] half
-    [2e + 1]. Each pool slot keeps one scratch node view per degree, one
-    edge view and its own lists of bad indices, which are merged and
-    sorted at the end, so the result is the same at every pool size and
-    a sweep allocates O(slots · max_degree) words plus three per bad
-    node or edge, not a view per node or edge.
+    [2e + 1]. Each pool slot keeps one node window, one edge window and
+    its own lists of bad indices, each padded onto cache lines of its
+    own ({!Repro_local.Pool.padded}); the lists are merged and sorted at
+    the end, so the result is the same at every pool size. A sweep
+    writes ints into its windows, never labels, and allocates O(slots)
+    words plus three per bad node or edge, not a view per node or edge.
 
     Evaluating an edge in one orientation only is exact because every
     [C_E] must be invariant under swapping its two sides; the test suite

@@ -163,6 +163,19 @@ let index_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
 let worker_index () = Domain.DLS.get index_key
 let worker_slots () = size ()
 
+(* A 64-byte cache line holds 8 words on a 64-bit host. *)
+let line_words = 8
+
+let padded (r : 'a) : 'a =
+  let o = Obj.repr r in
+  if Obj.tag o >= Obj.lazy_tag then invalid_arg "Pool.padded";
+  let n = Obj.size o in
+  let b = Obj.new_block (Obj.tag o) (n + line_words) in
+  for i = 0 to n - 1 do
+    Obj.set_field b i (Obj.field o i)
+  done;
+  Obj.obj b
+
 (* give Span its slot geometry: repro_obs cannot depend on this library,
    so the pool registers itself (module initialization runs before any
    engine code can arm a recording) *)

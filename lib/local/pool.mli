@@ -90,6 +90,17 @@ val worker_slots : unit -> int
 (** Upper bound (exclusive) on {!worker_index} until the next
     [set_size]: the number of scratch slots an engine must allocate. *)
 
+val padded : 'a -> 'a
+(** [padded r] is a copy of the record [r] followed by one cache line of
+    unused words. Per-slot scratch that a loop body writes at every
+    index is made through it: two padded records then never share a
+    cache line, so one domain's writes do not keep invalidating the line
+    another domain is reading (false sharing). The copy's fields are
+    [r]'s; mutating one does not touch the other. Works on any block
+    with scannable fields (records, tuples, non-constant variants).
+    @raise Invalid_argument on immediates, closures, lazy values,
+    objects, floats, strings and float records. *)
+
 val set_size : int -> unit
 (** Override the pool size at runtime (used by the bench harness to
     measure sequential vs. parallel in one process, and by the

@@ -18,17 +18,23 @@ let delta_of (spec : _ Spec.t) = spec.Spec.hard_max_degree
 (* Constraints of Π' (§3.3)                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Scratch views. Constraint 2 hands Ψ_G a sub-view of a node (its
-   gadget halves only) or an edge; constraint 5 hands Π a view of the
-   hypothetical node encoded in Σ_list, and constraint 6 one of the
-   virtual edge. Rather than build these per call, each padded problem
-   keeps one set per pool slot and refills it in place (DESIGN.md §18).
-   Node views are kept per degree, since a view's arrays must have
-   exactly [degree] entries. A check that nests — Π''s constraint 5 runs
-   Π's own node check, which for Π = Π^i is again a padded check —
-   reaches a different problem's scratch, so no two live checks on one
-   domain share a view. Views are never retained past the sub-check that
-   reads them. *)
+(* Scratch views. Constraint 5 hands Π a view of the hypothetical node
+   encoded in Σ_list, and constraint 6 one of the virtual edge. Both are
+   windows pointed straight at the Σ_list's arrays, with the selected
+   ports as an int index; only the Σ_list's node labels, which are
+   fields, go into one-slot arrays of the view's own. Every store into a
+   view is skipped when the slot already holds the same ([==]) value, so
+   a gadget component, whose nodes all share one Σ_list, writes no label
+   at all. Constraint 2 hands Ψ_G a sub-view of a node (its gadget
+   halves only) or an edge. Its labels are projections ([gad_v],
+   [gad_b], [psi_v], the [h] of [Some h]) with no array to point at, so
+   these two sub-views are the only ones that copy, into arrays of their
+   own (DESIGN.md §18). Each padded problem keeps one set per pool slot,
+   padded onto cache lines of its own. A check that nests — Π''s
+   constraint 5 runs Π's own node check, which for Π = Π^i is again a
+   padded check — reaches a different problem's scratch, so no two live
+   checks on one domain share a view. Views are never retained past the
+   sub-check that reads them. *)
 
 type psi_node_view =
   (GL.node_label, unit, NP.half_in, NP.node_out, unit, NP.half_out)
@@ -39,9 +45,9 @@ type psi_edge_view =
   Ne_lcl.edge_view
 
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) scratch = {
-  mutable psi_nv : psi_node_view array; (* by sub-degree *)
+  psi_nv : psi_node_view;
   psi_ev : psi_edge_view;
-  mutable hyp_nv : ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) Ne_lcl.node_view array;
+  hyp_nv : ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) Ne_lcl.node_view;
   pi_ev : ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) Ne_lcl.edge_view;
 }
 
@@ -61,63 +67,63 @@ let default_psi_b =
     from_prev = [];
   }
 
-let psi_node_view d : psi_node_view =
+(* [a.(i) <- x] unless [a.(i)] already is [x] *)
+let[@inline] store a i x = if a.(i) != x then a.(i) <- x
+
+(* Views over arrays of their own, seeded with default labels (which
+   gives the arrays the label types' representation). Node labels sit in
+   one-slot arrays; a node view's edge and half arrays start empty, and
+   are grown (the Ψ_G sub-view) or pointed at a Σ_list's (the
+   hypothetical node). *)
+let own_node_view ~vi ~vo : _ Ne_lcl.node_view =
   {
-    Ne_lcl.degree = d;
-    v_in = default_gad_v;
-    v_out = default_psi_v;
-    e_in = Array.make d ();
-    e_out = Array.make d ();
-    b_in = Array.make d default_gad_b;
-    b_out = Array.make d default_psi_b;
+    Ne_lcl.vi = [| vi |];
+    vo = [| vo |];
+    ei = [||];
+    eo = [||];
+    bi = [||];
+    bo = [||];
+    ports = [||];
+    node = 0;
+    lo = 0;
+    degree = 0;
+    edge_shift = 0;
   }
 
-(* the Π views are seeded with the spec's default labels, which gives
-   their arrays the label types' representation *)
-let hyp_node_view (spec : _ Spec.t) d : _ Ne_lcl.node_view =
+let own_edge_view ~vi ~vo ~ei ~eo ~bi ~bo : _ Ne_lcl.edge_view =
   {
-    Ne_lcl.degree = d;
-    v_in = spec.Spec.dvi;
-    v_out = spec.Spec.dvo;
-    e_in = Array.make d spec.Spec.dei;
-    e_out = Array.make d spec.Spec.deo;
-    b_in = Array.make d spec.Spec.dbi;
-    b_out = Array.make d spec.Spec.dbo;
+    Ne_lcl.uvi = [| vi |];
+    uvo = [| vo |];
+    wvi = [| vi |];
+    wvo = [| vo |];
+    eei = [| ei |];
+    eeo = [| eo |];
+    ubi = [| bi |];
+    ubo = [| bo |];
+    wbi = [| bi |];
+    wbo = [| bo |];
+    u = 0;
+    w = 0;
+    edge = 0;
+    hu = 0;
+    hw = 0;
+    loop = false;
   }
 
 let fresh_scratch (spec : _ Spec.t) =
-  {
-    psi_nv = [||];
-    psi_ev =
-      {
-        Ne_lcl.self_loop = false;
-        u_in = default_gad_v;
-        u_out = default_psi_v;
-        w_in = default_gad_v;
-        w_out = default_psi_v;
-        ee_in = ();
-        ee_out = ();
-        bu_in = default_gad_b;
-        bu_out = default_psi_b;
-        bw_in = default_gad_b;
-        bw_out = default_psi_b;
-      };
-    hyp_nv = [||];
-    pi_ev =
-      {
-        Ne_lcl.self_loop = false;
-        u_in = spec.Spec.dvi;
-        u_out = spec.Spec.dvo;
-        w_in = spec.Spec.dvi;
-        w_out = spec.Spec.dvo;
-        ee_in = spec.Spec.dei;
-        ee_out = spec.Spec.deo;
-        bu_in = spec.Spec.dbi;
-        bu_out = spec.Spec.dbo;
-        bw_in = spec.Spec.dbi;
-        bw_out = spec.Spec.dbo;
-      };
-  }
+  Pool.padded
+    {
+      psi_nv = Pool.padded (own_node_view ~vi:default_gad_v ~vo:default_psi_v);
+      psi_ev =
+        Pool.padded
+          (own_edge_view ~vi:default_gad_v ~vo:default_psi_v ~ei:() ~eo:()
+             ~bi:default_gad_b ~bo:default_psi_b);
+      hyp_nv = Pool.padded (own_node_view ~vi:spec.Spec.dvi ~vo:spec.Spec.dvo);
+      pi_ev =
+        Pool.padded
+          (own_edge_view ~vi:spec.Spec.dvi ~vo:spec.Spec.dvo ~ei:spec.Spec.dei
+             ~eo:spec.Spec.deo ~bi:spec.Spec.dbi ~bo:spec.Spec.dbo);
+    }
 
 (* The calling pool slot's scratch ({!Pool.worker_index}), made on the
    slot's first check. The slot array grows on demand, since a padded
@@ -149,86 +155,55 @@ let slot_scratch slots spec =
     sc
   end
 
-(* the view of degree [d] in a per-degree cache, growing it on first use *)
-let view_of_degree views make d =
-  let have = Array.length views in
-  if d < have then views
-  else Array.init (max (d + 1) (2 * have)) (fun k ->
-      if k < have then views.(k) else make k)
-
+(* Ψ_G's node sub-view, with room for [d] ports *)
 let psi_sub_view sc d =
-  if d >= Array.length sc.psi_nv then
-    sc.psi_nv <- view_of_degree sc.psi_nv psi_node_view d;
-  sc.psi_nv.(d)
-
-let hyp_view spec sc d =
-  if d >= Array.length sc.hyp_nv then
-    sc.hyp_nv <- view_of_degree sc.hyp_nv (hyp_node_view spec) d;
-  sc.hyp_nv.(d)
+  let v = sc.psi_nv in
+  if Array.length v.Ne_lcl.bi < d then begin
+    v.Ne_lcl.ei <- Array.make d ();
+    v.Ne_lcl.eo <- Array.make d ();
+    v.Ne_lcl.bi <- Array.make d default_gad_b;
+    v.Ne_lcl.bo <- Array.make d default_psi_b;
+    v.Ne_lcl.ports <- Array.init d Fun.id
+  end;
+  v
 
 let is_nok (o : NP.node_out) =
   match o.NP.status with NP.NOk -> true | NP.NPtr _ | NP.NWit -> false
 
-(* Constraint 2 at a node: Ψ_G's node constraint over gadget edges only. *)
-let psi_node_ok ~(family : Family.t) sc (nv : _ Ne_lcl.node_view) =
-  let e_in = nv.Ne_lcl.e_in and b_in = nv.Ne_lcl.b_in in
-  let b_out = nv.Ne_lcl.b_out in
-  let k = ref 0 and some_ok = ref true in
-  for i = 0 to Array.length e_in - 1 do
-    if (e_in.(i) : _ pe_in).etype = GadEdge then begin
-      incr k;
-      match b_out.(i) with Some _ -> () | None -> some_ok := false
-    end
-  done;
-  !some_ok
-  &&
-  let psi_view = psi_sub_view sc !k in
-  psi_view.Ne_lcl.v_in <- (nv.Ne_lcl.v_in : _ pv_in).gad_v;
-  psi_view.Ne_lcl.v_out <- (nv.Ne_lcl.v_out : _ pv_out).psi_v;
-  let j = ref 0 in
-  for i = 0 to Array.length e_in - 1 do
-    if (e_in.(i) : _ pe_in).etype = GadEdge then begin
-      psi_view.Ne_lcl.b_in.(!j) <- (b_in.(i) : _ pb_in).gad_b;
-      (match b_out.(i) with
-      | Some h -> psi_view.Ne_lcl.b_out.(!j) <- h
-      | None -> assert false);
-      incr j
-    end
-  done;
-  family.Family.ne_problem.Ne_lcl.check_node psi_view
-
 (* Constraint 5's hypothetical node: Π's node constraint on the virtual
-   node encoded in Σ_list. *)
+   node encoded in Σ_list, a window on its arrays through the index of
+   its selected ports *)
 let hypothetical_node_ok spec sc (l : _ sigma_list) =
+  let hv = sc.hyp_nv in
+  let s = l.s in
+  if Array.length hv.Ne_lcl.ports < Array.length s then
+    hv.Ne_lcl.ports <- Array.make (Array.length s) 0;
+  let sel = hv.Ne_lcl.ports in
   let k = ref 0 in
-  for i = 0 to Array.length l.s - 1 do
-    if l.s.(i) then incr k
-  done;
-  let view = hyp_view spec sc !k in
-  view.Ne_lcl.v_in <- l.iv;
-  view.Ne_lcl.v_out <- l.ov;
-  let j = ref 0 in
-  for i = 0 to Array.length l.s - 1 do
-    if l.s.(i) then begin
-      view.Ne_lcl.e_in.(!j) <- l.ie.(i);
-      view.Ne_lcl.e_out.(!j) <- l.oe.(i);
-      view.Ne_lcl.b_in.(!j) <- l.ib.(i);
-      view.Ne_lcl.b_out.(!j) <- l.ob.(i);
-      incr j
+  for i = 0 to Array.length s - 1 do
+    if s.(i) then begin
+      sel.(!k) <- i;
+      incr k
     end
   done;
-  spec.Spec.problem.Ne_lcl.check_node view
+  store hv.Ne_lcl.vi 0 l.iv;
+  store hv.Ne_lcl.vo 0 l.ov;
+  if hv.Ne_lcl.ei != l.ie then hv.Ne_lcl.ei <- l.ie;
+  if hv.Ne_lcl.eo != l.oe then hv.Ne_lcl.eo <- l.oe;
+  if hv.Ne_lcl.bi != l.ib then hv.Ne_lcl.bi <- l.ib;
+  if hv.Ne_lcl.bo != l.ob then hv.Ne_lcl.bo <- l.ob;
+  hv.Ne_lcl.degree <- !k;
+  spec.Spec.problem.Ne_lcl.check_node hv
 
 (* constraint 5's copy rule: the unique incident port edge's Π-inputs
    are the Σ_list entries of port [i] *)
-let port_inputs_copied (l : _ sigma_list) i (nv : _ Ne_lcl.node_view) =
+let port_inputs_copied (l : _ sigma_list) i nv =
   let ok = ref true in
-  let e_in = nv.Ne_lcl.e_in in
-  for k = 0 to Array.length e_in - 1 do
-    let e : _ pe_in = e_in.(k) in
+  for k = 0 to Ne_lcl.degree nv - 1 do
+    let e : _ pe_in = Ne_lcl.e_in nv k in
     if e.etype = PortEdge then begin
       if l.ie.(i - 1) <> e.pi_e then ok := false;
-      if l.ib.(i - 1) <> (nv.Ne_lcl.b_in.(k) : _ pb_in).pi_b then ok := false
+      if l.ib.(i - 1) <> (Ne_lcl.b_in nv k : _ pb_in).pi_b then ok := false
     end
   done;
   !ok
@@ -236,32 +211,56 @@ let port_inputs_copied (l : _ sigma_list) i (nv : _ Ne_lcl.node_view) =
 (* Every constraint is evaluated, in this order, before the verdict is
    combined: a sub-check that raises on malformed labels raises no matter
    how the others come out. *)
-let check_node ~(family : Family.t) ~slots spec (nv : _ Ne_lcl.node_view) =
+let check_node ~(family : Family.t) ~slots spec nv =
   let sc = slot_scratch slots spec in
   let delta = family.Family.delta in
-  let vin : _ pv_in = nv.Ne_lcl.v_in in
-  let vout : _ pv_out = nv.Ne_lcl.v_out in
-  let e_in = nv.Ne_lcl.e_in and b_out = nv.Ne_lcl.b_out in
-  (* constraint 1: ε exactly on port-edge halves *)
-  let eps_ok = ref true in
-  for k = 0 to nv.Ne_lcl.degree - 1 do
-    let is_port = (e_in.(k) : _ pe_in).etype = PortEdge in
-    match b_out.(k) with
-    | None -> if not is_port then eps_ok := false
-    | Some _ -> if is_port then eps_ok := false
+  (* the window's raw fields (Ne_lcl's raw window access): this kernel
+     runs at every padded node of every check *)
+  let vin : _ pv_in = nv.Ne_lcl.vi.(nv.Ne_lcl.node) in
+  let vout : _ pv_out = nv.Ne_lcl.vo.(nv.Ne_lcl.node) in
+  let ei : _ pe_in array = nv.Ne_lcl.ei and bi : _ pb_in array = nv.Ne_lcl.bi in
+  let bo : pb_out array = nv.Ne_lcl.bo and ports = nv.Ne_lcl.ports in
+  let lo = nv.Ne_lcl.lo and shift = nv.Ne_lcl.edge_shift in
+  let d = nv.Ne_lcl.degree in
+  (* One pass reads each port's labels once: constraint 1 (ε exactly on
+     port-edge halves), the port-edge count of constraint 3, and the
+     gadget halves of constraint 2's Ψ_G sub-view, copied into it *)
+  let sub = psi_sub_view sc d in
+  let eps_ok = ref true and port_edges = ref 0 in
+  let gad_some = ref true and k = ref 0 in
+  for i = 0 to d - 1 do
+    let h = ports.(lo + i) in
+    let gad = ei.(h lsr shift).etype = GadEdge in
+    if not gad then incr port_edges;
+    match bo.(h) with
+    | None ->
+      if gad then begin
+        eps_ok := false;
+        gad_some := false
+      end
+    | Some ho ->
+      if gad then begin
+        store sub.Ne_lcl.bi !k bi.(h).gad_b;
+        store sub.Ne_lcl.bo !k ho;
+        incr k
+      end
+      else eps_ok := false
   done;
   (* constraint 3: PortErr2 placement *)
-  let port_edge_count = ref 0 in
-  for k = 0 to Array.length e_in - 1 do
-    if (e_in.(k) : _ pe_in).etype = PortEdge then incr port_edge_count
-  done;
   let perr2_ok =
     match vin.gad_v.GL.port with
-    | Some _ -> (vout.perr = PortErr2) = (!port_edge_count <> 1)
+    | Some _ -> (vout.perr = PortErr2) = (!port_edges <> 1)
     | None -> vout.perr <> PortErr2
   in
-  (* constraint 2 *)
-  let psi_ok = psi_node_ok ~family sc nv in
+  (* constraint 2: Ψ_G's node constraint over gadget edges only *)
+  let psi_ok =
+    !gad_some
+    &&
+    (store sub.Ne_lcl.vi 0 vin.gad_v;
+     store sub.Ne_lcl.vo 0 vout.psi_v;
+     sub.Ne_lcl.degree <- !k;
+     family.Family.ne_problem.Ne_lcl.check_node sub)
+  in
   (* constraint 5, gated on the gadget claiming GadOk *)
   let list_ok =
     (not (is_nok vout.psi_v))
@@ -302,31 +301,54 @@ let c4_side (xin : _ pv_in) (xout : _ pv_out) (yin : _ pv_in)
     ((not both_ports_ok) || xout.perr <> PortErr1)
     && ((not facing_bad) || xout.perr <> NoPortErr)
 
-let check_edge ~(family : Family.t) ~slots spec (ev : _ Ne_lcl.edge_view) =
-  let ein : _ pe_in = ev.Ne_lcl.ee_in in
-  let uin : _ pv_in = ev.Ne_lcl.u_in in
-  let win : _ pv_in = ev.Ne_lcl.w_in in
-  let uout : _ pv_out = ev.Ne_lcl.u_out in
-  let wout : _ pv_out = ev.Ne_lcl.w_out in
+(* constraint 6's virtual edge between port [i] of [lu] and port [j] of
+   [lw]: a window on the two Σ_lists' arrays *)
+let virtual_edge_ok spec sc (lu : _ sigma_list) i (lw : _ sigma_list) j =
+  let view = sc.pi_ev in
+  store view.Ne_lcl.uvi 0 lu.iv;
+  store view.Ne_lcl.uvo 0 lu.ov;
+  store view.Ne_lcl.wvi 0 lw.iv;
+  store view.Ne_lcl.wvo 0 lw.ov;
+  if view.Ne_lcl.eei != lu.ie then view.Ne_lcl.eei <- lu.ie;
+  if view.Ne_lcl.eeo != lu.oe then view.Ne_lcl.eeo <- lu.oe;
+  if view.Ne_lcl.ubi != lu.ib then view.Ne_lcl.ubi <- lu.ib;
+  if view.Ne_lcl.ubo != lu.ob then view.Ne_lcl.ubo <- lu.ob;
+  if view.Ne_lcl.wbi != lw.ib then view.Ne_lcl.wbi <- lw.ib;
+  if view.Ne_lcl.wbo != lw.ob then view.Ne_lcl.wbo <- lw.ob;
+  view.Ne_lcl.edge <- i - 1;
+  view.Ne_lcl.hu <- i - 1;
+  view.Ne_lcl.hw <- j - 1;
+  spec.Spec.problem.Ne_lcl.check_edge view
+
+let check_edge ~(family : Family.t) ~slots spec ev =
+  (* raw window fields, as in [check_node] *)
+  let ein : _ pe_in = ev.Ne_lcl.eei.(ev.Ne_lcl.edge) in
+  let uin : _ pv_in = ev.Ne_lcl.uvi.(ev.Ne_lcl.u) in
+  let win : _ pv_in = ev.Ne_lcl.wvi.(ev.Ne_lcl.w) in
+  let uout : _ pv_out = ev.Ne_lcl.uvo.(ev.Ne_lcl.u) in
+  let wout : _ pv_out = ev.Ne_lcl.wvo.(ev.Ne_lcl.w) in
+  let bu_out : pb_out = ev.Ne_lcl.ubo.(ev.Ne_lcl.hu) in
+  let bw_out : pb_out = ev.Ne_lcl.wbo.(ev.Ne_lcl.hw) in
   let u_ok = is_nok uout.psi_v in
   let w_ok = is_nok wout.psi_v in
   match ein.etype with
   | GadEdge -> (
     (* constraint 2: Ψ_G's edge constraint *)
-    match (ev.Ne_lcl.bu_out, ev.Ne_lcl.bw_out) with
+    match (bu_out, bw_out) with
     | Some bu, Some bw ->
-      let sc = slot_scratch slots spec in
-      let psi_view = sc.psi_ev in
-      psi_view.Ne_lcl.self_loop <- ev.Ne_lcl.self_loop;
-      psi_view.Ne_lcl.u_in <- uin.gad_v;
-      psi_view.Ne_lcl.u_out <- uout.psi_v;
-      psi_view.Ne_lcl.w_in <- win.gad_v;
-      psi_view.Ne_lcl.w_out <- wout.psi_v;
-      psi_view.Ne_lcl.bu_in <- (ev.Ne_lcl.bu_in : _ pb_in).gad_b;
-      psi_view.Ne_lcl.bu_out <- bu;
-      psi_view.Ne_lcl.bw_in <- (ev.Ne_lcl.bw_in : _ pb_in).gad_b;
-      psi_view.Ne_lcl.bw_out <- bw;
-      family.Family.ne_problem.Ne_lcl.check_edge psi_view
+      let bu_in : _ pb_in = ev.Ne_lcl.ubi.(ev.Ne_lcl.hu) in
+      let bw_in : _ pb_in = ev.Ne_lcl.wbi.(ev.Ne_lcl.hw) in
+      let sub = (slot_scratch slots spec).psi_ev in
+      sub.Ne_lcl.loop <- ev.Ne_lcl.loop;
+      store sub.Ne_lcl.uvi 0 uin.gad_v;
+      store sub.Ne_lcl.uvo 0 uout.psi_v;
+      store sub.Ne_lcl.wvi 0 win.gad_v;
+      store sub.Ne_lcl.wvo 0 wout.psi_v;
+      store sub.Ne_lcl.ubi 0 bu_in.gad_b;
+      store sub.Ne_lcl.ubo 0 bu;
+      store sub.Ne_lcl.wbi 0 bw_in.gad_b;
+      store sub.Ne_lcl.wbo 0 bw;
+      family.Family.ne_problem.Ne_lcl.check_edge sub
       (* constraint 6, gadget edges: the Σ_list agrees across the gadget
          (the solver gives a whole component one shared Σ_list) *)
       && ((not (u_ok && w_ok))
@@ -334,7 +356,7 @@ let check_edge ~(family : Family.t) ~slots spec (ev : _ Ne_lcl.edge_view) =
          || uout.list_part = wout.list_part)
     | None, _ | _, None -> false (* constraint 1, edge side *))
   | PortEdge -> (
-    (match (ev.Ne_lcl.bu_out, ev.Ne_lcl.bw_out) with
+    (match (bu_out, bw_out) with
     | None, None -> true
     | Some _, _ | _, Some _ -> false)
     (* constraint 4 *)
@@ -358,20 +380,7 @@ let check_edge ~(family : Family.t) ~slots spec (ev : _ Ne_lcl.edge_view) =
       then
         lu.ie.(i - 1) = lw.ie.(j - 1)
         && lu.oe.(i - 1) = lw.oe.(j - 1)
-        &&
-        let view = (slot_scratch slots spec).pi_ev in
-        view.Ne_lcl.self_loop <- false;
-        view.Ne_lcl.u_in <- lu.iv;
-        view.Ne_lcl.u_out <- lu.ov;
-        view.Ne_lcl.w_in <- lw.iv;
-        view.Ne_lcl.w_out <- lw.ov;
-        view.Ne_lcl.ee_in <- lu.ie.(i - 1);
-        view.Ne_lcl.ee_out <- lu.oe.(i - 1);
-        view.Ne_lcl.bu_in <- lu.ib.(i - 1);
-        view.Ne_lcl.bu_out <- lu.ob.(i - 1);
-        view.Ne_lcl.bw_in <- lw.ib.(j - 1);
-        view.Ne_lcl.bw_out <- lw.ob.(j - 1);
-        spec.Spec.problem.Ne_lcl.check_edge view
+        && virtual_edge_ok spec (slot_scratch slots spec) lu i lw j
       else true
     | (Some _ | None), _ -> true)
 

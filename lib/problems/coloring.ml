@@ -11,8 +11,11 @@ type output = (int, unit, unit) Labeling.t
 let problem ~delta : (unit, unit, unit, int, unit, unit) Ne_lcl.t =
   {
     name = Printf.sprintf "(%d+1)-coloring" delta;
-    check_node = (fun nv -> nv.v_out >= 0 && nv.v_out <= delta);
-    check_edge = (fun ev -> (not ev.self_loop) && ev.u_out <> ev.w_out);
+    check_node =
+      (fun nv -> Ne_lcl.v_out nv >= 0 && Ne_lcl.v_out nv <= delta);
+    check_edge =
+      (fun ev ->
+        (not (Ne_lcl.self_loop ev)) && Ne_lcl.u_out ev <> Ne_lcl.w_out ev);
   }
 
 let is_valid g (output : output) =

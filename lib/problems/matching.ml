@@ -13,16 +13,17 @@ let problem : (unit, unit, unit, bool, bool, unit) Ne_lcl.t =
     name = "maximal-matching";
     check_node =
       (fun nv ->
-        let matched_edges =
-          Array.fold_left (fun a m -> if m then a + 1 else a) 0 nv.Ne_lcl.e_out
-        in
-        matched_edges <= 1 && nv.Ne_lcl.v_out = (matched_edges > 0));
+        let matched_edges = ref 0 in
+        for i = 0 to Ne_lcl.degree nv - 1 do
+          if Ne_lcl.e_out nv i then incr matched_edges
+        done;
+        !matched_edges <= 1 && Ne_lcl.v_out nv = (!matched_edges > 0));
     check_edge =
       (fun ev ->
         (* a matched edge marks both endpoints; both-unmatched endpoints
            witness non-maximality *)
-        ((not ev.Ne_lcl.ee_out) || (ev.Ne_lcl.u_out && ev.Ne_lcl.w_out))
-        && (ev.Ne_lcl.u_out || ev.Ne_lcl.w_out));
+        let u = Ne_lcl.u_out ev and w = Ne_lcl.w_out ev in
+        ((not (Ne_lcl.ee_out ev)) || (u && w)) && (u || w));
   }
 
 let of_edges g matched =

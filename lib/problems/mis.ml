@@ -13,25 +13,26 @@ type output = (bool, unit, half_out) Labeling.t
    half from [i] on claims a member neighbor. Top-level recursions, not
    [Array.for_all]/[Array.exists], which build a closure per call: the
    node check runs once per node per check. *)
-let rec all_mine (b : half_out array) v i =
-  i >= Array.length b || (b.(i).mine = v && all_mine b v (i + 1))
+let rec all_mine nv v i =
+  i >= Ne_lcl.degree nv
+  || ((Ne_lcl.b_out nv i).mine = v && all_mine nv v (i + 1))
 
-let rec some_claim (b : half_out array) i =
-  i < Array.length b && (b.(i).claim || some_claim b (i + 1))
+let rec some_claim nv i =
+  i < Ne_lcl.degree nv && ((Ne_lcl.b_out nv i).claim || some_claim nv (i + 1))
 
 let problem : (unit, unit, unit, bool, unit, half_out) Ne_lcl.t =
   {
     name = "maximal-independent-set";
     check_node =
       (fun nv ->
-        all_mine nv.b_out nv.v_out 0 && (nv.v_out || some_claim nv.b_out 0));
+        let v = Ne_lcl.v_out nv in
+        all_mine nv v 0 && (v || some_claim nv 0));
     check_edge =
       (fun ev ->
-        ev.bu_out.mine = ev.u_out
-        && ev.bw_out.mine = ev.w_out
-        && ev.bu_out.claim = ev.w_out
-        && ev.bw_out.claim = ev.u_out
-        && not (ev.u_out && ev.w_out));
+        let u = Ne_lcl.u_out ev and w = Ne_lcl.w_out ev in
+        let bu = Ne_lcl.bu_out ev and bw = Ne_lcl.bw_out ev in
+        bu.mine = u && bw.mine = w && bu.claim = w && bw.claim = u
+        && not (u && w));
   }
 
 let of_members g members =

@@ -38,17 +38,19 @@ type output = (unit, unit, orientation) Labeling.t
 
 (* some half from port [i] on is oriented out. A top-level recursion, not
    [Array.exists], which builds a closure per call: 6 words per checked
-   node, on every SO node and every hypothetical node of Π'. *)
-let rec has_out (b : orientation array) i =
-  i < Array.length b && (b.(i) = Out || has_out b (i + 1))
+   node, on every SO node and every hypothetical node of Π'. Both
+   constraints read the window's raw fields (Ne_lcl's raw window
+   access), since they run at every node and edge of every SO check. *)
+let rec has_out (nv : _ Ne_lcl.node_view) i =
+  i < nv.degree && (nv.bo.(nv.ports.(nv.lo + i)) = Out || has_out nv (i + 1))
 
 let problem : (unit, unit, unit, unit, unit, orientation) Ne_lcl.t =
   {
     name = "sinkless-orientation";
-    check_node = (fun nv -> nv.degree < 3 || has_out nv.b_out 0);
+    check_node = (fun nv -> nv.degree < 3 || has_out nv 0);
     check_edge =
       (fun ev ->
-        match (ev.bu_out, ev.bw_out) with
+        match (ev.ubo.(ev.hu), ev.wbo.(ev.hw)) with
         | Out, In | In, Out -> true
         | Out, Out | In, In -> false);
   }

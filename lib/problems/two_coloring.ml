@@ -10,8 +10,10 @@ type output = (int, unit, unit) Labeling.t
 let problem : (unit, unit, unit, int, unit, unit) Ne_lcl.t =
   {
     name = "2-coloring";
-    check_node = (fun nv -> nv.Ne_lcl.v_out = 0 || nv.Ne_lcl.v_out = 1);
-    check_edge = (fun ev -> (not ev.Ne_lcl.self_loop) && ev.Ne_lcl.u_out <> ev.Ne_lcl.w_out);
+    check_node = (fun nv -> Ne_lcl.v_out nv = 0 || Ne_lcl.v_out nv = 1);
+    check_edge =
+      (fun ev ->
+        (not (Ne_lcl.self_loop ev)) && Ne_lcl.u_out ev <> Ne_lcl.w_out ev);
   }
 
 let is_valid g output =

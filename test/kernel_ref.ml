@@ -2,7 +2,100 @@
    closure-based checks the library ran before its kernels became
    allocation-free loops on scratch views, kept verbatim (only the module
    wrappers are new). Test_kernels compares the library's kernels with
-   these on valid and corrupted Π² and Π³ outputs. *)
+   these on valid and corrupted Π² and Π³ outputs. The references read
+   plain arrays: [V.of_node]/[V.of_edge] read a window into them through
+   [Ne_lcl]'s accessors, and [V.node]/[V.edge] make a window over labels
+   of their own. *)
+
+module V = struct
+  module Ne_lcl = Repro_lcl.Ne_lcl
+
+  type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) node = {
+    degree : int;
+    v_in : 'vi;
+    v_out : 'vo;
+    e_in : 'ei array;
+    e_out : 'eo array;
+    b_in : 'bi array;
+    b_out : 'bo array;
+  }
+
+  type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) edge = {
+    self_loop : bool;
+    u_in : 'vi;
+    u_out : 'vo;
+    w_in : 'vi;
+    w_out : 'vo;
+    ee_in : 'ei;
+    ee_out : 'eo;
+    bu_in : 'bi;
+    bu_out : 'bo;
+    bw_in : 'bi;
+    bw_out : 'bo;
+  }
+
+  let of_node nv =
+    let d = Ne_lcl.degree nv in
+    {
+      degree = d;
+      v_in = Ne_lcl.v_in nv;
+      v_out = Ne_lcl.v_out nv;
+      e_in = Array.init d (Ne_lcl.e_in nv);
+      e_out = Array.init d (Ne_lcl.e_out nv);
+      b_in = Array.init d (Ne_lcl.b_in nv);
+      b_out = Array.init d (Ne_lcl.b_out nv);
+    }
+
+  let of_edge ev =
+    {
+      self_loop = Ne_lcl.self_loop ev;
+      u_in = Ne_lcl.u_in ev;
+      u_out = Ne_lcl.u_out ev;
+      w_in = Ne_lcl.w_in ev;
+      w_out = Ne_lcl.w_out ev;
+      ee_in = Ne_lcl.ee_in ev;
+      ee_out = Ne_lcl.ee_out ev;
+      bu_in = Ne_lcl.bu_in ev;
+      bu_out = Ne_lcl.bu_out ev;
+      bw_in = Ne_lcl.bw_in ev;
+      bw_out = Ne_lcl.bw_out ev;
+    }
+
+  let node x : _ Ne_lcl.node_view =
+    {
+      Ne_lcl.vi = [| x.v_in |];
+      vo = [| x.v_out |];
+      ei = x.e_in;
+      eo = x.e_out;
+      bi = x.b_in;
+      bo = x.b_out;
+      ports = Array.init x.degree Fun.id;
+      node = 0;
+      lo = 0;
+      degree = x.degree;
+      edge_shift = 0;
+    }
+
+  let edge x : _ Ne_lcl.edge_view =
+    {
+      Ne_lcl.uvi = [| x.u_in |];
+      uvo = [| x.u_out |];
+      wvi = [| x.w_in |];
+      wvo = [| x.w_out |];
+      eei = [| x.ee_in |];
+      eeo = [| x.ee_out |];
+      ubi = [| x.bu_in |];
+      ubo = [| x.bu_out |];
+      wbi = [| x.bw_in |];
+      wbo = [| x.bw_out |];
+      u = 0;
+      w = 0;
+      edge = 0;
+      hu = 0;
+      hw = 0;
+      loop = x.self_loop;
+    }
+end
 
 module Ne_psi_ref = struct
   module Ne_lcl = Repro_lcl.Ne_lcl
@@ -13,6 +106,7 @@ module Ne_psi_ref = struct
   let chain_mem c chains = List.mem c chains
 
   let check_node ~delta (nv : (node_label, unit, half_in, node_out, unit, half_out) Ne_lcl.node_view) =
+    let nv : _ V.node = V.of_node nv in
     let out = nv.v_out in
     let halves = nv.b_out in
     let inputs = nv.b_in in
@@ -108,6 +202,7 @@ module Ne_psi_ref = struct
     mirrors_ok && ok_clean && chains_ok && tags_ok && ptr_ok && justified
 
   let check_edge (ev : (node_label, unit, half_in, node_out, unit, half_out) Ne_lcl.edge_view) =
+    let ev : _ V.edge = V.of_edge ev in
     let mirrors = ev.bu_out.mirror = ev.u_out && ev.bw_out.mirror = ev.w_out in
     let mix = (ev.u_out.status = NOk) = (ev.w_out.status = NOk) in
     let ptr_rule (src : node_out) (src_in : node_label) (lsrc : half_label)
@@ -192,35 +287,35 @@ module Pi_prime_ref = struct
   let is_port_half (e_in : _ pe_in) = e_in.etype = PortEdge
 
   (* Constraint 2 at a node: Ψ_G's node constraint over gadget edges only. *)
-  let psi_node_ok ~(family : Family.t) (nv : _ Ne_lcl.node_view) =
+  let psi_node_ok ~(family : Family.t) (nv : _ V.node) =
     let idxs = ref [] in
     Array.iteri
       (fun k (e : _ pe_in) -> if e.etype = GadEdge then idxs := k :: !idxs)
-      nv.Ne_lcl.e_in;
+      nv.V.e_in;
     let idxs = Array.of_list (List.rev !idxs) in
     let some_ok =
       Array.for_all
         (fun k ->
-          match nv.Ne_lcl.b_out.(k) with Some _ -> true | None -> false)
+          match nv.V.b_out.(k) with Some _ -> true | None -> false)
         idxs
     in
     some_ok
     &&
     let unwrap k =
-      match nv.Ne_lcl.b_out.(k) with Some h -> h | None -> assert false
+      match nv.V.b_out.(k) with Some h -> h | None -> assert false
     in
-    let psi_view : _ Ne_lcl.node_view =
+    let psi_view =
       {
-        Ne_lcl.degree = Array.length idxs;
-        v_in = (nv.Ne_lcl.v_in : _ pv_in).gad_v;
-        v_out = (nv.Ne_lcl.v_out : _ pv_out).psi_v;
+        V.degree = Array.length idxs;
+        v_in = (nv.V.v_in : _ pv_in).gad_v;
+        v_out = (nv.V.v_out : _ pv_out).psi_v;
         e_in = Array.map (fun _ -> ()) idxs;
         e_out = Array.map (fun _ -> ()) idxs;
-        b_in = Array.map (fun k -> (nv.Ne_lcl.b_in.(k) : _ pb_in).gad_b) idxs;
+        b_in = Array.map (fun k -> (nv.V.b_in.(k) : _ pb_in).gad_b) idxs;
         b_out = Array.map unwrap idxs;
       }
     in
-    family.Family.ne_problem.Ne_lcl.check_node psi_view
+    family.Family.ne_problem.Ne_lcl.check_node (V.node psi_view)
 
   (* Constraint 5's hypothetical node: Π's node constraint on the virtual
      node encoded in Σ_list. *)
@@ -228,9 +323,9 @@ module Pi_prime_ref = struct
     let members = ref [] in
     Array.iteri (fun k m -> if m then members := k :: !members) l.s;
     let ms = Array.of_list (List.rev !members) in
-    let view : _ Ne_lcl.node_view =
+    let view =
       {
-        Ne_lcl.degree = Array.length ms;
+        V.degree = Array.length ms;
         v_in = l.iv;
         v_out = l.ov;
         e_in = Array.map (fun k -> l.ie.(k)) ms;
@@ -239,27 +334,28 @@ module Pi_prime_ref = struct
         b_out = Array.map (fun k -> l.ob.(k)) ms;
       }
     in
-    p.Ne_lcl.check_node view
+    p.Ne_lcl.check_node (V.node view)
 
-  let check_node ~(family : Family.t) (p : _ Ne_lcl.t) (nv : _ Ne_lcl.node_view) =
+  let check_node ~(family : Family.t) (p : _ Ne_lcl.t) nv =
+    let nv = V.of_node nv in
     let delta = family.Family.delta in
-    let vin : _ pv_in = nv.Ne_lcl.v_in in
-    let vout : _ pv_out = nv.Ne_lcl.v_out in
+    let vin : _ pv_in = nv.V.v_in in
+    let vout : _ pv_out = nv.V.v_out in
     (* constraint 1: ε exactly on port-edge halves *)
     let eps_ok =
       Array.for_all
         (fun k ->
-          let is_port = is_port_half nv.Ne_lcl.e_in.(k) in
-          match nv.Ne_lcl.b_out.(k) with
+          let is_port = is_port_half nv.V.e_in.(k) in
+          match nv.V.b_out.(k) with
           | None -> is_port
           | Some _ -> not is_port)
-        (Array.init nv.Ne_lcl.degree (fun k -> k))
+        (Array.init nv.V.degree (fun k -> k))
     in
     (* constraint 3: PortErr2 placement *)
     let port_edge_count =
       Array.fold_left
         (fun acc (e : _ pe_in) -> if e.etype = PortEdge then acc + 1 else acc)
-        0 nv.Ne_lcl.e_in
+        0 nv.V.e_in
     in
     let perr2_ok =
       match vin.gad_v.GL.port with
@@ -292,50 +388,51 @@ module Pi_prime_ref = struct
              (fun k (e : _ pe_in) ->
                if e.etype = PortEdge then begin
                  if l.ie.(i - 1) <> e.pi_e then ok := false;
-                 if l.ib.(i - 1) <> (nv.Ne_lcl.b_in.(k) : _ pb_in).pi_b then
+                 if l.ib.(i - 1) <> (nv.V.b_in.(k) : _ pb_in).pi_b then
                    ok := false
                end)
-             nv.Ne_lcl.e_in;
+             nv.V.e_in;
            !ok
          | Some _ | None -> true)
       && hypothetical_node_ok p l
     in
     eps_ok && perr2_ok && psi_ok && list_ok
 
-  let check_edge ~(family : Family.t) (p : _ Ne_lcl.t) (ev : _ Ne_lcl.edge_view) =
-    let ein : _ pe_in = ev.Ne_lcl.ee_in in
-    let uin : _ pv_in = ev.Ne_lcl.u_in in
-    let win : _ pv_in = ev.Ne_lcl.w_in in
-    let uout : _ pv_out = ev.Ne_lcl.u_out in
-    let wout : _ pv_out = ev.Ne_lcl.w_out in
+  let check_edge ~(family : Family.t) (p : _ Ne_lcl.t) ev =
+    let ev = V.of_edge ev in
+    let ein : _ pe_in = ev.V.ee_in in
+    let uin : _ pv_in = ev.V.u_in in
+    let win : _ pv_in = ev.V.w_in in
+    let uout : _ pv_out = ev.V.u_out in
+    let wout : _ pv_out = ev.V.w_out in
     let u_ok = uout.psi_v.NP.status = NP.NOk in
     let w_ok = wout.psi_v.NP.status = NP.NOk in
     match ein.etype with
     | GadEdge -> (
       (* constraint 2: Ψ_G's edge constraint *)
-      match (ev.Ne_lcl.bu_out, ev.Ne_lcl.bw_out) with
+      match (ev.V.bu_out, ev.V.bw_out) with
       | Some bu, Some bw ->
-        let psi_view : _ Ne_lcl.edge_view =
+        let psi_view =
           {
-            Ne_lcl.self_loop = ev.Ne_lcl.self_loop;
+            V.self_loop = ev.V.self_loop;
             u_in = uin.gad_v;
             u_out = uout.psi_v;
             w_in = win.gad_v;
             w_out = wout.psi_v;
             ee_in = ();
             ee_out = ();
-            bu_in = (ev.Ne_lcl.bu_in : _ pb_in).gad_b;
+            bu_in = (ev.V.bu_in : _ pb_in).gad_b;
             bu_out = bu;
-            bw_in = (ev.Ne_lcl.bw_in : _ pb_in).gad_b;
+            bw_in = (ev.V.bw_in : _ pb_in).gad_b;
             bw_out = bw;
           }
         in
-        family.Family.ne_problem.Ne_lcl.check_edge psi_view
+        family.Family.ne_problem.Ne_lcl.check_edge (V.edge psi_view)
         (* constraint 6, gadget edges: the Σ_list agrees across the gadget *)
         && ((not (u_ok && w_ok)) || uout.list_part = wout.list_part)
       | None, _ | _, None -> false (* constraint 1, edge side *))
     | PortEdge -> (
-      (ev.Ne_lcl.bu_out = None && ev.Ne_lcl.bw_out = None)
+      (ev.V.bu_out = None && ev.V.bw_out = None)
       &&
       (* constraint 4 *)
       let c4_side (xin : _ pv_in) (xout : _ pv_out) (yin : _ pv_in)
@@ -377,9 +474,9 @@ module Pi_prime_ref = struct
           lu.ie.(i - 1) = lw.ie.(j - 1)
           && lu.oe.(i - 1) = lw.oe.(j - 1)
           &&
-          let view : _ Ne_lcl.edge_view =
+          let view =
             {
-              Ne_lcl.self_loop = false;
+              V.self_loop = false;
               u_in = lu.iv;
               u_out = lu.ov;
               w_in = lw.iv;
@@ -392,7 +489,7 @@ module Pi_prime_ref = struct
               bw_out = lw.ob.(j - 1);
             }
           in
-          p.Ne_lcl.check_edge view
+          p.Ne_lcl.check_edge (V.edge view)
         else true
       | (Some _ | None), _ -> true)
 

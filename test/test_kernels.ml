@@ -386,6 +386,14 @@ let test_check_allocation () =
       in
       check "dcheck accepts" true v.DC.all_accept;
       bounded "dcheck" w;
+      per_node_free "Π² dcheck" w;
+      let g3, input3 = pi3.Spec.hard_instance rng ~target:3_000 in
+      let out3, _ = pi3.Spec.solve_det (Instance.create ~seed:1 g3) input3 in
+      let w, ok =
+        words g3 (fun () -> Spec.is_valid pi3 g3 ~input:input3 ~output:out3)
+      in
+      check "Π³ valid" true ok;
+      per_node_free "Π³ is_valid" w;
       let sg, sinput = so.Spec.hard_instance rng ~target:19_000 in
       let sout, _ = so.Spec.solve_det (Instance.create ~seed:1 sg) sinput in
       let w, vs =
