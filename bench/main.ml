@@ -172,7 +172,8 @@ let cases ~quick () =
       n = G.n g_chk;
       rounds = 1;
       run =
-        (fun () -> ignore (Spec.is_valid so' g_chk ~input:in_chk ~output:out_chk));
+        (fun () ->
+          ignore (Spec.is_valid so' g_chk ~input:in_chk ~output:out_chk));
       frontier = None;
     };
     (* the telemetry overhead pair: the same one-round check workload

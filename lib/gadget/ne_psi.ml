@@ -259,7 +259,8 @@ let check_node ~delta (nv : (node_label, unit, half_in, node_out, unit, half_out
      since that is the only predicate that can raise; the mirror and
      cleanliness checks alongside it cannot, so the verdict and the
      raising are those of checking the tags first. *)
-  let bo : half_out array = nv.Ne_lcl.bo and bi : half_in array = nv.Ne_lcl.bi in
+  let bo : half_out array = nv.Ne_lcl.bo in
+  let bi : half_in array = nv.Ne_lcl.bi in
   let ports = nv.Ne_lcl.ports and lo = nv.Ne_lcl.lo in
   let tags = ref true and mirrors = ref true and clean = ref true in
   for i = 0 to nv.Ne_lcl.degree - 1 do
@@ -358,10 +359,14 @@ let chain_edge (h : half_out) (lsrc : half_in) (lfar : half_in)
 let check_edge (ev : (node_label, unit, half_in, node_out, unit, half_out) Ne_lcl.edge_view) =
   let u = ev.Ne_lcl.u and w = ev.Ne_lcl.w in
   let hu = ev.Ne_lcl.hu and hw = ev.Ne_lcl.hw in
-  let u_in : node_label = ev.Ne_lcl.uvi.(u) and w_in : node_label = ev.Ne_lcl.wvi.(w) in
-  let u_out : node_out = ev.Ne_lcl.uvo.(u) and w_out : node_out = ev.Ne_lcl.wvo.(w) in
-  let bu_in : half_in = ev.Ne_lcl.ubi.(hu) and bw_in : half_in = ev.Ne_lcl.wbi.(hw) in
-  let bu_out : half_out = ev.Ne_lcl.ubo.(hu) and bw_out : half_out = ev.Ne_lcl.wbo.(hw) in
+  let u_in : node_label = ev.Ne_lcl.uvi.(u) in
+  let w_in : node_label = ev.Ne_lcl.wvi.(w) in
+  let u_out : node_out = ev.Ne_lcl.uvo.(u) in
+  let w_out : node_out = ev.Ne_lcl.wvo.(w) in
+  let bu_in : half_in = ev.Ne_lcl.ubi.(hu) in
+  let bw_in : half_in = ev.Ne_lcl.wbi.(hw) in
+  let bu_out : half_out = ev.Ne_lcl.ubo.(hu) in
+  let bw_out : half_out = ev.Ne_lcl.wbo.(hw) in
   mirror_ok bu_out u_out
   && mirror_ok bw_out w_out
   && is_nok u_out.status = is_nok w_out.status

@@ -41,7 +41,7 @@
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) node_view = {
   mutable vi : 'vi array;    (** node labels; this node's is [vi.(node)] *)
   mutable vo : 'vo array;
-  mutable ei : 'ei array;    (** edge labels, indexed by [half lsr edge_shift] *)
+  mutable ei : 'ei array;    (** edge labels, at [half lsr edge_shift] *)
   mutable eo : 'eo array;
   mutable bi : 'bi array;    (** half-edge labels, indexed by half *)
   mutable bo : 'bo array;
@@ -49,7 +49,9 @@ type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) node_view = {
   mutable node : int;
   mutable lo : int;
   mutable degree : int;
-  mutable edge_shift : int;  (** 1 on a graph (edge [h / 2]), 0 when halves are edges *)
+  mutable edge_shift : int;
+      (** 1 on a graph (half [h]'s edge is [h / 2]); 0 when the ports
+          index edge and half labels alike, as on a Σ_list *)
 }
 
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) edge_view = {

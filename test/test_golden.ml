@@ -341,8 +341,9 @@ let swap a i j =
    cycle through the three padding levels: every orientation of the
    virtual SO node inside the virtual Π² node's Σ_list turned inward, a
    port node's own port-error flag, and the virtual Π² node's flag. So
-   the nested Π³ → Π² → SO constraint checks are pinned too. The digest was computed with the
-   checker that copied every label into scratch views. *)
+   the nested Π³ → Π² → SO constraint checks are pinned too. The digest
+   was computed with the checker that copied every label into scratch
+   views. *)
 let check_golden_pi3 = "f4a861c1f6b874ae2b285663f2ede29e"
 
 let next_perr = function
