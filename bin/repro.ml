@@ -4,15 +4,12 @@
      repro hierarchy -i 2 -t 10000   run Π^i on a hard instance
      repro gadget -H 6 [-c kind]     build/check/prove a gadget
      repro solve-so -n 10000         sinkless orientation, both solvers
-     repro decompose -n 5000         network decompositions
      repro audit all -n 1000         locality certificates for every solver
      repro trace-report t.jsonl      recheck a recorded trace offline
      repro fuzz all -n 200 -s 42     property-based differential fuzzing
 *)
 
 module G = Core.Graph.Multigraph
-module Gen = Core.Graph.Generators
-module Instance = Core.Local.Instance
 module Meter = Core.Local.Meter
 module SO = Core.Problems.Sinkless_orientation
 module GB = Core.Gadget.Build
@@ -23,7 +20,6 @@ module NP = Core.Gadget.Ne_psi
 module Corrupt = Core.Gadget.Corrupt
 module Psi = Core.Gadget.Psi
 module Spec = Core.Padding.Spec
-module ND = Core.Problems.Network_decomposition
 
 module Obs = Core.Obs
 module DC = Core.Lcl.Distributed_check
@@ -254,28 +250,6 @@ let solve_cmd =
          "Solve a registry problem and dump the canonical output bytes \
           (identical at every pool size; CI diffs them with cmp).")
     Term.(ret (const run $ problem $ n $ seed_arg $ out_file $ obs_args))
-
-let decompose_cmd =
-  let run n p seed obs =
-    with_obs ~label:"decompose" obs @@ fun () ->
-    let rng = Random.State.make [| seed |] in
-    let g = Gen.random_regular rng ~n ~d:3 in
-    let inst = Instance.create ~seed g in
-    let ls = ND.linial_saks inst ~p in
-    let gr = ND.greedy inst in
-    Printf.printf "n=%d   log2 n = %.1f\n" n (log (float_of_int n) /. log 2.0);
-    Printf.printf "Linial-Saks: colors=%d diameter=%d valid=%b\n" ls.ND.colors
-      ls.ND.diameter (ND.is_valid g ls);
-    Printf.printf "greedy:      colors=%d diameter=%d valid=%b\n" gr.ND.colors
-      gr.ND.diameter (ND.is_valid g gr)
-  in
-  let n = Arg.(value & opt int 5000 & info [ "n" ] ~docv:"N" ~doc:"Nodes.") in
-  let p =
-    Arg.(value & opt float 0.5 & info [ "p" ] ~docv:"P" ~doc:"Geometric parameter.")
-  in
-  Cmd.v
-    (Cmd.info "decompose" ~doc:"(C,D) network decompositions (the open question).")
-    Term.(const run $ n $ p $ seed_arg $ obs_args)
 
 let experiment_cmd =
   let module Runs = Repro_experiments.Runs in
@@ -738,6 +712,6 @@ let () =
        (Cmd.group (Cmd.info "repro" ~doc)
           [
             landscape_cmd; hierarchy_cmd; gadget_cmd; solve_so_cmd; solve_cmd;
-            decompose_cmd; experiment_cmd; audit_cmd; trace_report_cmd;
-            fuzz_cmd; serve_cmd; call_cmd;
+            experiment_cmd; audit_cmd; trace_report_cmd; fuzz_cmd; serve_cmd;
+            call_cmd;
           ]))

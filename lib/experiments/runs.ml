@@ -1,14 +1,11 @@
 module G = Core.Graph.Multigraph
 module T = Core.Graph.Traversal
 module Gen = Core.Graph.Generators
-module Covers = Core.Graph.Covers
 module Instance = Core.Local.Instance
 module Meter = Core.Local.Meter
 module Ids = Core.Local.Ids
-module VT = Core.Local.View_tree
 module Labeling = Core.Lcl.Labeling
 module SO = Core.Problems.Sinkless_orientation
-module ND = Core.Problems.Network_decomposition
 module GL = Core.Gadget.Labels
 module GB = Core.Gadget.Build
 module GC = Core.Gadget.Check
@@ -558,68 +555,6 @@ let t1_generic ~quick =
 
 (* ------------------------------------------------------------------ *)
 
-let views ~quick =
-  ignore quick;
-  let k4 = Gen.complete 4 in
-  let lift, phi = Covers.cyclic_lift k4 ~k:3 ~shift:(fun e -> e) in
-  let anon = VT.distinct_counts lift ~payload:(fun _ -> ()) ~max_radius:4 in
-  let with_ids = VT.distinct_counts lift ~payload:(fun v -> v) ~max_radius:2 in
-  let row name xs =
-    Table.Str name
-    :: List.map (fun c -> Table.Int c) xs
-  in
-  let pad k xs = xs @ List.init (max 0 (k - List.length xs)) (fun _ -> -1) in
-  let table =
-    Table.make ~title:"PN-views: covers and view classes on the 3-lift of K4"
-      ~columns:[ "payload"; "r=0"; "r=1"; "r=2"; "r=3"; "r=4" ]
-      ~notes:
-        [
-          Printf.sprintf "covering map verified: %b; 12 nodes, 4 fibers"
-            (Covers.is_covering_map ~cover:lift ~base:k4 phi);
-          "anonymous fibers never separate: deterministic PN algorithms";
-          "answer identically inside a fiber at any radius; identifiers";
-          "separate all nodes immediately.";
-        ]
-      [ row "anonymous" (pad 5 anon); row "identifiers" (pad 5 with_ids) ]
-  in
-  { tables = [ table ]; plots = [] }
-
-(* ------------------------------------------------------------------ *)
-
-let nd ~quick =
-  let sizes = if quick then [ 300; 3000 ] else [ 300; 1000; 3000; 10000; 30000 ] in
-  let rng = Random.State.make [| 12 |] in
-  let rows =
-    List.map
-      (fun n ->
-        let g = Gen.random_regular rng ~n ~d:3 in
-        let inst = Instance.create ~seed:n g in
-        let ls = ND.linial_saks inst ~p:0.5 in
-        let gr = ND.greedy inst in
-        [
-          Table.Int n; Table.Float (logf n);
-          Table.Int ls.ND.colors; Table.Int ls.ND.diameter;
-          Table.Int gr.ND.colors; Table.Int gr.ND.diameter;
-          Table.Bool (ND.is_valid g ls && ND.is_valid g gr);
-        ])
-      sizes
-  in
-  let table =
-    Table.make
-      ~title:"ND: (C,D)-network decompositions (the open-question discussion)"
-      ~columns:[ "n"; "log2 n"; "LS C"; "LS D"; "greedy C"; "greedy D"; "valid" ]
-      ~notes:
-        [
-          "both give (O(log n), O(log n)); with D(n) <= O(R ND + R log^2 n)";
-          "(Ghaffari et al.), the measured D/R ~ logn/loglogn of Pi^i sits";
-          "far below the omega(log^2 n) bar that would lower-bound ND.";
-        ]
-      rows
-  in
-  { tables = [ table ]; plots = [] }
-
-(* ------------------------------------------------------------------ *)
-
 let ids_robustness ~quick =
   let sizes = if quick then [ 1000; 10000 ] else [ 1000; 10000; 100000 ] in
   let rng = Random.State.make [| 14 |] in
@@ -711,8 +646,6 @@ let all =
     { id = "F78"; doc = "Figures 7-8: node-edge-checkable proofs"; run = f78 };
     { id = "T11"; doc = "Theorem 11: the hierarchy"; run = t11 };
     { id = "T1g"; doc = "Theorem 1 with the linear gadget family"; run = t1_generic };
-    { id = "PN"; doc = "covers and views: why identifiers matter"; run = views };
-    { id = "ND"; doc = "network decompositions (open question)"; run = nd };
     { id = "IDS"; doc = "SO det rounds across id assignments"; run = ids_robustness };
     { id = "R1"; doc = "the randomized repair profile"; run = rand_profile };
   ]

@@ -14,7 +14,6 @@ module Mis = Repro_problems.Mis
 module Luby = Repro_problems.Luby
 module Matching = Repro_problems.Matching
 module Two = Repro_problems.Two_coloring
-module ND = Repro_problems.Network_decomposition
 module GL = Repro_gadget.Labels
 module Check = Repro_gadget.Check
 module Corrupt = Repro_gadget.Corrupt
@@ -102,14 +101,6 @@ let two_coloring (recipe, seed) =
   require
     (ref_accepts Two.problem g out)
     "2-coloring: reference checker rejects"
-
-let decompose (recipe, seed) =
-  let g = Gen_graph.to_graph recipe in
-  let inst = Instance.create ~seed g in
-  let ls = ND.linial_saks inst ~p:0.5 in
-  let& () = require (ND.is_valid g ls) "linial-saks decomposition invalid" in
-  let gr = ND.greedy inst in
-  require (ND.is_valid g gr) "greedy decomposition invalid"
 
 (* ------------------------------------------------------------------ *)
 (* sweep-vs-reference differential (the planted-bug oracle) *)

@@ -50,9 +50,6 @@ val colorful : Gen_graph.recipe * int -> verdict
 val two_coloring : Gen_graph.recipe * int -> verdict
 (** 2-coloring on a bipartite recipe: valid + reference agreement. *)
 
-val decompose : Gen_graph.recipe * int -> verdict
-(** Linial–Saks and greedy network decompositions both valid. *)
-
 val dcheck : Gen_graph.recipe * int * int option -> verdict
 (** The sweep-vs-reference differential: solve SO, optionally corrupt
     one half-edge output (the [int option] picks the half), then demand

@@ -26,9 +26,6 @@ let colorful_prop =
 let two_coloring_prop =
   graph_prop ~name:"two-coloring" ~shape:Gen_graph.Bipartite Oracle.two_coloring
 
-let decompose_prop =
-  graph_prop ~name:"decompose" ~shape:Gen_graph.Any ~max_n:30 Oracle.decompose
-
 let dcheck_prop =
   Prop.make ~name:"dcheck"
     ~size_of:(fun (r, _, _) -> Gen_graph.nodes_of r)
@@ -89,11 +86,6 @@ let all =
       t_name = "two-coloring";
       t_doc = "2-coloring on bipartite recipes: solver vs sweep vs node-centric reference";
       t_prop = P two_coloring_prop;
-    };
-    {
-      t_name = "decompose";
-      t_doc = "Linial-Saks + greedy network decompositions stay valid";
-      t_prop = P decompose_prop;
     };
     {
       t_name = "dcheck";

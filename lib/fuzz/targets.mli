@@ -11,8 +11,8 @@ type t = {
 and packed = P : 'a Prop.t -> packed
 
 val all : t list
-(** so, colorful, two-coloring, decompose, dcheck, engines,
-    engine-vs-boxed, gadget, padding, provenance. *)
+(** so, colorful, two-coloring, dcheck, engines, engine-vs-boxed,
+    gadget, padding, provenance. *)
 
 val names : string list
 

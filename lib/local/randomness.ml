@@ -1,6 +1,6 @@
 type t = { seed : int64 }
 
-(* every derived draw (bit/int/float) funnels through bits64, so one
+(* every derived draw (bit/int) funnels through bits64, so one
    counter measures the total randomness consumed by a run; the draw
    multiset is schedule-oblivious, so the count is too *)
 let m_draws =
@@ -26,7 +26,3 @@ let int t ~node ~idx ~bound =
   if bound <= 0 then invalid_arg "Randomness.int: bound <= 0";
   let x = Int64.to_int (Int64.shift_right_logical (bits64 t ~node ~idx) 2) in
   x mod bound
-
-let float t ~node ~idx =
-  let x = Int64.to_float (Int64.shift_right_logical (bits64 t ~node ~idx) 11) in
-  x /. 9007199254740992.0 (* 2^53 *)

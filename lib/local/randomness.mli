@@ -16,6 +16,3 @@ val bits64 : t -> node:int -> idx:int -> int64
 val bit : t -> node:int -> idx:int -> bool
 val int : t -> node:int -> idx:int -> bound:int -> int
 (** Uniform in [0, bound). Requires [bound > 0]. *)
-
-val float : t -> node:int -> idx:int -> float
-(** Uniform in [0, 1). *)

@@ -78,7 +78,11 @@ let test_plot_empty () =
 
 let test_registry_ids_unique () =
   let ids = Runs.ids in
-  check_int "count" 15 (List.length ids);
+  Alcotest.(check (list string))
+    "exactly the registered experiments, in order"
+    [ "F1"; "F3"; "F2"; "T1a"; "T1b"; "F4"; "T6"; "L9"; "F78"; "T11"; "T1g";
+      "IDS"; "R1" ]
+    ids;
   check "unique" true (List.length (List.sort_uniq compare ids) = List.length ids);
   check "find works" true (Runs.find "t11" <> None);
   check "find missing" true (Runs.find "nope" = None)

@@ -1,4 +1,4 @@
-(* Tests for maximal matching, 2-coloring, and network decompositions. *)
+(* Tests for maximal matching and 2-coloring. *)
 
 module G = Repro_graph.Multigraph
 module Gen = Repro_graph.Generators
@@ -6,7 +6,6 @@ module Instance = Repro_local.Instance
 module Meter = Repro_local.Meter
 module M = Repro_problems.Matching
 module TC = Repro_problems.Two_coloring
-module ND = Repro_problems.Network_decomposition
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -114,67 +113,8 @@ let test_two_coloring_checker () =
   in
   check "monochromatic rejected" false (TC.is_valid g bad)
 
-(* network decomposition *)
-
-let test_nd_linial_saks_valid () =
-  let rng = Random.State.make [| 63 |] in
-  List.iter
-    (fun n ->
-      let g = Gen.random_regular rng ~n ~d:3 in
-      let inst = Instance.create ~seed:n g in
-      let d = ND.linial_saks inst ~p:0.5 in
-      check (Printf.sprintf "valid n=%d" n) true (ND.is_valid g d))
-    [ 50; 500; 5000 ]
-
-let test_nd_greedy_valid () =
-  let rng = Random.State.make [| 64 |] in
-  List.iter
-    (fun (name, g) ->
-      let inst = Instance.create g in
-      let d = ND.greedy inst in
-      check ("greedy " ^ name) true (ND.is_valid g d))
-    [
-      ("regular", Gen.random_regular rng ~n:200 ~d:3);
-      ("cycle", Gen.cycle 30);
-      ("path", Gen.path 30);
-      ("complete", Gen.complete 8);
-      ("disconnected", Gen.disjoint_union [ Gen.cycle 6; Gen.path 4 ]);
-    ]
-
-let test_nd_logarithmic_quality () =
-  let rng = Random.State.make [| 65 |] in
-  let g = Gen.random_regular rng ~n:4000 ~d:3 in
-  let inst = Instance.create ~seed:9 g in
-  let d = ND.linial_saks inst ~p:0.5 in
-  let lg = int_of_float (log (float_of_int 4000) /. log 2.0) in
-  check "colors O(log n)" true (d.ND.colors <= 4 * lg);
-  check "diameter O(log n)" true (d.ND.diameter <= 4 * lg)
-
-let test_nd_invalid_detected () =
-  let g = Gen.path 4 in
-  let bad =
-    {
-      ND.cluster = [| 0; 1; 0; 1 |];
-      color = [| 0; 0 |];
-      colors = 1;
-      diameter = 0;
-      rounds = 0;
-    }
-  in
-  check "adjacent same-color clusters rejected" false (ND.is_valid g bad)
-
-let prop_nd_valid =
-  QCheck.Test.make ~name:"LS decomposition valid across seeds" ~count:25
-    QCheck.(int_range 0 10000)
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let g = Gen.random_regular rng ~n:100 ~d:3 in
-      let inst = Instance.create ~seed g in
-      let d = ND.linial_saks inst ~p:0.5 in
-      ND.is_valid g d)
-
 let qcheck_tests =
-  List.map QCheck_alcotest.to_alcotest [ prop_matching_valid; prop_nd_valid ]
+  List.map QCheck_alcotest.to_alcotest [ prop_matching_valid ]
 
 let suite =
   [
@@ -189,9 +129,5 @@ let suite =
     ("2-coloring rejects odd", `Quick, test_two_coloring_rejects_odd);
     ("2-coloring linear rounds", `Quick, test_two_coloring_rounds_linear);
     ("2-coloring checker", `Quick, test_two_coloring_checker);
-    ("ND Linial-Saks valid", `Quick, test_nd_linial_saks_valid);
-    ("ND greedy valid", `Quick, test_nd_greedy_valid);
-    ("ND logarithmic quality", `Quick, test_nd_logarithmic_quality);
-    ("ND invalid detected", `Quick, test_nd_invalid_detected);
   ]
   @ qcheck_tests

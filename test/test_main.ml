@@ -19,7 +19,6 @@ let () =
       ("message-passing", Test_message_passing.suite);
       ("extra-problems", Test_extra_problems.suite);
       ("stats", Test_stats.suite);
-      ("covers", Test_covers.suite);
       ("family", Test_family.suite);
       ("experiments", Test_experiments.suite);
       ("invariants", Test_invariants.suite);

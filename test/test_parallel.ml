@@ -204,13 +204,6 @@ let test_matching_equal () =
   across_sizes "matching" (fun () ->
       Matching.solve (Instance.create (mixed_graph ())))
 
-let test_network_decomposition_equal () =
-  let inst = Instance.create ~seed:5 (mixed_graph ()) in
-  across_sizes "linial-saks" (fun () ->
-      Repro_problems.Network_decomposition.linial_saks inst ~p:0.5);
-  across_sizes "greedy decomposition" (fun () ->
-      Repro_problems.Network_decomposition.greedy inst)
-
 let test_two_coloring_equal () =
   (* the global-complexity row: an even cycle plus a bipartite random
      instance, both must be pool-size invariant *)
@@ -406,7 +399,6 @@ let suite =
     ("coloring equal", `Quick, test_coloring_equal);
     ("MIS equal", `Quick, test_mis_equal);
     ("matching equal", `Quick, test_matching_equal);
-    ("network decomposition equal", `Quick, test_network_decomposition_equal);
     ("two-coloring equal", `Quick, test_two_coloring_equal);
     ("gadget verifier equal", `Quick, test_verifier_equal);
     ("distributed checker equal", `Quick, test_distributed_check_equal);
