@@ -16,6 +16,10 @@ type t = {
       (** a valid gadget with at least [target] nodes *)
   is_valid : Labels.t -> bool;
   ne_problem : Ne_psi.problem_t;
+  edge_ok : Ne_psi.edge_constraint;
+      (** [ne_problem]'s edge constraint on labels alone: at every edge
+          it equals [ne_problem.check_edge] on that edge's window. Π'
+          checks its gadget edges through it. *)
   prove : n:int -> Labels.t -> Ne_psi.solution * Repro_local.Meter.t;
   depth : Labels.t -> int;  (** port-to-port distance scale, for stats *)
 }

@@ -288,11 +288,9 @@ let check_node ~delta (nv : (node_label, unit, half_in, node_out, unit, half_out
   in
   mirrors_ok && ok_clean && no_chains && ptr_ok && justified
 
-let check_edge (ev : (node_label, unit, half_in, node_out, unit, half_out) Ne_lcl.edge_view) =
-  let u_in = Ne_lcl.u_in ev and w_in = Ne_lcl.w_in ev in
-  let u_out = Ne_lcl.u_out ev and w_out = Ne_lcl.w_out ev in
-  let bu_in = Ne_lcl.bu_in ev and bw_in = Ne_lcl.bw_in ev in
-  let bu_out = Ne_lcl.bu_out ev and bw_out = Ne_lcl.bw_out ev in
+let edge_ok (u_in : node_label) (w_in : node_label) (u_out : node_out)
+    (w_out : node_out) (bu_in : half_in) (bw_in : half_in) (bu_out : half_out)
+    (bw_out : half_out) =
   let mirrors = bu_out.mirror = u_out && bw_out.mirror = w_out in
   let mix = (u_out.status = NOk) = (w_out.status = NOk) in
   let ptr_rule (src : node_out) (src_in : node_label) (lsrc : half_label)
@@ -334,6 +332,11 @@ let check_edge (ev : (node_label, unit, half_in, node_out, unit, half_out) Ne_lc
   && bad_edge_ok
   && claim_ok bu_out w_in
   && claim_ok bw_out u_in
+
+let check_edge ev =
+  Ne_lcl.(
+    edge_ok (u_in ev) (w_in ev) (u_out ev) (w_out ev) (bu_in ev) (bw_in ev)
+      (bu_out ev) (bw_out ev))
 
 let problem ~delta : problem_t =
   {

@@ -40,6 +40,10 @@ val erring_nodes : delta:int -> Labels.t -> bool array
 val problem : delta:int -> Ne_psi.problem_t
 (** The Ψ_G ne-LCL of this family (same label types as the log family's). *)
 
+val edge_ok : Ne_psi.edge_constraint
+(** This family's Ψ_G edge constraint; [(problem ~delta).check_edge]
+    applies it to a window's labels. *)
+
 val prove :
   delta:int -> n:int -> Labels.t -> Ne_psi.solution * Repro_local.Meter.t
 (** All-GadOk on valid gadgets; an error labeling otherwise. *)

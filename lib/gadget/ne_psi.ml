@@ -173,8 +173,10 @@ let is_clean h =
   && match h.from_prev with [] -> true | _ :: _ -> false
 
 (* Ψ_G is checked at every gadget node and edge of every Π' check, so
-   [check_node]'s pass over the halves and [check_edge] read the
-   window's raw fields; the rarer predicates below (chains, pointers,
+   [check_node]'s pass over the halves reads the window's raw fields,
+   and the edge constraint is [edge_ok], a function of the edge's eight
+   labels that Π' calls on labels read from its own window ([check_edge]
+   only wraps it); the rarer predicates below (chains, pointers,
    witnesses) read through {!Ne_lcl}'s accessors. *)
 
 (* the halves whose [tags] (e.g. [to_next_of]) carry [c]; [tags] is a
@@ -356,17 +358,20 @@ let chain_edge (h : half_out) (lsrc : half_in) (lfar : half_in)
     (far : node_out) =
   next_edge_ok lsrc far h.to_next && prev_edge_ok lfar far h.from_prev
 
-let check_edge (ev : (node_label, unit, half_in, node_out, unit, half_out) Ne_lcl.edge_view) =
-  let u = ev.Ne_lcl.u and w = ev.Ne_lcl.w in
-  let hu = ev.Ne_lcl.hu and hw = ev.Ne_lcl.hw in
-  let u_in : node_label = ev.Ne_lcl.uvi.(u) in
-  let w_in : node_label = ev.Ne_lcl.wvi.(w) in
-  let u_out : node_out = ev.Ne_lcl.uvo.(u) in
-  let w_out : node_out = ev.Ne_lcl.wvo.(w) in
-  let bu_in : half_in = ev.Ne_lcl.ubi.(hu) in
-  let bw_in : half_in = ev.Ne_lcl.wbi.(hw) in
-  let bu_out : half_out = ev.Ne_lcl.ubo.(hu) in
-  let bw_out : half_out = ev.Ne_lcl.wbo.(hw) in
+type edge_constraint =
+  node_label ->
+  node_label ->
+  node_out ->
+  node_out ->
+  half_in ->
+  half_in ->
+  half_out ->
+  half_out ->
+  bool
+
+let edge_ok (u_in : node_label) (w_in : node_label) (u_out : node_out)
+    (w_out : node_out) (bu_in : half_in) (bw_in : half_in) (bu_out : half_out)
+    (bw_out : half_out) =
   mirror_ok bu_out u_out
   && mirror_ok bw_out w_out
   && is_nok u_out.status = is_nok w_out.status
@@ -378,6 +383,11 @@ let check_edge (ev : (node_label, unit, half_in, node_out, unit, half_out) Ne_lc
   && claim_ok bw_out u_in
   && chain_edge bu_out bu_in bw_in w_out
   && chain_edge bw_out bw_in bu_in u_out
+
+let check_edge ev =
+  Ne_lcl.(
+    edge_ok (u_in ev) (w_in ev) (u_out ev) (w_out ev) (bu_in ev) (bw_in ev)
+      (bu_out ev) (bw_out ev))
 
 let problem ~delta : problem_t =
   {

@@ -61,6 +61,26 @@ type problem_t =
 
 val problem : delta:int -> problem_t
 
+type edge_constraint =
+  Labels.node_label ->
+  Labels.node_label ->
+  node_out ->
+  node_out ->
+  half_in ->
+  half_in ->
+  half_out ->
+  half_out ->
+  bool
+(** An edge constraint of Ψ_G as a function of the edge's labels alone:
+    [u_in w_in u_out w_out bu_in bw_in bu_out bw_out], side [u]'s before
+    side [w]'s. Ψ_G's edges carry no labels of their own ([unit]), and
+    no Ψ_G edge constraint reads whether the edge is a self-loop. *)
+
+val edge_ok : edge_constraint
+(** Ψ_G's edge constraint; [(problem ~delta).check_edge] applies it to
+    a window's labels. Π' calls it on the projections of its own
+    labels, so a gadget edge of a Π' check copies no label. *)
+
 val node_input_bad : delta:int -> Labels.node_label -> half_in array -> bool
 (** A violation visible from one node's own input labels: what justifies
     a witness at that node by itself. *)

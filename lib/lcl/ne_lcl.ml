@@ -145,7 +145,8 @@ type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) slot = {
 (* Two pool loops: index [v] of the first evaluates C_N at node [v],
    index [e] of the second C_E at edge [e] in the canonical orientation
    of [at_edge], so each node and each edge is evaluated exactly once
-   and the labels are read in id order. Each slot keeps one node window,
+   and the labels are read in id order. Each range of a loop runs on one
+   domain and looks up its slot once. Each slot keeps one node window,
    one edge window and its own lists of bad nodes and edges, all padded
    onto cache lines of their own: a window's int fields are written at
    every index, and two slots sharing a line would make the domains
@@ -165,14 +166,20 @@ let sweep p g ~input ~output =
           })
   in
   let off = G.ports_off g and hn = G.half_node_flat g in
-  Pool.parallel_for ~grain:400 ~n:(G.n g) (fun v ->
+  Pool.parallel_range ~grain:400 ~n:(G.n g) (fun lo hi ->
       let s = slots.(Pool.worker_index ()) in
-      at_node off s.nv v;
-      if not (p.check_node s.nv) then s.bad_ns <- v :: s.bad_ns);
-  Pool.parallel_for ~grain:200 ~n:(G.m g) (fun e ->
+      let nv = s.nv in
+      for v = lo to hi - 1 do
+        at_node off nv v;
+        if not (p.check_node nv) then s.bad_ns <- v :: s.bad_ns
+      done);
+  Pool.parallel_range ~grain:200 ~n:(G.m g) (fun lo hi ->
       let s = slots.(Pool.worker_index ()) in
-      at_edge hn s.ev e;
-      if not (p.check_edge s.ev) then s.bad_es <- e :: s.bad_es);
+      let ev = s.ev in
+      for e = lo to hi - 1 do
+        at_edge hn ev e;
+        if not (p.check_edge ev) then s.bad_es <- e :: s.bad_es
+      done);
   let ascending bad =
     List.sort Int.compare
       (Array.fold_left (fun acc s -> List.rev_append (bad s) acc) [] slots)

@@ -33,9 +33,10 @@
     [ev]'s labels are [ev.uvi.(ev.u)] and [ev.wvi.(ev.w)] (outputs
     likewise), [ev.eei.(ev.edge)], [ev.ubi.(ev.hu)] and [ev.wbi.(ev.hw)].
     The accessors of the next section say the same; a kernel that runs
-    at every node or edge of every check (SO's, Ψ_G's and Π''s) reads
-    the fields instead, because the default dune profile compiles with
-    [-opaque] and so no accessor is inlined across modules, as
+    at every node or edge of every check (SO's, Π''s and Ψ_G's node
+    kernel) reads the fields instead, because the default dune profile
+    compiles with [-opaque] and so no accessor is inlined across
+    modules, as
     {!Repro_graph.Multigraph}'s hot loops read its raw CSR arrays. *)
 
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) node_view = {
@@ -148,12 +149,13 @@ val sweep :
   output:('vo, 'eo, 'bo) Labeling.t ->
   bad
 (** The one evaluation of [C_N] and [C_E] over a graph: one
-    {!Repro_local.Pool.parallel_for} evaluates [C_N] at every node once,
-    a second evaluates [C_E] at every edge once, in the canonical
+    {!Repro_local.Pool.parallel_range} evaluates [C_N] at every node
+    once, a second evaluates [C_E] at every edge once, in the canonical
     orientation of {!edge_view}: side [u] is half [2e], side [w] half
     [2e + 1]. Each pool slot keeps one node window, one edge window and
     its own lists of bad indices, each padded onto cache lines of its
-    own ({!Repro_local.Pool.padded}); the lists are merged and sorted at
+    own ({!Repro_local.Pool.padded}), and each range looks its slot up
+    once; the lists are merged and sorted at
     the end, so the result is the same at every pool size. A sweep
     writes ints into its windows, never labels, and allocates O(slots)
     words plus three per bad node or edge, not a view per node or edge.

@@ -78,11 +78,12 @@ let flood_gather inst ~radius payload =
     done;
     let nc = !class_count in
     (* Sorted class-id arrays, merge-union through two per-domain
-       ping-pong scratch buffers. A node's published array is immutable
-       once written, so the snapshot phase is a pointer copy and readers
-       never see a partial merge. The pull phase walks the raw CSR
-       arrays: no per-node closure, and the loop state stays in
-       (compiler-unboxed) local refs.
+       ping-pong scratch buffers, looked up once per range of the pull
+       loop. A node's published array is immutable once written, so the
+       snapshot phase is a pointer copy and readers never see a partial
+       merge. The pull phase walks the raw CSR arrays: no per-node
+       closure, and the loop state stays in (compiler-unboxed) local
+       refs.
 
        Only nodes whose set grew last round ([changed]) publish fresh
        snapshots, and only their neighbours ([cand], first-discovery
@@ -104,9 +105,7 @@ let flood_gather inst ~radius payload =
     let cand = Frontier_set.create n in
     let fscratch = Frontier_set.scratch () in
     Frontier_set.fill_all changed;
-    let merge_node r w =
-      let wi = Pool.worker_index () in
-      let ba = bufa.(wi) and bb = bufb.(wi) in
+    let merge_node ba bb r w =
       let own = snap.(w) in
       let cur = ref own and len = ref (Array.length own) in
       for hh = off.(w) to off.(w + 1) - 1 do
@@ -189,8 +188,13 @@ let flood_gather inst ~radius payload =
         else (0, 0, 0)
       in
       ignore (Frontier_set.expand ~g ~src:changed ~dst:cand fscratch);
-      Pool.parallel_for ~grain:500 ~n:(Frontier_set.cardinal cand) (fun k ->
-          merge_node r (Frontier_set.member cand k));
+      Pool.parallel_range ~grain:500 ~n:(Frontier_set.cardinal cand)
+        (fun lo hi ->
+          let wi = Pool.worker_index () in
+          let ba = bufa.(wi) and bb = bufb.(wi) in
+          for k = lo to hi - 1 do
+            merge_node ba bb r (Frontier_set.member cand k)
+          done);
       (* next frontier: the candidates that grew (fresh [known] pointer),
          in candidate order — deterministic *)
       Frontier_set.clear changed;

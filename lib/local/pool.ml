@@ -412,17 +412,19 @@ let run_parallel ?grain ~n ~make_body ~seq () =
         Obs.Counter.add m_dispatch_ns (max 0 (Obs.Clock.now_ns () - t0));
       (match Atomic.get job.failed with Some e -> raise e | None -> ())
 
-let parallel_for ?grain ~n f =
+(* a dispatched job hands [body] its chunks; an inline loop is one
+   range, [0, n) *)
+let parallel_range ?grain ~n body =
   run_parallel ?grain ~n
-    ~make_body:(fun ~chunk_size:_ lo hi ->
+    ~make_body:(fun ~chunk_size:_ -> body)
+    ~seq:(fun () -> if n > 0 then body 0 n)
+    ()
+
+let parallel_for ?grain ~n f =
+  parallel_range ?grain ~n (fun lo hi ->
       for i = lo to hi - 1 do
         f i
       done)
-    ~seq:(fun () ->
-      for i = 0 to n - 1 do
-        f i
-      done)
-    ()
 
 let parallel_for_reduce ?grain ~n ~neutral ~combine f =
   if n <= 0 then neutral

@@ -127,6 +127,17 @@ val parallel_for : ?grain:int -> n:int -> (int -> unit) -> unit
     exception raised by any body is re-raised on the calling domain
     after the loop drains. *)
 
+val parallel_range : ?grain:int -> n:int -> (int -> int -> unit) -> unit
+(** [parallel_range ~n body] runs [body lo hi] on disjoint nonempty
+    ranges [\[lo, hi)] that together cover [\[0, n)] exactly once: one
+    call per chunk of a dispatched loop, and one call [body 0 n] when
+    the loop runs inline (none when [n <= 0]). Dispatch rule, [?grain]
+    and chunk layout are {!parallel_for}'s, which is defined over it.
+    A body runs on one domain from start to end, so it can look up its
+    per-slot scratch ({!worker_index}) once per range instead of once
+    per index. Which ranges a loop gets depends on the pool size and
+    the schedule; under the determinism contract the result may not. *)
+
 val parallel_for_reduce :
   ?grain:int ->
   n:int ->

@@ -25,28 +25,25 @@ let delta_of (spec : _ Spec.t) = spec.Spec.hard_max_degree
    fields, go into one-slot arrays of the view's own. Every store into a
    view is skipped when the slot already holds the same ([==]) value, so
    a gadget component, whose nodes all share one Σ_list, writes no label
-   at all. Constraint 2 hands Ψ_G a sub-view of a node (its gadget
-   halves only) or an edge. Its labels are projections ([gad_v],
-   [gad_b], [psi_v], the [h] of [Some h]) with no array to point at, so
-   these two sub-views are the only ones that copy, into arrays of their
-   own (DESIGN.md §18). Each padded problem keeps one set per pool slot,
-   padded onto cache lines of its own. A check that nests — Π''s
-   constraint 5 runs Π's own node check, which for Π = Π^i is again a
-   padded check — reaches a different problem's scratch, so no two live
-   checks on one domain share a view. Views are never retained past the
-   sub-check that reads them. *)
+   at all. Constraint 2 on a gadget edge needs no view: the family's
+   [edge_ok] takes Ψ_G's eight edge labels as arguments, and they are
+   read straight from the padded window ([gad_v], [psi_v], [gad_b] and
+   the [h] of [Some h]). On a node, constraint 2 hands Ψ_G a sub-view of
+   the gadget halves only. Its labels are those same projections, with
+   no array to point at, so this sub-view is the only one that copies,
+   into arrays of its own (DESIGN.md §18). Each padded problem keeps one
+   set of views per pool slot, padded onto cache lines of its own. A
+   check that nests — Π''s constraint 5 runs Π's own node check, which
+   for Π = Π^i is again a padded check — reaches a different problem's
+   scratch, so no two live checks on one domain share a view. Views are
+   never retained past the sub-check that reads them. *)
 
 type psi_node_view =
   (GL.node_label, unit, NP.half_in, NP.node_out, unit, NP.half_out)
   Ne_lcl.node_view
 
-type psi_edge_view =
-  (GL.node_label, unit, NP.half_in, NP.node_out, unit, NP.half_out)
-  Ne_lcl.edge_view
-
 type ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) scratch = {
   psi_nv : psi_node_view;
-  psi_ev : psi_edge_view;
   hyp_nv : ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) Ne_lcl.node_view;
   pi_ev : ('vi, 'ei, 'bi, 'vo, 'eo, 'bo) Ne_lcl.edge_view;
 }
@@ -114,10 +111,6 @@ let fresh_scratch (spec : _ Spec.t) =
   Pool.padded
     {
       psi_nv = Pool.padded (own_node_view ~vi:default_gad_v ~vo:default_psi_v);
-      psi_ev =
-        Pool.padded
-          (own_edge_view ~vi:default_gad_v ~vo:default_psi_v ~ei:() ~eo:()
-             ~bi:default_gad_b ~bo:default_psi_b);
       hyp_nv = Pool.padded (own_node_view ~vi:spec.Spec.dvi ~vo:spec.Spec.dvo);
       pi_ev =
         Pool.padded
@@ -338,17 +331,8 @@ let check_edge ~(family : Family.t) ~slots spec ev =
     | Some bu, Some bw ->
       let bu_in : _ pb_in = ev.Ne_lcl.ubi.(ev.Ne_lcl.hu) in
       let bw_in : _ pb_in = ev.Ne_lcl.wbi.(ev.Ne_lcl.hw) in
-      let sub = (slot_scratch slots spec).psi_ev in
-      sub.Ne_lcl.loop <- ev.Ne_lcl.loop;
-      store sub.Ne_lcl.uvi 0 uin.gad_v;
-      store sub.Ne_lcl.uvo 0 uout.psi_v;
-      store sub.Ne_lcl.wvi 0 win.gad_v;
-      store sub.Ne_lcl.wvo 0 wout.psi_v;
-      store sub.Ne_lcl.ubi 0 bu_in.gad_b;
-      store sub.Ne_lcl.ubo 0 bu;
-      store sub.Ne_lcl.wbi 0 bw_in.gad_b;
-      store sub.Ne_lcl.wbo 0 bw;
-      family.Family.ne_problem.Ne_lcl.check_edge sub
+      family.Family.edge_ok uin.gad_v win.gad_v uout.psi_v wout.psi_v
+        bu_in.gad_b bw_in.gad_b bu bw
       (* constraint 6, gadget edges: the Σ_list agrees across the gadget
          (the solver gives a whole component one shared Σ_list) *)
       && ((not (u_ok && w_ok))

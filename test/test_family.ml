@@ -14,6 +14,7 @@ module Spec = Repro_padding.Spec
 module Pi = Repro_padding.Pi_prime
 module H = Repro_padding.Hierarchy
 module Psi = Repro_gadget.Psi
+module Corrupt = Repro_gadget.Corrupt
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -166,6 +167,92 @@ let test_family_depth_separation () =
   check "log family shallow" true (log3.Fam.depth tl < 40);
   check "linear family deep" true (lin3.Fam.depth tn > 1000)
 
+(* [sol]'s node outputs and half outputs each shuffled, the mirrors
+   then set to fit: outputs that no longer fit their edges, so the edge
+   constraint's rejecting branches run *)
+let shuffled rng g (sol : NP.solution) =
+  let shuffle a =
+    let a = Array.copy a in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    a
+  in
+  let v = shuffle sol.Labeling.v in
+  let b =
+    Array.mapi
+      (fun h (ho : NP.half_out) ->
+        { ho with NP.mirror = v.(G.half_node g h) })
+      (shuffle sol.Labeling.b)
+  in
+  { sol with Labeling.v; b }
+
+(* [fam.edge_ok] on an edge's labels equals [fam.ne_problem]'s
+   [check_edge] on the edge's window, and for the log family also the
+   copying reference kernel, at every edge of the family's gadget and of
+   each of its corruptions, under the prover's solution, the all-OK one
+   and the prover's shuffled. Π' checks gadget edges through [edge_ok]
+   alone. *)
+let edge_ok_agrees (fam : Fam.t) ~ref_check_edge =
+  let t = fam.Fam.make ~target:60 in
+  let rng = Random.State.make [| 29 |] in
+  let gadgets =
+    ("built", t)
+    :: List.map
+         (fun k ->
+           (Format.asprintf "%a" Corrupt.pp_kind k, Corrupt.apply rng k t))
+         Corrupt.all_kinds
+  in
+  let rejected = ref 0 and mismatches = ref [] in
+  List.iter
+    (fun (name, t) ->
+      let g = t.L.graph in
+      let input = NP.input_of t in
+      let proved, _ = fam.Fam.prove ~n:(G.n g) t in
+      List.iter
+        (fun (sol_name, (output : NP.solution)) ->
+          for e = 0 to G.m g - 1 do
+            let u = G.half_node g (2 * e) and w = G.half_node g ((2 * e) + 1) in
+            let got =
+              fam.Fam.edge_ok input.Labeling.v.(u) input.Labeling.v.(w)
+                output.Labeling.v.(u) output.Labeling.v.(w)
+                input.Labeling.b.(2 * e)
+                input.Labeling.b.((2 * e) + 1)
+                output.Labeling.b.(2 * e)
+                output.Labeling.b.((2 * e) + 1)
+            in
+            let ev = Ne_lcl.edge_view g ~input ~output e in
+            let agrees c = c ev = got in
+            if
+              not
+                (agrees fam.Fam.ne_problem.Ne_lcl.check_edge
+                && Option.fold ~none:true ~some:agrees ref_check_edge)
+            then
+              mismatches :=
+                Printf.sprintf "%s, %s, edge %d" name sol_name e
+                :: !mismatches;
+            if not got then incr rejected
+          done)
+        [
+          ("proved", proved);
+          ("all-OK", NP.all_ok_solution t);
+          ("shuffled", shuffled rng g proved);
+        ])
+    gadgets;
+  Alcotest.(check (list string)) "edges where they differ" [] !mismatches;
+  (* the comparison reached the rejecting branches too *)
+  check "some edge rejected" true (!rejected > 0)
+
+let test_edge_ok_log () =
+  edge_ok_agrees (Fam.log_family ~delta:3)
+    ~ref_check_edge:(Some Kernel_ref.Ne_psi_ref.check_edge)
+
+let test_edge_ok_linear () =
+  edge_ok_agrees (Fam.linear_family ~delta:3) ~ref_check_edge:None
+
 (* ------------------------------------------------------------------ *)
 (* padding with the linear family (Theorem 1, black box) *)
 
@@ -217,6 +304,8 @@ let suite =
     ("family log", `Quick, test_family_log);
     ("family linear", `Quick, test_family_linear);
     ("family depth separation", `Quick, test_family_depth_separation);
+    ("edge_ok equals check_edge (log)", `Quick, test_edge_ok_log);
+    ("edge_ok equals check_edge (linear)", `Quick, test_edge_ok_linear);
     ("pad linear valid", `Quick, test_pad_linear_valid);
     ("pad linear polynomial", `Slow, test_pad_linear_polynomial);
     ("pad linear rejects small delta", `Quick, test_pad_linear_rejects_small_delta);

@@ -3,8 +3,9 @@
    loops on per-slot scratch views; Kernel_ref keeps the closure-based
    checks they replaced. Both must produce the same violation lists and
    the same distributed-checker verdicts on valid and corrupted outputs
-   — Π² exercises the Ψ_G sub-views, Π³ the nested case (its
-   hypothetical node is checked by Π²'s kernel). The prover (node_bad,
+   — Π² exercises the Ψ_G node sub-view and the family's [edge_ok],
+   Π³ the nested case (its hypothetical node is checked by Π²'s
+   kernel). The prover (node_bad,
    the verifier, the witness encoding) walks hoisted CSR arrays; its
    reference is the parent kernel kept in Kernel_ref, and the two must
    agree on solutions, meter radii and verifier counters. *)

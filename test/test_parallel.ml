@@ -19,6 +19,13 @@ module GB = Repro_gadget.Build
 module GL = Repro_gadget.Labels
 module Corrupt = Repro_gadget.Corrupt
 module V = Repro_gadget.Verifier
+module NP = Repro_gadget.Ne_psi
+module Labeling = Repro_lcl.Labeling
+module Ne_lcl = Repro_lcl.Ne_lcl
+module Spec = Repro_padding.Spec
+module PT = Repro_padding.Padded_types
+module Pi = Repro_padding.Pi_prime
+module H = Repro_padding.Hierarchy
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -283,6 +290,98 @@ let test_dispatch_invariance () =
             (base = compute ()))
         dispatch_cells)
 
+(* [parallel_range] hands out disjoint nonempty ranges that cover
+   [0, n) exactly once in every dispatch cell; an inline loop is the
+   one range [0, n). The sizes sit around the chunk sizes of both grains
+   (a default-grain chunk aims at 200 indices, a grain-1000 one at 20,
+   both clamped by the pool size), around the force switch's 16-index
+   floor, and at 0 and 1. *)
+let test_range_covers () =
+  with_dispatch_config (fun () ->
+      List.iter
+        (fun ((force, s) as cell) ->
+          Pool.set_size s;
+          Pool.set_force_dispatch force;
+          List.iter
+            (fun grain ->
+              List.iter
+                (fun n ->
+                  let hits = Array.make (max n 1) 0 in
+                  let calls = Atomic.make 0 and malformed = Atomic.make 0 in
+                  Pool.parallel_range ?grain ~n (fun lo hi ->
+                      Atomic.incr calls;
+                      if not (0 <= lo && lo < hi && hi <= n) then
+                        Atomic.incr malformed
+                      else
+                        for i = lo to hi - 1 do
+                          hits.(i) <- hits.(i) + 1
+                        done);
+                  let what =
+                    Printf.sprintf "%s grain %s n %d" (cell_name cell)
+                      (Option.fold ~none:"default" ~some:string_of_int grain)
+                      n
+                  in
+                  check_int (what ^ ": malformed ranges") 0
+                    (Atomic.get malformed);
+                  check (what ^ ": every index once") true
+                    (Array.for_all (fun c -> c = 1) (Array.sub hits 0 n));
+                  let calls = Atomic.get calls in
+                  if n = 0 then check_int (what ^ ": no call") 0 calls;
+                  if s = 1 && n > 0 then
+                    check_int (what ^ ": one inline range") 1 calls)
+                [
+                  0; 1; 2; 15; 16; 17; 19; 20; 21; 39; 40; 41; 199; 200; 201;
+                  399; 400; 401; 1000;
+                ])
+            [ None; Some 1000 ])
+        dispatch_cells)
+
+(* the Π² constraint sweep's bad lists on a corrupted output are the
+   same in every dispatch cell: the sweep's per-range slot lookup moves
+   no verdict *)
+let test_pi2_sweep_invariance () =
+  let pi2 = Pi.pad H.sinkless_orientation in
+  let g, input =
+    pi2.Spec.hard_instance (Random.State.make [| 4 |]) ~target:400
+  in
+  let out, _ = pi2.Spec.solve_det (Instance.create ~seed:4 g) input in
+  (* PortErr flags moved at some nodes, bad-edge claims at some halves *)
+  let output = Labeling.copy out in
+  let rng = Random.State.make [| 29 |] in
+  for _ = 1 to 6 do
+    let v = Random.State.int rng (G.n g) in
+    let o = output.Labeling.v.(v) in
+    output.Labeling.v.(v) <-
+      {
+        o with
+        PT.perr =
+          (match o.PT.perr with
+          | PT.NoPortErr -> PT.PortErr1
+          | PT.PortErr1 -> PT.PortErr2
+          | PT.PortErr2 -> PT.NoPortErr);
+      };
+    let h = Random.State.int rng (2 * G.m g) in
+    output.Labeling.b.(h) <-
+      Option.map
+        (fun ho -> { ho with NP.bad_edge = true })
+        output.Labeling.b.(h)
+  done;
+  let sweep () = Ne_lcl.sweep pi2.Spec.problem g ~input ~output in
+  with_dispatch_config (fun () ->
+      Pool.set_size 1;
+      let base = sweep () in
+      check "bad nodes found" true (base.Ne_lcl.bad_nodes <> []);
+      check "bad edges found" true (base.Ne_lcl.bad_edges <> []);
+      List.iter
+        (fun ((force, s) as cell) ->
+          Pool.set_size s;
+          Pool.set_force_dispatch force;
+          check
+            (Printf.sprintf "%s: bad lists = sequential" (cell_name cell))
+            true
+            (base = sweep ()))
+        dispatch_cells)
+
 let test_dispatch_obs_invariance () =
   (* the observability byte-identity half of the contract: deterministic
      trace projections and provenance certificates may not depend on the
@@ -406,6 +505,8 @@ let suite =
       `Quick,
       test_dispatch_invariance );
     ("autotuner trace/cert invariance", `Quick, test_dispatch_obs_invariance);
+    ("parallel_range covers every index once", `Quick, test_range_covers);
+    ("pi2 sweep bad lists across cells", `Quick, test_pi2_sweep_invariance);
     ("oversubscribed pool stays inline", `Quick, test_oversubscribed_inline);
     ("pool counters armed per job", `Quick, test_pool_counters_armed_per_job);
   ]
