@@ -6,15 +6,24 @@
    the set in insertion order. A round then costs O(frontier nodes +
    frontier edges), not O(n + m).
 
+   The mailbox is indexed by CSR position, not by half id: slot [i]
+   holds the message that arrived on the half [prt.(i)], so node [v]'s
+   inbox is the contiguous slice [mail.(off v) .. mail.(off (v+1) - 1)]
+   in port order. [dst.(i)], built once per run, is the slot of the
+   mate of the half at position [i]: the inbox slot a message sent out
+   of position [i] lands in. Send scatters through [dst]; receive reads
+   its own slice in order.
+
    Both phases are embarrassingly parallel over the live set, and each
    writes only index-owned locations:
 
-   - send: node [v] writes the mailbox slots [mate h] for its own halves
-     [h]; every half belongs to exactly one node, so the written slots
-     partition the mailbox. It reads only [states.(v)], which receive
-     wrote in the *previous* phase (a pool barrier apart).
-   - receive: node [v] reads the mailbox (frozen during this phase) and
-     writes [states/outputs/halted/rounds] at its own index only.
+   - send: node [v] writes the slots [dst.(i)] for its own positions
+     [i]; [dst] is a permutation (an involution pairing the two sides
+     of each edge), so the written slots partition the mailbox. It
+     reads only [states.(v)], which receive wrote in the *previous*
+     phase (a pool barrier apart).
+   - receive: node [v] reads its inbox slice (frozen during this phase)
+     and writes [states/outputs/halted/rounds] at its own index only.
 
    Hence any pool size, and either iteration order (sparse member order
    or dense bitmap order), is bit-identical to the sequential loop. The
@@ -22,8 +31,11 @@
    equality against the boxed reference engine in lib/fuzz at 1/2/4
    domains and in both representations.
 
-   Arena discipline: [mail.(h)] is valid iff [mail_epoch.(h) >= 0], and
-   then holds the message most recently sent into half [h]. The
+   Arena discipline: every slot holds a real message from round 0 on.
+   Round 0's frontier is full, so its send phase writes every slot
+   before any receive reads one; the engine checks this once, as round
+   0's scanned half-edge count equalling 2m. Halted senders stop
+   writing and their last messages stay in place. The
    placeholder-seeded arrays ([Obj.magic 0]) are safe only because they
    never escape this polymorphic engine: a uniform array seeded with an
    immediate is read and written through the generic accessors here,
@@ -40,9 +52,10 @@
    and receive.
 
    Hot-path discipline: both phase loops are prebuilt {!Pool.fused}
-   tasks (zero per-round allocation in the engine itself), the send
-   task returns the scanned half-edge count (the round span's [edges]
-   kv for free) and the receive task returns the newly-halted count. *)
+   range tasks (zero per-round allocation in the engine itself; a
+   receive range looks up its domain's scratch once), the send task
+   returns the scanned half-edge count (the round span's [edges] kv for
+   free) and the receive task returns the newly-halted count. *)
 
 module G = Repro_graph.Multigraph
 module Obs = Repro_obs
@@ -76,22 +89,38 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
   let halted = Array.make n false in
   let remaining = ref n in
   let mail : 'msg array = Array.make m2 (Obj.magic 0 : 'msg) in
-  let mail_epoch = Array.make m2 (-1) in
+  (* [dst.(i)]: the inbox slot of the mate of the half at position [i].
+     It is built through the position of each half, kept in [mail]'s
+     slots: [mail] is a uniform array of immediates until round 0
+     overwrites every slot, so it can hold ints meanwhile, and the run
+     allocates no third array of 2m words. Both passes touch memory at
+     random, and neither gains from the pool *)
+  let dst =
+    let pos : int array = Obj.magic mail in
+    for i = 0 to m2 - 1 do
+      pos.(prt.(i)) <- i
+    done;
+    let dst = Array.make m2 0 in
+    for i = 0 to m2 - 1 do
+      dst.(i) <- pos.(G.mate prt.(i))
+    done;
+    dst
+  in
   (* per-domain receive scratch: scratch.(w).(d) is domain w's reusable
      message buffer of length d, created on first use from a real
      message value (so the buffer gets the right representation) and
      owned exclusively by domain w for the duration of one receive
-     call *)
+     range *)
   let slots = Pool.worker_slots () in
   let maxdeg = G.max_degree g in
   let scratch : 'msg array array array =
     Array.init slots (fun _ -> Array.make (maxdeg + 1) [||])
   in
   (* provenance audit (disarmed: one boolean load per run, no
-     allocation). Influence sets mirror the mailbox ownership exactly:
-     the send phase copies the sender's set into its mates' slots, the
-     receive phase unions a node's slots into its own set — so each set
-     is written by one loop index per phase and the audit is
+     allocation). Influence sets mirror the mailbox slots exactly: the
+     send phase copies the sender's set into the slots it writes, the
+     receive phase unions a node's inbox slots into its own set — so
+     each set is written by one loop index per phase and the audit is
      bit-identical for every pool size, like the messages themselves. *)
   let audit = Obs.Provenance.active () in
   let inf_state =
@@ -118,40 +147,37 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
     let lo = off.(v) in
     let hi = off.(v + 1) in
     for i = lo to hi - 1 do
-      let dst = G.mate prt.(i) in
-      mail.(dst) <- alg.MP.send st ~round:r ~port:(i - lo);
-      mail_epoch.(dst) <- r
+      mail.(dst.(i)) <- alg.MP.send st ~round:r ~port:(i - lo)
     done;
     if audit then
-      G.iter_halves g v ~f:(fun h ->
-          Obs.Provenance.Bitset.blit ~src:inf_state.(v)
-            ~dst:inf_mail.(G.mate h));
+      for i = lo to hi - 1 do
+        Obs.Provenance.Bitset.blit ~src:inf_state.(v) ~dst:inf_mail.(dst.(i))
+      done;
     hi - lo
   in
-  let recv_one v =
-    if audit then
-      G.iter_halves g v ~f:(fun h ->
-          Obs.Provenance.Bitset.union_into ~into:inf_state.(v) inf_mail.(h));
-    let r = !round in
+  (* [per_deg] is the calling domain's scratch, looked up once per range *)
+  let recv_one per_deg v =
     let lo = off.(v) in
     let d = off.(v + 1) - lo in
+    if audit then
+      for i = lo to lo + d - 1 do
+        Obs.Provenance.Bitset.union_into ~into:inf_state.(v) inf_mail.(i)
+      done;
+    let r = !round in
     let msgs =
       if d = 0 then [||]
       else begin
-        let per_deg = scratch.(Pool.worker_index ()) in
         let buf = per_deg.(d) in
         let buf =
           if Array.length buf = d then buf
           else begin
-            let b = Array.make d mail.(prt.(lo)) in
+            let b = Array.make d mail.(lo) in
             per_deg.(d) <- b;
             b
           end
         in
-        for i = 0 to d - 1 do
-          let h = prt.(lo + i) in
-          assert (mail_epoch.(h) >= 0);
-          buf.(i) <- mail.(h)
+        for k = 0 to d - 1 do
+          buf.(k) <- mail.(lo + k)
         done;
         buf
       end
@@ -167,14 +193,49 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
       1
   in
   let send_fold acc v = acc + send_one v in
-  let recv_fold acc v = acc + recv_one v in
-  (* grain hints: sparse indices are one node's phase work, dense
-     indices are one 64-node bitset word (mostly-set in the dense
-     regime) *)
-  let send_sparse = Pool.fused ~grain:200 (fun k -> send_one (FS.member live k)) in
-  let send_dense = Pool.fused ~grain:6_000 (fun w -> FS.fold_word live w 0 send_fold) in
-  let recv_sparse = Pool.fused ~grain:300 (fun k -> recv_one (FS.member live k)) in
-  let recv_dense = Pool.fused ~grain:9_000 (fun w -> FS.fold_word live w 0 recv_fold) in
+  (* one receive fold per pool slot, over that slot's scratch, so a
+     dense range builds no closure *)
+  let recv_folds =
+    Array.map (fun per_deg acc v -> acc + recv_one per_deg v) scratch
+  in
+  (* the range bodies sum their phase body in plain loops, so a round
+     allocates nothing. Grain hints: sparse indices are one node's
+     phase work, dense indices are one 64-node bitset word
+     (mostly-set in the dense regime) *)
+  let send_sparse =
+    Pool.fused ~grain:200 (fun lo hi ->
+        let s = ref 0 in
+        for k = lo to hi - 1 do
+          s := !s + send_one (FS.member live k)
+        done;
+        !s)
+  in
+  let send_dense =
+    Pool.fused ~grain:6_000 (fun lo hi ->
+        let s = ref 0 in
+        for w = lo to hi - 1 do
+          s := !s + FS.fold_word live w 0 send_fold
+        done;
+        !s)
+  in
+  let recv_sparse =
+    Pool.fused ~grain:300 (fun lo hi ->
+        let per_deg = scratch.(Pool.worker_index ()) in
+        let s = ref 0 in
+        for k = lo to hi - 1 do
+          s := !s + recv_one per_deg (FS.member live k)
+        done;
+        !s)
+  in
+  let recv_dense =
+    Pool.fused ~grain:9_000 (fun lo hi ->
+        let recv_fold = recv_folds.(Pool.worker_index ()) in
+        let s = ref 0 in
+        for w = lo to hi - 1 do
+          s := !s + FS.fold_word live w 0 recv_fold
+        done;
+        !s)
+  in
   let run_sp = Obs.Span.enter "frontier.run" in
   while !remaining > 0 && !round < limit do
     let r = !round in
@@ -186,6 +247,8 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
       if dense then Pool.run_fused send_dense ~n:(FS.word_count live)
       else Pool.run_fused send_sparse ~n:active
     in
+    (* the arena invariant: round 0 wrote every mailbox slot *)
+    assert (r > 0 || edges = m2);
     (* round accounting over the live set, taken between the two phases:
        each live node sends one message per port and reads one message
        per port, so the messages sent this round equal the mailbox sizes
@@ -197,9 +260,7 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
           msgs := !msgs + d;
           if d > !mbox_max then mbox_max := d;
           for i = off.(v) to off.(v + 1) - 1 do
-            let h = G.mate prt.(i) in
-            if mail_epoch.(h) >= 0 then
-              bytes := !bytes + MP.payload_bytes mail.(h)
+            bytes := !bytes + MP.payload_bytes mail.(dst.(i))
           done);
       Obs.Counter.incr m_rounds;
       Obs.Counter.add m_messages !msgs;

@@ -22,13 +22,16 @@
 
     {2 Arena mailboxes}
 
-    The mailbox is a flat ['msg array] (one slot per half-edge, for the
-    whole run) paired with an epoch word per slot: a slot is valid once
-    its epoch is non-negative, and then holds the most recent message
-    sent into that half, tagged with the round it was sent. Round 0
-    writes every slot (the frontier is full) and halted senders'
-    messages stay in place, so validity is monotone; the invariant is
-    checked as an assert on the epoch. The [msgs] array passed to
+    The mailbox is a flat ['msg array] with one slot per half-edge for
+    the whole run, indexed by CSR position: node [v]'s inbox is the
+    contiguous slice of its ports, in port order, and each slot holds
+    the most recent message sent into that half. A per-run array maps
+    each position to the inbox slot of its mate half, so the send phase
+    scatters through it and the receive phase reads its own slice in
+    order. Round 0 writes every slot (the frontier is full), which the
+    engine checks once, as round 0's scanned half-edge count equalling
+    [2m]; halted senders' messages stay in place, so every slot holds a
+    real message from then on. The [msgs] array passed to
     [receive] is a {e per-domain scratch buffer}: it is valid only for
     the duration of the call and is reused for other nodes afterwards.
     [receive] must not retain it (copy it if needed); every

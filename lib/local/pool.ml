@@ -453,17 +453,17 @@ let parallel_for_reduce ?grain ~n ~neutral ~combine f =
 (* fused prebuilt counting loops                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The engine's per-round hot path: a parallel_for and a reduce fused
+(* The engine's per-round hot path: a parallel_range and a reduce fused
    into one dispatch of a job record built once per engine run. The
-   per-index body returns an int; partial sums land in per-worker slots
-   (each domain touches only slots.(worker_index ())) and are summed by
-   the dispatching domain in slot order. Int addition is commutative
-   and associative, so the total is independent of which worker ran
-   which chunk — the determinism contract is untouched. Re-dispatching
-   reuses the job record and the slots, so a round costs zero
-   allocation beyond what the body itself allocates. *)
+   range body returns the int sum over its range; partial sums land in
+   per-worker slots (each domain touches only slots.(worker_index ()))
+   and are summed by the dispatching domain in slot order. Int addition
+   is commutative and associative, so the total is independent of which
+   worker ran which chunk — the determinism contract is untouched.
+   Re-dispatching reuses the job record and the slots, so a round costs
+   zero allocation beyond what the body itself allocates. *)
 type fused = {
-  fu_body : int -> int;
+  fu_body : int -> int -> int;
   fu_job : job;
   fu_grain : int;
   mutable fu_slots : int array;
@@ -493,13 +493,9 @@ let fused ?grain body =
   in
   t.fu_job.body <-
     (fun lo hi ->
-      let b = t.fu_body in
-      let s = ref 0 in
-      for i = lo to hi - 1 do
-        s := !s + b i
-      done;
+      let s = t.fu_body lo hi in
       let w = worker_index () in
-      t.fu_slots.(w) <- t.fu_slots.(w) + !s);
+      t.fu_slots.(w) <- t.fu_slots.(w) + s);
   t
 
 let run_fused t ~n =
@@ -510,12 +506,7 @@ let run_fused t ~n =
       Obs.Counter.incr m_seq_loops;
       if n >= 2 && (not !busy) && size () > 1 then
         Obs.Counter.incr m_cutoff_inline;
-      let b = t.fu_body in
-      let s = ref 0 in
-      for i = 0 to n - 1 do
-        s := !s + b i
-      done;
-      !s
+      t.fu_body 0 n
     | Some pool ->
       let sz = size () in
       if Array.length t.fu_slots < sz then t.fu_slots <- Array.make sz 0;

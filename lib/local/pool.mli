@@ -151,22 +151,27 @@ val parallel_for_reduce :
     associative with [neutral] as identity. *)
 
 type fused
-(** A prebuilt parallel counting loop: one [parallel_for] and one int
+(** A prebuilt parallel counting loop: one {!parallel_range} and one int
     reduce fused into a single pool dispatch, with the job record,
     chunk bookkeeping and per-worker accumulator slots allocated once
     at {!fused} time. Re-running it ({!run_fused}) allocates nothing,
     which is what makes it the engine's per-round primitive. *)
 
-val fused : ?grain:int -> (int -> int) -> fused
-(** [fused body] prepares a reusable loop over [body]. [body i] must
-    obey the determinism contract above (index-owned writes); its int
-    return values are summed. The sum is accumulated per worker domain
-    and combined by the dispatcher — int addition is commutative, so
-    the result is schedule-independent. [?grain] is the task's cost
+val fused : ?grain:int -> (int -> int -> int) -> fused
+(** [fused body] prepares a reusable loop over the range body [body].
+    [body lo hi] handles the indices [\[lo, hi)], must obey the
+    determinism contract above (index-owned writes), and returns an int
+    for its range; the ranges are {!parallel_range}'s, so a body can
+    look up its per-slot scratch once per range. The returned ints are
+    summed per worker domain and combined by the dispatcher — int
+    addition is commutative and associative, so the result is
+    schedule-independent as long as [body]'s result is additive over
+    ranges (a sum over its indices). [?grain] is the task's cost
     estimate (ns per index, {!default_grain} when absent). *)
 
 val run_fused : fused -> n:int -> int
-(** [run_fused t ~n] runs [body i] for every [i] in [0, n) and returns
+(** [run_fused t ~n] runs [body] on ranges that cover [\[0, n)] exactly
+    once (one call [body 0 n] when the loop runs inline) and returns
     the sum of the results. [n] may vary between calls (shrinking
     frontiers); the dispatch rule and chunk layout are recomputed per
     call from [n], the grain estimate and the pool size, with no

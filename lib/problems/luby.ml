@@ -48,7 +48,14 @@ let solve inst =
   let p = Array.make n min_int in
   let nmax = Array.make n min_int in
   let nmem = Array.make n false in
-  let count_active = Pool.fused ~grain:5 (fun v -> if active.(v) then 1 else 0) in
+  let count_active =
+    Pool.fused ~grain:5 (fun lo hi ->
+        let c = ref 0 in
+        for v = lo to hi - 1 do
+          if active.(v) then incr c
+        done;
+        !c)
+  in
   let remaining = ref (Pool.run_fused count_active ~n) in
   let iter = ref 0 in
   while !remaining > 0 do

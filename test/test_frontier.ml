@@ -129,7 +129,16 @@ let test_fused () =
     done;
     !s
   in
-  let t = Pool.fused body in
+  (* a range body: sums [body] over its range, which must be nonempty *)
+  let t =
+    Pool.fused (fun lo hi ->
+        if lo >= hi then Alcotest.failf "empty range [%d, %d)" lo hi;
+        let s = ref 0 in
+        for i = lo to hi - 1 do
+          s := !s + body i
+        done;
+        !s)
+  in
   List.iter
     (fun size ->
       with_pool_size size (fun () ->
@@ -200,6 +209,84 @@ let test_switch_round_pinned () =
   let boxed = Reference.run_boxed inst alg in
   check "boxed outputs" true (boxed.Reference.outputs = res.Frontier.outputs);
   check "boxed rounds" true (boxed.Reference.rounds = res.Frontier.rounds)
+
+(* mailbox routing on a multigraph: self-loops (both sides at one node)
+   and parallel edges (several ports to one neighbour) are where a slot
+   mix-up would show. Node v's state in round r is 100·v + r, it sends
+   state·16 + port and halts after round v mod 5, so the message on port
+   p of v in round r is fixed by the mate half h' = mate (half_at g v p):
+   its node u, its port half_port g h', and u's last sending round
+   min r (u mod 5) (halted senders' messages stay in place). n = 1,100
+   gives 18 bitmap words, so the dense loops dispatch too when forced. *)
+let routing_graph () =
+  let n = 1_100 in
+  let rng = Random.State.make [| 29 |] in
+  let cycle = List.init n (fun v -> (v, (v + 1) mod n)) in
+  let chords =
+    List.init 400 (fun _ -> (Random.State.int rng n, Random.State.int rng n))
+  in
+  let extra =
+    [ (0, 0); (700, 700); (700, 700); (1, 2); (1, 2); (5, 6); (6, 5) ]
+  in
+  G.of_edges ~n (cycle @ extra @ chords)
+
+let test_multigraph_routing () =
+  let g = routing_graph () in
+  let n = G.n g in
+  check "has self-loops" true (G.has_self_loop g 0 && G.has_self_loop g 700);
+  check "has parallel edges" false (G.is_simple g);
+  let inst = Instance.create g in
+  let halt v = v mod 5 in
+  let expected v r =
+    Array.init (G.degree g v) (fun p ->
+        let h' = G.mate (G.half_at g v p) in
+        let u = G.half_node g h' in
+        (((100 * u) + min r (halt u)) * 16) + G.half_port g h')
+  in
+  let want = Array.init n (fun v -> Array.init (halt v + 1) (expected v)) in
+  let outputs = Array.init n Fun.id in
+  let rounds = Array.init n (fun v -> halt v + 1) in
+  let run dense_threshold =
+    let got = Array.init n (fun v -> Array.make (halt v + 1) [||]) in
+    let alg =
+      {
+        MP.init = (fun _ v -> 100 * v);
+        send = (fun st ~round:_ ~port -> (st * 16) + port);
+        receive =
+          (fun st ~round msgs ->
+            let v = st / 100 in
+            got.(v).(round) <- Array.copy msgs;
+            if round = halt v then Either.Right v else Either.Left (st + 1));
+      }
+    in
+    let res = Frontier.run ~dense_threshold inst alg in
+    (res, got)
+  in
+  Fun.protect
+    ~finally:(fun () -> Pool.set_force_dispatch true)
+    (fun () ->
+      List.iter
+        (fun force ->
+          Pool.set_force_dispatch force;
+          List.iter
+            (fun size ->
+              with_pool_size size (fun () ->
+                  List.iter
+                    (fun (mode, dense_threshold) ->
+                      let what =
+                        Printf.sprintf "%s, %d domains, %s"
+                          (if force then "forced" else "rule")
+                          size mode
+                      in
+                      let res, got = run dense_threshold in
+                      check (what ^ ": received messages") true (got = want);
+                      check (what ^ ": outputs") true
+                        (res.Frontier.outputs = outputs);
+                      check (what ^ ": rounds") true
+                        (res.Frontier.rounds = rounds))
+                    [ ("dense", 0); ("sparse", n + 1) ]))
+            [ 1; 2; 4 ])
+        [ true; false ])
 
 (* certificate equivalence across the audit registry: every entry's
    certificate (the frontier engine's flood) must equal the same solve's
@@ -358,6 +445,7 @@ let suite =
     ("frontier-set expand", `Quick, test_set_expand);
     ("fused pool loop", `Quick, test_fused);
     ("switch round pinned on golden instance", `Quick, test_switch_round_pinned);
+    ("multigraph mailbox routing", `Quick, test_multigraph_routing);
     ("audit catalog engine equivalence", `Slow, test_catalog_engine_equivalence);
     ("flood equals BFS oracle", `Quick, test_flood_bfs_oracle);
     ("wave SO solver", `Quick, test_wave_solver);

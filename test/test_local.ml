@@ -185,12 +185,32 @@ let test_instance_with_seed () =
     <> Randomness.bits64 inst2.Instance.rand ~node:0 ~idx:0)
 
 let test_instance_rejects_bad_ids () =
+  let raises f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
   let g = Gen.cycle 3 in
   check "rejects duplicates" true
-    (try
-       ignore (Instance.create ~ids:[| 1; 1; 2 |] g);
-       false
-     with Invalid_argument _ -> true)
+    (raises (fun () -> Instance.create ~ids:[| 1; 1; 2 |] g));
+  check "rejects id 0" true
+    (raises (fun () -> Instance.create ~ids:[| 0; 1; 2 |] g));
+  check "rejects an id above n_promise²" true
+    (raises (fun () -> Instance.create ~ids:[| 1; 2; 10 |] g));
+  check "rejects a short id array" true
+    (raises (fun () -> Instance.create ~ids:[| 1; 2 |] g));
+  check "accepts spread ids up to n_promise²" false
+    (raises (fun () -> Instance.create ~ids:[| 9; 1; 5 |] g));
+  (* the default ids 1..n must fit the promise too: 5 nodes need
+     n_promise >= 3 *)
+  let g5 = Gen.cycle 5 in
+  check "rejects default ids above n_promise²" true
+    (raises (fun () -> Instance.create ~n_promise:2 g5));
+  check "accepts default ids within n_promise²" false
+    (raises (fun () -> Instance.create ~n_promise:3 g5));
+  check "rejects supplied ids above n_promise²" true
+    (raises (fun () -> Instance.create ~n_promise:2 ~ids:(Ids.sequential 5) g5))
 
 (* properties *)
 
