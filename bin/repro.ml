@@ -248,7 +248,8 @@ let solve_cmd =
     (Cmd.info "solve"
        ~doc:
          "Solve a registry problem and dump the canonical output bytes \
-          (identical at every pool size; CI diffs them with cmp).")
+          (identical at every pool size; `dune runtest` compares them \
+          byte for byte).")
     Term.(ret (const run $ problem $ n $ seed_arg $ out_file $ obs_args))
 
 let experiment_cmd =

@@ -49,23 +49,26 @@ let run_boxed ?limit inst (alg : _ MP.algorithm) =
               if audit then B.blit ~src:inf_state.(v) ~dst:inf_mail.(G.mate h))
             (G.halves g v));
     let newly_halted =
-      Pool.parallel_for_reduce ~n ~neutral:0 ~combine:( + ) (fun v ->
-          if halted.(v) then 0
-          else begin
-            let halves = G.halves g v in
-            if audit then
-              Array.iter (fun h -> B.union_into ~into:inf_state.(v) inf_mail.(h)) halves;
-            let msgs = Array.map (fun h -> Option.get mail.(h)) halves in
-            match alg.MP.receive states.(v) ~round:r msgs with
-            | Either.Left st ->
-              states.(v) <- st;
-              0
-            | Either.Right out ->
-              outputs.(v) <- Some out;
-              halted.(v) <- true;
-              rounds.(v) <- r + 1;
-              1
-          end)
+      Pool.parallel_sum ~n (fun lo hi ->
+          let c = ref 0 in
+          for v = lo to hi - 1 do
+            if not halted.(v) then begin
+              let halves = G.halves g v in
+              if audit then
+                Array.iter
+                  (fun h -> B.union_into ~into:inf_state.(v) inf_mail.(h))
+                  halves;
+              let msgs = Array.map (fun h -> Option.get mail.(h)) halves in
+              match alg.MP.receive states.(v) ~round:r msgs with
+              | Either.Left st -> states.(v) <- st
+              | Either.Right out ->
+                outputs.(v) <- Some out;
+                halted.(v) <- true;
+                rounds.(v) <- r + 1;
+                incr c
+            end
+          done;
+          !c)
     in
     remaining := !remaining - newly_halted;
     incr round

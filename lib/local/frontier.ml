@@ -51,11 +51,11 @@
    chosen before the send phase — the switch never lands between send
    and receive.
 
-   Hot-path discipline: both phase loops are prebuilt {!Pool.fused}
-   range tasks (zero per-round allocation in the engine itself; a
-   receive range looks up its domain's scratch once), the send task
-   returns the scanned half-edge count (the round span's [edges] kv for
-   free) and the receive task returns the newly-halted count. *)
+   Hot-path discipline: both phases are {!Pool.parallel_sum} loops over
+   range bodies built once per run (a receive range looks up its
+   domain's scratch once); the send phase sums the scanned half-edge
+   count (the round span's [edges] kv for free) and the receive phase
+   the newly-halted count. *)
 
 module G = Repro_graph.Multigraph
 module Obs = Repro_obs
@@ -140,7 +140,7 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
   FS.fill_all live;
   let round = ref 0 in
   (* the per-node phase bodies, hoisted once; the current round is read
-     through [round] so the prebuilt fused tasks never change *)
+     through [round] so the range bodies below are built once per run *)
   let send_one v =
     let st = states.(v) in
     let r = !round in
@@ -198,43 +198,39 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
   let recv_folds =
     Array.map (fun per_deg acc v -> acc + recv_one per_deg v) scratch
   in
-  (* the range bodies sum their phase body in plain loops, so a round
-     allocates nothing. Grain hints: sparse indices are one node's
-     phase work, dense indices are one 64-node bitset word
-     (mostly-set in the dense regime) *)
-  let send_sparse =
-    Pool.fused ~grain:200 (fun lo hi ->
-        let s = ref 0 in
-        for k = lo to hi - 1 do
-          s := !s + send_one (FS.member live k)
-        done;
-        !s)
+  (* the range bodies sum their phase body in plain loops. Grain hints
+     (at the calls in the round loop): sparse indices are one node's
+     phase work, dense indices are one 64-node bitset word (mostly-set
+     in the dense regime) *)
+  let send_sparse lo hi =
+    let s = ref 0 in
+    for k = lo to hi - 1 do
+      s := !s + send_one (FS.member live k)
+    done;
+    !s
   in
-  let send_dense =
-    Pool.fused ~grain:6_000 (fun lo hi ->
-        let s = ref 0 in
-        for w = lo to hi - 1 do
-          s := !s + FS.fold_word live w 0 send_fold
-        done;
-        !s)
+  let send_dense lo hi =
+    let s = ref 0 in
+    for w = lo to hi - 1 do
+      s := !s + FS.fold_word live w 0 send_fold
+    done;
+    !s
   in
-  let recv_sparse =
-    Pool.fused ~grain:300 (fun lo hi ->
-        let per_deg = scratch.(Pool.worker_index ()) in
-        let s = ref 0 in
-        for k = lo to hi - 1 do
-          s := !s + recv_one per_deg (FS.member live k)
-        done;
-        !s)
+  let recv_sparse lo hi =
+    let per_deg = scratch.(Pool.worker_index ()) in
+    let s = ref 0 in
+    for k = lo to hi - 1 do
+      s := !s + recv_one per_deg (FS.member live k)
+    done;
+    !s
   in
-  let recv_dense =
-    Pool.fused ~grain:9_000 (fun lo hi ->
-        let recv_fold = recv_folds.(Pool.worker_index ()) in
-        let s = ref 0 in
-        for w = lo to hi - 1 do
-          s := !s + FS.fold_word live w 0 recv_fold
-        done;
-        !s)
+  let recv_dense lo hi =
+    let recv_fold = recv_folds.(Pool.worker_index ()) in
+    let s = ref 0 in
+    for w = lo to hi - 1 do
+      s := !s + FS.fold_word live w 0 recv_fold
+    done;
+    !s
   in
   let run_sp = Obs.Span.enter "frontier.run" in
   while !remaining > 0 && !round < limit do
@@ -244,8 +240,9 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
     let active = FS.cardinal live in
     let rng0 = if Obs.Span.live rsp then Obs.Counter.value m_rng else 0 in
     let edges =
-      if dense then Pool.run_fused send_dense ~n:(FS.word_count live)
-      else Pool.run_fused send_sparse ~n:active
+      if dense then
+        Pool.parallel_sum ~grain:6_000 ~n:(FS.word_count live) send_dense
+      else Pool.parallel_sum ~grain:200 ~n:active send_sparse
     in
     (* the arena invariant: round 0 wrote every mailbox slot *)
     assert (r > 0 || edges = m2);
@@ -267,8 +264,9 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
       Obs.Counter.add m_bytes !bytes
     end;
     let newly_halted =
-      if dense then Pool.run_fused recv_dense ~n:(FS.word_count live)
-      else Pool.run_fused recv_sparse ~n:active
+      if dense then
+        Pool.parallel_sum ~grain:9_000 ~n:(FS.word_count live) recv_dense
+      else Pool.parallel_sum ~grain:300 ~n:active recv_sparse
     in
     remaining := !remaining - newly_halted;
     FS.remove_if live (fun v -> halted.(v));

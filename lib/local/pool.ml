@@ -27,15 +27,10 @@
    completed-counter gives the happens-before edge that makes the
    workers' plain-array writes visible to the caller.
 
-   Job records are reused across dispatches (see {!fused}), and a worker
-   that was descheduled for a whole epoch may issue one more claim on a
-   record that has since been re-armed. Claims are therefore
-   epoch-tagged: the chunk counter packs (epoch << chunk_bits | chunk),
-   and the armed epoch+chunk-count pair lives in one atomic word, so a
-   stale claim can never read a torn (epoch, layout) state — it either
-   sees its own drained epoch and stops, or a mismatched epoch and
-   stops. A claim that does match the armed word has read-from the
-   re-arm publication, which makes the job's plain fields visible. *)
+   Every dispatch builds a fresh, immutable job record and publishes it
+   through [cur_job]. A worker that was descheduled past the end of a
+   job and still holds it claims once more, finds the chunk counter
+   past the chunk count, and goes back to waiting. *)
 
 module Obs = Repro_obs
 
@@ -53,34 +48,21 @@ let m_dispatch_ns = counter "local.pool.dispatch_ns"
 let m_chunk_hist =
   Obs.Registry.histogram Obs.Registry.default "local.pool.chunk_ns.hist"
 
-(* claims pack (epoch << chunk_bits) | chunk in one atomic int; so does
-   the armed word, (epoch << chunk_bits) | chunks. 26 bits bound a
-   single job at ~67M chunks (layouts are capped well below) and leave
-   36 bits of monotonically increasing epoch — enough for 6.8e10
-   dispatches per process. *)
-let chunk_bits = 26
-let chunk_mask = (1 lsl chunk_bits) - 1
-let max_chunks = 1 lsl 24
-
-(* the range/body fields are mutable so a prebuilt job (see {!fused})
-   can be re-dispatched with a new range without allocating: the
-   dispatching domain writes them, then publishes [armed] and resets
-   [next]; a worker whose claim matches the armed word has synchronized
-   with that publication and sees the fields *)
+(* the plain fields are written before the job is published through
+   [cur_job], so a worker that reads it from there sees them *)
 type job = {
-  mutable chunks : int;
-  mutable chunk_size : int;
-  mutable total : int;
-  (* satellite: telemetry arming is decided once per job at dispatch
-     time; chunk execution reads these two flags instead of doing a
+  chunks : int;
+  chunk_size : int;
+  total : int;
+  (* telemetry arming is decided once per job at dispatch time; chunk
+     execution reads these two flags instead of doing a
      registry-liveness load and a Span.armed load per chunk *)
-  mutable j_timed : bool;
-  mutable j_span : bool;
-  mutable j_parent : int; (* the dispatcher's open span, see run_job *)
-  armed : int Atomic.t; (* (epoch << chunk_bits) | chunks *)
-  next : int Atomic.t; (* (epoch << chunk_bits) | next chunk to claim *)
-  completed : int Atomic.t; (* chunks fully executed this epoch *)
-  mutable body : int -> int -> unit; (* [body lo hi]: indices [lo, hi) *)
+  j_timed : bool;
+  j_span : bool;
+  j_parent : int; (* the dispatcher's open span, see run_job *)
+  next : int Atomic.t; (* next chunk to claim *)
+  completed : int Atomic.t; (* chunks fully executed *)
+  body : int -> int -> unit; (* [body lo hi]: indices [lo, hi) *)
   failed : exn option Atomic.t;
 }
 
@@ -181,17 +163,13 @@ let padded (r : 'a) : 'a =
    engine code can arm a recording) *)
 let () = Obs.Span.set_worker_source ~slots:worker_slots ~index:worker_index
 
-(* claim and run chunks until the range drains or the claim's epoch tag
-   stops matching the armed word; after a body raises, the remaining
-   chunks are still claimed (so the completed count drains) but their
-   bodies are skipped *)
+(* claim and run chunks until the range drains; after a body raises,
+   the remaining chunks are still claimed (so the completed count
+   drains) but their bodies are skipped *)
 let run_job pool job =
   let rec claim () =
-    let v = Atomic.fetch_and_add job.next 1 in
-    let armed = Atomic.get job.armed in
-    let c = v land chunk_mask in
-    if v lsr chunk_bits = armed lsr chunk_bits && c < armed land chunk_mask
-    then begin
+    let c = Atomic.fetch_and_add job.next 1 in
+    if c < job.chunks then begin
       (if Atomic.get job.failed = None then begin
          let timed = job.j_timed in
          let t0 = if timed then Obs.Clock.now_ns () else 0 in
@@ -312,20 +290,14 @@ let ensure_pool () =
       state := Some pool;
       Some pool
 
-(* arm the job for a fresh epoch and publish; then help drain it and
-   wait for the chunk count. The publication order matters: fields are
-   plain writes, [armed] then [next] make them visible to any claim
-   that will execute, [cur_job]/[epoch] make the job visible to
-   workers, and the parked check closes the wakeup race (a worker
-   rechecks the epoch under the mutex before and after parking). *)
+(* publish the job under a fresh epoch; then help drain it and wait for
+   the chunk count. [cur_job] is set before [epoch], so a worker that
+   sees the new epoch finds this job (or a later one), and the parked
+   check closes the wakeup race (a worker rechecks the epoch under the
+   mutex before and after parking). *)
 let dispatch pool job =
-  let e = Atomic.get pool.epoch + 1 in
-  Atomic.set job.completed 0;
-  Atomic.set job.failed None;
-  Atomic.set job.armed ((e lsl chunk_bits) lor job.chunks);
-  Atomic.set job.next (e lsl chunk_bits);
   Atomic.set pool.cur_job (Some job);
-  Atomic.set pool.epoch e;
+  Atomic.incr pool.epoch;
   if Atomic.get pool.parked > 0 then begin
     Mutex.lock pool.mutex;
     Condition.broadcast pool.work;
@@ -367,10 +339,6 @@ let chunk_layout ~grain ~n sz =
   let upper = max 1 (1 + ((n - 1) / sz)) in
   let lower = max 1 (1 + ((n - 1) / (16 * sz))) in
   let chunk_size = min upper (max lower (target_chunk_ns / max 1 grain)) in
-  let chunk_size =
-    if 1 + ((n - 1) / chunk_size) > max_chunks then 1 + ((n - 1) / max_chunks)
-    else chunk_size
-  in
   (chunk_size, 1 + ((n - 1) / chunk_size))
 
 let run_parallel ?grain ~n ~make_body ~seq () =
@@ -395,10 +363,9 @@ let run_parallel ?grain ~n ~make_body ~seq () =
           j_timed = Obs.Registry.enabled ();
           j_span = Obs.Span.armed ();
           j_parent = Obs.Span.dispatch_parent ();
-          armed = Atomic.make 0;
           next = Atomic.make 0;
           completed = Atomic.make 0;
-          body = make_body ~chunk_size;
+          body = make_body ~chunk_size ~chunks;
           failed = Atomic.make None;
         }
       in
@@ -416,7 +383,7 @@ let run_parallel ?grain ~n ~make_body ~seq () =
    range, [0, n) *)
 let parallel_range ?grain ~n body =
   run_parallel ?grain ~n
-    ~make_body:(fun ~chunk_size:_ -> body)
+    ~make_body:(fun ~chunk_size:_ ~chunks:_ -> body)
     ~seq:(fun () -> if n > 0 then body 0 n)
     ()
 
@@ -426,116 +393,20 @@ let parallel_for ?grain ~n f =
         f i
       done)
 
-let parallel_for_reduce ?grain ~n ~neutral ~combine f =
-  if n <= 0 then neutral
-  else begin
-    let fold lo hi =
-      let acc = ref neutral in
-      for i = lo to hi - 1 do
-        acc := combine !acc (f i)
-      done;
-      !acc
-    in
-    (* sized at dispatch time inside make_body; one slot per chunk *)
-    let partial = ref [||] in
-    run_parallel ?grain ~n
-      ~make_body:(fun ~chunk_size ->
-        let chunks = 1 + ((n - 1) / chunk_size) in
-        partial := Array.make chunks neutral;
-        let slots = !partial in
-        fun lo hi -> slots.(lo / chunk_size) <- fold lo hi)
-      ~seq:(fun () -> partial := [| fold 0 n |])
-      ();
-    Array.fold_left combine neutral !partial
-  end
-
-(* ------------------------------------------------------------------ *)
-(* fused prebuilt counting loops                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The engine's per-round hot path: a parallel_range and a reduce fused
-   into one dispatch of a job record built once per engine run. The
-   range body returns the int sum over its range; partial sums land in
-   per-worker slots (each domain touches only slots.(worker_index ()))
-   and are summed by the dispatching domain in slot order. Int addition
-   is commutative and associative, so the total is independent of which
-   worker ran which chunk — the determinism contract is untouched.
-   Re-dispatching reuses the job record and the slots, so a round costs
-   zero allocation beyond what the body itself allocates. *)
-type fused = {
-  fu_body : int -> int -> int;
-  fu_job : job;
-  fu_grain : int;
-  mutable fu_slots : int array;
-}
-
-let fused ?grain body =
-  let t =
-    {
-      fu_body = body;
-      fu_job =
-        {
-          chunks = 0;
-          chunk_size = 1;
-          total = 0;
-          j_timed = false;
-          j_span = false;
-          j_parent = -1;
-          armed = Atomic.make 0;
-          next = Atomic.make 0;
-          completed = Atomic.make 0;
-          body = (fun _ _ -> ());
-          failed = Atomic.make None;
-        };
-      fu_grain = grain_of grain;
-      fu_slots = Array.make (max 1 (size ())) 0;
-    }
-  in
-  t.fu_job.body <-
-    (fun lo hi ->
-      let s = t.fu_body lo hi in
-      let w = worker_index () in
-      t.fu_slots.(w) <- t.fu_slots.(w) + s);
-  t
-
-let run_fused t ~n =
+(* one partial per chunk, summed in chunk order; an inline loop is one
+   range, [0, n), and one partial *)
+let parallel_sum ?grain ~n body =
   if n <= 0 then 0
   else begin
-    match plan ~n ~grain:t.fu_grain with
-    | None ->
-      Obs.Counter.incr m_seq_loops;
-      if n >= 2 && (not !busy) && size () > 1 then
-        Obs.Counter.incr m_cutoff_inline;
-      t.fu_body 0 n
-    | Some pool ->
-      let sz = size () in
-      if Array.length t.fu_slots < sz then t.fu_slots <- Array.make sz 0;
-      let slots = t.fu_slots in
-      Array.fill slots 0 (Array.length slots) 0;
-      let chunk_size, chunks = chunk_layout ~grain:t.fu_grain ~n sz in
-      let job = t.fu_job in
-      job.total <- n;
-      job.chunk_size <- chunk_size;
-      job.chunks <- chunks;
-      job.j_timed <- Obs.Registry.enabled ();
-      job.j_span <- Obs.Span.armed ();
-      job.j_parent <- Obs.Span.dispatch_parent ();
-      Obs.Counter.incr m_jobs;
-      let t0 = if job.j_timed then Obs.Clock.now_ns () else 0 in
-      busy := true;
-      (match dispatch pool job with
-      | () -> busy := false
-      | exception e ->
-        busy := false;
-        raise e);
-      if job.j_timed then
-        Obs.Counter.add m_dispatch_ns (max 0 (Obs.Clock.now_ns () - t0));
-      (match Atomic.get job.failed with Some e -> raise e | None -> ());
-      let s = ref 0 in
-      for w = 0 to Array.length slots - 1 do
-        s := !s + slots.(w)
-      done;
-      !s
+    let partial = ref [||] in
+    run_parallel ?grain ~n
+      ~make_body:(fun ~chunk_size ~chunks ->
+        let slots = Array.make chunks 0 in
+        partial := slots;
+        fun lo hi -> slots.(lo / chunk_size) <- body lo hi)
+      ~seq:(fun () -> partial := [| body 0 n |])
+      ();
+    Array.fold_left ( + ) 0 !partial
   end
 
 let tabulate ?grain n f =

@@ -19,11 +19,6 @@
     so any domain count — including 1 — produces the same result, and
     [test/test_parallel.ml] asserts exactly this for every solver.
 
-    For {!parallel_for_reduce}, [combine] must be associative with
-    [neutral] as identity; partial results are combined in ascending
-    chunk order, so associativity makes the result independent of the
-    chunk layout.
-
     {2 Dispatch rule (DESIGN §17)}
 
     Handing a loop to the workers is not free: job setup, the atomic
@@ -138,45 +133,13 @@ val parallel_range : ?grain:int -> n:int -> (int -> int -> unit) -> unit
     per index. Which ranges a loop gets depends on the pool size and
     the schedule; under the determinism contract the result may not. *)
 
-val parallel_for_reduce :
-  ?grain:int ->
-  n:int ->
-  neutral:'a ->
-  combine:('a -> 'a -> 'a) ->
-  (int -> 'a) ->
-  'a
-(** [parallel_for_reduce ~n ~neutral ~combine f] folds [f 0 ... f (n-1)]
-    with [combine], computing per-chunk partials in parallel and
-    combining them in ascending chunk order. [combine] must be
-    associative with [neutral] as identity. *)
-
-type fused
-(** A prebuilt parallel counting loop: one {!parallel_range} and one int
-    reduce fused into a single pool dispatch, with the job record,
-    chunk bookkeeping and per-worker accumulator slots allocated once
-    at {!fused} time. Re-running it ({!run_fused}) allocates nothing,
-    which is what makes it the engine's per-round primitive. *)
-
-val fused : ?grain:int -> (int -> int -> int) -> fused
-(** [fused body] prepares a reusable loop over the range body [body].
-    [body lo hi] handles the indices [\[lo, hi)], must obey the
-    determinism contract above (index-owned writes), and returns an int
-    for its range; the ranges are {!parallel_range}'s, so a body can
-    look up its per-slot scratch once per range. The returned ints are
-    summed per worker domain and combined by the dispatcher — int
-    addition is commutative and associative, so the result is
-    schedule-independent as long as [body]'s result is additive over
-    ranges (a sum over its indices). [?grain] is the task's cost
-    estimate (ns per index, {!default_grain} when absent). *)
-
-val run_fused : fused -> n:int -> int
-(** [run_fused t ~n] runs [body] on ranges that cover [\[0, n)] exactly
-    once (one call [body 0 n] when the loop runs inline) and returns
-    the sum of the results. [n] may vary between calls (shrinking
-    frontiers); the dispatch rule and chunk layout are recomputed per
-    call from [n], the grain estimate and the pool size, with no
-    allocation. Falls back to an inline sequential loop under the same
-    conditions as {!parallel_for}. *)
+val parallel_sum : ?grain:int -> n:int -> (int -> int -> int) -> int
+(** [parallel_sum ~n body] runs [body lo hi] on {!parallel_range}'s
+    ranges over [\[0, n)] and returns the sum of the results: one
+    partial per chunk, added up in chunk order; an inline loop is the
+    one call [body 0 n]. Returns 0 without calling [body] when
+    [n <= 0]. The total is layout-independent when [body lo hi] is a
+    sum over its indices. *)
 
 val tabulate : ?grain:int -> int -> (int -> 'a) -> 'a array
 (** [tabulate n f] is [Array.init n f] with the slots filled in

@@ -48,15 +48,15 @@ let solve inst =
   let p = Array.make n min_int in
   let nmax = Array.make n min_int in
   let nmem = Array.make n false in
-  let count_active =
-    Pool.fused ~grain:5 (fun lo hi ->
+  let count_active () =
+    Pool.parallel_sum ~grain:5 ~n (fun lo hi ->
         let c = ref 0 in
         for v = lo to hi - 1 do
           if active.(v) then incr c
         done;
         !c)
   in
-  let remaining = ref (Pool.run_fused count_active ~n) in
+  let remaining = ref (count_active ()) in
   let iter = ref 0 in
   while !remaining > 0 do
     draw rand ~iter:!iter ~n active p;
@@ -83,7 +83,7 @@ let solve inst =
         end);
     Pool.parallel_for ~grain:10 ~n (fun v ->
         if active.(v) && (members.(v) || nmem.(v)) then active.(v) <- false);
-    remaining := Pool.run_fused count_active ~n;
+    remaining := count_active ();
     incr iter
   done;
   Obs.Counter.add m_iterations !iter;

@@ -1,5 +1,5 @@
 (* Tests for the frontier layer: Frontier_set representation and
-   expansion, the fused pool primitive, the frontier engine's
+   expansion, the frontier engine's
    byte-identity with the boxed reference engine (including the
    sparse↔dense switch, pinned on a golden instance), the audit-catalog
    certificate equivalence between the two engines, flood_gather
@@ -116,42 +116,6 @@ let test_set_expand () =
   Alcotest.(check (list int))
     "kept candidates" [ 0; 4 ]
     (List.init (FS.cardinal dst) (FS.member dst))
-
-(* ------------------------------------------------------------------ *)
-(* fused pool primitive *)
-
-let test_fused () =
-  let body i = (i * i) + 1 in
-  let expected n =
-    let s = ref 0 in
-    for i = 0 to n - 1 do
-      s := !s + body i
-    done;
-    !s
-  in
-  (* a range body: sums [body] over its range, which must be nonempty *)
-  let t =
-    Pool.fused (fun lo hi ->
-        if lo >= hi then Alcotest.failf "empty range [%d, %d)" lo hi;
-        let s = ref 0 in
-        for i = lo to hi - 1 do
-          s := !s + body i
-        done;
-        !s)
-  in
-  List.iter
-    (fun size ->
-      with_pool_size size (fun () ->
-          (* reuse one fused task across many sizes, below and above the
-             sequential cutoff *)
-          List.iter
-            (fun n ->
-              check_int
-                (Printf.sprintf "sum n=%d at %d domains" n size)
-                (expected n)
-                (Pool.run_fused t ~n))
-            [ 0; 1; 7; 16; 100; 1001 ]))
-    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* the frontier engine vs the boxed reference engine *)
@@ -443,7 +407,6 @@ let suite =
     ("frontier-set basics", `Quick, test_set_basics);
     ("frontier-set thresholds", `Quick, test_set_threshold);
     ("frontier-set expand", `Quick, test_set_expand);
-    ("fused pool loop", `Quick, test_fused);
     ("switch round pinned on golden instance", `Quick, test_switch_round_pinned);
     ("multigraph mailbox routing", `Quick, test_multigraph_routing);
     ("audit catalog engine equivalence", `Slow, test_catalog_engine_equivalence);

@@ -244,8 +244,8 @@ let test_golden_flood24 () =
         (at 2 = [ 2; 6; 7; 12; 13; 18; 19; 22 ]))
 
 (* when a node halts, the engine must keep delivering its LAST sent
-   message: the arena slot stays valid (epoch >= 0) and is simply not
-   rewritten. Node 0 halts in round 0 after sending 100*round + id = 0;
+   message: its mailbox slots keep the last message written there and
+   are simply not rewritten. Node 0 halts in round 0 after sending 100*round + id = 0;
    node 1 keeps running and must read 0 (not a fresh send, not garbage)
    in every later round. *)
 let test_halted_message_repeats () =

@@ -31,6 +31,9 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let sizes = [ 2; 4 ]
 
+(* the sum of the indices in [lo, hi) *)
+let index_sum lo hi = ((hi * (hi - 1)) - (lo * (lo - 1))) / 2
+
 (* run [compute] sequentially, then at 2 and 4 domains, and require
    structural equality of the results; always restores size 1 *)
 let across_sizes name compute =
@@ -92,34 +95,6 @@ let test_chunk_edge_cases () =
          16-index floor, so it runs inline) *)
       check "n < domains covers" true (covers ~grain:1_000_000 2))
 
-let test_reduce () =
-  Fun.protect
-    ~finally:(fun () -> Pool.set_size 1)
-    (fun () ->
-      List.iter
-        (fun s ->
-          Pool.set_size s;
-          List.iter
-            (fun n ->
-              let sum =
-                Pool.parallel_for_reduce ~n ~neutral:0 ~combine:( + )
-                  (fun i -> i)
-              in
-              check_int (Printf.sprintf "sum size %d n %d" s n)
-                (n * (n - 1) / 2)
-                sum;
-              let mx =
-                Pool.parallel_for_reduce ~n ~neutral:min_int ~combine:max
-                  (fun i -> (i * 7919) mod 1009)
-              in
-              let seq_mx = ref min_int in
-              for i = 0 to n - 1 do
-                seq_mx := max !seq_mx ((i * 7919) mod 1009)
-              done;
-              check_int (Printf.sprintf "max size %d n %d" s n) !seq_mx mx)
-            [ 0; 1; 7; 64; 1000 ])
-        (1 :: sizes))
-
 let test_tabulate () =
   across_sizes "tabulate" (fun () ->
       Pool.tabulate 777 (fun i -> (i * i) - (3 * i)))
@@ -135,10 +110,16 @@ let test_exception_propagates () =
                if i = 500 then failwith "boom");
            false
          with Failure m -> m = "boom");
+      check "sum body exception reraised" true
+        (try
+           ignore
+             (Pool.parallel_sum ~n:1000 (fun lo hi ->
+                  if lo <= 500 && 500 < hi then failwith "bang";
+                  hi - lo));
+           false
+         with Failure m -> m = "bang");
       (* the pool survives a failed job *)
-      let sum =
-        Pool.parallel_for_reduce ~n:100 ~neutral:0 ~combine:( + ) (fun i -> i)
-      in
+      let sum = Pool.parallel_sum ~n:100 index_sum in
       check_int "pool usable after failure" 4950 sum)
 
 let test_nested_falls_back () =
@@ -290,12 +271,12 @@ let test_dispatch_invariance () =
             (base = compute ()))
         dispatch_cells)
 
-(* [parallel_range] hands out disjoint nonempty ranges that cover
-   [0, n) exactly once in every dispatch cell; an inline loop is the
-   one range [0, n). The sizes sit around the chunk sizes of both grains
-   (a default-grain chunk aims at 200 indices, a grain-1000 one at 20,
-   both clamped by the pool size), around the force switch's 16-index
-   floor, and at 0 and 1. *)
+(* [parallel_range] and [parallel_sum] hand out disjoint nonempty ranges
+   that cover [0, n) exactly once in every dispatch cell; an inline loop
+   is the one range [0, n). The sizes sit around the chunk sizes of both
+   grains (a default-grain chunk aims at 200 indices, a grain-1000 one
+   at 20, both clamped by the pool size), around the force switch's
+   16-index floor, and at 0 and 1. *)
 let test_range_covers () =
   with_dispatch_config (fun () ->
       List.iter
@@ -306,29 +287,46 @@ let test_range_covers () =
             (fun grain ->
               List.iter
                 (fun n ->
-                  let hits = Array.make (max n 1) 0 in
-                  let calls = Atomic.make 0 and malformed = Atomic.make 0 in
-                  Pool.parallel_range ?grain ~n (fun lo hi ->
-                      Atomic.incr calls;
-                      if not (0 <= lo && lo < hi && hi <= n) then
-                        Atomic.incr malformed
-                      else
-                        for i = lo to hi - 1 do
-                          hits.(i) <- hits.(i) + 1
-                        done);
-                  let what =
-                    Printf.sprintf "%s grain %s n %d" (cell_name cell)
-                      (Option.fold ~none:"default" ~some:string_of_int grain)
-                      n
+                  (* [run body] runs one loop over [0, n) that calls
+                     [body lo hi] on each of its ranges *)
+                  let covers loop run =
+                    let hits = Array.make (max n 1) 0 in
+                    let calls = Atomic.make 0 and malformed = Atomic.make 0 in
+                    run (fun lo hi ->
+                        Atomic.incr calls;
+                        if not (0 <= lo && lo < hi && hi <= n) then
+                          Atomic.incr malformed
+                        else
+                          for i = lo to hi - 1 do
+                            hits.(i) <- hits.(i) + 1
+                          done);
+                    let what =
+                      Printf.sprintf "%s %s grain %s n %d" loop
+                        (cell_name cell)
+                        (Option.fold ~none:"default" ~some:string_of_int grain)
+                        n
+                    in
+                    check_int (what ^ ": malformed ranges") 0
+                      (Atomic.get malformed);
+                    check (what ^ ": every index once") true
+                      (Array.for_all (fun c -> c = 1) (Array.sub hits 0 n));
+                    let calls = Atomic.get calls in
+                    if n = 0 then check_int (what ^ ": no call") 0 calls;
+                    if s = 1 && n > 0 then
+                      check_int (what ^ ": one inline range") 1 calls
                   in
-                  check_int (what ^ ": malformed ranges") 0
-                    (Atomic.get malformed);
-                  check (what ^ ": every index once") true
-                    (Array.for_all (fun c -> c = 1) (Array.sub hits 0 n));
-                  let calls = Atomic.get calls in
-                  if n = 0 then check_int (what ^ ": no call") 0 calls;
-                  if s = 1 && n > 0 then
-                    check_int (what ^ ": one inline range") 1 calls)
+                  covers "parallel_range" (fun body ->
+                      Pool.parallel_range ?grain ~n body);
+                  covers "parallel_sum" (fun body ->
+                      let total =
+                        Pool.parallel_sum ?grain ~n (fun lo hi ->
+                            body lo hi;
+                            index_sum lo hi)
+                      in
+                      check_int
+                        (Printf.sprintf "parallel_sum %s n %d: total"
+                           (cell_name cell) n)
+                        (index_sum 0 n) total))
                 [
                   0; 1; 2; 15; 16; 17; 19; 20; 21; 39; 40; 41; 199; 200; 201;
                   399; 400; 401; 1000;
@@ -483,11 +481,67 @@ let test_pool_counters_armed_per_job () =
           check_int "armed: par_idx counts each index once" (p1 + 512)
             (Obs.Counter.value par_idx)))
 
+(* Back-to-back dispatches that alternate loop sizes and primitives. Each
+   loop is a fresh job, and a worker still holding the previous one must
+   find it drained: every loop writes one shared hits array, so a chunk
+   of an earlier loop run late, or a claim landing in the wrong loop,
+   shows up as a miscount of the current one or as a stray hit past its
+   end. The grain makes every size dispatch under the rule on a 2-core
+   host (17 × 1000 ns is over the 4 µs cutoff). *)
+let test_back_to_back_dispatch () =
+  let lens = [| 17; 1001; 64; 5000 |] in
+  (* some arithmetic per index, so that workers wake in time to take
+     chunks of the loop *)
+  let work i =
+    let x = ref i in
+    for _ = 1 to 40 do
+      x := ((!x * 31) + 7) land 0xffff
+    done;
+    ignore (Sys.opaque_identity !x)
+  in
+  let hits = Array.make 5000 0 in
+  with_dispatch_config (fun () ->
+      List.iter
+        (fun ((force, s) as cell) ->
+          Pool.set_size s;
+          Pool.set_force_dispatch force;
+          for k = 0 to 2047 do
+            let n = lens.(k mod 4) in
+            let what =
+              Printf.sprintf "%s loop %d n %d" (cell_name cell) k n
+            in
+            Array.fill hits 0 5000 0;
+            (* four parallel_for loops over the four sizes, then four
+               parallel_sum loops, and so on *)
+            if k land 4 = 0 then
+              Pool.parallel_for ~grain:1000 ~n (fun i ->
+                  work i;
+                  hits.(i) <- hits.(i) + 1)
+            else begin
+              let total =
+                Pool.parallel_sum ~grain:1000 ~n (fun lo hi ->
+                    let acc = ref 0 in
+                    for i = lo to hi - 1 do
+                      work i;
+                      hits.(i) <- hits.(i) + 1;
+                      acc := !acc + (i * k) + 1
+                    done;
+                    !acc)
+              in
+              check_int (what ^ ": sum") ((k * index_sum 0 n) + n) total
+            end;
+            Array.iteri
+              (fun i c ->
+                if c <> Bool.to_int (i < n) then
+                  Alcotest.failf "%s: index %d hit %d times" what i c)
+              hits
+          done)
+        [ (true, 4); (false, 2) ])
+
 let suite =
   [
     ("parallel_for covers every index once", `Quick, test_parallel_for_covers);
     ("chunking edge cases", `Quick, test_chunk_edge_cases);
-    ("parallel_for_reduce", `Quick, test_reduce);
     ("tabulate = Array.init", `Quick, test_tabulate);
     ("exceptions propagate, pool survives", `Quick, test_exception_propagates);
     ("nested loops fall back", `Quick, test_nested_falls_back);
@@ -506,6 +560,7 @@ let suite =
       test_dispatch_invariance );
     ("autotuner trace/cert invariance", `Quick, test_dispatch_obs_invariance);
     ("parallel_range covers every index once", `Quick, test_range_covers);
+    ("back-to-back dispatches", `Quick, test_back_to_back_dispatch);
     ("pi2 sweep bad lists across cells", `Quick, test_pi2_sweep_invariance);
     ("oversubscribed pool stays inline", `Quick, test_oversubscribed_inline);
     ("pool counters armed per job", `Quick, test_pool_counters_armed_per_job);
