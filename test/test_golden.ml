@@ -119,6 +119,46 @@ let instances () =
   in
   [ hard 1; hard 2; hard 3; adversarial ]
 
+(* Padded instances whose components do not all share one form, built
+   with [Padded_graph.build ~gadget_for]: base nodes alternating between
+   gadgets of heights 3 and 4, so consecutive components never match the
+   last representative; and every base node with a gadget of its own, a
+   fresh build (equal in structure, apart in memory) or, at every third
+   node, a corrupted one. Their digests were computed with the solver
+   that hashed every component. *)
+let mixed_golden =
+  [
+    ("alternating det", "ab65533269eeefd6217abcb1a92111a6");
+    ("alternating rand", "78f850acab1762f5611fa5f2b4667d40");
+    ("own gadgets det", "023e271ee026c0b1ad75e22e20f5f53a");
+    ("own gadgets rand", "470df713c434bb8c516b70c9391b800b");
+  ]
+
+let mixed_instances () =
+  let so = H.sinkless_orientation in
+  let delta = Pi.delta_of so in
+  let padded seed gadget_for =
+    let rng = Random.State.make [| seed |] in
+    let base_g, base_in = so.Spec.hard_instance rng ~target:40 in
+    let pg = PG.build base_g ~delta ~gadget_for:(gadget_for rng) in
+    let input =
+      PG.input_labeling pg ~base_input:base_in ~dei:so.Spec.dei
+        ~dbi:so.Spec.dbi
+    in
+    (Instance.create ~seed pg.PG.padded, input)
+  in
+  let alternating =
+    let a = GB.gadget ~delta ~height:3 and b = GB.gadget ~delta ~height:4 in
+    padded 5 (fun _ v -> if v mod 2 = 0 then a else b)
+  in
+  let own =
+    padded 6 (fun rng v ->
+        let g = GB.gadget ~delta ~height:3 in
+        if v mod 3 = 0 then Adv.corrupt_one rng g else g)
+  in
+  let name s (inst, input) = (s, inst, input) in
+  [ name "alternating" alternating; name "own gadgets" own ]
+
 let test_pi2_golden () =
   Alcotest.(check string)
     "the golden is Hierarchy.level 2" pi2.Spec.name
@@ -141,9 +181,9 @@ let test_pi2_golden () =
           end;
           let name = name ^ " " ^ which in
           Alcotest.(check string)
-            name (List.assoc name golden) (render out meter))
+            name (List.assoc name (golden @ mixed_golden)) (render out meter))
         [ ("det", pi2.Spec.solve_det); ("rand", pi2.Spec.solve_rand) ])
-    (instances ())
+    (instances () @ mixed_instances ())
 
 (* Padded-input golden: [Padded_graph.input_labeling] on the Π² hard
    instances and the adversarial instance above (five distinct corrupted
