@@ -2,6 +2,8 @@ type t = int array
 
 let create n = Array.make n 0
 
+let of_radii r = r
+
 let charge m v r = if r > m.(v) then m.(v) <- r
 
 let charge_all m r =

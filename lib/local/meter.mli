@@ -10,6 +10,11 @@ type t
 val create : int -> t
 (** One counter per node, all zero. *)
 
+val of_radii : int array -> t
+(** [of_radii r] is the meter with radius [r.(v)] at node [v], for a
+    solver that keeps its charges in an array of its own. The meter takes
+    [r] over: later charges write into it. *)
+
 val charge : t -> int -> int -> unit
 (** [charge m v r] records that node [v] used information up to radius [r];
     keeps the maximum over all charges for [v]. *)

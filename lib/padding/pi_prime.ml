@@ -384,21 +384,23 @@ type comp_data = {
   members : int array;          (* padded ids, local order *)
   labels : GL.t;                (* physically shared by equal local forms *)
   rep : int;                    (* first component with this local form *)
-  lhalf : int array;            (* padded half -> local half or -1 *)
   mutable valid : bool;
   mutable vnode : int;          (* virtual node id, or -1 *)
 }
 
 (* Interning. On hard instances every base node carries a copy of one
    gadget, so most components have the same local form: the same sizes,
-   local edge list and labels. Each component is hashed and compared in
-   full against the earlier representatives with that hash, reading its
-   labels in place from the input labeling; a match shares the
-   representative's [GL.t], so its arrays and CSR are never built and
-   the solver proves it once. Only a new representative's arrays are
-   filled. The table lives for one call. Equal forms get equal Ψ_G
-   proofs, since the prover reads only the labeled gadget and the call's
-   promise [n]. *)
+   local edge list and labels. Each component is compared in full
+   against the representative the previous component matched, reading
+   its labels in place from the input labeling. Only on a miss is it
+   hashed and compared against the earlier representatives with that
+   hash. A match shares the representative's [GL.t], so its arrays and
+   CSR are never built and the solver proves it once. Only a new
+   representative's arrays are filled. Each form has one
+   representative, so trying the last one first picks the
+   representative the hash would have found. The table lives for one
+   call. Equal forms get equal Ψ_G proofs, since the prover reads only
+   the labeled gadget and the call's promise [n]. *)
 
 (* A component read in place: its [nc] members (padded ids in local
    order) and its [gm] gadget edges [ebuf.(e0)] .. [ebuf.(e0 + gm - 1)],
@@ -457,21 +459,25 @@ let same_form (r : GL.t) c =
   && G.m r.GL.graph = c.gm
   &&
   let rhn = G.half_node_flat r.GL.graph in
+  let halves = r.GL.halves and flags = r.GL.half_flags in
+  let color2 = r.GL.half_color2 and nodes = r.GL.nodes in
+  let ib = c.input.Labeling.b and iv = c.input.Labeling.v in
+  let ebuf = c.ebuf and local = c.local and hn = c.hn and mem = c.mem in
   let ok = ref true and lh = ref 0 in
   while !ok && !lh < 2 * c.gm do
-    let h = padded_half c !lh in
-    let b = c.input.Labeling.b.(h).gad_b in
-    let bl = r.GL.halves.(!lh) and fl = r.GL.half_flags.(!lh) in
+    let h = (2 * ebuf.(c.e0 + (!lh lsr 1))) + (!lh land 1) in
+    let b = ib.(h).gad_b in
+    let bl = halves.(!lh) and fl = flags.(!lh) in
     ok :=
-      rhn.(!lh) = c.local.(c.hn.(h))
-      && r.GL.half_color2.(!lh) = b.NP.bcolor
+      rhn.(!lh) = local.(hn.(h))
+      && color2.(!lh) = b.NP.bcolor
       && (bl == b.NP.bl || bl = b.NP.bl)
       && (fl == b.NP.bflags || fl = b.NP.bflags);
     incr lh
   done;
   let l = ref 0 in
   while !ok && !l < c.nc do
-    let a = r.GL.nodes.(!l) and b = node_in c !l in
+    let a = nodes.(!l) and b = iv.(mem.(!l)).gad_v in
     ok := a == b || a = b;
     incr l
   done;
@@ -492,12 +498,14 @@ let form_labels c =
 
 (* Split an arbitrary Π'-instance into its gadget components (connected
    components of the GadEdge subgraph) and re-assemble each as a labeled
-   gadget candidate for Ψ_G, interning equal local forms. *)
+   gadget candidate for Ψ_G, interning equal local forms. Returns the
+   component of every node, the local edge of every padded edge (-1 on
+   port edges) and the components. *)
 let gadget_components g (input : _ Labeling.t) =
-  let n = G.n g in
+  let n = G.n g and m = G.m g in
+  let ie : _ pe_in array = input.Labeling.e in
   let comp = Array.make n (-1) in
   let ncomp = ref 0 in
-  let is_gad e = (input.Labeling.e.(e) : _ pe_in).etype = GadEdge in
   (* flat-array FIFO over the raw CSR arrays: same traversal (and so the
      same component and local numbering) as a Queue-based BFS, without
      per-node queue cells or closures *)
@@ -516,7 +524,7 @@ let gadget_components g (input : _ Labeling.t) =
         for i = off.(v) to off.(v + 1) - 1 do
           let h = prt.(i) in
           let w = hn.(h lxor 1) in
-          if comp.(w) < 0 && is_gad (G.edge_of_half h) then begin
+          if comp.(w) < 0 && ie.(h lsr 1).etype = GadEdge then begin
             comp.(w) <- !ncomp;
             q.(!tail) <- w;
             incr tail
@@ -526,44 +534,49 @@ let gadget_components g (input : _ Labeling.t) =
       incr ncomp
     end
   done;
-  let local = Array.make n (-1) in
-  let sizes = Array.make !ncomp 0 in
+  let ncomp = !ncomp in
+  (* the queue is spent: its array takes the local numbers *)
+  let local = q in
+  let sizes = Array.make ncomp 0 in
   for v = 0 to n - 1 do
     local.(v) <- sizes.(comp.(v));
     sizes.(comp.(v)) <- sizes.(comp.(v)) + 1
   done;
-  let members = Array.init !ncomp (fun c -> Array.make sizes.(c) 0) in
+  let members = Array.init ncomp (fun c -> Array.make sizes.(c) 0) in
   for v = 0 to n - 1 do
     members.(comp.(v)).(local.(v)) <- v
   done;
-  (* per-component edges in global edge order, bucketed CSR-style (the
-     Builder's tuple-list path allocated ~6 words per edge) *)
-  let ecount = Array.make !ncomp 0 in
-  let m = G.m g in
+  (* per-component edges in global edge order, bucketed CSR-style; a
+     gadget edge's place in its bucket is its local edge [ledge.(e)],
+     which is -1 on port edges *)
+  let ecount = Array.make ncomp 0 in
   for e = 0 to m - 1 do
-    if is_gad e then begin
-      let u = G.half_node g (2 * e) in
-      ecount.(comp.(u)) <- ecount.(comp.(u)) + 1
+    if ie.(e).etype = GadEdge then begin
+      let c = comp.(hn.(2 * e)) in
+      ecount.(c) <- ecount.(c) + 1
     end
   done;
-  let eoff = Array.make (!ncomp + 1) 0 in
-  for c = 0 to !ncomp - 1 do
+  let eoff = Array.make (ncomp + 1) 0 in
+  for c = 0 to ncomp - 1 do
     eoff.(c + 1) <- eoff.(c) + ecount.(c)
   done;
-  let ebuf = Array.make eoff.(!ncomp) 0 in
+  let ebuf = Array.make eoff.(ncomp) 0 in
   let ecur = Array.copy eoff in
+  let ledge = Array.make m (-1) in
   for e = 0 to m - 1 do
-    if is_gad e then begin
-      let c = comp.(G.half_node g (2 * e)) in
-      ebuf.(ecur.(c)) <- e;
-      ecur.(c) <- ecur.(c) + 1
+    if ie.(e).etype = GadEdge then begin
+      let c = comp.(hn.(2 * e)) in
+      let k = ecur.(c) in
+      ebuf.(k) <- e;
+      ecur.(c) <- k + 1;
+      ledge.(e) <- k - eoff.(c)
     end
   done;
-  let lhalf = Array.make (2 * m) (-1) in
   (* local-form hash -> (representative, its labels) *)
   let reps = Hashtbl.create 16 in
+  let last = ref None in
   let comps =
-    Array.init !ncomp (fun c ->
+    Array.init ncomp (fun c ->
         let mem = members.(c) in
         let view =
           {
@@ -577,27 +590,29 @@ let gadget_components g (input : _ Labeling.t) =
             gm = ecount.(c);
           }
         in
-        for le = 0 to ecount.(c) - 1 do
-          let e = ebuf.(eoff.(c) + le) in
-          lhalf.(2 * e) <- 2 * le;
-          lhalf.((2 * e) + 1) <- (2 * le) + 1
-        done;
-        let key = form_hash view in
         let rep, labels =
-          match
-            List.find_opt
-              (fun (_, labels) -> same_form labels view)
-              (Hashtbl.find_all reps key)
-          with
-          | Some found -> found
-          | None ->
-            let labels = form_labels view in
-            Hashtbl.add reps key (c, labels);
-            (c, labels)
+          match !last with
+          | Some ((_, labels) as found) when same_form labels view -> found
+          | Some _ | None ->
+            let key = form_hash view in
+            let found =
+              match
+                List.find_opt
+                  (fun (_, labels) -> same_form labels view)
+                  (Hashtbl.find_all reps key)
+              with
+              | Some found -> found
+              | None ->
+                let found = (c, form_labels view) in
+                Hashtbl.add reps key found;
+                found
+            in
+            last := Some found;
+            found
         in
-        { members = mem; labels; rep; lhalf; valid = false; vnode = -1 })
+        { members = mem; labels; rep; valid = false; vnode = -1 })
   in
-  (comp, comps)
+  (comp, ledge, comps)
 
 (* distinct identifiers not used by [used], starting from 1 *)
 let fresh_ids used k =
@@ -636,267 +651,219 @@ let fresh_sigma ~delta (spec : _ Spec.t) =
     ob = Array.make delta spec.Spec.dbo;
   }
 
+(* Lemma 4. Steps 1–4 do not depend on [~which]: they prove Ψ_G, fill
+   every output field but the Σ_lists' virtual outputs, and build the
+   virtual instance. Step 5 runs Π's solver and step 6 writes its
+   outputs into the Σ_lists and charges Lemma 4's overhead. *)
 let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling.t) =
   let delta = family.Family.delta in
   let g = inst.Instance.graph in
-  let n = G.n g in
-  let meter = Meter.create n in
-  let comp, comps = gadget_components g input in
-  (* 1. prove Ψ_G on every gadget component, once per local form: a
-     component interned to an earlier one takes its representative's
-     proof, meter and verdict *)
-  let psi_v = Array.make n { NP.status = NP.NOk; chains = [] } in
-  let psi_half = Array.make (2 * G.m g) None in
+  let n = G.n g and m = G.m g in
+  let off = G.ports_off g and prt = G.ports_flat g in
+  let hn = G.half_node_flat g in
+  let iv : _ pv_in array = input.Labeling.v in
+  let ie : _ pe_in array = input.Labeling.e in
+  let ib : _ pb_in array = input.Labeling.b in
+  let ids = inst.Instance.ids in
+  let comp, ledge, comps = gadget_components g input in
+  let ncomp = Array.length comps in
+  (* 1. prove Ψ_G once per local form, in component order: a component
+     interned to an earlier one takes its representative's proof and
+     verdict, its Ψ_G outputs and the radii of its proof's meter. The
+     valid components are virtual nodes 0, 1, ..., in component order,
+     and the largest valid gadget diameter scales Lemma 4's overhead *)
+  let proofs = Array.make ncomp None in
+  let nvalid = ref 0 and dmax = ref 0 in
+  Array.iteri
+    (fun c cd ->
+      if cd.rep = c then begin
+        let sol, pm =
+          family.Family.prove ~n:inst.Instance.n_promise cd.labels
+        in
+        proofs.(c) <-
+          Some (sol, Array.init (Array.length cd.members) (Meter.radius pm));
+        cd.valid <- Array.for_all is_nok sol.Labeling.v;
+        if cd.valid then
+          dmax := max !dmax (double_sweep_diameter cd.labels.GL.graph)
+      end
+      else cd.valid <- comps.(cd.rep).valid;
+      if cd.valid then begin
+        cd.vnode <- !nvalid;
+        incr nvalid
+      end)
+    comps;
+  let nvalid = !nvalid and dmax = !dmax in
+  (* 2. one pass over each component's members: the Ψ_G pull-back and
+     charge, the port classification (counting port-edge halves), the
+     Σ_list's Π-inputs, the virtual node's id (the least member id) and
+     the node's output record. [rad] holds the meter's charges *)
+  let rad = Array.make n 0 in
+  let sigma = Array.map (fun _ -> fresh_sigma ~delta spec) comps in
+  let psi_half = Array.make (2 * m) None in
   (* the last [Some] written: consecutive halves whose Ψ_G outputs are
      physically equal (the prover shares one clean half per node, and one
      across all nodes with nothing to prove) share it too *)
   let last = ref None in
-  let off = G.ports_off g and prt = G.ports_flat g in
-  let proofs = Array.make (Array.length comps) None in
-  Array.iteri
-    (fun c cd ->
-      let sol, m =
-        match proofs.(cd.rep) with
-        | Some p -> p
-        | None ->
-          let p = family.Family.prove ~n:inst.Instance.n_promise cd.labels in
-          proofs.(c) <- Some p;
-          p
-      in
-      cd.valid <-
-        (if cd.rep = c then
-           Array.for_all
-             (fun (o : NP.node_out) ->
-               match o.NP.status with
-               | NP.NOk -> true
-               | NP.NPtr _ | NP.NWit -> false)
-             sol.Labeling.v
-         else comps.(cd.rep).valid);
-      Array.iteri
-        (fun l v ->
-          psi_v.(v) <- sol.Labeling.v.(l);
-          Meter.charge meter v (Meter.radius m l))
-        cd.members;
-      (* pull the half outputs back onto the padded halves: each padded
-         gadget half of this component has a local half in cd.lhalf *)
-      Array.iter
-        (fun v ->
-          for i = off.(v) to off.(v + 1) - 1 do
-            let ph = prt.(i) in
-            let lh = cd.lhalf.(ph) in
-            if lh >= 0 then begin
-              let ho = sol.Labeling.b.(lh) in
-              match !last with
-              | Some prev as s when prev == ho -> psi_half.(ph) <- s
-              | Some _ | None ->
-                let s = Some ho in
-                last := s;
-                psi_half.(ph) <- s
-            end
-          done)
-        cd.members)
-    comps;
-  (* 2. port classification *)
-  let port_of v = (input.Labeling.v.(v) : _ pv_in).gad_v.GL.port in
-  let port_edges v =
-    List.rev
-      (G.fold_halves g v ~init:[] ~f:(fun acc h ->
-           if (input.Labeling.e.(G.edge_of_half h) : _ pe_in).etype = PortEdge
-           then h :: acc
-           else acc))
+  let out_v =
+    if n = 0 then [||]
+    else
+      Array.make n
+        { list_part = sigma.(comp.(0)); perr = NoPortErr; psi_v = default_psi_v }
   in
-  let perr = Array.make n NoPortErr in
-  for v = 0 to n - 1 do
-    (match port_of v with
-    | None -> perr.(v) <- NoPortErr
-    | Some _ -> (
-      match port_edges v with
-      | [ h ] ->
-        let w = G.half_node g (G.mate h) in
-        let bad =
-          port_of w = None
-          || (not comps.(comp.(v)).valid)
-          || not comps.(comp.(w)).valid
-        in
-        perr.(v) <- (if bad then PortErr1 else NoPortErr)
-      | [] | _ :: _ -> perr.(v) <- PortErr2));
-    Meter.charge meter v 2
+  let comp_of_vnode = Array.make nvalid 0 and vmin = Array.make nvalid 0 in
+  let port_halves = ref 0 in
+  for c = 0 to ncomp - 1 do
+    let cd = comps.(c) in
+    let sol, prad = Option.get proofs.(cd.rep) in
+    let sv = sol.Labeling.v and sb = sol.Labeling.b in
+    let l = sigma.(c) and mem = cd.members in
+    let mn = ref max_int in
+    for lv = 0 to Array.length mem - 1 do
+      let v = mem.(lv) in
+      (* the Ψ_G charge, and at least the port classification's 2 *)
+      rad.(v) <- (if prad.(lv) > 2 then prad.(lv) else 2);
+      if ids.(v) < !mn then mn := ids.(v);
+      (* each gadget half takes its local half's Ψ_G output; the
+         port-edge halves are counted, and the last one kept *)
+      let pe = ref 0 and ph = ref (-1) in
+      for i = off.(v) to off.(v + 1) - 1 do
+        let h = prt.(i) in
+        let le = ledge.(h lsr 1) in
+        if le >= 0 then begin
+          let ho = sb.((2 * le) + (h land 1)) in
+          match !last with
+          | Some prev as s when prev == ho -> psi_half.(h) <- s
+          | Some _ | None ->
+            let s = Some ho in
+            last := s;
+            psi_half.(h) <- s
+        end
+        else begin
+          incr pe;
+          ph := h
+        end
+      done;
+      port_halves := !port_halves + !pe;
+      let vin = iv.(v) in
+      let perr =
+        match vin.gad_v.GL.port with
+        | None -> NoPortErr
+        | Some _ when !pe <> 1 -> PortErr2
+        | Some i ->
+          let w = hn.(!ph lxor 1) in
+          if
+            iv.(w).gad_v.GL.port = None
+            || (not cd.valid)
+            || not comps.(comp.(w)).valid
+          then PortErr1
+          else begin
+            (* a valid port lists its port edge's Π-inputs *)
+            l.s.(i - 1) <- true;
+            l.ie.(i - 1) <- ie.(!ph lsr 1).pi_e;
+            l.ib.(i - 1) <- ib.(!ph).pi_b;
+            NoPortErr
+          end
+      in
+      (match vin.gad_v.GL.port with
+      | Some 1 when cd.valid -> l.iv <- vin.pi_v
+      | Some _ | None -> ());
+      out_v.(v) <- { list_part = l; perr; psi_v = sv.(lv) }
+    done;
+    if cd.valid then begin
+      comp_of_vnode.(cd.vnode) <- c;
+      vmin.(cd.vnode) <- !mn
+    end
   done;
-  (* 3. the virtual multigraph *)
-  let nvirt = ref 0 in
-  Array.iter
-    (fun cd ->
-      if cd.valid then begin
-        cd.vnode <- !nvirt;
-        incr nvirt
-      end)
-    comps;
-  let phantoms = ref [] in
-  let vedges = ref [] in
-  (* (vu, vw, padded portedge, half at u side, half at w side) *)
-  G.iter_edges g ~f:(fun e u w ->
-      if (input.Labeling.e.(e) : _ pe_in).etype = PortEdge then begin
-        let valid_port v = port_of v <> None && perr.(v) = NoPortErr in
-        let vu = if valid_port u then comps.(comp.(u)).vnode else -1 in
-        let vw = if valid_port w then comps.(comp.(w)).vnode else -1 in
-        match (vu >= 0, vw >= 0) with
-        | true, true -> vedges := (vu, vw, e, 2 * e, (2 * e) + 1) :: !vedges
-        | true, false ->
-          let ph = !nvirt in
-          incr nvirt;
-          phantoms := ph :: !phantoms;
-          vedges := (vu, ph, e, 2 * e, (2 * e) + 1) :: !vedges
-        | false, true ->
-          let ph = !nvirt in
-          incr nvirt;
-          phantoms := ph :: !phantoms;
-          vedges := (ph, vw, e, (2 * e) + 1, 2 * e) :: !vedges
-        | false, false -> ()
-      end);
-  let vedges = List.rev !vedges in
-  let vb = G.Builder.create !nvirt in
-  List.iter (fun (a, b_, _, _, _) -> ignore (G.Builder.add_edge vb a b_)) vedges;
-  let vgraph = G.Builder.build vb in
-  (* virtual half -> padded half (same construction order) *)
-  let vhalf_to_padded = Array.make (2 * G.m vgraph) (-1) in
-  List.iteri
-    (fun k (_, _, _, hu, hw) ->
-      vhalf_to_padded.(2 * k) <- hu;
-      vhalf_to_padded.((2 * k) + 1) <- hw)
-    vedges;
-  (* ids *)
-  let vids = Array.make !nvirt 0 in
-  Array.iter
-    (fun cd ->
-      if cd.valid then begin
-        let mn =
-          Array.fold_left
-            (fun acc v -> min acc inst.Instance.ids.(v))
-            max_int cd.members
-        in
-        vids.(cd.vnode) <- mn
-      end)
-    comps;
-  let used = Array.to_list vids |> List.filter (fun x -> x > 0) in
-  let fresh = fresh_ids used (List.length !phantoms) in
-  List.iter2 (fun ph id -> vids.(ph) <- id) (List.rev !phantoms) fresh;
-  (* port-1 node of each valid component *)
-  let port1 = Array.make (Array.length comps) (-1) in
-  Array.iteri
-    (fun c cd ->
-      Array.iter
-        (fun v -> if port_of v = Some 1 then port1.(c) <- v)
-        cd.members)
-    comps;
-  (* 4. virtual inputs *)
-  let is_phantom = Array.make !nvirt false in
-  List.iter (fun ph -> is_phantom.(ph) <- true) !phantoms;
-  let comp_of_vnode = Array.make !nvirt (-1) in
-  Array.iteri (fun c cd -> if cd.valid then comp_of_vnode.(cd.vnode) <- c) comps;
+  (* 3. the virtual multigraph, one edge per port edge with a valid port
+     at either end, in padded edge order; a valid port facing an invalid
+     one gets a phantom neighbour, numbered after the valid components.
+     Virtual half [vh] stands for padded half [vh_padded.(vh)] *)
+  let vhn = Array.make !port_halves 0 in
+  let vh_padded = Array.make !port_halves 0 in
+  let nvirt = ref nvalid and vm = ref 0 in
+  let add a b ha hb =
+    let j = 2 * !vm in
+    vhn.(j) <- a;
+    vhn.(j + 1) <- b;
+    vh_padded.(j) <- ha;
+    vh_padded.(j + 1) <- hb;
+    incr vm
+  in
+  let phantom () =
+    let ph = !nvirt in
+    incr nvirt;
+    ph
+  in
+  let vnode_of v =
+    match (out_v.(v).perr, iv.(v).gad_v.GL.port) with
+    | NoPortErr, Some _ -> comps.(comp.(v)).vnode
+    | (NoPortErr | PortErr1 | PortErr2), _ -> -1
+  in
+  for e = 0 to m - 1 do
+    if ledge.(e) < 0 then begin
+      let vu = vnode_of hn.(2 * e) and vw = vnode_of hn.((2 * e) + 1) in
+      if vu >= 0 && vw >= 0 then add vu vw (2 * e) ((2 * e) + 1)
+      else if vu >= 0 then add vu (phantom ()) (2 * e) ((2 * e) + 1)
+      else if vw >= 0 then add (phantom ()) vw ((2 * e) + 1) (2 * e)
+    end
+  done;
+  let vm = !vm and nvirt = !nvirt in
+  let vhn = if 2 * vm = Array.length vhn then vhn else Array.sub vhn 0 (2 * vm) in
+  let vgraph = G.of_half_node ~n:nvirt ~m:vm vhn in
+  let vids = Array.make nvirt 0 in
+  Array.blit vmin 0 vids 0 nvalid;
+  if nvirt > nvalid then
+    List.iteri
+      (fun i id -> vids.(nvalid + i) <- id)
+      (fresh_ids
+         (List.filter (fun x -> x > 0) (Array.to_list vmin))
+         (nvirt - nvalid));
+  (* 4. the virtual instance: a valid component's node input is its
+     Σ_list's (its port-1 node's Π-input), a phantom's the default *)
   let vinput =
     Labeling.init vgraph
       ~v:(fun vn ->
-        if is_phantom.(vn) then spec.Spec.dvi
-        else begin
-          let c = comp_of_vnode.(vn) in
-          if port1.(c) >= 0 then
-            (input.Labeling.v.(port1.(c)) : _ pv_in).pi_v
-          else spec.Spec.dvi
-        end)
-      ~e:(fun ve ->
-        let ph = vhalf_to_padded.(2 * ve) in
-        (input.Labeling.e.(G.edge_of_half ph) : _ pe_in).pi_e)
-      ~b:(fun vh ->
-        (input.Labeling.b.(vhalf_to_padded.(vh)) : _ pb_in).pi_b)
+        if vn < nvalid then sigma.(comp_of_vnode.(vn)).iv else spec.Spec.dvi)
+      ~e:(fun ve -> ie.(vh_padded.(2 * ve) lsr 1).pi_e)
+      ~b:(fun vh -> ib.(vh_padded.(vh)).pi_b)
   in
-  (* 5. run Π's solver on the virtual instance *)
   let vinst =
     Instance.create
       ~seed:((inst.Instance.seed * 31) + 17)
       ~ids:vids ~n_promise:inst.Instance.n_promise vgraph
   in
+  (* 5. run Π's solver on the virtual instance *)
   let solver =
     match which with
     | `Det -> spec.Spec.solve_det
     | `Rand -> spec.Spec.solve_rand
   in
   let vout, vmeter = solver vinst vinput in
-  (* 6. Σ_list per valid component *)
-  let sigma = Array.map (fun _ -> fresh_sigma ~delta spec) comps in
-  Array.iteri
-    (fun c cd ->
-      if cd.valid then begin
-        let l = sigma.(c) in
-        if port1.(c) >= 0 then
-          l.iv <- (input.Labeling.v.(port1.(c)) : _ pv_in).pi_v;
-        Array.iter
-          (fun v ->
-            match port_of v with
-            | Some i when perr.(v) = NoPortErr -> (
-              l.s.(i - 1) <- true;
-              match port_edges v with
-              | [ h ] ->
-                l.ie.(i - 1) <-
-                  (input.Labeling.e.(G.edge_of_half h) : _ pe_in).pi_e;
-                l.ib.(i - 1) <- (input.Labeling.b.(h) : _ pb_in).pi_b
-              | [] | _ :: _ -> ())
-            | Some _ | None -> ())
-          cd.members
-      end)
-    comps;
-  (* write the virtual outputs back *)
-  Array.iteri
-    (fun c cd ->
-      if cd.valid then sigma.(c).ov <- vout.Labeling.v.(cd.vnode))
-    comps;
-  List.iteri
-    (fun k (vu, vw, _, hu, hw) ->
-      let assign vn padded_half vhalf =
-        if vn >= 0 && not is_phantom.(vn) then begin
-          let c = comp_of_vnode.(vn) in
-          let pnode = G.half_node g padded_half in
-          match port_of pnode with
-          | Some i ->
-            sigma.(c).oe.(i - 1) <- vout.Labeling.e.(k);
-            sigma.(c).ob.(i - 1) <- vout.Labeling.b.(vhalf)
-          | None -> ()
-        end
-      in
-      assign vu hu (2 * k);
-      assign vw hw ((2 * k) + 1))
-    vedges;
-  (* 7. assemble the output labeling *)
-  let out =
-    {
-      Labeling.v =
-        Array.init n (fun v ->
-            {
-              list_part = sigma.(comp.(v));
-              perr = perr.(v);
-              psi_v = psi_v.(v);
-            });
-      e = Array.make (G.m g) ();
-      b = psi_half;
-    }
-  in
-  (* 9. meter: the Lemma-4 communication overhead *)
-  let dmax = ref 0 in
-  Array.iteri
-    (fun c cd ->
-      if cd.valid && cd.rep = c then
-        dmax := max !dmax (double_sweep_diameter cd.labels.GL.graph))
-    comps;
-  let dmax = !dmax in
-  Array.iter
-    (fun cd ->
-      if cd.valid then begin
-        let r = Meter.radius vmeter cd.vnode in
-        Array.iter
-          (fun v -> Meter.charge meter v ((r + 1) * (dmax + 2)))
-          cd.members
-      end)
-    comps;
-  (out, meter)
+  (* 6. write the virtual outputs into the Σ_lists, at the port each
+     virtual half's padded half sits on *)
+  for vn = 0 to nvalid - 1 do
+    sigma.(comp_of_vnode.(vn)).ov <- vout.Labeling.v.(vn)
+  done;
+  for vh = 0 to (2 * vm) - 1 do
+    let vn = vhn.(vh) in
+    if vn < nvalid then
+      match iv.(hn.(vh_padded.(vh))).gad_v.GL.port with
+      | Some i ->
+        let l = sigma.(comp_of_vnode.(vn)) in
+        l.oe.(i - 1) <- vout.Labeling.e.(vh lsr 1);
+        l.ob.(i - 1) <- vout.Labeling.b.(vh)
+      | None -> ()
+  done;
+  (* the meter: Lemma 4's communication overhead on every valid member *)
+  for vn = 0 to nvalid - 1 do
+    let r = (Meter.radius vmeter vn + 1) * (dmax + 2) in
+    let mem = comps.(comp_of_vnode.(vn)).members in
+    for i = 0 to Array.length mem - 1 do
+      if r > rad.(mem.(i)) then rad.(mem.(i)) <- r
+    done
+  done;
+  ( { Labeling.v = out_v; e = Array.make m (); b = psi_half },
+    Meter.of_radii rad )
 
 (* ------------------------------------------------------------------ *)
 (* pad: Theorem 1's Π ↦ Π'                                             *)
