@@ -210,7 +210,45 @@ let test_instance_rejects_bad_ids () =
   check "accepts default ids within n_promise²" false
     (raises (fun () -> Instance.create ~n_promise:3 g5));
   check "rejects supplied ids above n_promise²" true
-    (raises (fun () -> Instance.create ~n_promise:2 ~ids:(Ids.sequential 5) g5))
+    (raises (fun () -> Instance.create ~n_promise:2 ~ids:(Ids.sequential 5) g5));
+  (* the bound itself, one past it, and 0 or a negative id after other
+     ids are in the table, where 0 is the empty-slot mark *)
+  check "accepts an id equal to n_promise²" false
+    (raises (fun () -> Instance.create ~n_promise:4 ~ids:[| 16; 1; 2 |] g));
+  check "rejects an id one above n_promise²" true
+    (raises (fun () -> Instance.create ~n_promise:4 ~ids:[| 17; 1; 2 |] g));
+  check "rejects id 0 after others" true
+    (raises (fun () -> Instance.create ~ids:[| 1; 2; 0 |] g));
+  check "rejects a negative id" true
+    (raises (fun () -> Instance.create ~ids:[| 2; -1; 1 |] g));
+  (* 3,000 spread ids in the table's 8,192 slots: about 470 of them find
+     their first slot taken, so lookups walk probe chains, and a
+     duplicate must still be found at the end of one. The multiples of
+     2^40 share all their low bits, which a hash that masks low bits
+     would pile into one slot. *)
+  let n = 3000 in
+  let big = Gen.cycle n in
+  let rng = Random.State.make [| 11 |] in
+  let spread = Ids.spread rng n in
+  let wide = Array.init n (fun v -> (v + 1) lsl 40) in
+  let dup a i j =
+    let b = Array.copy a in
+    b.(j) <- b.(i);
+    b
+  in
+  List.iter
+    (fun (name, ids) ->
+      let create ids () = Instance.create ~n_promise:(1 lsl 26) ~ids big in
+      check ("accepts colliding " ^ name) false (raises (create ids));
+      List.iter
+        (fun (i, j) ->
+          check
+            (Printf.sprintf "rejects a duplicate in colliding %s (%d at %d)" name
+               i j)
+            true
+            (raises (create (dup ids i j))))
+        [ (0, n - 1); (n - 1, 0); (1234, 1235); (17, 2999) ])
+    [ ("spread ids", spread); ("multiples of 2^40", wide) ]
 
 (* properties *)
 
