@@ -19,7 +19,8 @@
    per-callsite grain hint — reaches a fixed cutoff. Everything else
    runs inline on the calling domain with no atomics, no signalling and
    no job setup at all. The test-only force switch skips the core and
-   work checks so tests exercise the worker machinery on any host.
+   work checks, and leaves every chunk to the workers, so tests exercise
+   the worker machinery on any host.
 
    Determinism does not depend on the schedule: every chunk is executed
    exactly once, chunks run their indices in ascending order, and callers
@@ -294,7 +295,10 @@ let ensure_pool () =
    the chunk count. [cur_job] is set before [epoch], so a worker that
    sees the new epoch finds this job (or a later one), and the parked
    check closes the wakeup race (a worker rechecks the epoch under the
-   mutex before and after parking). *)
+   mutex before and after parking). Under the force switch the
+   dispatching domain runs no chunk of its own: every chunk runs on a
+   worker, so a fault that shows only on worker domains shows in every
+   forced run. *)
 let dispatch pool job =
   Atomic.set pool.cur_job (Some job);
   Atomic.incr pool.epoch;
@@ -303,7 +307,7 @@ let dispatch pool job =
     Condition.broadcast pool.work;
     Mutex.unlock pool.mutex
   end;
-  run_job pool job;
+  if not !force then run_job pool job;
   if Atomic.get job.completed < job.chunks then begin
     let k = ref pool.spin in
     while !k > 0 && Atomic.get job.completed < job.chunks do

@@ -47,8 +47,9 @@
     [REPRO_POOL_CUTOFF=always] turns on the test-only force switch
     ({!set_force_dispatch}): every loop of at least 16 indices
     dispatches whenever [size () > 1], regardless of the core count and
-    the work estimate, so the worker machinery is exercised even on a
-    one-core host. Any other value leaves the rule above in force.
+    the work estimate, and the calling domain runs none of its chunks,
+    so the worker domains run every chunk even on a one-core host. Any
+    other value leaves the rule above in force.
 
     Loops must be issued from one domain at a time (the engine's main
     domain); a [parallel_for] issued from inside a running loop body
@@ -105,10 +106,10 @@ val set_size : int -> unit
 
 val set_force_dispatch : bool -> unit
 (** Test-only force switch (initially on iff [REPRO_POOL_CUTOFF=always]):
-    dispatch every loop of at least 16 indices whenever [size () > 1].
-    Determinism suites turn it on so worker domains are exercised
-    regardless of the host's core count; it moves schedules only, never
-    results. *)
+    dispatch every loop of at least 16 indices whenever [size () > 1],
+    and run all its chunks on worker domains. Determinism suites turn it
+    on so worker domains are exercised regardless of the host's core
+    count; it moves schedules only, never results. *)
 
 val default_grain : int
 (** Estimated ns per index assumed for call sites without a [?grain]

@@ -488,6 +488,36 @@ let test_pool_counters_armed_per_job () =
    shows up as a miscount of the current one or as a stray hit past its
    end. The grain makes every size dispatch under the rule on a 2-core
    host (17 × 1000 ns is over the 4 µs cutoff). *)
+(* under the force switch the dispatching domain runs no chunk of a
+   dispatched loop, so every body call is on a worker domain; loops
+   from the force switch's 16-index floor up *)
+let test_forced_chunks_on_workers () =
+  with_dispatch_config (fun () ->
+      List.iter
+        (fun s ->
+          Pool.set_size s;
+          Pool.set_force_dispatch true;
+          List.iter
+            (fun n ->
+              let calls = Atomic.make 0 and on_caller = Atomic.make 0 in
+              let note () =
+                Atomic.incr calls;
+                if Pool.worker_index () = 0 then Atomic.incr on_caller
+              in
+              Pool.parallel_range ~n (fun _ _ -> note ());
+              Pool.parallel_for ~n (fun _ -> note ());
+              ignore
+                (Pool.parallel_sum ~grain:1_000 ~n (fun lo hi ->
+                     note ();
+                     hi - lo));
+              check
+                (Printf.sprintf "forced/size %d, n = %d: %d calls on workers" s
+                   n (Atomic.get calls))
+                true
+                (Atomic.get calls >= 3 && Atomic.get on_caller = 0))
+            [ 16; 17; 1_000; 100_000 ])
+        [ 2; 4 ])
+
 let test_back_to_back_dispatch () =
   let lens = [| 17; 1001; 64; 5000 |] in
   (* some arithmetic per index, so that workers wake in time to take
@@ -561,6 +591,7 @@ let suite =
     ("autotuner trace/cert invariance", `Quick, test_dispatch_obs_invariance);
     ("parallel_range covers every index once", `Quick, test_range_covers);
     ("back-to-back dispatches", `Quick, test_back_to_back_dispatch);
+    ("forced chunks run on workers", `Quick, test_forced_chunks_on_workers);
     ("pi2 sweep bad lists across cells", `Quick, test_pi2_sweep_invariance);
     ("oversubscribed pool stays inline", `Quick, test_oversubscribed_inline);
     ("pool counters armed per job", `Quick, test_pool_counters_armed_per_job);
