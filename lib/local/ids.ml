@@ -49,32 +49,16 @@ let adversarial_bfs g =
   done;
   ids
 
-(* Open addressing over a flat table of at least [2n] slots, a power of
-   two, where 0 marks an empty slot (ids are at least 1). A Fibonacci
-   hash spreads both compact and spread-out ids over the table. *)
-let distinct_within ~bound ids =
-  let n = Array.length ids in
-  let bits = ref 1 in
-  while 1 lsl !bits < 2 * n do
-    incr bits
-  done;
-  let table = Array.make (1 lsl !bits) 0 in
-  let mask = (1 lsl !bits) - 1 and shift = Sys.int_size - !bits in
-  let rec insert x i =
-    let y = table.(i) in
-    if y = 0 then begin
-      table.(i) <- x;
-      true
-    end
-    else y <> x && insert x ((i + 1) land mask)
-  in
-  let ok = ref true and v = ref 0 in
-  while !ok && !v < n do
-    let x = ids.(!v) in
-    ok := x >= 1 && x <= bound && insert x ((x * 0x4F1BBCDCBFA53E0B) lsr shift);
-    incr v
-  done;
-  !ok
-
 let is_valid ~n ids =
-  Array.length ids = n && distinct_within ~bound:(max 1 (n * n)) ids
+  Array.length ids = n
+  && Array.for_all (fun x -> x >= 1 && x <= max 1 (n * n)) ids
+  &&
+  let seen = Hashtbl.create (2 * n) in
+  Array.for_all
+    (fun x ->
+      if Hashtbl.mem seen x then false
+      else begin
+        Hashtbl.replace seen x ();
+        true
+      end)
+    ids

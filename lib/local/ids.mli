@@ -19,8 +19,5 @@ val adversarial_bfs : Repro_graph.Multigraph.t -> t
 (** Identifiers increase along a BFS from node 0 — a structured assignment
     that stresses symmetry-breaking tie-breaks. *)
 
-val distinct_within : bound:int -> t -> bool
-(** Pairwise distinct, and each in [{1, ..., bound}]. *)
-
 val is_valid : n:int -> t -> bool
 (** Distinct, positive, and at most [n^2] (our poly bound). *)

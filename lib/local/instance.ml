@@ -10,10 +10,19 @@ let create ?(seed = 0) ?ids ?n_promise graph =
   let n = Repro_graph.Multigraph.n graph in
   let ids = match ids with Some i -> i | None -> Ids.sequential n in
   let n_promise = match n_promise with Some p -> p | None -> n in
-  if
-    Array.length ids <> n
-    || not (Ids.distinct_within ~bound:(max 1 (n_promise * n_promise)) ids)
-  then
+  let bound = max 1 (n_promise * n_promise) in
+  let distinct =
+    let seen = Hashtbl.create (2 * n) in
+    Array.for_all
+      (fun x ->
+        if x < 1 || x > bound || Hashtbl.mem seen x then false
+        else begin
+          Hashtbl.replace seen x ();
+          true
+        end)
+      ids
+  in
+  if Array.length ids <> n || not distinct then
     invalid_arg "Instance.create: invalid id assignment";
   { graph; ids; rand = Randomness.create ~seed; seed; n_promise }
 

@@ -212,7 +212,7 @@ let test_instance_rejects_bad_ids () =
   check "rejects supplied ids above n_promise²" true
     (raises (fun () -> Instance.create ~n_promise:2 ~ids:(Ids.sequential 5) g5));
   (* the bound itself, one past it, and 0 or a negative id after other
-     ids are in the table, where 0 is the empty-slot mark *)
+     ids were accepted *)
   check "accepts an id equal to n_promise²" false
     (raises (fun () -> Instance.create ~n_promise:4 ~ids:[| 16; 1; 2 |] g));
   check "rejects an id one above n_promise²" true
@@ -221,11 +221,9 @@ let test_instance_rejects_bad_ids () =
     (raises (fun () -> Instance.create ~ids:[| 1; 2; 0 |] g));
   check "rejects a negative id" true
     (raises (fun () -> Instance.create ~ids:[| 2; -1; 1 |] g));
-  (* 3,000 spread ids in the table's 8,192 slots: about 470 of them find
-     their first slot taken, so lookups walk probe chains, and a
-     duplicate must still be found at the end of one. The multiples of
-     2^40 share all their low bits, which a hash that masks low bits
-     would pile into one slot. *)
+  (* duplicates among 3,000 ids, at the ends and in the middle: spread
+     ids, and multiples of 2^40, which share all their low bits and so
+     land in one slot of any table indexed by low bits *)
   let n = 3000 in
   let big = Gen.cycle n in
   let rng = Random.State.make [| 11 |] in
