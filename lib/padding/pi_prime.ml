@@ -708,7 +708,11 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
     if n = 0 then [||]
     else
       Array.make n
-        { list_part = sigma.(comp.(0)); perr = NoPortErr; psi_v = default_psi_v }
+        {
+          list_part = sigma.(comp.(0));
+          perr = NoPortErr;
+          psi_v = default_psi_v;
+        }
   in
   let comp_of_vnode = Array.make nvalid 0 and vmin = Array.make nvalid 0 in
   let port_halves = ref 0 in
@@ -808,7 +812,9 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
     end
   done;
   let vm = !vm and nvirt = !nvirt in
-  let vhn = if 2 * vm = Array.length vhn then vhn else Array.sub vhn 0 (2 * vm) in
+  let vhn =
+    if 2 * vm = Array.length vhn then vhn else Array.sub vhn 0 (2 * vm)
+  in
   let vgraph = G.of_half_node ~n:nvirt ~m:vm vhn in
   let vids = Array.make nvirt 0 in
   Array.blit vmin 0 vids 0 nvalid;

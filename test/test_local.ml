@@ -237,12 +237,11 @@ let test_instance_rejects_bad_ids () =
   List.iter
     (fun (name, ids) ->
       let create ids () = Instance.create ~n_promise:(1 lsl 26) ~ids big in
-      check ("accepts colliding " ^ name) false (raises (create ids));
+      check ("accepts " ^ name) false (raises (create ids));
       List.iter
         (fun (i, j) ->
           check
-            (Printf.sprintf "rejects a duplicate in colliding %s (%d at %d)" name
-               i j)
+            (Printf.sprintf "rejects a duplicate among %s (%d at %d)" name i j)
             true
             (raises (create (dup ids i j))))
         [ (0, n - 1); (n - 1, 0); (1234, 1235); (17, 2999) ])
