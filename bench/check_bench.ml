@@ -12,8 +12,8 @@
        means the writer and this checker have drifted apart;
      - shapes and signs of every column; the serve counters consistent
        with one cold pass of the mix and warm passes that hit;
-     - all three dcheck legs when one is present, and both 1M legs with
-       their per-round frontier columns;
+     - all three dcheck legs when one is present, and the 1M replay leg
+       with its per-round frontier columns;
      - on the flood-replay leg every node halts right after its declared
        radius, so active_nodes must never rise. A violation means the
        engine re-activated a halted node — a frontier-contract break
@@ -206,7 +206,7 @@ let check_row ~file seen i r =
   (match J.member "frontier" r with
   | Some fr -> check_frontier ~ctx ~name fr
   | None ->
-    if name = "frontier-wave-1m" || name = "frontier-replay-1m" then
+    if name = "frontier-replay-1m" then
       fail "%s: no \"frontier\" columns" ctx);
   { name; n; par_seq_ratio; minor_per_round }
 
@@ -278,13 +278,10 @@ let load file =
         if not (Hashtbl.mem seen leg) then
           fail "%s: dcheck-so-3k present without its %s leg" file leg)
       [ "dcheck-so-3k-traced"; "dcheck-so-3k-audited" ];
-  (* the scaling evidence needs both 1M legs: a bench file that silently
-     dropped them would hide a frontier regression *)
-  List.iter
-    (fun leg ->
-      if not (Hashtbl.mem seen leg) then
-        fail "%s: missing required case %S" file leg)
-    [ "frontier-wave-1m"; "frontier-replay-1m" ];
+  (* the scaling evidence needs the 1M replay leg: a bench file that
+     silently dropped it would hide a frontier regression *)
+  if not (Hashtbl.mem seen "frontier-replay-1m") then
+    fail "%s: missing required case %S" file "frontier-replay-1m";
   {
     quick;
     domains;

@@ -86,7 +86,7 @@ let cases ~quick () =
      so the benchmark measures only the one-round check *)
   let so_out, _ = SO.solve_deterministic inst3k in
   let so_inp = SO.trivial_input g3k in
-  (* the frontier legs: a streamed 3-regular hard instance at 10^6 nodes
+  (* the frontier leg: a streamed 3-regular hard instance at 10^6 nodes
      (2·10^4 under --quick; the case names stay "-1m" so the JSON
      trajectory lines up, and [n] records the actual size) *)
   let n_front = if quick then 20_000 else 1_000_000 in
@@ -214,15 +214,8 @@ let cases ~quick () =
           ignore (DC.audited_run SO.problem inst3k ~input:so_inp ~output:so_out));
       frontier = None;
     };
-    (* the 1M legs: timed like every other case, plus the per-round
+    (* the 1M leg: timed like every other case, plus the per-round
        frontier columns (deterministic, so measured once) *)
-    {
-      name = "frontier-wave-1m";
-      n = n_front;
-      rounds = 1;
-      run = (fun () -> ignore (SO.solve_randomized_frontier finst));
-      frontier = Some "wave.round";
-    };
     {
       name = "frontier-replay-1m";
       n = n_front;
@@ -427,18 +420,19 @@ let bench_serve ~quick () =
   let cold_s = time run_mix in
   let reps = if quick then 5 else 20 in
   let warm_s = time (fun () -> for _ = 1 to reps do run_mix () done) in
-  (* span-overhead pair: fresh-seed so-wave solves so every request is a
-     reply-cache miss and actually runs the wave engine. One pass with the
-     span pipeline disarmed (plain request), one with ["spans": true]
-     (arm + record + encode the full tree). disarmed_ns_per_req is the
-     check_bench gate: the disarmed instrumentation must stay within 3%
-     of the committed baseline at equal span workload. *)
+  (* span-overhead pair: fresh-seed so-rand solves so every request is a
+     reply-cache miss and actually draws its instance and runs the
+     solver. One pass with the span pipeline disarmed (plain request),
+     one with ["spans": true] (arm + record + encode the full tree).
+     disarmed_ns_per_req is the check_bench gate: the disarmed
+     instrumentation must stay within 3% of the committed baseline at
+     equal span workload. *)
   let span_n = if quick then 400 else 2000 in
   let span_reps = if quick then 4 else 10 in
   let span_solve ?(spans = false) n seed =
     o
       ([
-         ("op", s "solve"); ("problem", s "so-wave"); ("n", i n);
+         ("op", s "solve"); ("problem", s "so-rand"); ("n", i n);
          ("seed", i seed);
        ]
       @ if spans then [ ("spans", Obs.Json.Bool true) ] else [])

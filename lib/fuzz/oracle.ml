@@ -60,9 +60,7 @@ let so_solvers (recipe, seed) =
   let out_d, _ = SO.solve_deterministic inst in
   let& () = check "so-det" out_d in
   let out_r, _ = SO.solve_randomized inst in
-  let& () = check "so-rand" out_r in
-  let out_w, _ = SO.solve_randomized_frontier inst in
-  check "so-wave" out_w
+  check "so-rand" out_r
 
 let colorful (recipe, seed) =
   let g = Gen_graph.to_graph recipe in

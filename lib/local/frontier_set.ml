@@ -1,5 +1,5 @@
 (* The frontier representation for the frontier-driven engine and the
-   frontier-shaped solvers: a set of node ids kept simultaneously as a
+   message-passing flood: a set of node ids kept simultaneously as a
    flat int array (sparse view: the members in insertion order) and a
    packed bitmap (dense view: one 63-bit word per 63 nodes). The two
    views are maintained together so the representation can switch per
@@ -48,7 +48,6 @@ let create ?dense_threshold n =
     bits = Array.make (1 + (n / bits_per_word)) 0;
   }
 
-let length t = t.n
 let cardinal t = t.card
 let is_dense t = t.card >= t.threshold
 let mem t v = t.mark.(v) = t.stamp
@@ -126,7 +125,7 @@ let fold_word t w init f =
 
 (* Reusable buffers for [expand]: a prefix-sum array over the source
    members and a flat candidate array (at most 2m entries). Grown
-   geometrically, never shrunk — one scratch per long-lived wave. *)
+   geometrically, never shrunk — one scratch per long-lived caller. *)
 type scratch = { mutable offs : int array; mutable cand : int array }
 
 let scratch () = { offs = [||]; cand = [||] }
@@ -135,14 +134,13 @@ let ensure len a =
   if Array.length a >= len then a
   else Array.make (max len (2 * Array.length a)) 0
 
-(* dst <- the [keep]-filtered far endpoints of all half-edges leaving
-   [src], deduplicated in first-discovery order. The degree prefix sums
-   and the final dedup run on the dispatching domain; the candidate
-   fill is a parallel loop where index [k] writes only its own slice
+(* dst <- the far endpoints of all half-edges leaving [src],
+   deduplicated in first-discovery order. The degree prefix sums and the
+   final dedup run on the dispatching domain; the candidate fill is a
+   parallel loop where index [k] writes only its own slice
    [offs.(k), offs.(k+1)) — so the resulting member order depends only
-   on the graph and [src], never on the pool size. Returns the number
-   of half-edges scanned (the frontier-edge count of [src]). *)
-let expand ~g ?(keep = fun _ -> true) ~src ~dst s =
+   on the graph and [src], never on the pool size. *)
+let expand ~g ~src ~dst s =
   clear dst;
   let card = src.card in
   s.offs <- ensure (card + 1) s.offs;
@@ -162,7 +160,5 @@ let expand ~g ?(keep = fun _ -> true) ~src ~dst s =
         cand.(base + i) <- G.half_node g (G.mate (G.half_at g v i))
       done);
   for i = 0 to edges - 1 do
-    let w = cand.(i) in
-    if (not (mem dst w)) && keep w then add dst w
-  done;
-  edges
+    add dst cand.(i)
+  done

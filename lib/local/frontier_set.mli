@@ -23,9 +23,6 @@ val create : ?dense_threshold:int -> int -> t
     least 1): [0] forces the dense view always, [n + 1] forces the
     sparse view always — the two forced modes the switch tests pin. *)
 
-val length : t -> int
-(** the universe size [n] *)
-
 val cardinal : t -> int
 val mem : t -> int -> bool
 
@@ -64,19 +61,10 @@ type scratch
 
 val scratch : unit -> scratch
 
-val expand :
-  g:Repro_graph.Multigraph.t ->
-  ?keep:(int -> bool) ->
-  src:t ->
-  dst:t ->
-  scratch ->
-  int
-(** [expand ~g ~src ~dst s] replaces [dst] with the [keep]-filtered far
-    endpoints of all half-edges leaving [src], deduplicated in
-    first-discovery order (source members in order, each member's ports
-    in order). The candidate fill runs on the pool with per-index slice
-    ownership; prefix sums and dedup run on the dispatching domain, so
-    the resulting member order is pool-size independent. Returns the
-    number of half-edges scanned — the frontier-edge count of [src], which
-    the wave solver reports as its round span's [edges] kv.
-    [keep] must not depend on state mutated during the call. *)
+val expand : g:Repro_graph.Multigraph.t -> src:t -> dst:t -> scratch -> unit
+(** [expand ~g ~src ~dst s] replaces [dst] with the far endpoints of all
+    half-edges leaving [src], deduplicated in first-discovery order
+    (source members in order, each member's ports in order). The
+    candidate fill runs on the pool with per-index slice ownership;
+    prefix sums and dedup run on the dispatching domain, so the resulting
+    member order is pool-size independent. *)

@@ -187,7 +187,7 @@ let flood_gather inst ~radius payload =
               !acc)
         else (0, 0, 0)
       in
-      ignore (Frontier_set.expand ~g ~src:changed ~dst:cand fscratch);
+      Frontier_set.expand ~g ~src:changed ~dst:cand fscratch;
       Pool.parallel_range ~grain:500 ~n:(Frontier_set.cardinal cand)
         (fun lo hi ->
           let wi = Pool.worker_index () in

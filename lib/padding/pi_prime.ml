@@ -781,18 +781,19 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
   (* 3. the virtual multigraph, one edge per port edge with a valid port
      at either end, in padded edge order; a valid port facing an invalid
      one gets a phantom neighbour, numbered after the valid components.
-     Virtual half [vh] stands for padded half [vh_padded.(vh)] *)
+     Virtual edge [ve] stands for padded edge [ve_padded.(ve)], side for
+     side: virtual half [vh] for padded half [vh_padded vh], whichever
+     end is the phantom *)
   let vhn = Array.make !port_halves 0 in
-  let vh_padded = Array.make !port_halves 0 in
+  let ve_padded = Array.make (!port_halves / 2) 0 in
   let nvirt = ref nvalid and vm = ref 0 in
-  let add a b ha hb =
-    let j = 2 * !vm in
-    vhn.(j) <- a;
-    vhn.(j + 1) <- b;
-    vh_padded.(j) <- ha;
-    vh_padded.(j + 1) <- hb;
+  let add e a b =
+    vhn.(2 * !vm) <- a;
+    vhn.((2 * !vm) + 1) <- b;
+    ve_padded.(!vm) <- e;
     incr vm
   in
+  let vh_padded vh = (2 * ve_padded.(vh lsr 1)) + (vh land 1) in
   let phantom () =
     let ph = !nvirt in
     incr nvirt;
@@ -806,9 +807,9 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
   for e = 0 to m - 1 do
     if ledge.(e) < 0 then begin
       let vu = vnode_of hn.(2 * e) and vw = vnode_of hn.((2 * e) + 1) in
-      if vu >= 0 && vw >= 0 then add vu vw (2 * e) ((2 * e) + 1)
-      else if vu >= 0 then add vu (phantom ()) (2 * e) ((2 * e) + 1)
-      else if vw >= 0 then add (phantom ()) vw ((2 * e) + 1) (2 * e)
+      if vu >= 0 && vw >= 0 then add e vu vw
+      else if vu >= 0 then add e vu (phantom ())
+      else if vw >= 0 then add e (phantom ()) vw
     end
   done;
   let vm = !vm and nvirt = !nvirt in
@@ -830,8 +831,8 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
     Labeling.init vgraph
       ~v:(fun vn ->
         if vn < nvalid then sigma.(comp_of_vnode.(vn)).iv else spec.Spec.dvi)
-      ~e:(fun ve -> ie.(vh_padded.(2 * ve) lsr 1).pi_e)
-      ~b:(fun vh -> ib.(vh_padded.(vh)).pi_b)
+      ~e:(fun ve -> ie.(ve_padded.(ve)).pi_e)
+      ~b:(fun vh -> ib.(vh_padded vh).pi_b)
   in
   let vinst =
     Instance.create
@@ -853,7 +854,7 @@ let solve ~(family : Family.t) (spec : _ Spec.t) ~which inst (input : _ Labeling
   for vh = 0 to (2 * vm) - 1 do
     let vn = vhn.(vh) in
     if vn < nvalid then
-      match iv.(hn.(vh_padded.(vh))).gad_v.GL.port with
+      match iv.(hn.(vh_padded vh)).gad_v.GL.port with
       | Some i ->
         let l = sigma.(comp_of_vnode.(vn)) in
         l.oe.(i - 1) <- vout.Labeling.e.(vh lsr 1);

@@ -7,7 +7,6 @@ module Instance = Repro_local.Instance
 module Meter = Repro_local.Meter
 module Pool = Repro_local.Pool
 module Randomness = Repro_local.Randomness
-module FS = Repro_local.Frontier_set
 module Obs = Repro_obs
 
 (* solver telemetry (no-ops while the process registry is disabled);
@@ -21,12 +20,6 @@ let m_rand_runs = counter "problems.so.rand.runs"
 let m_rand_sinks = counter "problems.so.rand.initial_sinks"
 let m_rand_flips = counter "problems.so.rand.half_flips"
 let m_rand_len = histogram "problems.so.rand.repair_len"
-let m_wave_runs = counter "problems.so.wave.runs"
-let m_wave_sinks = counter "problems.so.wave.initial_sinks"
-let m_wave_rounds = counter "problems.so.wave.rounds"
-let m_wave_flips = counter "problems.so.wave.half_flips"
-let m_wave_fallback = counter "problems.so.wave.fallback_repairs"
-let m_wave_len = histogram "problems.so.wave.repair_len"
 
 type orientation = Out | In
 
@@ -400,8 +393,6 @@ let solve_deterministic inst =
 (* Randomized solver                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* --- helpers shared by the sequential and wave (frontier) repair --- *)
-
 (* random initial orientation: the side-0 node flips a private coin
    indexed by the port the edge occupies at it (per-node randomness is
    seed-indexed, so the flips are schedule-oblivious) *)
@@ -444,101 +435,61 @@ let set_half g (out : output) out_deg h o =
   | In, In | Out, Out -> ());
   out.b.(h) <- o
 
-(* flip the halves of a sink-to-target path to point away from the sink
-   ([halves] in path order, each half held by the node closer to the
-   sink), and charge everyone on the path *)
-let flip_path g out out_deg meter halves len =
-  List.iter
-    (fun h ->
-      set_half g out out_deg h Out;
-      set_half g out out_deg (G.mate h) In)
-    halves;
-  List.iter
-    (fun h ->
-      Meter.charge meter (G.half_node g h) (len + 1);
-      Meter.charge meter (G.half_node g (G.mate h)) (len + 1))
-    halves
-
 (* sequential repair of one sink: BFS for the nearest node that can
-   afford to lose an out-edge, then flip the path toward it *)
-let repair_sink g out out_deg meter u =
+   afford to lose an out-edge, then flip the path toward it and charge
+   everyone on it. [dist]/[parent_half]/[qbuf] are solver-wide scratch
+   (see solve_randomized): [dist] is -1 outside a search and is restored
+   from the queue contents after each one; [parent_half w] = the half at
+   w's BFS parent whose mate is at [w] *)
+let repair_sink g out out_deg meter ~dist ~parent_half ~qbuf u =
   if is_sink g out_deg u then begin
-    let parent_half = Hashtbl.create 64 in
-    let dist = Hashtbl.create 64 in
-    Hashtbl.replace dist u 0;
-    let q = Queue.create () in
-    Queue.add u q;
-    let target = ref None in
-    while !target = None && not (Queue.is_empty q) do
-      let v = Queue.take q in
-      let d = Hashtbl.find dist v in
+    dist.(u) <- 0;
+    qbuf.(0) <- u;
+    let head = ref 0 and tail = ref 1 in
+    let target = ref (-1) in
+    while !target < 0 && !head < !tail do
+      let v = qbuf.(!head) in
+      incr head;
+      let d = dist.(v) in
       let dv = G.degree g v in
       let i = ref 0 in
-      while !target = None && !i < dv do
+      while !target < 0 && !i < dv do
         let h = G.half_at g v !i in
         incr i;
         let w = G.half_node g (G.mate h) in
-        if w <> v && not (Hashtbl.mem dist w) then begin
-          Hashtbl.replace dist w (d + 1);
-          Hashtbl.replace parent_half w h;
-          if out_deg.(w) >= 2 || G.degree g w <= 2 then target := Some w
-          else Queue.add w q
+        if dist.(w) < 0 then begin
+          dist.(w) <- d + 1;
+          parent_half.(w) <- h;
+          (* queued even when it is the target, so the reset sees it *)
+          qbuf.(!tail) <- w;
+          incr tail;
+          if out_deg.(w) >= 2 || G.degree g w <= 2 then target := w
         end
       done
     done;
-    match !target with
-    | None -> () (* impossible in any component with a degree-3 sink *)
-    | Some z ->
-      (* path u -> z, each half at the node closer to u *)
-      let rec path v acc =
-        match Hashtbl.find_opt parent_half v with
-        | None -> acc
-        | Some h -> path (G.half_node g h) (h :: acc)
-      in
-      let halves = path z [] in
-      let len = List.length halves in
+    (* no target is impossible in any component with a degree-3 sink *)
+    if !target >= 0 then begin
+      let len = dist.(!target) in
       Obs.Counter.add m_rand_flips len;
       Obs.Histogram.observe m_rand_len len;
-      flip_path g out out_deg meter halves len
+      (* walk the path back from the target, pointing it away from u *)
+      let v = ref !target in
+      while !v <> u do
+        let h = parent_half.(!v) in
+        set_half g out out_deg h Out;
+        set_half g out out_deg (G.mate h) In;
+        Meter.charge meter !v (len + 1);
+        v := G.half_node g h;
+        Meter.charge meter !v (len + 1)
+      done
+    end;
+    for k = 0 to !tail - 1 do
+      dist.(qbuf.(k)) <- -1
+    done
   end
 
 let solve_randomized inst =
   Obs.Counter.incr m_rand_runs;
-  let g = inst.Instance.graph in
-  let ids = inst.Instance.ids in
-  let rand = inst.Instance.rand in
-  let out = Labeling.const g ~v:() ~e:() ~b:In in
-  let meter = Meter.create (G.n g) in
-  random_orientation g rand out;
-  Meter.charge_all meter 1;
-  let out_deg = out_degrees g out in
-  let sinks = sorted_sinks g ids out_deg in
-  Obs.Counter.add m_rand_sinks (List.length sinks);
-  List.iter (repair_sink g out out_deg meter) sinks;
-  (out, meter)
-
-(* ------------------------------------------------------------------ *)
-(* Wave (frontier) randomized solver                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* All sinks repair at once: a multi-source Voronoi BFS grows one region
-   per sink over a shared {!Frontier_set} wave, instead of one private
-   hash-table BFS per sink. A node joins the region of its
-   minimum-root-id previous-frontier neighbour; a region stops the round
-   one of its nodes can afford an extra incoming edge (out_deg >= 2 on
-   the *initial* orientation, or exempt degree <= 2). All path flips are
-   deferred to the end: regions are node-disjoint by construction, so a
-   target loses at most the one out-edge its own path takes, every
-   interior path node gains a guaranteed out-edge, and the flips commute
-   — validity against the initial out-degrees carries over. Regions
-   whose Voronoi cell contains no target (walled in by other regions)
-   fall back to the sequential repair, in sink-id order, against the
-   post-wave orientation. Deterministic at any pool size: the parallel
-   resolution writes only candidate-owned slots and reads only previous
-   rounds' state; frontier membership orders are pool-independent
-   (Frontier_set discipline). *)
-let solve_randomized_frontier inst =
-  Obs.Counter.incr m_wave_runs;
   let g = inst.Instance.graph in
   let ids = inst.Instance.ids in
   let rand = inst.Instance.rand in
@@ -549,108 +500,14 @@ let solve_randomized_frontier inst =
   Meter.charge_all meter 1;
   let out_deg = out_degrees g out in
   let sinks = sorted_sinks g ids out_deg in
-  Obs.Counter.add m_wave_sinks (List.length sinks);
-  let region = Array.make n (-1) in
-  (* parent_half.(w): the half at w's region parent pointing toward w *)
+  Obs.Counter.add m_rand_sinks (List.length sinks);
+  let dist = Array.make n (-1) in
   let parent_half = Array.make n (-1) in
-  (* region_target.(u) for a region root u: the repair target, -1 while
-     the region is still searching *)
-  let region_target = Array.make n (-1) in
-  let front = FS.create n in
-  let cand = FS.create n in
-  let fscratch = FS.scratch () in
-  List.iter
-    (fun u ->
-      region.(u) <- u;
-      FS.add front u)
-    sinks;
-  let run_sp = Obs.Span.enter "wave.run" in
-  let wround = ref 0 in
-  while FS.cardinal front > 0 do
-    let rsp = Obs.Span.enter "wave.round" in
-    let active = FS.cardinal front and dense = FS.is_dense front in
-    let edges =
-      FS.expand ~g ~keep:(fun w -> region.(w) = -1) ~src:front ~dst:cand
-        fscratch
-    in
-    (* claim: each candidate joins the minimum-root-id region among its
-       previous-frontier neighbours, with the first such port as parent.
-       Index-owned writes, reads only last round's state. *)
-    Pool.parallel_for ~grain:150 ~n:(FS.cardinal cand) (fun k ->
-        let w = FS.member cand k in
-        let dw = G.degree g w in
-        let best = ref (-1) in
-        for i = 0 to dw - 1 do
-          let v = G.half_node g (G.mate (G.half_at g w i)) in
-          if FS.mem front v then begin
-            let r = region.(v) in
-            if !best = -1 || ids.(r) < ids.(!best) then best := r
-          end
-        done;
-        let r = !best in
-        region.(w) <- r;
-        let ph = ref (-1) in
-        let i = ref 0 in
-        while !ph = -1 && !i < dw do
-          let h = G.half_at g w !i in
-          let v = G.half_node g (G.mate h) in
-          if FS.mem front v && region.(v) = r then ph := G.mate h;
-          incr i
-        done;
-        parent_half.(w) <- !ph);
-    (* first target per region, in candidate (first-discovery) order *)
-    FS.iter cand (fun w ->
-        let r = region.(w) in
-        if
-          region_target.(r) = -1
-          && (out_deg.(w) >= 2 || G.degree g w <= 2)
-        then region_target.(r) <- w);
-    FS.clear front;
-    FS.iter cand (fun w ->
-        if region_target.(region.(w)) = -1 then FS.add front w);
-    Obs.Counter.incr m_wave_rounds;
-    if Obs.Span.live rsp then
-      Obs.Span.exit
-        ~kvs:
-          [
-            ("round", !wround);
-            ("active", active);
-            ("edges", edges);
-            ("dense", Bool.to_int dense);
-          ]
-        rsp;
-    incr wround
-  done;
-  if Obs.Span.live run_sp then
-    Obs.Span.exit ~kvs:[ ("rounds", !wround); ("n", n) ] run_sp;
-  (* deferred flips, in sink-id order (order is immaterial: the paths
-     are node-disjoint) *)
-  List.iter
-    (fun u ->
-      let z = region_target.(u) in
-      if z >= 0 then begin
-        let rec path v acc =
-          if v = u then acc
-          else
-            let h = parent_half.(v) in
-            path (G.half_node g h) (h :: acc)
-        in
-        let halves = path z [] in
-        let len = List.length halves in
-        Obs.Counter.add m_wave_flips len;
-        Obs.Histogram.observe m_wave_len len;
-        flip_path g out out_deg meter halves len
-      end)
-    sinks;
-  (* walled-in regions: sequential repair against the post-wave state *)
-  List.iter
-    (fun u ->
-      if region_target.(u) = -1 then begin
-        Obs.Counter.incr m_wave_fallback;
-        repair_sink g out out_deg meter u
-      end)
-    sinks;
+  let qbuf = Array.make n 0 in
+  List.iter (repair_sink g out out_deg meter ~dist ~parent_half ~qbuf) sinks;
   (out, meter)
+
+let solve_randomized_frontier = solve_randomized
 
 let hard_instance rng ~n =
   let n = if n mod 2 = 0 then n else n + 1 in

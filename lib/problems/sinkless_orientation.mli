@@ -52,23 +52,9 @@ val solve_randomized : Repro_local.Instance.t -> output * Repro_local.Meter.t
     [Θ(log log n)] algorithm. *)
 
 val solve_randomized_frontier :
-  Repro_local.Instance.t ->
-  output * Repro_local.Meter.t
-(** The frontier (wave) variant of {!solve_randomized}: same private-coin
-    initial orientation, but all sinks repair at once through a
-    multi-source Voronoi BFS over one shared {!Repro_local.Frontier_set}
-    wave — a round costs O(frontier nodes + frontier edges), which is
-    what lets the randomized solver run at n = 10^6. Each unclaimed node
-    joins the region of its minimum-root-id frontier neighbour; a region
-    retires as soon as it claims a node that can afford an extra
-    incoming edge, and all path flips are deferred to the end (regions
-    are node-disjoint, so the flips commute). Regions walled in by
-    others fall back to the sequential repair in sink-id order. Output
-    is a valid sinkless orientation (not byte-equal to
-    {!solve_randomized}'s — the repair paths differ); deterministic at
-    any pool size. While {!Repro_obs.Span} is armed each wave round's
-    [wave.round] span carries its frontier size [active], scanned
-    half-edges [edges] and representation [dense] (DESIGN.md §9). *)
+  Repro_local.Instance.t -> output * Repro_local.Meter.t
+(** {!solve_randomized} under its former wave-solver name. It exists only
+    because the repo benchmark (perfbench's frontier-100k) calls it. *)
 
 val count_sinks : Repro_graph.Multigraph.t -> output -> int
 (** Number of degree-≥3 nodes without an [Out] half — 0 on valid outputs. *)

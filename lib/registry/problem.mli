@@ -23,7 +23,8 @@ val dump_names : string list
 (** [repro solve]: coloring, mis, luby-mis, dcheck, flood. *)
 
 val check_names : string list
-(** The daemon's [check]: so-det, so-rand, so-wave. *)
+(** The daemon's [check]: so-det, so-rand, so-wave (so-wave runs the
+    same solver as so-rand, under the name the repo benchmark requests). *)
 
 val solve_names : string list
 (** The daemon's [solve]: {!check_names} then {!dump_names}. *)

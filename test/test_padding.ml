@@ -441,6 +441,72 @@ let test_port_edge_between_noport_nodes () =
   check "rogue port edge handled" true
     (Spec.is_valid so' g ~input:inp' ~output:out)
 
+(* a valid port facing an overloaded (PortErr2) port that sits on the
+   first half of their port edge: the valid port's virtual half must
+   stand for its own padded half, so the Π output lands at its own port
+   index. Each probe takes a clean Π² hard instance, picks a port edge
+   whose two ends have different port indices and adds one more port
+   edge from its first-half end [u] to a third gadget — to a non-port
+   node, or to a port (which then is overloaded too) — so [u] becomes
+   PortErr2. Both solvers must stay valid on every probe. *)
+let test_phantom_faces_first_half () =
+  let rng = Random.State.make [| 3 |] in
+  let pg, inp =
+    Pi.hard_instance_parts so rng ~base_target:30 ~gadget_target:60
+  in
+  let g0 = pg.PG.padded in
+  let port_of v = (inp.Labeling.v.(v) : _ PT.pv_in).PT.gad_v.GL.port in
+  let gadget_nodes b =
+    let off = pg.PG.node_offset.(b) in
+    List.init (G.n (pg.PG.gadget_of b).GL.graph) (fun k -> off + k)
+  in
+  let probes = ref 0 in
+  Array.iter
+    (fun e ->
+      let u = G.half_node g0 (2 * e) and w = G.half_node g0 ((2 * e) + 1) in
+      let bu = pg.PG.base_node_of.(u) and bw = pg.PG.base_node_of.(w) in
+      if port_of u <> port_of w && bu <> bw then begin
+        (* the third gadget: the first base node that is neither end's *)
+        let b3 = ref 0 in
+        while !b3 = bu || !b3 = bw do
+          incr b3
+        done;
+        List.iter
+          (fun (kind, wanted) ->
+            let x =
+              List.find (fun v -> wanted (port_of v)) (gadget_nodes !b3)
+            in
+            let b = G.Builder.create (G.n g0) in
+            G.iter_edges g0 ~f:(fun _ a c -> ignore (G.Builder.add_edge b a c));
+            let extra = G.Builder.add_edge b u x in
+            let g = G.Builder.build b in
+            let inp' =
+              Labeling.init g
+                ~v:(fun v -> inp.Labeling.v.(v))
+                ~e:(fun e' -> inp.Labeling.e.(if e' = extra then e else e'))
+                ~b:(fun h ->
+                  if G.edge_of_half h = extra then
+                    inp.Labeling.b.((2 * e) + (h land 1))
+                  else inp.Labeling.b.(h))
+            in
+            let inst = Instance.create ~seed:e g in
+            let name what =
+              Printf.sprintf "port edge %d, extra edge to a %s: %s" e kind what
+            in
+            let det, _ = so'.Spec.solve_det inst inp' in
+            let rand, _ = so'.Spec.solve_rand inst inp' in
+            let ou : _ PT.pv_out = det.Labeling.v.(u) in
+            check (name "u overloaded") true (ou.PT.perr = PT.PortErr2);
+            check (name "det valid") true
+              (Spec.is_valid so' g ~input:inp' ~output:det);
+            check (name "rand valid") true
+              (Spec.is_valid so' g ~input:inp' ~output:rand);
+            incr probes)
+          [ ("non-port node", Option.is_none); ("port", Option.is_some) ]
+      end)
+    pg.PG.port_edge_of;
+  check "some probes ran" true (!probes > 0)
+
 let prop_pi2_solver_valid =
   QCheck.Test.make ~name:"pi2 solver valid across random instances/seeds"
     ~count:15
@@ -489,6 +555,7 @@ let suite =
     ("isolated nodes instance", `Quick, test_isolated_nodes_instance);
     ("port err2 and phantom", `Quick, test_port_err2_and_phantom);
     ("rogue port edge", `Quick, test_port_edge_between_noport_nodes);
+    ("phantom faces a first-half port", `Quick, test_phantom_faces_first_half);
     ("hierarchy names", `Quick, test_hierarchy_names);
     ("hierarchy levels list", `Quick, test_hierarchy_levels_list);
     ("run_hard levels 1-3", `Slow, test_run_hard_levels);

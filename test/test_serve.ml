@@ -573,13 +573,14 @@ let test_server_metrics_op () =
         (contains body2 "repro_serve_requests_other 1");
       check "no attacker-named metric" false (contains body2 "zzz"))
 
-(* so-wave runs round-by-round over the frontier wave, so the tree has
-   per-round spans (so-det is the centralized BFS solver — no rounds) *)
-let spans_req n seed =
+(* flood runs round by round on the message-passing engine, so its tree
+   has per-round spans (the SO solvers are centralized — no rounds — but
+   build their instance graph as a cached artifact) *)
+let spans_req ?(problem = "flood") n seed =
   Json.Obj
     [
       ("op", Json.String "solve");
-      ("problem", Json.String "so-wave");
+      ("problem", Json.String problem);
       ("n", Json.Int n);
       ("seed", Json.Int seed);
       ("spans", Json.Bool true);
@@ -628,14 +629,14 @@ let test_server_span_tree () =
         (fun l -> check (Printf.sprintf "has %s span" l) true (List.mem l labels))
         [
           "serve.solve"; "serve.cache.lookup"; "serve.queue.wait";
-          "serve.execute"; "serve.encode"; "serve.artifact.build";
+          "serve.execute"; "serve.encode";
         ];
-      check "has per-round engine spans" true
+      check "has per-round engine spans" true (List.mem "flood.round" labels);
+      let so = call addr (spans_req ~problem:"so-rand" 400 5) in
+      check "has serve.artifact.build span" true
         (List.exists
-           (fun l ->
-             List.mem l
-               [ "flood.round"; "frontier.round"; "wave.round" ])
-           labels);
+           (fun s -> s.Obs.Trace.label = "serve.artifact.build")
+           (reply_spans so));
       (* the tree nests: root is serve.solve, execute under root, engine
          rounds under execute's subtree *)
       let events = List.map (fun s -> Obs.Trace.Span s) spans in
