@@ -555,11 +555,11 @@ let suite =
     ("isolated nodes instance", `Quick, test_isolated_nodes_instance);
     ("port err2 and phantom", `Quick, test_port_err2_and_phantom);
     ("rogue port edge", `Quick, test_port_edge_between_noport_nodes);
-    ("phantom faces a first-half port", `Quick, test_phantom_faces_first_half);
     ("hierarchy names", `Quick, test_hierarchy_names);
     ("hierarchy levels list", `Quick, test_hierarchy_levels_list);
     ("run_hard levels 1-3", `Slow, test_run_hard_levels);
     ("separation shape", `Slow, test_separation_shape);
     ("Lemma 5 balance", `Slow, test_balance_lemma5);
+    ("phantom faces a first-half port", `Quick, test_phantom_faces_first_half);
   ]
   @ qcheck_tests
