@@ -129,7 +129,7 @@ let positive ~ctx name j =
   if v <= 0.0 then fail "%s: %s = %g, want > 0" ctx name v;
   v
 
-(* the per-round frontier columns: four equal-length arrays, counts
+(* the per-round frontier columns: three equal-length arrays, counts
    non-negative, and on the replay leg active_nodes non-increasing *)
 let check_frontier ~ctx ~name fr =
   let arr fname =
@@ -148,19 +148,10 @@ let check_frontier ~ctx ~name fr =
   in
   let active = ints "active_nodes" in
   let edges = ints "frontier_edges" and ns = ints "round_ns" in
-  let dense = arr "dense_rounds" in
-  List.iteri
-    (fun i v ->
-      if J.to_bool v = None then
-        fail "%s: frontier \"dense_rounds\"[%d] is not a boolean" ctx i)
-    dense;
   let rounds = List.length active in
   if rounds = 0 then fail "%s: empty frontier columns" ctx;
-  if
-    List.length edges <> rounds
-    || List.length ns <> rounds
-    || List.length dense <> rounds
-  then fail "%s: frontier columns have mismatched lengths" ctx;
+  if List.length edges <> rounds || List.length ns <> rounds then
+    fail "%s: frontier columns have mismatched lengths" ctx;
   if name = "frontier-replay-1m" then
     ignore
       (List.fold_left

@@ -50,9 +50,9 @@ module Audit = Core.Local.Audit
    and non-round workloads), NOT a measured quantity — keeping it constant
    per case makes the per-round numbers comparable across PRs.
    [frontier], when present, names the round-span label whose kvs give
-   the per-round active_nodes / frontier_edges / dense_rounds columns
-   for the JSON ([round_columns]) — the committed evidence that round
-   cost tracks the frontier, not n *)
+   the per-round active_nodes / frontier_edges columns for the JSON
+   ([round_columns]) — the committed evidence that round cost tracks
+   the frontier, not n *)
 type case = {
   name : string;
   n : int;
@@ -502,13 +502,12 @@ let dispatch_stats case =
 (* the per-round frontier columns of one run of [case] with spans
    armed (not Trace.record: the registry stays disabled, so the run pays
    no per-message byte accounting). Each [label] round span is one row:
-   active_nodes / frontier_edges / dense_rounds are its [active] /
-   [edges] / [dense] kvs, round_ns its wall time (timing only — outside
-   the determinism contract, like the pool's chunk times) *)
+   active_nodes / frontier_edges are its [active] / [edges] kvs,
+   round_ns its wall time (timing only — outside the determinism
+   contract, like the pool's chunk times) *)
 type frontier_columns = {
   active_nodes : int array;
   frontier_edges : int array;
-  dense_rounds : bool array;
   round_ns : int array;
 }
 
@@ -526,7 +525,6 @@ let round_columns case label =
   {
     active_nodes = Array.map (kv "active") rows;
     frontier_edges = Array.map (kv "edges") rows;
-    dense_rounds = Array.map (fun s -> kv "dense" s = 1) rows;
     round_ns = Array.map (fun s -> s.Obs.Span.stop_ns - s.Obs.Span.start_ns) rows;
   }
 
@@ -582,9 +580,6 @@ let run ~quick ~filter =
   let int_array a =
     "[" ^ String.concat ", " (List.map string_of_int (Array.to_list a)) ^ "]"
   in
-  let bool_array a =
-    "[" ^ String.concat ", " (List.map string_of_bool (Array.to_list a)) ^ "]"
-  in
   (* cores records oversubscription: speedup is only physically possible
      when domains <= cores (a 1-core container shows slowdowns) *)
   Printf.fprintf oc
@@ -619,10 +614,9 @@ let run ~quick ~filter =
       | None -> ()
       | Some st ->
         Printf.fprintf oc
-          ",\n     \"frontier\": {\"active_nodes\": %s, \"frontier_edges\": %s, \"dense_rounds\": %s, \"round_ns\": %s}"
+          ",\n     \"frontier\": {\"active_nodes\": %s, \"frontier_edges\": %s, \"round_ns\": %s}"
           (int_array st.active_nodes)
           (int_array st.frontier_edges)
-          (bool_array st.dense_rounds)
           (int_array st.round_ns));
       Printf.fprintf oc "}%s\n"
         (if i = List.length measured - 1 then "" else ","))

@@ -236,48 +236,32 @@ let ball_ids_alg radius : (int list * int, int list, int list) MP.algorithm =
         else Either.Left (known, hops + 1));
   }
 
-(* Frontier.run at every density threshold (default switch, forced
-   always-dense [0], forced always-sparse [n + 1]) must reproduce the
-   boxed reference's outputs, per-node round counts and max_rounds, and
-   under audit its locality certificate modulo the engine tag. Swept at
-   1, 2 and 4 domains. *)
+(* Frontier.run must reproduce the boxed reference's outputs, per-node
+   round counts and max_rounds, and under audit its locality
+   certificate modulo the engine tag. Swept at 1, 2 and 4 domains. *)
 let engine_vs_boxed (recipe, seed) =
   let g = Gen_graph.to_graph recipe in
   let inst = Instance.create ~seed g in
   let n = G.n g in
   let radius = 3 in
-  let thresholds = [ ("switch", None); ("dense", Some 0); ("sparse", Some (n + 1)) ] in
-  let frontier thr alg =
-    match thr with
-    | None -> Frontier.run inst alg
-    | Some t -> Frontier.run ~dense_threshold:t inst alg
-  in
   let check_alg : type st msg out. string -> (st, msg, out) MP.algorithm -> verdict =
    fun label alg ->
     let boxed = Reference.run_boxed inst alg in
-    let rec go = function
-      | [] -> Ok ()
-      | (tname, thr) :: rest ->
-        let fr = frontier thr alg in
-        let& () =
-          requiref
-            (fr.Frontier.outputs = boxed.Reference.outputs)
-            "%s/%s: outputs differ from the boxed engine" label tname
-        in
-        let& () =
-          requiref
-            (fr.Frontier.rounds = boxed.Reference.rounds)
-            "%s/%s: per-node rounds differ from the boxed engine" label tname
-        in
-        let& () =
-          requiref
-            (fr.Frontier.max_rounds = boxed.Reference.max_rounds)
-            "%s/%s: max_rounds %d, boxed %d" label tname
-            fr.Frontier.max_rounds boxed.Reference.max_rounds
-        in
-        go rest
+    let fr = Frontier.run inst alg in
+    let& () =
+      requiref
+        (fr.Frontier.outputs = boxed.Reference.outputs)
+        "%s: outputs differ from the boxed engine" label
     in
-    go thresholds
+    let& () =
+      requiref
+        (fr.Frontier.rounds = boxed.Reference.rounds)
+        "%s: per-node rounds differ from the boxed engine" label
+    in
+    requiref
+      (fr.Frontier.max_rounds = boxed.Reference.max_rounds)
+      "%s: max_rounds %d, boxed %d" label fr.Frontier.max_rounds
+      boxed.Reference.max_rounds
   in
   let ball_matches_flood label =
     let outputs = (Frontier.run inst (ball_ids_alg radius)).Frontier.outputs in

@@ -70,9 +70,8 @@ val engine_vs_boxed : Gen_graph.recipe * int -> verdict
 (** Engine differential: {!Repro_local.Frontier.run} vs
     {!Reference.run_boxed} on three algorithms (boxed int-list flood,
     float sum, radius-3 ball gather) — outputs, per-node round counts
-    and [max_rounds] must be byte-identical at every density threshold
-    (the default switch, forced always-dense [0], forced always-sparse
-    [n + 1]) and at 1, 2 and 4 domains. The gathered balls must equal
+    and [max_rounds] must be byte-identical at 1, 2 and 4 domains. The
+    gathered balls must equal
     {!Repro_local.Message_passing.flood_gather}'s knowledge, and an
     audited flood must certify identically on both engines modulo the
     engine tag. *)

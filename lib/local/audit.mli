@@ -47,7 +47,7 @@ val flood_algorithm :
     at the engine level) and node [v] halts after [actual v] receive
     phases — with exactly its radius-[actual v] ball delivered. Exposed
     so tests and benches can run the same flood on the engine directly
-    (e.g. to pin the frontier engine's sparse↔dense switch round on a
+    (e.g. to pin the frontier engine's per-round live-set sizes on a
     golden instance). *)
 
 val run_flood :

@@ -25,11 +25,12 @@
    - receive: node [v] reads its inbox slice (frozen during this phase)
      and writes [states/outputs/halted/rounds] at its own index only.
 
-   Hence any pool size, and either iteration order (sparse member order
-   or dense bitmap order), is bit-identical to the sequential loop. The
-   fuzz target [engine-vs-boxed] and test/test_frontier.ml assert
-   equality against the boxed reference engine in lib/fuzz at 1/2/4
-   domains and in both representations.
+   Hence any pool size is bit-identical to the sequential loop. Both
+   phases walk the live set's member array, which is in ascending node
+   id: [fill_all] adds the nodes in order and [remove_if] keeps the
+   survivors in order. The fuzz target [engine-vs-boxed] and
+   test/test_frontier.ml assert equality against the boxed reference
+   engine in lib/fuzz at 1/2/4 domains.
 
    Arena discipline: every slot holds a real message from round 0 on.
    Round 0's frontier is full, so its send phase writes every slot
@@ -44,18 +45,11 @@
    values so it gets the element type's native representation — flat
    for floats.
 
-   Representation switch (Ligra-style): while the frontier is dense
-   (cardinality >= threshold) both phases iterate bitmap words and pull
-   the members out of each word; when it goes sparse they iterate the
-   member array directly. Both phases of one round use the same mode,
-   chosen before the send phase — the switch never lands between send
-   and receive.
-
    Hot-path discipline: both phases are {!Pool.parallel_sum} loops over
-   range bodies built once per run (a receive range looks up its
-   domain's scratch once); the send phase sums the scanned half-edge
-   count (the round span's [edges] kv for free) and the receive phase
-   the newly-halted count. *)
+   the member array, with range bodies built once per run (a receive
+   range looks up its domain's scratch once); the send phase sums the
+   scanned half-edge count (the round span's [edges] kv for free) and
+   the receive phase the newly-halted count. *)
 
 module G = Repro_graph.Multigraph
 module Obs = Repro_obs
@@ -77,7 +71,7 @@ type 'out result = {
   max_rounds : int;
 }
 
-let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
+let run ?limit inst (alg : _ MP.algorithm) =
   let g = inst.Instance.graph in
   let n = G.n g in
   let m2 = 2 * G.m g in
@@ -136,7 +130,7 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
     else [||]
   in
   Obs.Counter.incr m_runs;
-  let live = FS.create ?dense_threshold n in
+  let live = FS.create n in
   FS.fill_all live;
   let round = ref 0 in
   (* the per-node phase bodies, hoisted once; the current round is read
@@ -192,31 +186,17 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
       rounds.(v) <- r + 1;
       1
   in
-  let send_fold acc v = acc + send_one v in
-  (* one receive fold per pool slot, over that slot's scratch, so a
-     dense range builds no closure *)
-  let recv_folds =
-    Array.map (fun per_deg acc v -> acc + recv_one per_deg v) scratch
-  in
-  (* the range bodies sum their phase body in plain loops. Grain hints
-     (at the calls in the round loop): sparse indices are one node's
-     phase work, dense indices are one 64-node bitset word (mostly-set
-     in the dense regime) *)
-  let send_sparse lo hi =
+  (* the range bodies sum their phase body in plain loops; one index
+     is one live node's phase work (grain hints at the calls in the
+     round loop) *)
+  let send_range lo hi =
     let s = ref 0 in
     for k = lo to hi - 1 do
       s := !s + send_one (FS.member live k)
     done;
     !s
   in
-  let send_dense lo hi =
-    let s = ref 0 in
-    for w = lo to hi - 1 do
-      s := !s + FS.fold_word live w 0 send_fold
-    done;
-    !s
-  in
-  let recv_sparse lo hi =
+  let recv_range lo hi =
     let per_deg = scratch.(Pool.worker_index ()) in
     let s = ref 0 in
     for k = lo to hi - 1 do
@@ -224,26 +204,13 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
     done;
     !s
   in
-  let recv_dense lo hi =
-    let recv_fold = recv_folds.(Pool.worker_index ()) in
-    let s = ref 0 in
-    for w = lo to hi - 1 do
-      s := !s + FS.fold_word live w 0 recv_fold
-    done;
-    !s
-  in
   let run_sp = Obs.Span.enter "frontier.run" in
   while !remaining > 0 && !round < limit do
     let r = !round in
     let rsp = Obs.Span.enter "frontier.round" in
-    let dense = FS.is_dense live in
     let active = FS.cardinal live in
     let rng0 = if Obs.Span.live rsp then Obs.Counter.value m_rng else 0 in
-    let edges =
-      if dense then
-        Pool.parallel_sum ~grain:6_000 ~n:(FS.word_count live) send_dense
-      else Pool.parallel_sum ~grain:200 ~n:active send_sparse
-    in
+    let edges = Pool.parallel_sum ~grain:200 ~n:active send_range in
     (* the arena invariant: round 0 wrote every mailbox slot *)
     assert (r > 0 || edges = m2);
     (* round accounting over the live set, taken between the two phases:
@@ -263,11 +230,7 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
       Obs.Counter.add m_messages !msgs;
       Obs.Counter.add m_bytes !bytes
     end;
-    let newly_halted =
-      if dense then
-        Pool.parallel_sum ~grain:9_000 ~n:(FS.word_count live) recv_dense
-      else Pool.parallel_sum ~grain:300 ~n:active recv_sparse
-    in
+    let newly_halted = Pool.parallel_sum ~grain:300 ~n:active recv_range in
     remaining := !remaining - newly_halted;
     FS.remove_if live (fun v -> halted.(v));
     if Obs.Span.live rsp then
@@ -277,7 +240,6 @@ let run ?limit ?dense_threshold inst (alg : _ MP.algorithm) =
             ("round", r);
             ("active", active);
             ("edges", edges);
-            ("dense", Bool.to_int dense);
             ("messages", !msgs);
             ("payload_bytes", !bytes);
             ("mailbox_max", !mbox_max);

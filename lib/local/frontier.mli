@@ -38,27 +38,18 @@
     implementation in this repo consumes it immediately. DESIGN.md §12
     documents the layout and ownership rules.
 
-    {2 Representation switch}
-
-    The per-round representation switches between sparse (push:
-    iterate the member array) and dense (pull: iterate bitmap words)
-    on the {!Frontier_set} density threshold; both phases of one round
-    use the mode chosen before the send phase. [?dense_threshold]
-    forces the switch point — [0] is always-dense, [n + 1] is
-    always-sparse; all choices produce identical outputs, which the
-    switch tests and the [engine-vs-boxed] fuzz target assert.
-
     {2 Parallel execution, telemetry, provenance}
 
-    Both phases of a round run as {!Pool} loops over the live set, and
-    every write is index-owned, so results are bit-identical for every
-    pool size. When the {!Repro_obs.Registry} is enabled the engine
+    Both phases of a round run as {!Pool} loops over the live set's
+    {!Frontier_set} member array, which is in ascending node id (round
+    0 fills it in order and halted nodes are filtered out in order),
+    and every write is index-owned, so results are bit-identical for
+    every pool size. When the {!Repro_obs.Registry} is enabled the engine
     maintains the [local.frontier.*] counters, and while {!Repro_obs.Span}
     is armed each round's [frontier.round] span carries the round's
     statistics as kvs (DESIGN.md §9) — among them the live-set size
-    [active], the scanned half-edges [edges] and the representation
-    [dense], the evidence that round cost tracks the frontier, not
-    [n]. When
+    [active] and the scanned half-edges [edges], the evidence that
+    round cost tracks the frontier, not [n]. When
     {!Repro_obs.Provenance} is armed it tracks, per node and per
     in-flight message, the set of origin nodes whose initial state has
     reached it, and at halt submits the per-node sets and active-round
@@ -74,7 +65,6 @@ type 'out result = {
 
 val run :
   ?limit:int ->
-  ?dense_threshold:int ->
   Instance.t ->
   ('state, 'msg, 'out) Message_passing.algorithm ->
   'out result

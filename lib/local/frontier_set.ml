@@ -1,64 +1,44 @@
 (* The frontier representation for the frontier-driven engine and the
-   message-passing flood: a set of node ids kept simultaneously as a
-   flat int array (sparse view: the members in insertion order) and a
-   packed bitmap (dense view: one 63-bit word per 63 nodes). The two
-   views are maintained together so the representation can switch per
-   round on a density threshold without any conversion pass — Ligra's
-   push/pull switch, with the insertion-order array playing the role of
-   the sparse edgelist.
+   message-passing flood: a set of node ids kept as a flat int array
+   (the members in insertion order) plus a stamp array for O(1)
+   membership. Every iteration walks the member array; clearing bumps
+   the stamp instead of touching the members.
 
    Mutation discipline (the "who may add" half of the frontier
    contract, DESIGN.md §13): [add], [remove_if] and [clear] may only be
    called from the dispatching domain while no pool loop is in flight.
    Parallel loop bodies never mutate a set — they read it (via
-   [member]/[fold_word]/[mem]) and write their own index-owned output
-   slots; the next frontier is then built sequentially from those
-   outputs, in a deterministic order. This keeps every set operation
-   race-free by construction and the membership order (hence everything
-   derived from it) independent of the pool size. *)
+   [member]/[mem]) and write their own index-owned output slots; the
+   next frontier is then built sequentially from those outputs, in a
+   deterministic order. This keeps every set operation race-free by
+   construction and the membership order (hence everything derived
+   from it) independent of the pool size. *)
 
 module G = Repro_graph.Multigraph
 
-let bits_per_word = 63
-
 type t = {
   n : int;
-  threshold : int;
   members : int array; (* the first [card] entries, insertion order *)
   mutable card : int;
   mark : int array; (* mark.(v) = stamp iff v is a member *)
   mutable stamp : int;
-  bits : int array; (* packed bitmap over nodes, kept in sync *)
 }
 
-let default_threshold n = max 1 (n / 16)
-
-let create ?dense_threshold n =
+let create n =
   if n < 0 then invalid_arg "Frontier_set.create: negative n";
-  let threshold =
-    match dense_threshold with Some t -> t | None -> default_threshold n
-  in
   {
     n;
-    threshold;
     members = Array.make (max 1 n) 0;
     card = 0;
     mark = Array.make (max 1 n) 0;
     stamp = 1;
-    bits = Array.make (1 + (n / bits_per_word)) 0;
   }
 
 let cardinal t = t.card
-let is_dense t = t.card >= t.threshold
 let mem t v = t.mark.(v) = t.stamp
 let member t k = t.members.(k)
 
 let clear t =
-  for k = 0 to t.card - 1 do
-    let v = t.members.(k) in
-    t.bits.(v / bits_per_word) <-
-      t.bits.(v / bits_per_word) land lnot (1 lsl (v mod bits_per_word))
-  done;
   t.card <- 0;
   t.stamp <- t.stamp + 1
 
@@ -66,9 +46,7 @@ let add t v =
   if t.mark.(v) <> t.stamp then begin
     t.mark.(v) <- t.stamp;
     t.members.(t.card) <- v;
-    t.card <- t.card + 1;
-    t.bits.(v / bits_per_word) <-
-      t.bits.(v / bits_per_word) lor (1 lsl (v mod bits_per_word))
+    t.card <- t.card + 1
   end
 
 let fill_all t =
@@ -88,36 +66,13 @@ let remove_if t f =
   let w = ref 0 in
   for k = 0 to t.card - 1 do
     let v = t.members.(k) in
-    if f v then begin
-      t.mark.(v) <- t.stamp - 1;
-      t.bits.(v / bits_per_word) <-
-        t.bits.(v / bits_per_word) land lnot (1 lsl (v mod bits_per_word))
-    end
+    if f v then t.mark.(v) <- t.stamp - 1
     else begin
       t.members.(!w) <- v;
       incr w
     end
   done;
   t.card <- !w
-
-let word_count t = 1 + (t.n / bits_per_word)
-
-(* fold over the members inside bitmap word [w], ascending node order.
-   Safe to call from parallel bodies: it only reads the set, and the
-   nodes of one word belong to exactly one loop index, so the dense
-   (pull) iteration keeps per-index ownership of everything derived
-   from them. *)
-let fold_word t w init f =
-  let x = ref t.bits.(w) in
-  let base = w * bits_per_word in
-  let acc = ref init in
-  let i = ref 0 in
-  while !x <> 0 do
-    if !x land 1 = 1 then acc := f !acc (base + !i);
-    x := !x lsr 1;
-    incr i
-  done;
-  !acc
 
 (* ------------------------------------------------------------------ *)
 (* deterministic neighbourhood expansion                              *)

@@ -8,19 +8,20 @@ let m_draws =
 
 let create ~seed = { seed = Int64.of_int seed }
 
-(* splitmix64 finalizer *)
-let mix z =
+(* splitmix64 finalizer. [mix], [bits64] and [bit] are inlined so the
+   Int64 intermediates stay unboxed: a coin allocates nothing *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t ~node ~idx =
+let[@inline] bits64 t ~node ~idx =
   Repro_obs.Counter.incr m_draws;
   let x = Int64.add t.seed (Int64.mul (Int64.of_int node) 0x9e3779b97f4a7c15L) in
   let x = Int64.add x (Int64.mul (Int64.of_int idx) 0xd1b54a32d192ed03L) in
   mix (mix x)
 
-let bit t ~node ~idx = Int64.logand (bits64 t ~node ~idx) 1L = 1L
+let[@inline] bit t ~node ~idx = Int64.logand (bits64 t ~node ~idx) 1L = 1L
 
 let int t ~node ~idx ~bound =
   if bound <= 0 then invalid_arg "Randomness.int: bound <= 0";

@@ -421,11 +421,25 @@ let out_degrees g (out : output) =
 
 let is_sink g out_deg v = G.degree g v >= 3 && out_deg.(v) = 0
 
-(* sinks in ascending id order: the deterministic repair order *)
+(* sinks in ascending id order: the deterministic repair order (ids are
+   distinct, so any sort gives the same order). A counting pass sizes
+   the array, a second pass fills it *)
 let sorted_sinks g ids out_deg =
-  List.sort
-    (fun a b -> compare ids.(a) ids.(b))
-    (List.filter (is_sink g out_deg) (List.init (G.n g) (fun v -> v)))
+  let n = G.n g in
+  let count = ref 0 in
+  for v = 0 to n - 1 do
+    if is_sink g out_deg v then incr count
+  done;
+  let sinks = Array.make !count 0 in
+  let k = ref 0 in
+  for v = 0 to n - 1 do
+    if is_sink g out_deg v then begin
+      sinks.(!k) <- v;
+      incr k
+    end
+  done;
+  Array.sort (fun a b -> Int.compare ids.(a) ids.(b)) sinks;
+  sinks
 
 let set_half g (out : output) out_deg h o =
   let node = G.half_node g h in
@@ -500,11 +514,11 @@ let solve_randomized inst =
   Meter.charge_all meter 1;
   let out_deg = out_degrees g out in
   let sinks = sorted_sinks g ids out_deg in
-  Obs.Counter.add m_rand_sinks (List.length sinks);
+  Obs.Counter.add m_rand_sinks (Array.length sinks);
   let dist = Array.make n (-1) in
   let parent_half = Array.make n (-1) in
   let qbuf = Array.make n 0 in
-  List.iter (repair_sink g out out_deg meter ~dist ~parent_half ~qbuf) sinks;
+  Array.iter (repair_sink g out out_deg meter ~dist ~parent_half ~qbuf) sinks;
   (out, meter)
 
 let solve_randomized_frontier = solve_randomized

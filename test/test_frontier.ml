@@ -1,10 +1,9 @@
-(* Tests for the frontier layer: Frontier_set representation and
-   expansion, the frontier engine's
-   byte-identity with the boxed reference engine (including the
-   sparse↔dense switch, pinned on a golden instance), the audit-catalog
-   certificate equivalence between the two engines, and flood_gather
-   against a BFS oracle; per-round frontier shape is read from the
-   engine's round spans. *)
+(* Tests for the frontier layer: Frontier_set membership and
+   expansion, the frontier engine's byte-identity with the boxed
+   reference engine (with its per-round live-set sizes pinned on a
+   golden instance), the audit-catalog certificate equivalence between
+   the two engines, and flood_gather against a BFS oracle; per-round
+   frontier shape is read from the engine's round spans. *)
 
 module Obs = Repro_obs
 module Prov = Repro_obs.Provenance
@@ -62,39 +61,18 @@ let test_set_basics () =
     members;
   check "mem hit" true (FS.mem s 64);
   check "mem miss" false (FS.mem s 1);
-  (* dense view agrees with the member list, ascending within words *)
-  let via_words = ref [] in
-  let total = ref 0 in
-  for w = 0 to FS.word_count s - 1 do
-    total :=
-      !total
-      + FS.fold_word s w 0 (fun acc v ->
-            via_words := v :: !via_words;
-            acc + 1)
-  done;
-  check_int "fold_word count" (List.length members) !total;
-  Alcotest.(check (list int))
-    "bitmap view" (List.sort compare members)
-    (List.rev !via_words);
   FS.remove_if s (fun v -> v mod 2 = 0);
   Alcotest.(check (list int))
     "remove_if keeps order"
     (List.filter (fun v -> v mod 2 = 1) members)
     (List.init (FS.cardinal s) (FS.member s));
-  check "removed from bitmap" false (FS.mem s 64);
+  check "removed from mem" false (FS.mem s 64);
   FS.clear s;
   check_int "cleared" 0 (FS.cardinal s);
-  check "cleared bitmap" false (FS.mem s 63);
+  check "cleared mem" false (FS.mem s 63);
   FS.fill_all s;
   check_int "fill_all" 130 (FS.cardinal s);
   check_int "fill_all order" 17 (FS.member s 17)
-
-let test_set_threshold () =
-  let s = FS.create ~dense_threshold:0 4 in
-  check "threshold 0 is always dense" true (FS.is_dense s);
-  let s' = FS.create ~dense_threshold:5 4 in
-  FS.fill_all s';
-  check "threshold n+1 is never dense" false (FS.is_dense s')
 
 let test_set_expand () =
   (* path 0-1-2-3-4: expanding {3,1} finds {2,4,0} in first-discovery
@@ -119,11 +97,9 @@ let test_set_expand () =
 (* ------------------------------------------------------------------ *)
 (* the frontier engine vs the boxed reference engine *)
 
-(* the golden switch instance: a 160-node path flooded with
+(* the golden instance: a 160-node path flooded with
    actual v = v + 1, so node v halts after round v and the live count
-   at round r is exactly 160 - r. The default density threshold is
-   160/16 = 10: rounds 0..150 (live >= 10) must run dense, rounds
-   151..159 sparse. *)
+   at round r is exactly 160 - r. *)
 let test_switch_round_pinned () =
   let n = 160 in
   let inst = Instance.create (Gen.path n) in
@@ -132,13 +108,8 @@ let test_switch_round_pinned () =
   check_int "rounds" n res.Frontier.max_rounds;
   check_int "one round span per round" n (List.length spans);
   let active = column "active" spans and edges = column "edges" spans in
-  let dense = column "dense" spans in
   for r = 0 to n - 1 do
-    check_int (Printf.sprintf "active at round %d" r) (n - r) active.(r);
-    check_int
-      (Printf.sprintf "mode at round %d" r)
-      (Bool.to_int (n - r >= 10))
-      dense.(r)
+    check_int (Printf.sprintf "active at round %d" r) (n - r) active.(r)
   done;
   (* the path's live prefix loses one node per round: scanned half-edges
      strictly decrease once the wavefront moves *)
@@ -148,27 +119,7 @@ let test_switch_round_pinned () =
       true
       (edges.(r) <= edges.(r - 1))
   done;
-  (* forcing the threshold to either extreme changes the mode profile
-     but not one byte of the results *)
-  let dense, dense_spans =
-    round_spans "frontier.round" (fun () ->
-        Frontier.run ~dense_threshold:0 inst alg)
-  in
-  let sparse, sparse_spans =
-    round_spans "frontier.round" (fun () ->
-        Frontier.run ~dense_threshold:(n + 1) inst alg)
-  in
-  check "always-dense outputs" true (dense.Frontier.outputs = res.Frontier.outputs);
-  check "always-sparse outputs" true
-    (sparse.Frontier.outputs = res.Frontier.outputs);
-  check "always-dense rounds" true (dense.Frontier.rounds = res.Frontier.rounds);
-  check "always-sparse rounds" true
-    (sparse.Frontier.rounds = res.Frontier.rounds);
-  check "always-dense ran dense" true
-    (List.for_all (fun s -> kv "dense" s = 1) dense_spans);
-  check "always-sparse ran sparse" true
-    (List.for_all (fun s -> kv "dense" s = 0) sparse_spans);
-  (* and the boxed reference engine agrees with all of them *)
+  (* the boxed reference engine agrees with the run *)
   let boxed = Reference.run_boxed inst alg in
   check "boxed outputs" true (boxed.Reference.outputs = res.Frontier.outputs);
   check "boxed rounds" true (boxed.Reference.rounds = res.Frontier.rounds)
@@ -179,8 +130,7 @@ let test_switch_round_pinned () =
    state·16 + port and halts after round v mod 5, so the message on port
    p of v in round r is fixed by the mate half h' = mate (half_at g v p):
    its node u, its port half_port g h', and u's last sending round
-   min r (u mod 5) (halted senders' messages stay in place). n = 1,100
-   gives 18 bitmap words, so the dense loops dispatch too when forced. *)
+   min r (u mod 5) (halted senders' messages stay in place). *)
 let routing_graph () =
   let n = 1_100 in
   let rng = Random.State.make [| 29 |] in
@@ -209,7 +159,7 @@ let test_multigraph_routing () =
   let want = Array.init n (fun v -> Array.init (halt v + 1) (expected v)) in
   let outputs = Array.init n Fun.id in
   let rounds = Array.init n (fun v -> halt v + 1) in
-  let run dense_threshold =
+  let run () =
     let got = Array.init n (fun v -> Array.make (halt v + 1) [||]) in
     let alg =
       {
@@ -222,7 +172,7 @@ let test_multigraph_routing () =
             if round = halt v then Either.Right v else Either.Left (st + 1));
       }
     in
-    let res = Frontier.run ~dense_threshold inst alg in
+    let res = Frontier.run inst alg in
     (res, got)
   in
   Fun.protect
@@ -234,20 +184,17 @@ let test_multigraph_routing () =
           List.iter
             (fun size ->
               with_pool_size size (fun () ->
-                  List.iter
-                    (fun (mode, dense_threshold) ->
-                      let what =
-                        Printf.sprintf "%s, %d domains, %s"
-                          (if force then "forced" else "rule")
-                          size mode
-                      in
-                      let res, got = run dense_threshold in
-                      check (what ^ ": received messages") true (got = want);
-                      check (what ^ ": outputs") true
-                        (res.Frontier.outputs = outputs);
-                      check (what ^ ": rounds") true
-                        (res.Frontier.rounds = rounds))
-                    [ ("dense", 0); ("sparse", n + 1) ]))
+                  let what =
+                    Printf.sprintf "%s, %d domains"
+                      (if force then "forced" else "rule")
+                      size
+                  in
+                  let res, got = run () in
+                  check (what ^ ": received messages") true (got = want);
+                  check (what ^ ": outputs") true
+                    (res.Frontier.outputs = outputs);
+                  check (what ^ ": rounds") true
+                    (res.Frontier.rounds = rounds)))
             [ 1; 2; 4 ])
         [ true; false ])
 
@@ -366,7 +313,6 @@ let test_flood_bfs_oracle () =
 let suite =
   [
     ("frontier-set basics", `Quick, test_set_basics);
-    ("frontier-set thresholds", `Quick, test_set_threshold);
     ("frontier-set expand", `Quick, test_set_expand);
     ("switch round pinned on golden instance", `Quick, test_switch_round_pinned);
     ("multigraph mailbox routing", `Quick, test_multigraph_routing);

@@ -269,21 +269,17 @@ let test_halted_message_repeats () =
     (r.Frontier.outputs.(1) = [ 0; 0; 0 ])
 
 (* the boxed reference engine is the differential oracle: the engine
-   must agree with it exactly on a nontrivial run, at every pool size
-   and in both frontier representations *)
+   must agree with it exactly on a nontrivial run, at every pool size *)
 let test_engine_matches_boxed () =
   let inst = Instance.create (ecc24_graph ()) in
   let b = Reference.run_boxed inst ecc_algorithm in
   with_sizes (fun s ->
-      List.iter
-        (fun (mode, dense_threshold) ->
-          let a = Frontier.run ?dense_threshold inst ecc_algorithm in
-          let tag = Printf.sprintf "%s, %d domains" mode s in
-          check ("outputs " ^ tag) true (a.Frontier.outputs = b.Reference.outputs);
-          check ("rounds " ^ tag) true (a.Frontier.rounds = b.Reference.rounds);
-          check_int ("max_rounds " ^ tag) b.Reference.max_rounds
-            a.Frontier.max_rounds)
-        [ ("dense", Some 0); ("sparse", Some 25) ])
+      let a = Frontier.run inst ecc_algorithm in
+      let tag = Printf.sprintf "%d domains" s in
+      check ("outputs " ^ tag) true (a.Frontier.outputs = b.Reference.outputs);
+      check ("rounds " ^ tag) true (a.Frontier.rounds = b.Reference.rounds);
+      check_int ("max_rounds " ^ tag) b.Reference.max_rounds
+        a.Frontier.max_rounds)
 
 (* traced flood telemetry: the flood rebuilds the per-node knowledge
    lists only when the registry is live, and the resulting byte counts
